@@ -34,7 +34,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .scenario import DeterministicStrategy, Inequality, Scenario, all_strategies, coord_index
+from .scenario import (
+    DeterministicStrategy,
+    Inequality,
+    Scenario,
+    all_strategies,
+    check_strategy,
+    coord_index,
+    generator_rows,
+    strategy_values,
+)
 
 
 class RSTU(NamedTuple):
@@ -70,9 +79,7 @@ def center_mod(x: int, d: int) -> int:
 
 def rstu(lam: DeterministicStrategy, d: int) -> RSTU:
     lam = DeterministicStrategy(*lam)
-    for v in lam:
-        if not 0 <= v < d:
-            raise ValueError(f"strategy {lam} out of range for d={d}")
+    check_strategy(d, lam)
     v = RSTU(
         center_mod(lam.a1 - lam.b1, d),
         center_mod(-lam.a1 + lam.b2, d),
@@ -84,16 +91,14 @@ def rstu(lam: DeterministicStrategy, d: int) -> RSTU:
     return v
 
 
-def f_value(x: int, d: int) -> Fraction:
-    """The per-variable weight; exact rational."""
-    if x >= 0:
-        return Fraction(-2 * x, d - 1) + 1
-    return Fraction(-2 * x, d - 1) - Fraction(d + 1, d - 1)
-
-
 def _f_scaled(x: int, d: int) -> int:
     # f times (d-1); integer arithmetic for the exhaustive sweeps
     return -2 * x + (d - 1) if x >= 0 else -2 * x - (d + 1)
+
+
+def f_value(x: int, d: int) -> Fraction:
+    """The per-variable weight; exact rational."""
+    return Fraction(_f_scaled(x, d), d - 1)
 
 
 def eval_on_generator(lam: DeterministicStrategy, d: int) -> Fraction:
@@ -167,17 +172,6 @@ def evaluate(ineq: Inequality, p) -> Fraction:
     return sum(c * x for c, x in zip(ineq.coeffs, coords) if c)
 
 
-def _strategy_value_coeff(ineq: Inequality, lam: DeterministicStrategy) -> Fraction:
-    # a generator has exactly four unit coordinates
-    d = ineq.d
-    return (
-        ineq.coeffs[coord_index(d, 1, 1, lam.a1, lam.b1)]
-        + ineq.coeffs[coord_index(d, 1, 2, lam.a1, lam.b2)]
-        + ineq.coeffs[coord_index(d, 2, 1, lam.a2, lam.b1)]
-        + ineq.coeffs[coord_index(d, 2, 2, lam.a2, lam.b2)]
-    )
-
-
 @dataclass(frozen=True)
 class Condition1Report:
     """Outcome of the exhaustive bound check over all d^4 generators."""
@@ -206,15 +200,9 @@ def verify_condition1(d: int) -> Condition1Report:
     hist: dict[int, int] = {}
     cases: dict[str, int] = {}
     best = None
-    for lam in all_strategies(Scenario(d)):
+    for lam, by_coeff in zip(all_strategies(Scenario(d)), strategy_values(cs, d)):
         v = rstu(lam, d)
         by_f = sum(_f_scaled(x, d) for x in v)
-        by_coeff = (
-            cs[coord_index(d, 1, 1, lam.a1, lam.b1)]
-            + cs[coord_index(d, 1, 2, lam.a1, lam.b2)]
-            + cs[coord_index(d, 2, 1, lam.a2, lam.b1)]
-            + cs[coord_index(d, 2, 2, lam.a2, lam.b2)]
-        )
         if by_f != by_coeff:
             raise VerificationError(
                 f"coefficient form and f form disagree on {lam}: "
@@ -258,24 +246,12 @@ def _saturating_matrix(d: int) -> np.ndarray:
     """0/1 behavior rows of all saturating generators, vectorized."""
     grid = np.indices((d, d, d, d)).reshape(4, -1)
     a1, a2, b1, b2 = grid
-    lo = -(d // 2)
-    cen = lambda x: (x - lo) % d + lo
-    r, s = cen(a1 - b1), cen(-a1 + b2)
-    t, u = cen(-a2 + b1 - 1), cen(a2 - b2)
+    r, s = center_mod(a1 - b1, d), center_mod(-a1 + b2, d)
+    t, u = center_mod(-a2 + b1 - 1, d), center_mod(a2 - b2, d)
     neg = (r < 0).astype(int) + (s < 0).astype(int) + (t < 0).astype(int) + (u < 0).astype(int)
     tot = r + s + t + u
     mask = ((neg == 0) & (tot == d - 1)) | ((neg == 1) & (tot == -1))
-    idx = np.nonzero(mask)[0]
-    mat = np.zeros((idx.size, 4 * d * d), dtype=np.int64)
-    rows = np.arange(idx.size)
-    for (a, b), ka, kb in (
-        ((1, 1), a1[idx], b1[idx]),
-        ((1, 2), a1[idx], b2[idx]),
-        ((2, 1), a2[idx], b1[idx]),
-        ((2, 2), a2[idx], b2[idx]),
-    ):
-        mat[rows, ((a - 1) * 2 + (b - 1)) * d * d + ka * d + kb] = 1
-    return mat
+    return generator_rows(d, grid[:, mask])
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .facets import classify_trivial, enumerate_facets, saturation_count, vrep_o
 from .jsonio import encode_rational
 from .linalg import rank
 from .scenario import (
+    BLOCKS,
     Scenario,
     all_generators,
     behavior_from_json,
@@ -174,7 +175,7 @@ def cmd_project(args) -> int:
     c = project(p)
     payload = corr_to_json(c)
     lines = [f"projected correlators (d={c.d}):"]
-    for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+    for a, b in BLOCKS:
         row = [str(c[(a, b, n)]) for n in range(c.d)]
         lines.append(f"  A{a}B{b}: {row}")
     _emit(payload, lines, args.pretty)
@@ -223,7 +224,7 @@ def cmd_enumerate(args) -> int:
     trivial = [classify_trivial(f) for f in hrep.facets]
     if space == "behavior" and d >= 4:
         labels = None
-        print("note: behavior-space symmetry classes need the large-group flag; "
+        print("note: the behavior-space symmetry group is too large for d >= 4; "
               "facets emitted without class labels", file=sys.stderr)
     else:
         labels, _reps = label_classes(hrep.facets)
@@ -355,10 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human-readable output")
-    common.add_argument(
-        "--threads", type=int, default=1, metavar="N",
-        help="accepted for compatibility; the pipeline is deterministic and single-process",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dims", parents=[common], help="constraint rank and affine dimension")
@@ -402,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -20,9 +20,7 @@ import numpy as np
 
 from . import linalg
 from .jsonio import decode_rational, encode_rational
-from .scenario import Behavior, Inequality, coord_index
-
-_BLOCKS = ((1, 1), (1, 2), (2, 1), (2, 2))
+from .scenario import BLOCKS, Behavior, Inequality, coord_index, generator_rows
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,7 @@ def project(p: Behavior) -> CorrVector:
     """Sum joint probabilities along constant outcome difference."""
     d = p.d
     coords = []
-    for a, b in _BLOCKS:
+    for a, b in BLOCKS:
         for n in range(d):
             coords.append(
                 sum(p.coords[coord_index(d, a, b, (n + j) % d, j)] for j in range(d))
@@ -63,20 +61,19 @@ def is_corr_probability(c: CorrVector) -> bool:
     if any(x < 0 for x in c.coords):
         return False
     return all(
-        sum(c.coords[corr_index(d, a, b, n)] for n in range(d)) == 1 for a, b in _BLOCKS
+        sum(c.coords[corr_index(d, a, b, n)] for n in range(d)) == 1 for a, b in BLOCKS
     )
 
 
 def projected_generator_matrix(d: int) -> np.ndarray:
-    """Deduplicated 0/1 rows of projected generators, in lexicographic order."""
-    grid = np.indices((d, d, d, d)).reshape(4, -1)
-    a1, a2, b1, b2 = grid
-    n = d**4
-    mat = np.zeros((n, 4 * d), dtype=np.int64)
-    rows = np.arange(n)
-    for (a, b), ka, kb in (((1, 1), a1, b1), ((1, 2), a1, b2), ((2, 1), a2, b1), ((2, 2), a2, b2)):
-        mat[rows, ((a - 1) * 2 + (b - 1)) * d + (ka - kb) % d] = 1
-    return np.unique(mat, axis=0)
+    """Deduplicated 0/1 rows of projected generators, in lexicographic order.
+
+    The projection only sees outcome differences, so the d^3 strategies
+    with a1 = 0 already reach every projected generator exactly once.
+    """
+    a2, b1, b2 = np.indices((d, d, d)).reshape(3, -1)
+    rows = generator_rows(d, np.stack([np.zeros_like(a2), a2, b1, b2]), projected=True)
+    return np.unique(rows, axis=0)
 
 
 def projected_generators(d: int) -> list[CorrVector]:
@@ -100,7 +97,7 @@ def chsh_correlators(p: Behavior) -> tuple[Fraction, Fraction, Fraction, Fractio
     if p.d != 2:
         raise ValueError("two-outcome correlators need d=2")
     out = []
-    for a, b in _BLOCKS:
+    for a, b in BLOCKS:
         out.append(
             p.coords[coord_index(2, a, b, 0, 0)]
             + p.coords[coord_index(2, a, b, 1, 1)]
@@ -153,7 +150,7 @@ def lift(ineq: Inequality) -> Inequality:
         raise ValueError(f"can only lift correlator inequalities, got {ineq.space!r}")
     d = ineq.d
     coeffs = [Fraction(0)] * (4 * d * d)
-    for a, b in _BLOCKS:
+    for a, b in BLOCKS:
         for k in range(d):
             for s in range(d):
                 coeffs[coord_index(d, a, b, k, s)] = ineq.coeffs[
@@ -165,7 +162,7 @@ def lift(ineq: Inequality) -> Inequality:
 def corr_to_json(c: CorrVector) -> dict:
     blocks = {
         f"a{a}b{b}": [encode_rational(c.coords[corr_index(c.d, a, b, n)]) for n in range(c.d)]
-        for a, b in _BLOCKS
+        for a, b in BLOCKS
     }
     return {"d": c.d, "C": blocks}
 
@@ -173,7 +170,7 @@ def corr_to_json(c: CorrVector) -> dict:
 def corr_from_json(data: dict) -> CorrVector:
     d = int(data["d"])
     coords = [Fraction(0)] * (4 * d)
-    for a, b in _BLOCKS:
+    for a, b in BLOCKS:
         block = data["C"][f"a{a}b{b}"]
         if len(block) != d:
             raise ValueError(f"block a{a}b{b} must have length {d}")

@@ -24,7 +24,6 @@ makes them genuine facets of the full polytope, just not all of them.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +32,7 @@ from typing import Sequence
 
 from . import linalg
 from .correlators import lift
+from .linalg import gcd_reduce
 from .lp import lp_max
 from .scenario import Inequality, Scenario, constraint_matrix
 
@@ -130,12 +130,7 @@ def canonicalize(ineq: Inequality, equations=None) -> Inequality:
                 bound -= c * row[-1]
     if not any(coeffs):
         raise ValueError("zero coefficient vector cannot be canonicalized")
-    scaled = linalg.clear_denominators(coeffs + [bound])
-    g = 0
-    for x in scaled:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        scaled = [x // g for x in scaled]
+    scaled = gcd_reduce(linalg.clear_denominators(coeffs + [bound]))
     return Inequality(
         ineq.space,
         ineq.d,
@@ -146,17 +141,6 @@ def canonicalize(ineq: Inequality, equations=None) -> Inequality:
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-def _gcd_reduce(vec: list[int]) -> list[int]:
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
-        if g == 1:
-            return vec
-    if g > 1:
-        return [x // g for x in vec]
-    return vec
 
 
 def dd_extreme_rays(
@@ -192,16 +176,16 @@ def dd_extreme_rays(
                     if i == hit:
                         continue
                     dl = lin_dots[i]
-                    new_lin.append(_gcd_reduce([d0 * x - dl * y for x, y in zip(l, l0)]))
+                    new_lin.append(gcd_reduce([d0 * x - dl * y for x, y in zip(l, l0)]))
                 lin = new_lin
                 for entry in rays:
                     r = entry[0]
                     dr = _idot(a, r)
                     if dr:
-                        entry[0] = _gcd_reduce([-d0 * x + dr * y for x, y in zip(r, l0)])
+                        entry[0] = gcd_reduce([-d0 * x + dr * y for x, y in zip(r, l0)])
                     entry[1] |= bit
                 mask = (1 << ci) - 1
-                rays.append([_gcd_reduce(list(l0)), mask])
+                rays.append([gcd_reduce(list(l0)), mask])
                 continue
             zero, neg, pos = [], [], []
             for entry in rays:
@@ -238,7 +222,7 @@ def dd_extreme_rays(
                             break
                     if not adjacent:
                         continue
-                    vec = _gcd_reduce(
+                    vec = gcd_reduce(
                         [-nval * x + pval * y for x, y in zip(pentry[0], nentry[0])]
                     )
                     combos.setdefault(tuple(vec), [list(vec), common | bit])
@@ -332,17 +316,21 @@ def saturation_count(ineq: Inequality, vertices) -> tuple[int, int]:
     return len(tight), linalg.int_rank(mat)
 
 
-def classify_trivial(ineq: Inequality, d: int | None = None) -> bool:
-    """True when the inequality cannot be violated by any normalized
-    no-signaling behavior (exact LP over the no-signaling polytope)."""
+def nosignaling_max(ineq: Inequality) -> Fraction:
+    """Exact LP maximum over the normalized no-signaling polytope
+    (correlator inequalities are lifted first)."""
     if ineq.space == "correlator":
         ineq = lift(ineq)
     if ineq.space != "behavior":
         raise ValueError("triviality is defined against the no-signaling polytope")
-    if d is None:
-        d = ineq.d
-    rows, rhs = constraint_matrix(Scenario(d))
+    rows, rhs = constraint_matrix(Scenario(ineq.d))
     res = lp_max(ineq.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
     if res.status != "optimal":
         raise AssertionError(f"no-signaling LP came back {res.status}")
-    return res.optimum <= ineq.bound
+    return res.optimum
+
+
+def classify_trivial(ineq: Inequality) -> bool:
+    """True when the inequality cannot be violated by any normalized
+    no-signaling behavior."""
+    return nosignaling_max(ineq) <= ineq.bound

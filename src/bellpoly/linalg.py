@@ -50,7 +50,8 @@ def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
     return [int(x * lcm) for x in row]
 
 
-def _row_gcd_reduce(row: list[int]) -> list[int]:
+def gcd_reduce(row: list[int]) -> list[int]:
+    """Divide an integer row by the gcd of its entries (zero rows unchanged)."""
     g = 0
     for x in row:
         g = math.gcd(g, x)
@@ -86,7 +87,7 @@ def _int_rank_pure(rows: list[list[int]]) -> int:
             if c == 0:
                 continue
             r = rows[i]
-            rows[i] = _row_gcd_reduce([a * p - b * c for a, b in zip(r, prow)])
+            rows[i] = gcd_reduce([a * p - b * c for a, b in zip(r, prow)])
         rank += 1
     return rank
 
@@ -212,7 +213,7 @@ class IntRowBasis:
             c = vec[pc]
             if c:
                 p = row[pc]
-                vec = _row_gcd_reduce([a * p - b * c for a, b in zip(vec, row)])
+                vec = gcd_reduce([a * p - b * c for a, b in zip(vec, row)])
         return vec
 
     def add(self, vec: Sequence[int]) -> bool:
@@ -251,7 +252,7 @@ class IntRowBasis:
         for i, x in enumerate(v):
             if x:
                 self._pivots.append(i)
-                self._rows.append(_row_gcd_reduce(v))
+                self._rows.append(gcd_reduce(v))
                 return True
         return False
 
@@ -288,7 +289,7 @@ def rref(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return rows[:r] + rows[r:], pivots
+    return rows, pivots
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction | int]], ncols: int | None = None) -> list[list[Fraction]]:

@@ -9,6 +9,10 @@ certificate that multiplies out to a contradiction:
     sum_i y_i A[i][j]  is  = 0 on free columns and >= 0 on nonnegative ones,
     y . b < 0.
 
+An "optimal" result carries a dual y, one entry per original row
+(redundant equality rows included), and is checked just as exactly: x is
+feasible, y is dual feasible, and c.x = y.b = optimum.
+
 Pivoting follows Bland's rule (lowest eligible index in, lowest basic
 variable index out), which is what makes termination a theorem rather than
 a hope; with exact arithmetic, cycling was the only possible failure mode.
@@ -172,8 +176,9 @@ def lp_max(
         _check_farkas(y, eqA + inA, eqb + inb, neq, nonneg_set, n)
         return LPResult(status="infeasible", certificate=tuple(y))
 
-    # phase 2: evict leftover artificials, then optimize the real objective
-    orig_of_row = list(range(m))
+    # phase 2: evict leftover artificials, then optimize the real objective;
+    # a row left with no structural entry is redundant and is dropped, but
+    # every original row keeps its artificial column, so its dual survives
     drop: list[int] = []
     for r in range(len(rows)):
         if basis[r] >= nstruct + nin:
@@ -190,7 +195,6 @@ def lp_max(
         rows = [rows[r] for r in range(len(rows)) if r not in drop]
         rhs = [rhs[r] for r in range(len(rhs)) if r not in drop]
         basis = [basis[r] for r in range(len(basis)) if r not in drop]
-        orig_of_row = [orig_of_row[r] for r in range(m) if r not in drop]
     for i in range(m):
         allowed[art_col[i]] = False
 
@@ -216,12 +220,35 @@ def lp_max(
         if b < nstruct:
             j, sgn = columns[b]
             x[j] += rhs[r] if sgn == 1 else -rhs[r]
-    dual = [_ZERO] * m
-    for r, i in enumerate(orig_of_row):
-        dual[i] = flips[i] * (-costrow[art_col[i]])
+    dual = [flips[i] * (-costrow[art_col[i]]) for i in range(m)]
+    _check_optimal(obj, x, dual, objval, eqA + inA, eqb + inb, neq, nonneg_set)
     return LPResult(
         status="optimal", optimum=objval, primal=tuple(x), dual=tuple(dual)
     )
+
+
+def _check_optimal(obj, x, y, optimum, allrows, allrhs, neq, nonneg_set) -> None:
+    """Exact verification of an optimal pair (cheap, always on, zero
+    entries skipped): x is feasible; y is feasible for the dual
+    min y.b  with  y >= 0 on inequality rows  and  sum_i y_i A[i][j]  = c_j
+    on free columns, >= c_j on nonnegative ones; and c.x = y.b = optimum."""
+    for i, (row, b) in enumerate(zip(allrows, allrhs)):
+        lhs = sum(a * v for a, v in zip(row, x) if a and v)
+        if (lhs > b) if i >= neq else (lhs != b):
+            raise AssertionError("optimal primal violates a constraint row")
+        if i >= neq and y[i] < 0:
+            raise AssertionError("optimal dual negative on an inequality row")
+    used = [(yi, row) for yi, row in zip(y, allrows) if yi]
+    for j, c in enumerate(obj):
+        if j in nonneg_set and x[j] < 0:
+            raise AssertionError("optimal primal negative on a nonnegative column")
+        comb = sum(yi * row[j] for yi, row in used if row[j])
+        if (comb < c) if j in nonneg_set else (comb != c):
+            raise AssertionError("optimal dual infeasible on a column")
+    if sum(c * v for c, v in zip(obj, x) if c and v) != optimum:
+        raise AssertionError("primal objective differs from the reported optimum")
+    if sum(yi * b for yi, b in zip(y, allrhs) if yi and b) != optimum:
+        raise AssertionError("dual objective differs from the primal optimum")
 
 
 def _check_farkas(y, allrows, allrhs, neq, nonneg_set, n) -> None:

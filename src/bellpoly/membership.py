@@ -17,27 +17,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .cglmp import cglmp_inequality
+from .cglmp import cglmp_inequality, evaluate
 from .correlators import (
     CorrVector,
     cglmp_corr_inequality,
     corr_index,
     is_corr_probability,
-    lift,
     projected_generators,
 )
-from .facets import canonicalize, standard_equations
+from .facets import canonicalize, nosignaling_max, standard_equations  # noqa: F401 (re-exported)
 from .lp import lp_max
 from .scenario import (
+    BLOCKS,
     Behavior,
     Inequality,
     Scenario,
     all_strategies,
-    constraint_matrix,
     coord_index,
     generator,
     is_normalized,
     is_nosignaling,
+    strategy_values,
     uniform_behavior,
 )
 
@@ -53,45 +53,13 @@ class MembershipResult:
     certificate_class: str | None = None
 
 
-def _strategy_values(ineq: Inequality):
-    """Exact value of a behavior inequality on every generator (sparse)."""
-    d = ineq.d
-    cs = ineq.coeffs
-    for lam in all_strategies(Scenario(d)):
-        yield lam, (
-            cs[coord_index(d, 1, 1, lam.a1, lam.b1)]
-            + cs[coord_index(d, 1, 2, lam.a1, lam.b2)]
-            + cs[coord_index(d, 2, 1, lam.a2, lam.b1)]
-            + cs[coord_index(d, 2, 2, lam.a2, lam.b2)]
-        )
-
-
-def _corr_generator_values(ineq: Inequality):
-    d = ineq.d
-    cs = ineq.coeffs
-    for gen in projected_generators(d):
-        val = sum(c * x for c, x in zip(cs, gen.coords) if c)
-        yield gen, val
-
-
 def local_max(ineq: Inequality) -> Fraction:
     """Exact maximum over the (projected) generators."""
     if ineq.space == "behavior":
-        return max(v for _, v in _strategy_values(ineq))
+        return max(strategy_values(ineq.coeffs, ineq.d))
     if ineq.space == "correlator":
-        return max(v for _, v in _corr_generator_values(ineq))
+        return max(evaluate(ineq, g) for g in projected_generators(ineq.d))
     raise ValueError(f"no generators for space {ineq.space!r}")
-
-
-def nosignaling_max(ineq: Inequality) -> Fraction:
-    """Exact LP maximum over the no-signaling polytope (lift first)."""
-    if ineq.space == "correlator":
-        ineq = lift(ineq)
-    rows, rhs = constraint_matrix(Scenario(ineq.d))
-    res = lp_max(ineq.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
-    if res.status != "optimal":
-        raise AssertionError(f"no-signaling LP came back {res.status}")
-    return res.optimum
 
 
 def _decompose(query, columns, labels, uniform, space: str, d: int) -> MembershipResult:
@@ -145,8 +113,7 @@ def _decompose(query, columns, labels, uniform, space: str, d: int) -> Membershi
     cert = canonicalize(
         Inequality(space, d, coeffs, bound), equations=standard_equations(space, d)
     )
-    value = sum(c * x for c, x in zip(cert.coeffs, query) if c)
-    violation = value - cert.bound
+    violation = evaluate(cert, query) - cert.bound
     if violation <= 0:
         raise AssertionError("separating certificate fails to cut off the query")
     if local_max(cert) != cert.bound:
@@ -160,26 +127,33 @@ def _decompose(query, columns, labels, uniform, space: str, d: int) -> Membershi
 
 
 def _catalog_label(cert: Inequality) -> str:
-    """Match a certificate against the known classes where feasible."""
-    from .symmetry import equivalent  # deferred: symmetry imports facets
+    """Match a certificate against the known classes where feasible.
 
-    d = cert.d
-    if cert.space == "behavior" and d >= 4:
+    The certificate's orbit is generated once and searched for the fixed-gauge
+    forms of CGLMP and of a nonnegativity facet, stopping at the first hit.
+    """
+    from .symmetry import _orbit  # deferred: symmetry imports facets
+
+    space, d = cert.space, cert.d
+    if space == "behavior" and d >= 4:
         return "unclassified"
     try:
-        reference = cglmp_inequality(d) if cert.space == "behavior" else cglmp_corr_inequality(d)
-        if equivalent(cert, reference):
-            return "cglmp"
-        if cert.space == "behavior":
-            nonneg = [Fraction(0)] * (4 * d * d)
-            nonneg[coord_index(d, 1, 1, 0, 0)] = Fraction(-1)
-            trivial_rep = Inequality("behavior", d, tuple(nonneg), Fraction(0))
+        if space == "behavior":
+            reference, nonneg_at = cglmp_inequality(d), coord_index(d, 1, 1, 0, 0)
         else:
-            nonneg = [Fraction(0)] * (4 * d)
-            nonneg[corr_index(d, 1, 1, 0)] = Fraction(-1)
-            trivial_rep = Inequality("correlator", d, tuple(nonneg), Fraction(0))
-        if equivalent(cert, trivial_rep):
-            return "nonnegativity"
+            reference, nonneg_at = cglmp_corr_inequality(d), corr_index(d, 1, 1, 0)
+        nonneg = [Fraction(0)] * len(cert.coeffs)
+        nonneg[nonneg_at] = Fraction(-1)
+        trivial_rep = Inequality(space, d, tuple(nonneg), Fraction(0))
+        eqs = standard_equations(space, d)
+        targets = {}
+        for name, q in (("cglmp", reference), ("nonnegativity", trivial_rep)):
+            q = canonicalize(q, equations=eqs)
+            targets[q.coeffs, q.bound] = name
+        for img in _orbit(cert):
+            name = targets.get((img.coeffs, img.bound))
+            if name is not None:
+                return name
     except ValueError:
         return "unclassified"
     return "uncataloged"
@@ -209,7 +183,7 @@ def corr_local_decompose(c: CorrVector) -> MembershipResult:
     columns = [g.coords for g in gens]
     # a projected generator is named by its four outcome differences
     labels = [
-        tuple(next(n for n in range(d) if g.coords[corr_index(d, a, b, n)] == 1) for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)))
+        tuple(next(n for n in range(d) if g.coords[corr_index(d, a, b, n)] == 1) for a, b in BLOCKS)
         for g in gens
     ]
     uniform = [Fraction(1, d)] * (4 * d)

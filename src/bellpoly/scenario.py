@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .jsonio import decode_rational, encode_rational
 
-_BLOCKS = ((1, 1), (1, 2), (2, 1), (2, 2))
+BLOCKS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def strategy_outcome(lam: DeterministicStrategy, party: str, setting: int) -> in
     return lam.b1 if setting == 1 else lam.b2
 
 
-def _check_strategy(d: int, lam: DeterministicStrategy) -> None:
+def check_strategy(d: int, lam: DeterministicStrategy) -> None:
     for v in lam:
         if not 0 <= v < d:
             raise ValueError(f"strategy {lam} out of range for d={d}")
@@ -96,9 +96,9 @@ def _check_strategy(d: int, lam: DeterministicStrategy) -> None:
 def generator(s: Scenario, lam: DeterministicStrategy) -> Behavior:
     """0/1 behavior of a deterministic strategy; exactly four ones."""
     lam = DeterministicStrategy(*lam)
-    _check_strategy(s.d, lam)
+    check_strategy(s.d, lam)
     coords = [Fraction(0)] * (4 * s.d * s.d)
-    for a, b in _BLOCKS:
+    for a, b in BLOCKS:
         k = strategy_outcome(lam, "A", a)
         t = strategy_outcome(lam, "B", b)
         coords[coord_index(s.d, a, b, k, t)] = Fraction(1)
@@ -114,21 +114,39 @@ def all_generators(s: Scenario) -> list[Behavior]:
     return [generator(s, lam) for lam in all_strategies(s)]
 
 
-def generator_matrix(d: int) -> np.ndarray:
-    """All d^4 generators as one 0/1 integer matrix, one row per strategy.
+def generator_rows(d: int, strategies: np.ndarray, *, projected: bool = False) -> np.ndarray:
+    """0/1 integer rows of the given strategies, one per column of strategies.
 
-    Vectorized construction used by the rank pipelines; row order matches
-    all_generators.
+    strategies is a 4 x n integer array holding a1, a2, b1, b2.  Rows are
+    generators in behavior coordinates, or with projected=True their
+    projections onto the 4d outcome-difference coordinates.
     """
-    grid = np.indices((d, d, d, d)).reshape(4, -1)
-    a1, a2, b1, b2 = grid
-    n = d**4
-    mat = np.zeros((n, 4 * d * d), dtype=np.int64)
-    rows = np.arange(n)
-    for (a, b), ka, kb in (((1, 1), a1, b1), ((1, 2), a1, b2), ((2, 1), a2, b1), ((2, 2), a2, b2)):
-        offset = ((a - 1) * 2 + (b - 1)) * d * d
-        mat[rows, offset + ka * d + kb] = 1
+    a1, a2, b1, b2 = strategies
+    width = d if projected else d * d
+    mat = np.zeros((a1.size, 4 * width), dtype=np.int64)
+    rows = np.arange(a1.size)
+    for block, (a, b) in enumerate(BLOCKS):
+        ka, kb = (a1, a2)[a - 1], (b1, b2)[b - 1]
+        mat[rows, block * width + ((ka - kb) % d if projected else ka * d + kb)] = 1
     return mat
+
+
+def generator_matrix(d: int) -> np.ndarray:
+    """All d^4 generators as one 0/1 integer matrix, in all_generators order."""
+    return generator_rows(d, np.indices((d, d, d, d)).reshape(4, -1))
+
+
+def strategy_values(coeffs, d: int):
+    """Value of a behavior-space coefficient vector on every generator, in
+    all_strategies order: the sum of its four unit coordinates."""
+    o11, o12, o21, o22 = (coord_index(d, a, b, 0, 0) for a, b in BLOCKS)
+    for a1, a2, b1, b2 in itertools.product(range(d), repeat=4):
+        yield (
+            coeffs[o11 + a1 * d + b1]
+            + coeffs[o12 + a1 * d + b2]
+            + coeffs[o21 + a2 * d + b1]
+            + coeffs[o22 + a2 * d + b2]
+        )
 
 
 def uniform_behavior(d: int) -> Behavior:
@@ -151,7 +169,7 @@ def constraint_matrix(s: Scenario) -> tuple[list[list[Fraction]], list[Fraction]
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     one = Fraction(1)
-    for a, b in _BLOCKS:
+    for a, b in BLOCKS:
         row = [Fraction(0)] * ncols
         for k in range(d):
             for t in range(d):
@@ -179,7 +197,7 @@ def constraint_matrix(s: Scenario) -> tuple[list[list[Fraction]], list[Fraction]
 
 def is_normalized(p: Behavior) -> bool:
     d = p.d
-    for a, b in _BLOCKS:
+    for a, b in BLOCKS:
         total = sum(p.coords[coord_index(d, a, b, k, t)] for k in range(d) for t in range(d))
         if total != 1:
             return False
@@ -230,7 +248,7 @@ def spanning_strategy_grid(d: int) -> list[DeterministicStrategy]:
 
 def behavior_to_json(p: Behavior) -> dict:
     blocks = {}
-    for a, b in _BLOCKS:
+    for a, b in BLOCKS:
         blocks[f"a{a}b{b}"] = [
             [encode_rational(p.coords[coord_index(p.d, a, b, k, t)]) for t in range(p.d)]
             for k in range(p.d)
@@ -242,7 +260,7 @@ def behavior_from_json(data: dict) -> Behavior:
     d = int(data["d"])
     coords = [Fraction(0)] * (4 * d * d)
     table = data["P"]
-    for a, b in _BLOCKS:
+    for a, b in BLOCKS:
         block = table[f"a{a}b{b}"]
         if len(block) != d or any(len(r) != d for r in block):
             raise ValueError(f"block a{a}b{b} must be {d}x{d}")

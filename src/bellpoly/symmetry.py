@@ -16,8 +16,8 @@ coincidences).
 
 Orbit minimization compares inequalities in a fixed gauge: coefficients
 reduced modulo the affine-hull equations of the space, then scaled to
-coprime integers.  Two inequalities are equivalent when their orbit minima
-coincide.
+coprime integers.  Two inequalities are equivalent when one lies in the
+other's orbit, which is the same as their orbit minima coinciding.
 """
 
 from __future__ import annotations
@@ -130,12 +130,10 @@ def correlator_symmetry(
     return SymmetryOp("correlator", d, tuple(perm))
 
 
-def behavior_group(d: int, *, allow_large: bool = False) -> list[SymmetryOp]:
-    """All 8 (d!)^4 behavior-space elements; guarded for d >= 4."""
-    if d >= 4 and not allow_large:
-        raise ValueError(
-            f"behavior-space group for d={d} has 8*(d!)^4 elements; pass allow_large=True"
-        )
+def behavior_group(d: int) -> list[SymmetryOp]:
+    """All 8 (d!)^4 behavior-space elements; refused for d >= 4."""
+    if d >= 4:
+        raise ValueError(f"behavior-space group for d={d} has 8*(d!)^4 elements; too large")
     perms = list(itertools.permutations(range(d)))
     seen: dict[tuple[int, ...], SymmetryOp] = {}
     for swap_parties in (False, True):
@@ -173,9 +171,9 @@ def correlator_group(d: int) -> list[SymmetryOp]:
     return list(seen.values())
 
 
-def group_for(space: str, d: int, *, allow_large: bool = False) -> list[SymmetryOp]:
+def group_for(space: str, d: int) -> list[SymmetryOp]:
     if space == "behavior":
-        return behavior_group(d, allow_large=allow_large)
+        return behavior_group(d)
     if space == "correlator":
         return correlator_group(d)
     raise ValueError(f"no symmetry group for space {space!r}")
@@ -201,31 +199,33 @@ def apply_inequality(op: SymmetryOp, ineq: Inequality) -> Inequality:
     return Inequality(ineq.space, ineq.d, tuple(ineq.coeffs[i] for i in op.perm), ineq.bound)
 
 
-def canonical_class(ineq: Inequality, *, allow_large: bool = False) -> Inequality:
+def _key(ineq: Inequality) -> tuple:
+    return ineq.coeffs, ineq.bound
+
+
+def _orbit(ineq: Inequality, group: Sequence[SymmetryOp] | None = None):
+    """The gauge-fixed canonical form of the image of ineq under every group
+    element, generated lazily (group defaults to the space's whole group)."""
+    eqs = standard_equations(ineq.space, ineq.d)
+    for op in group_for(ineq.space, ineq.d) if group is None else group:
+        yield canonicalize(apply_inequality(op, ineq), equations=eqs)
+
+
+def canonical_class(ineq: Inequality) -> Inequality:
     """Deterministic orbit representative: the lexicographic minimum of the
     gauge-fixed canonical forms over the whole group."""
-    eqs = standard_equations(ineq.space, ineq.d)
-    best = None
-    best_key = None
-    for op in group_for(ineq.space, ineq.d, allow_large=allow_large):
-        cand = canonicalize(apply_inequality(op, ineq), equations=eqs)
-        key = (cand.coeffs, cand.bound)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    return min(_orbit(ineq), key=_key)
 
 
-def equivalent(i1: Inequality, i2: Inequality, *, allow_large: bool = False) -> bool:
+def equivalent(i1: Inequality, i2: Inequality) -> bool:
+    """Whether the orbit of i1 contains i2, compared in the fixed gauge."""
     if (i1.space, i1.d) != (i2.space, i2.d):
         raise ValueError("inequalities live in different spaces")
-    c1 = canonical_class(i1, allow_large=allow_large)
-    c2 = canonical_class(i2, allow_large=allow_large)
-    return (c1.coeffs, c1.bound) == (c2.coeffs, c2.bound)
+    target = _key(canonicalize(i2, equations=standard_equations(i2.space, i2.d)))
+    return any(_key(img) == target for img in _orbit(i1))
 
 
-def label_classes(
-    ineqs: Iterable[Inequality], *, allow_large: bool = False
-) -> tuple[list[int], list[Inequality]]:
+def label_classes(ineqs: Iterable[Inequality]) -> tuple[list[int], list[Inequality]]:
     """Group inequalities into symmetry classes, labels by first appearance.
 
     Cheaper than per-item canonical_class: when a new class shows up its
@@ -236,7 +236,7 @@ def label_classes(
         return [], []
     space, d = items[0].space, items[0].d
     eqs = standard_equations(space, d)
-    group = group_for(space, d, allow_large=allow_large)
+    group = group_for(space, d)
     labels: list[int] = []
     reps: list[Inequality] = []
     lookup: dict[tuple, int] = {}
@@ -244,13 +244,11 @@ def label_classes(
         if (ineq.space, ineq.d) != (space, d):
             raise ValueError("mixed spaces in one classification run")
         fixed = canonicalize(ineq, equations=eqs)
-        key = (fixed.coeffs, fixed.bound)
-        label = lookup.get(key)
+        label = lookup.get(_key(fixed))
         if label is None:
             label = len(reps)
             reps.append(fixed)
-            for op in group:
-                img = canonicalize(apply_inequality(op, fixed), equations=eqs)
-                lookup.setdefault((img.coeffs, img.bound), label)
+            for img in _orbit(fixed, group):
+                lookup.setdefault(_key(img), label)
         labels.append(label)
     return labels, reps

@@ -250,3 +250,12 @@ def test_example2_minor_is_the_documented_one():
         for scheme, params in witness_steps(d):
             if scheme in (SCHEME_EXAMPLE2, SCHEME_EXAMPLE2_VARIANT):
                 assert linalg.int_rank(_example2_minor(scheme, params, d)) == 4
+
+
+def test_saturating_matrix_rows_are_the_saturating_generators():
+    from bellpoly.cglmp import _saturating_matrix
+
+    for d in range(2, 6):
+        mat = _saturating_matrix(d)
+        expected = [generator(Scenario(d), lam).coords for lam in saturating_generators(d)]
+        assert [tuple(Fraction(int(x)) for x in row) for row in mat] == expected

@@ -163,3 +163,13 @@ def test_corr_json_round_trip():
         c = CorrVector(d, tuple(Fraction(rng.randint(0, 8), 9) for _ in range(4 * d)))
         blob = json.dumps(corr_to_json(c))
         assert corr_from_json(json.loads(blob)) == c
+
+
+def test_projected_generator_matrix_is_the_sorted_distinct_projections():
+    from bellpoly.correlators import projected_generator_matrix
+
+    for d in range(2, 5):
+        mat = projected_generator_matrix(d)
+        s = Scenario(d)
+        expected = sorted({project(generator(s, lam)).coords for lam in all_strategies(s)})
+        assert [tuple(Fraction(int(x)) for x in row) for row in mat] == expected

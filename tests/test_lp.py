@@ -158,3 +158,45 @@ def test_determinism():
         r1 = lp_max(obj, eq_rows, eq_rhs, in_rows, in_rhs)
         r2 = lp_max(obj, eq_rows, eq_rhs, in_rows, in_rhs)
         assert r1 == r2
+
+
+def _assert_optimal_pair(res, obj, rows, rhs):
+    """Primal feasibility, dual feasibility and c.x = y.b = optimum, all
+    nonnegative columns and equality rows only."""
+    x, y = res.primal, res.dual
+    assert len(y) == len(rows)
+    assert all(v >= 0 for v in x)
+    for row, b in zip(rows, rhs):
+        assert sum(a * v for a, v in zip(row, x)) == b
+    for j, c in enumerate(obj):
+        assert sum(yi * row[j] for yi, row in zip(y, rows)) >= c
+    assert sum(c * v for c, v in zip(obj, x)) == res.optimum
+    assert sum(yi * b for yi, b in zip(y, rhs)) == res.optimum
+
+
+def test_nosignaling_dual_keeps_redundant_rows():
+    # 4 + 4d no-signaling rows have rank 4d, so phase 2 drops redundant
+    # rows; their duals must still come back, or y.b misses the optimum
+    from bellpoly.membership import nosignaling_max
+
+    chsh = lift(chsh_inequality())
+    rows, rhs = constraint_matrix(Scenario(2))
+    res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
+    assert res.status == "optimal"
+    assert res.optimum == nosignaling_max(chsh_inequality()) == 4
+    _assert_optimal_pair(res, chsh.coeffs, rows, rhs)
+
+
+def test_optimality_check_rejects_a_wrong_dual():
+    from bellpoly.lp import _check_optimal
+
+    chsh = lift(chsh_inequality())
+    rows, rhs = constraint_matrix(Scenario(2))
+    res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
+    args = (chsh.coeffs, res.primal, res.dual, res.optimum, rows, rhs, len(rows), set(range(16)))
+    _check_optimal(*args)
+    zeroed = tuple(Fraction(0) if i == 0 else yi for i, yi in enumerate(res.dual))
+    with pytest.raises(AssertionError):
+        _check_optimal(chsh.coeffs, res.primal, zeroed, *args[3:])
+    with pytest.raises(AssertionError):
+        _check_optimal(chsh.coeffs, res.primal, res.dual, res.optimum + 1, *args[4:])

@@ -177,3 +177,23 @@ def test_strategy_order_lexicographic():
         DeterministicStrategy(0, 0, 1, 0),
     ]
     assert strategies == sorted(strategies)
+
+
+def test_generator_matrix_rows_are_the_fraction_generators():
+    from bellpoly.scenario import generator_matrix
+
+    for d in range(2, 5):
+        mat = generator_matrix(d)
+        gens = all_generators(Scenario(d))
+        assert mat.shape == (d**4, 4 * d * d)
+        assert [tuple(Fraction(int(x)) for x in row) for row in mat] == [g.coords for g in gens]
+
+
+def test_strategy_values_match_generator_inner_products():
+    from bellpoly.scenario import strategy_values
+
+    rng = random.Random(41)
+    for d in range(2, 5):
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4 * d * d)]
+        direct = [sum(c * x for c, x in zip(coeffs, g.coords)) for g in all_generators(Scenario(d))]
+        assert list(strategy_values(coeffs, d)) == direct

@@ -208,3 +208,38 @@ def test_local_max_invariant_under_group():
     for _ in range(10):
         op = rng.choice(grp)
         assert local_max(apply_inequality(op, q)) == local_max(q)
+
+
+def _regauged(q, rng):
+    """The same inequality in another gauge: plus a multiple of one block's
+    normalization equation (sum of the block = 1), times a positive scale."""
+    block = len(q.coeffs) // 4
+    b, c, scale = rng.randrange(4), Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 4))
+    in_block = lambda i: b * block <= i < (b + 1) * block
+    coeffs = [(x + (c if in_block(i) else 0)) * scale for i, x in enumerate(q.coeffs)]
+    return Inequality(q.space, q.d, tuple(coeffs), (q.bound + c) * scale)
+
+
+@pytest.mark.parametrize(
+    "space,d,pairs",
+    [("correlator", 2, 16), ("correlator", 3, 10), ("behavior", 2, 16)],
+)
+def test_equivalent_agrees_with_canonical_class(space, d, pairs):
+    rng = random.Random(f"{space}{d}")
+    if space == "correlator":
+        verts, group = projected_generators(d), correlator_group(d)
+    else:
+        verts, group = all_generators(Scenario(d)), behavior_group(d)
+    pool = list(enumerate_facets(vrep_of(verts), space=space, d=d).facets)
+    for _ in range(2):  # generic inequalities, valid but not facets
+        coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(len(verts[0].coords)))
+        bound = max(evaluate(Inequality(space, d, coeffs, 0), v) for v in verts)
+        pool.append(Inequality(space, d, coeffs, bound))
+    seen = set()
+    for i in range(pairs):
+        a = rng.choice(pool)
+        b = _regauged(apply_inequality(rng.choice(group), a if i % 2 else rng.choice(pool)), rng)
+        got = equivalent(a, b)
+        assert got == (canonical_class(a) == canonical_class(b))
+        seen.add(got)
+    assert seen == {True, False}
