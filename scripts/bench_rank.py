@@ -2,9 +2,9 @@
 
 The hot kernel behind every rank computation has a vectorized numpy int64
 path (with a certified overflow guard) and a pure arbitrary-precision
-Python path; BELLPOLY_PURE=1 forces the latter globally.  This script
-times both on the matrices the package actually cares about and checks
-they agree entry for entry.
+Python path, selected with ``int_rank(..., force_pure=True)``.  This
+script times both on the matrices the package actually cares about and
+checks they agree entry for entry.
 
     python scripts/bench_rank.py [max_d]
 """

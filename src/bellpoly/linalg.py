@@ -13,15 +13,14 @@ entries stay small).  The hot kernel has two interchangeable paths:
 * a pure-Python arbitrary-precision path that can never overflow.
 
 The numpy path is used by default and falls back automatically whenever the
-guard trips.  Setting the environment variable ``BELLPOLY_PURE=1`` forces
-the pure path everywhere (useful for cross-checking; both paths are exact
-and must agree).  ``scripts/bench_rank.py`` compares the two.
+guard trips; ``force_pure=True`` on ``int_rank`` and ``IntRowBasis`` takes
+the pure path directly (both paths are exact and must agree).
+``scripts/bench_rank.py`` compares the two.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,16 +28,6 @@ import numpy as np
 
 # int64 elimination is abandoned before any intermediate value can reach this
 OVERFLOW_LIMIT = 2**62
-
-
-def pure_mode_forced() -> bool:
-    return os.environ.get("BELLPOLY_PURE", "") not in ("", "0")
-
-
-def _use_pure(force_pure: bool | None) -> bool:
-    if force_pure is None:
-        return pure_mode_forced()
-    return force_pure
 
 
 def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
@@ -130,7 +119,7 @@ def _int_rank_numpy(mat: np.ndarray) -> int | None:
     return r
 
 
-def int_rank(rows: Iterable[Sequence[int]] | np.ndarray, *, force_pure: bool | None = None) -> int:
+def int_rank(rows: Iterable[Sequence[int]] | np.ndarray, *, force_pure: bool = False) -> int:
     """Exact rank of an integer matrix."""
     if isinstance(rows, np.ndarray):
         mat = rows
@@ -140,7 +129,7 @@ def int_rank(rows: Iterable[Sequence[int]] | np.ndarray, *, force_pure: bool | N
         if not aslists or not aslists[0]:
             return 0
         mat = None
-    if not _use_pure(force_pure):
+    if not force_pure:
         if mat is None:
             try:
                 mat = np.array(aslists, dtype=np.int64)
@@ -157,7 +146,7 @@ def int_rank(rows: Iterable[Sequence[int]] | np.ndarray, *, force_pure: bool | N
     return _int_rank_pure(aslists)
 
 
-def rank(matrix: Sequence[Sequence[Fraction | int]], *, force_pure: bool | None = None) -> int:
+def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank of a rational matrix (empty matrix has rank 0)."""
     rows = list(matrix)
     if not rows:
@@ -168,10 +157,10 @@ def rank(matrix: Sequence[Sequence[Fraction | int]], *, force_pure: bool | None 
             raise ValueError("ragged matrix")
     if width == 0:
         return 0
-    return int_rank([clear_denominators(row) for row in rows], force_pure=force_pure)
+    return int_rank([clear_denominators(row) for row in rows])
 
 
-def affine_dim(points: Sequence[Sequence[Fraction | int]], *, force_pure: bool | None = None) -> int:
+def affine_dim(points: Sequence[Sequence[Fraction | int]]) -> int:
     """Dimension of the affine hull: rank of {p_i - p_0}."""
     pts = list(points)
     if not pts:
@@ -180,7 +169,7 @@ def affine_dim(points: Sequence[Sequence[Fraction | int]], *, force_pure: bool |
     diffs = [[Fraction(x) - Fraction(y) for x, y in zip(p, base)] for p in pts[1:]]
     if not diffs:
         return 0
-    return rank(diffs, force_pure=force_pure)
+    return rank(diffs)
 
 
 class IntRowBasis:
@@ -193,9 +182,9 @@ class IntRowBasis:
     Python integers if the overflow guard ever trips.
     """
 
-    def __init__(self, width: int, *, force_pure: bool | None = None):
+    def __init__(self, width: int, *, force_pure: bool = False):
         self.width = width
-        self._pure = _use_pure(force_pure)
+        self._pure = force_pure
         self._rows: list = []
         self._pivots: list[int] = []
 

@@ -40,6 +40,7 @@ from .scenario import (
     strategy_values,
     uniform_behavior,
 )
+from .symmetry import equivalent
 
 
 @dataclass(frozen=True)
@@ -127,35 +128,22 @@ def _decompose(query, columns, labels, uniform, space: str, d: int) -> Membershi
 
 
 def _catalog_label(cert: Inequality) -> str:
-    """Match a certificate against the known classes where feasible.
-
-    The certificate's orbit is generated once and searched for the fixed-gauge
-    forms of CGLMP and of a nonnegativity facet, stopping at the first hit.
-    """
-    from .symmetry import _orbit  # deferred: symmetry imports facets
-
+    """Match a certificate against the known classes where feasible: CGLMP
+    and a nonnegativity facet.  The certificate is never constant on the
+    affine hull (canonicalize would have refused it), so its slack exists."""
     space, d = cert.space, cert.d
     if space == "behavior" and d >= 4:
         return "unclassified"
-    try:
-        if space == "behavior":
-            reference, nonneg_at = cglmp_inequality(d), coord_index(d, 1, 1, 0, 0)
-        else:
-            reference, nonneg_at = cglmp_corr_inequality(d), corr_index(d, 1, 1, 0)
-        nonneg = [Fraction(0)] * len(cert.coeffs)
-        nonneg[nonneg_at] = Fraction(-1)
-        trivial_rep = Inequality(space, d, tuple(nonneg), Fraction(0))
-        eqs = standard_equations(space, d)
-        targets = {}
-        for name, q in (("cglmp", reference), ("nonnegativity", trivial_rep)):
-            q = canonicalize(q, equations=eqs)
-            targets[q.coeffs, q.bound] = name
-        for img in _orbit(cert):
-            name = targets.get((img.coeffs, img.bound))
-            if name is not None:
-                return name
-    except ValueError:
-        return "unclassified"
+    if space == "behavior":
+        reference, nonneg_at = cglmp_inequality(d), coord_index(d, 1, 1, 0, 0)
+    else:
+        reference, nonneg_at = cglmp_corr_inequality(d), corr_index(d, 1, 1, 0)
+    nonneg = [Fraction(0)] * len(cert.coeffs)
+    nonneg[nonneg_at] = Fraction(-1)
+    trivial_rep = Inequality(space, d, tuple(nonneg), Fraction(0))
+    for name, q in (("cglmp", reference), ("nonnegativity", trivial_rep)):
+        if equivalent(cert, q):
+            return name
     return "uncataloged"
 
 

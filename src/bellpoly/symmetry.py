@@ -14,21 +14,30 @@ cyclic shifts and the global reflection of all outcomes; the classification
 group there is the shift+reflection subgroup (8 d^4 2 elements before
 coincidences).
 
-Orbit minimization compares inequalities in a fixed gauge: coefficients
-reduced modulo the affine-hull equations of the space, then scaled to
-coprime integers.  Two inequalities are equivalent when one lies in the
-other's orbit, which is the same as their orbit minima coinciding.
+Inequalities are compared by their slack over the vertices of their space
+(the generators, or the projected generators): bound - coeffs.v for every
+vertex v, cleared of denominators and divided by its gcd.  The vertices
+span the affine hull, so two inequalities have the same slack exactly when
+they agree up to the hull's equations and a positive scale.  Every group
+element permutes the vertices, hence the entries of a slack vector; the
+whole group is tabulated once per space as vertex index permutations, and
+an orbit is one fancy index into that table.  Two inequalities are
+equivalent when the slack of one lies in the other's orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .correlators import CorrVector, corr_index
+import numpy as np
+
+from . import linalg
+from .correlators import CorrVector, corr_index, projected_generator_matrix
 from .facets import canonicalize, standard_equations
-from .scenario import Behavior, Inequality, coord_index
+from .scenario import Behavior, Inequality, coord_index, generator_matrix
 
 
 @dataclass(frozen=True)
@@ -136,46 +145,37 @@ def behavior_group(d: int) -> list[SymmetryOp]:
         raise ValueError(f"behavior-space group for d={d} has 8*(d!)^4 elements; too large")
     perms = list(itertools.permutations(range(d)))
     seen: dict[tuple[int, ...], SymmetryOp] = {}
-    for swap_parties in (False, True):
-        for swap_a in (False, True):
-            for swap_b in (False, True):
-                for relabels in itertools.product(perms, repeat=4):
-                    op = behavior_symmetry(
-                        d,
-                        swap_parties=swap_parties,
-                        swap_a=swap_a,
-                        swap_b=swap_b,
-                        outcome_perms=relabels,
-                    )
-                    seen.setdefault(op.perm, op)
+    for (swap_parties, swap_a, swap_b), relabels in itertools.product(
+        itertools.product((False, True), repeat=3), itertools.product(perms, repeat=4)
+    ):
+        op = behavior_symmetry(
+            d, swap_parties=swap_parties, swap_a=swap_a, swap_b=swap_b, outcome_perms=relabels
+        )
+        seen.setdefault(op.perm, op)
     return list(seen.values())
 
 
 def correlator_group(d: int) -> list[SymmetryOp]:
     """The shift+reflection subgroup acting on correlator coordinates."""
     seen: dict[tuple[int, ...], SymmetryOp] = {}
-    for swap_parties in (False, True):
-        for swap_a in (False, True):
-            for swap_b in (False, True):
-                for reflect in (False, True):
-                    for shifts in itertools.product(range(d), repeat=4):
-                        op = correlator_symmetry(
-                            d,
-                            swap_parties=swap_parties,
-                            swap_a=swap_a,
-                            swap_b=swap_b,
-                            shifts=shifts,
-                            reflect=reflect,
-                        )
-                        seen.setdefault(op.perm, op)
+    for (swap_parties, swap_a, swap_b, reflect), shifts in itertools.product(
+        itertools.product((False, True), repeat=4), itertools.product(range(d), repeat=4)
+    ):
+        op = correlator_symmetry(
+            d, swap_parties=swap_parties, swap_a=swap_a, swap_b=swap_b, shifts=shifts,
+            reflect=reflect,
+        )
+        seen.setdefault(op.perm, op)
     return list(seen.values())
 
 
-def group_for(space: str, d: int) -> list[SymmetryOp]:
+@lru_cache(maxsize=None)
+def group_for(space: str, d: int) -> tuple[SymmetryOp, ...]:
+    """The whole group of a space, built once per (space, d)."""
     if space == "behavior":
-        return behavior_group(d)
+        return tuple(behavior_group(d))
     if space == "correlator":
-        return correlator_group(d)
+        return tuple(correlator_group(d))
     raise ValueError(f"no symmetry group for space {space!r}")
 
 
@@ -199,56 +199,91 @@ def apply_inequality(op: SymmetryOp, ineq: Inequality) -> Inequality:
     return Inequality(ineq.space, ineq.d, tuple(ineq.coeffs[i] for i in op.perm), ineq.bound)
 
 
-def _key(ineq: Inequality) -> tuple:
-    return ineq.coeffs, ineq.bound
+@lru_cache(maxsize=None)
+def _vertex_ones(space: str, d: int) -> np.ndarray:
+    """The coordinates of the four unit entries of every vertex, one row each."""
+    if space == "behavior":
+        return np.nonzero(generator_matrix(d))[1].reshape(-1, 4)
+    if space == "correlator":
+        return np.nonzero(projected_generator_matrix(d))[1].reshape(-1, 4)
+    raise ValueError(f"no vertices for space {space!r}")
 
 
-def _orbit(ineq: Inequality, group: Sequence[SymmetryOp] | None = None):
-    """The gauge-fixed canonical form of the image of ineq under every group
-    element, generated lazily (group defaults to the space's whole group)."""
-    eqs = standard_equations(ineq.space, ineq.d)
-    for op in group_for(ineq.space, ineq.d) if group is None else group:
-        yield canonicalize(apply_inequality(op, ineq), equations=eqs)
+@lru_cache(maxsize=None)
+def _vertex_perms(space: str, d: int) -> np.ndarray:
+    """Vertex index permutations of group_for(space, d), one row per
+    element g, such that slack(apply_inequality(g, q)) == slack(q)[row g].
+
+    The image reads coefficient perm[i] at coordinate i, so at vertex k it
+    takes q's value at the vertex whose unit coordinates are perm[J], J
+    being vertex k's.  Vertices are looked up by a mixed-radix code with one
+    digit per block: the position of the block's unit entry.
+    """
+    ones = _vertex_ones(space, d)
+    width = d * d if space == "behavior" else d
+    coord = np.arange(4 * width)
+    digit = (coord % width) * width ** (coord // width)
+    vertex_of = np.zeros(width**4, dtype=np.int32)
+    vertex_of[digit[ones].sum(axis=1)] = np.arange(len(ones))
+    perms = digit[np.array([op.perm for op in group_for(space, d)])]
+    return vertex_of[sum(perms[:, col] for col in ones.T)]
+
+
+def slack(ineq: Inequality) -> np.ndarray:
+    """bound - coeffs.v over the vertices of the space, as coprime integers.
+
+    int64 when every entry fits, Python ints (dtype object) otherwise.  A
+    constant slack means the inequality is an equation on the affine hull,
+    which has no class: ValueError.
+    """
+    ints = linalg.clear_denominators([*ineq.coeffs, ineq.bound])
+    # an entry sums five of these, so below 2**60 int64 cannot overflow
+    vec = np.array(ints, dtype=np.int64 if max(map(abs, ints)) < 2**60 else object)
+    s = vec[-1] - vec[_vertex_ones(ineq.space, ineq.d)].sum(axis=1)
+    if (s == s[0]).all():
+        raise ValueError("constant slack: the inequality is an equation on the affine hull")
+    return s // np.gcd.reduce(s)
+
+
+def slack_orbit(ineq: Inequality) -> np.ndarray:
+    """The slack of the image under every element of group_for, one row each."""
+    return slack(ineq)[_vertex_perms(ineq.space, ineq.d)]
 
 
 def canonical_class(ineq: Inequality) -> Inequality:
-    """Deterministic orbit representative: the lexicographic minimum of the
-    gauge-fixed canonical forms over the whole group."""
-    return min(_orbit(ineq), key=_key)
+    """Deterministic orbit representative: the image whose slack is the
+    lexicographic minimum over the group, in the fixed gauge of
+    facets.canonicalize (coefficients reduced modulo the space's equations)."""
+    rows = slack_orbit(ineq).tolist()
+    least = min(range(len(rows)), key=rows.__getitem__)
+    image = apply_inequality(group_for(ineq.space, ineq.d)[least], ineq)
+    return canonicalize(image, equations=standard_equations(ineq.space, ineq.d))
 
 
 def equivalent(i1: Inequality, i2: Inequality) -> bool:
-    """Whether the orbit of i1 contains i2, compared in the fixed gauge."""
+    """Whether the orbit of i1 contains i2, compared by slack."""
     if (i1.space, i1.d) != (i2.space, i2.d):
         raise ValueError("inequalities live in different spaces")
-    target = _key(canonicalize(i2, equations=standard_equations(i2.space, i2.d)))
-    return any(_key(img) == target for img in _orbit(i1))
+    return bool((slack_orbit(i1) == slack(i2)).all(axis=1).any())
 
 
 def label_classes(ineqs: Iterable[Inequality]) -> tuple[list[int], list[Inequality]]:
     """Group inequalities into symmetry classes, labels by first appearance.
 
-    Cheaper than per-item canonical_class: when a new class shows up its
-    whole orbit is materialized once and used as a lookup for the rest.
+    The representative of a class is its first input, as given.  When a new
+    class shows up its whole slack orbit goes into a lookup for the rest.
     """
     items = list(ineqs)
-    if not items:
-        return [], []
-    space, d = items[0].space, items[0].d
-    eqs = standard_equations(space, d)
-    group = group_for(space, d)
     labels: list[int] = []
     reps: list[Inequality] = []
     lookup: dict[tuple, int] = {}
     for ineq in items:
-        if (ineq.space, ineq.d) != (space, d):
+        if (ineq.space, ineq.d) != (items[0].space, items[0].d):
             raise ValueError("mixed spaces in one classification run")
-        fixed = canonicalize(ineq, equations=eqs)
-        label = lookup.get(_key(fixed))
+        label = lookup.get(tuple(slack(ineq).tolist()))
         if label is None:
             label = len(reps)
-            reps.append(fixed)
-            for img in _orbit(fixed, group):
-                lookup.setdefault(_key(img), label)
+            reps.append(ineq)
+            lookup.update(dict.fromkeys(map(tuple, slack_orbit(ineq).tolist()), label))
         labels.append(label)
     return labels, reps

@@ -2,8 +2,10 @@
 
 Nothing here calls the algorithms it is meant to check: vertices of the
 no-signaling polytope come from basic-solution enumeration, facets of the
-d=2 correlator polytope from hyperplanes through vertex subsets, and the
-reductions are hardcoded rather than borrowed from the library.
+d=2 correlator polytope from hyperplanes through vertex subsets, symmetry
+classes from Fraction orbits in a fixed gauge (the library compares
+integer slack vectors instead), and the reductions are hardcoded rather
+than borrowed from the library.
 """
 
 from __future__ import annotations
@@ -121,3 +123,40 @@ def square_subset_facets(vertices_reduced, dim):
         elif all(v >= 0 for v in vals):
             found.add(_canonical_int([-a for a in w], Fraction(c0)))
     return found
+
+
+def gauge_key(ineq):
+    """(coeffs, bound) in the fixed gauge: coefficients reduced modulo the
+    space's affine-hull equations, then scaled to coprime integers."""
+    from bellpoly.facets import canonicalize, standard_equations
+
+    q = canonicalize(ineq, equations=standard_equations(ineq.space, ineq.d))
+    return q.coeffs, q.bound
+
+
+def gauge_orbit(ineq):
+    """The fixed-gauge key of the image of ineq under every group element,
+    one Fraction canonicalization per element."""
+    from bellpoly.symmetry import apply_inequality, group_for
+
+    for op in group_for(ineq.space, ineq.d):
+        yield gauge_key(apply_inequality(op, ineq))
+
+
+def gauge_orbit_min(ineq):
+    """The least fixed-gauge key over the orbit: equal exactly for
+    equivalent inequalities."""
+    return min(gauge_orbit(ineq))
+
+
+def gauge_labels(ineqs):
+    """Symmetry class labels by first appearance, from fixed-gauge orbits:
+    each new class's orbit is materialized once as a lookup."""
+    lookup = {}
+    labels = []
+    for q in ineqs:
+        key = gauge_key(q)
+        if key not in lookup:
+            lookup.update(dict.fromkeys(gauge_orbit(q), len(set(labels))))
+        labels.append(lookup[key])
+    return labels

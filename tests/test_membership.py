@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from oracles import gauge_orbit_min
 
 from bellpoly.cglmp import cglmp_inequality, evaluate
 from bellpoly.correlators import (
@@ -198,3 +200,62 @@ def test_every_nosignaling_vertex_classified_correctly():
             assert res.certificate_class == "cglmp"
             assert equivalent(res.certificate, lift(chsh_inequality()))
     assert (local, nonlocal_) == (16, 8)
+
+
+def _seeded_box(rng, space, d):
+    """v*PR + (1-v)*noise, the PR box demanding outcome difference t_ab on
+    block ab with t_11 - t_12 - t_21 + t_22 != 0 mod d; the noise is uniform
+    or one deterministic strategy, in turn."""
+    t11, t12, t21 = (rng.randrange(d) for _ in range(3))
+    targets = (t11, t12, t21, (t21 + t12 - t11 + rng.randrange(1, d)) % d)
+    lam = [rng.randrange(d) for _ in range(4)]
+    v = Fraction(rng.randint(75, 99), 100)
+    uniform = rng.random() < 0.5
+    coords = []
+    for blk, (a, b) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
+        ka, kb = lam[a - 1], lam[b + 1]
+        if space == "behavior":
+            for k in range(d):
+                for s in range(d):
+                    noise = Fraction(1, d * d) if uniform else Fraction(int((k, s) == (ka, kb)))
+                    coords.append(v * Fraction(int((k - s) % d == targets[blk]), d) + (1 - v) * noise)
+        else:
+            for n in range(d):
+                noise = Fraction(1, d) if uniform else Fraction(int(n == (ka - kb) % d))
+                coords.append(v * (n == targets[blk]) + (1 - v) * noise)
+    if space == "behavior":
+        return local_decompose(Behavior(d, tuple(coords)))
+    return corr_local_decompose(CorrVector(d, tuple(coords)))
+
+
+@pytest.mark.parametrize(
+    "space,d,boxes",
+    [
+        ("behavior", 2, 4),
+        ("correlator", 2, 4),
+        ("correlator", 3, 4),
+        ("correlator", 4, 6),
+        pytest.param("behavior", 3, 1, marks=pytest.mark.slow),
+    ],
+)
+def test_certificate_class_matches_gauge_oracle(space, d, boxes):
+    rng = random.Random(f"boxes{space}{d}")
+    if space == "behavior":
+        reference, nonneg_at = cglmp_inequality(d), coord_index(d, 1, 1, 0, 0)
+    else:
+        reference, nonneg_at = cglmp_corr_inequality(d), corr_index(d, 1, 1, 0)
+    nonneg = [Fraction(0)] * len(reference.coeffs)
+    nonneg[nonneg_at] = Fraction(-1)
+    catalog = {
+        gauge_orbit_min(reference): "cglmp",
+        gauge_orbit_min(Inequality(space, d, tuple(nonneg), Fraction(0))): "nonnegativity",
+    }
+    seen = set()
+    for _ in range(boxes):
+        res = _seeded_box(rng, space, d)
+        assert not res.local
+        want = catalog.get(gauge_orbit_min(res.certificate), "uncataloged")
+        assert res.certificate_class == want
+        seen.add(want)
+    if (space, d) == ("correlator", 4):
+        assert seen == {"cglmp", "uncataloged"}

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import gauge_key, gauge_labels, gauge_orbit
 
 from bellpoly.cglmp import cglmp_inequality, evaluate
 from bellpoly.correlators import (
@@ -30,8 +31,11 @@ from bellpoly.symmetry import (
     correlator_group,
     correlator_symmetry,
     equivalent,
+    group_for,
     identity_op,
     label_classes,
+    slack,
+    slack_orbit,
 )
 
 
@@ -220,17 +224,35 @@ def _regauged(q, rng):
     return Inequality(q.space, q.d, tuple(coeffs), (q.bound + c) * scale)
 
 
+def _space(space, d):
+    """(vertices, group, facets) of a standard space."""
+    verts = projected_generators(d) if space == "correlator" else all_generators(Scenario(d))
+    facets = enumerate_facets(vrep_of(verts), space=space, d=d).facets
+    return verts, group_for(space, d), list(facets)
+
+
+SPACES = [
+    ("correlator", 2),
+    ("correlator", 3),
+    ("correlator", 4),
+    ("behavior", 2),
+    pytest.param("behavior", 3, marks=pytest.mark.slow),
+]
+
+
 @pytest.mark.parametrize(
     "space,d,pairs",
-    [("correlator", 2, 16), ("correlator", 3, 10), ("behavior", 2, 16)],
+    [
+        ("correlator", 2, 16),
+        ("correlator", 3, 10),
+        ("behavior", 2, 16),
+        ("correlator", 4, 8),
+        pytest.param("behavior", 3, 6, marks=pytest.mark.slow),
+    ],
 )
 def test_equivalent_agrees_with_canonical_class(space, d, pairs):
     rng = random.Random(f"{space}{d}")
-    if space == "correlator":
-        verts, group = projected_generators(d), correlator_group(d)
-    else:
-        verts, group = all_generators(Scenario(d)), behavior_group(d)
-    pool = list(enumerate_facets(vrep_of(verts), space=space, d=d).facets)
+    verts, group, pool = _space(space, d)
     for _ in range(2):  # generic inequalities, valid but not facets
         coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(len(verts[0].coords)))
         bound = max(evaluate(Inequality(space, d, coeffs, 0), v) for v in verts)
@@ -240,6 +262,76 @@ def test_equivalent_agrees_with_canonical_class(space, d, pairs):
         a = rng.choice(pool)
         b = _regauged(apply_inequality(rng.choice(group), a if i % 2 else rng.choice(pool)), rng)
         got = equivalent(a, b)
+        assert got == (gauge_key(b) in set(gauge_orbit(a)))
         assert got == (canonical_class(a) == canonical_class(b))
         seen.add(got)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("space,d", SPACES)
+def test_label_classes_match_gauge_oracle(space, d):
+    rng = random.Random(f"labels{space}{d}")
+    _, group, facets = _space(space, d)
+    labels, reps = label_classes(facets)
+    assert labels == gauge_labels(facets)
+    assert reps == [facets[labels.index(k)] for k in range(len(reps))]
+    # moved, regauged and shuffled copies land in the same partition
+    moved = [_regauged(apply_inequality(rng.choice(group), q), rng) for q in facets]
+    rng.shuffle(moved)
+    assert label_classes(moved)[0] == gauge_labels(moved)
+
+
+@pytest.mark.parametrize("space,d", [("correlator", 3), ("behavior", 2)])
+def test_slack_orbit_rows_are_image_slacks(space, d):
+    verts, group, facets = _space(space, d)
+    q = facets[-1]
+    rows = slack_orbit(q)
+    assert rows.shape == (len(group), len(verts))
+    for g, op in enumerate(group):
+        assert rows[g].tolist() == slack(apply_inequality(op, q)).tolist()
+
+
+def test_canonical_class_is_a_gauge_fixed_image():
+    for q in (cglmp_corr_inequality(3), chsh_inequality(), cglmp_inequality(2)):
+        assert gauge_key(canonical_class(q)) in set(gauge_orbit(q))
+
+
+def test_group_for_is_built_once():
+    assert isinstance(group_for("correlator", 3), tuple)
+    assert group_for("correlator", 3) is group_for("correlator", 3)
+    with pytest.raises(ValueError):
+        group_for("vector", 3)
+
+
+def test_huge_slack_falls_back_to_python_ints():
+    q = cglmp_corr_inequality(3)
+    scale = Fraction(2**70)
+    scaled = Inequality(q.space, q.d, tuple(c * scale for c in q.coeffs), q.bound * scale)
+    assert slack(scaled).tolist() == slack(q).tolist()
+    assert equivalent(scaled, q) and equivalent(q, scaled)
+    assert canonical_class(scaled) == canonical_class(q)
+    # cglmp plus 2^70 + 1 times a nonnegativity facet: a reduced slack past 2^63
+    coeffs = list(q.coeffs)
+    coeffs[corr_index(3, 1, 1, 0)] -= 2**70 + 1
+    big = Inequality(q.space, q.d, tuple(coeffs), q.bound)
+    s = slack(big)
+    assert s.dtype == object and max(s) > 2**63
+    image = apply_inequality(correlator_symmetry(3, swap_a=True, shifts=(1, 0, 2, 0)), big)
+    assert equivalent(big, image) and not equivalent(big, q)
+    items = [big, q, image, scaled]
+    assert label_classes(items)[0] == gauge_labels(items) == [0, 1, 0, 1]
+
+
+def test_constant_slack_is_refused():
+    block_sum = [Fraction(0)] * 12
+    for n in range(3):
+        block_sum[corr_index(3, 2, 1, n)] = Fraction(1)
+    for q in (
+        Inequality("correlator", 3, tuple(block_sum), Fraction(5)),
+        Inequality("correlator", 3, (Fraction(0),) * 12, Fraction(0)),
+    ):
+        for call in (slack, canonical_class, lambda x: label_classes([x])):
+            with pytest.raises(ValueError):
+                call(q)
+        with pytest.raises(ValueError):
+            equivalent(cglmp_corr_inequality(3), q)
