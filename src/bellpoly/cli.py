@@ -207,12 +207,7 @@ def _vertices_for(space: str, d: int):
 def cmd_enumerate(args) -> int:
     d = _parse_d(args.d)
     space = "correlator" if args.space == "corr" else "behavior"
-    deadline = None
-    if args.budget is not None:
-        if d < 4:
-            print("note: --budget only matters for d >= 4; ignoring", file=sys.stderr)
-        else:
-            deadline = time.monotonic() + float(args.budget)
+    deadline = None if args.budget is None else time.monotonic() + float(args.budget)
     t0 = time.monotonic()
     verts = _vertices_for(space, d)
     hrep = enumerate_facets(vrep_of(verts), space=space, d=d, deadline=deadline)

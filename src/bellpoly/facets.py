@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
-from .correlators import lift
 from .linalg import gcd_reduce
 from .lp import lp_max
 from .scenario import Inequality, Scenario, constraint_matrix
@@ -317,10 +316,17 @@ def saturation_count(ineq: Inequality, vertices) -> tuple[int, int]:
 
 
 def nosignaling_max(ineq: Inequality) -> Fraction:
-    """Exact LP maximum over the normalized no-signaling polytope
-    (correlator inequalities are lifted first)."""
+    """Exact maximum over the normalized no-signaling polytope.
+
+    A correlator inequality needs no LP: P_ab(k,s) = C_ab(k-s)/d is
+    no-signaling for any four distributions C_ab (every marginal is
+    uniform), so the maximum is the sum over the blocks of the largest
+    coefficient (Barrett et al., PRA 71, 022101 (2005)).  Behavior
+    inequalities are solved by the exact LP.
+    """
     if ineq.space == "correlator":
-        ineq = lift(ineq)
+        d = ineq.d
+        return sum((max(ineq.coeffs[b * d:(b + 1) * d]) for b in range(4)), Fraction(0))
     if ineq.space != "behavior":
         raise ValueError("triviality is defined against the no-signaling polytope")
     rows, rhs = constraint_matrix(Scenario(ineq.d))

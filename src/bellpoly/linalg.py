@@ -7,26 +7,21 @@ of equal-length rows of Fractions or ints.
 
 Rank-type questions are answered by clearing denominators row by row and
 eliminating over the integers (fraction-free, rows divided by their gcd so
-entries stay small).  The hot kernel has two interchangeable paths:
-
-* a vectorized numpy int64 path with a certified overflow guard, and
-* a pure-Python arbitrary-precision path that can never overflow.
-
-The numpy path is used by default and falls back automatically whenever the
-guard trips; ``force_pure=True`` on ``int_rank`` and ``IntRowBasis`` takes
-the pure path directly (both paths are exact and must agree).
-``scripts/bench_rank.py`` compares the two.
+entries stay small).  ``int_rank`` is the one kernel: a vectorized numpy
+loop that runs in int64 behind a certified overflow guard and, the first
+time the guard would trip, converts its working array to Python integers
+and carries on from the same column, so the rank is exact for any input.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# int64 elimination is abandoned before any intermediate value can reach this
+# the working array leaves int64 before any intermediate value can reach this
 OVERFLOW_LIMIT = 2**62
 
 
@@ -51,39 +46,27 @@ def gcd_reduce(row: list[int]) -> list[int]:
     return row
 
 
-def _int_rank_pure(rows: list[list[int]]) -> int:
-    """Fraction-free elimination with Python integers (cannot overflow)."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        if rank == len(rows):
-            break
-        pivot = None
-        best = None
-        for i in range(rank, len(rows)):
-            v = rows[i][col]
-            if v != 0 and (best is None or abs(v) < best):
-                best = abs(v)
-                pivot = i
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for i in range(rank + 1, len(rows)):
-            c = rows[i][col]
-            if c == 0:
-                continue
-            r = rows[i]
-            rows[i] = gcd_reduce([a * p - b * c for a, b in zip(r, prow)])
-        rank += 1
-    return rank
+def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
+    """Exact rank of an integer matrix by fraction-free elimination.
 
-
-def _int_rank_numpy(mat: np.ndarray) -> int | None:
-    """int64 fraction-free elimination; returns None when the guard trips."""
-    a = mat.astype(np.int64, copy=True)
+    The working array is int64 while the overflow guard holds and switches
+    to Python ints (dtype object) the first time it would trip, keeping the
+    rows eliminated so far.  On object arrays every updated row is divided
+    by its gcd.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
+        a = rows.astype(np.int64)
+    else:
+        # through object first, so entries in [2^63, 2^64) never become uint64
+        a = np.array(rows, dtype=object)
+    if a.size == 0:
+        return 0
+    if a.ndim != 2:
+        raise ValueError("ragged matrix")
+    if max(int(a.max()), -int(a.min())) < OVERFLOW_LIMIT:
+        a = a.astype(np.int64, copy=False)
+    else:
+        a = np.frompyfunc(int, 1, 1)(a)  # numpy scalars among the entries would overflow
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
@@ -98,52 +81,27 @@ def _int_rank_numpy(mat: np.ndarray) -> int | None:
         if p != r:
             a[[r, p]] = a[[p, r]]
         piv = int(a[r, c])
-        below = a[r + 1:, :]
-        if below.size:
-            colv = below[:, c]
-            idx = np.nonzero(colv)[0]
-            if idx.size:
-                sub = below[idx]
+        idx = np.nonzero(a[r + 1:, c])[0] + (r + 1)
+        if idx.size:
+            sub = a[idx]
+            colv = sub[:, c].copy()
+            if a.dtype != object:
                 bound = abs(piv) * int(np.max(np.abs(sub))) + int(
-                    np.max(np.abs(colv[idx]))
+                    np.max(np.abs(colv))
                 ) * int(np.max(np.abs(a[r])))
                 if bound >= OVERFLOW_LIMIT:
-                    return None
-                sub = sub * piv - np.outer(colv[idx], a[r])
-                if int(np.max(np.abs(sub))) > 2**31:
-                    g = np.gcd.reduce(np.abs(sub), axis=1)
-                    g[g == 0] = 1
-                    sub //= g[:, None]
-                below[idx] = sub
+                    a = a.astype(object)
+                    sub = a[idx]
+                    colv = sub[:, c].copy()
+            sub *= piv
+            sub -= colv[:, None] * a[r]
+            if a.dtype == object or int(np.max(np.abs(sub))) > 2**31:
+                g = np.gcd.reduce(np.abs(sub), axis=1)
+                g[g == 0] = 1
+                sub //= g[:, None]
+            a[idx] = sub
         r += 1
     return r
-
-
-def int_rank(rows: Iterable[Sequence[int]] | np.ndarray, *, force_pure: bool = False) -> int:
-    """Exact rank of an integer matrix."""
-    if isinstance(rows, np.ndarray):
-        mat = rows
-        aslists = None
-    else:
-        aslists = [list(r) for r in rows]
-        if not aslists or not aslists[0]:
-            return 0
-        mat = None
-    if not force_pure:
-        if mat is None:
-            try:
-                mat = np.array(aslists, dtype=np.int64)
-            except OverflowError:
-                mat = None
-        if mat is not None and mat.size and int(np.max(np.abs(mat))) < OVERFLOW_LIMIT:
-            got = _int_rank_numpy(mat)
-            if got is not None:
-                return got
-    if aslists is None:
-        aslists = [[int(x) for x in row] for row in rows]
-    if not aslists or not aslists[0]:
-        return 0
-    return _int_rank_pure(aslists)
 
 
 def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
@@ -170,80 +128,6 @@ def affine_dim(points: Sequence[Sequence[Fraction | int]]) -> int:
     if not diffs:
         return 0
     return rank(diffs)
-
-
-class IntRowBasis:
-    """Incremental row-echelon basis over the integers.
-
-    Feeding vectors one at a time tracks the exact rank of everything seen
-    so far; `add` reports whether the vector enlarged the span.  Used for
-    the staged independence certificates, where the rank after every batch
-    matters.  Starts on the int64 path and converts itself wholesale to
-    Python integers if the overflow guard ever trips.
-    """
-
-    def __init__(self, width: int, *, force_pure: bool = False):
-        self.width = width
-        self._pure = force_pure
-        self._rows: list = []
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _to_pure(self) -> None:
-        if not self._pure:
-            self._rows = [[int(x) for x in row] for row in self._rows]
-            self._pure = True
-
-    def _reduce_pure(self, vec: list[int]) -> list[int]:
-        for pc, row in zip(self._pivots, self._rows):
-            c = vec[pc]
-            if c:
-                p = row[pc]
-                vec = gcd_reduce([a * p - b * c for a, b in zip(vec, row)])
-        return vec
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Reduce against the basis; keep the residual if nonzero."""
-        if len(vec) != self.width:
-            raise ValueError("vector width mismatch")
-        if not self._pure:
-            v = np.array(vec, dtype=np.int64)
-            ok = True
-            for pc, row in zip(self._pivots, self._rows):
-                c = int(v[pc])
-                if c == 0:
-                    continue
-                p = int(row[pc])
-                bound = abs(p) * int(np.max(np.abs(v))) + abs(c) * int(np.max(np.abs(row)))
-                if bound >= OVERFLOW_LIMIT:
-                    ok = False
-                    break
-                v = v * p - row * c
-                if int(np.max(np.abs(v))) > 2**31:
-                    g = int(np.gcd.reduce(np.abs(v)))
-                    if g > 1:
-                        v //= g
-            if ok:
-                nz = np.nonzero(v)[0]
-                if nz.size == 0:
-                    return False
-                g = int(np.gcd.reduce(np.abs(v)))
-                if g > 1:
-                    v //= g
-                self._pivots.append(int(nz[0]))
-                self._rows.append(v)
-                return True
-            self._to_pure()
-        v = self._reduce_pure([int(x) for x in vec])
-        for i, x in enumerate(v):
-            if x:
-                self._pivots.append(i)
-                self._rows.append(gcd_reduce(v))
-                return True
-        return False
 
 
 def rref(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:

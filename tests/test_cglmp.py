@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellpoly import linalg
+from bellpoly import cglmp, linalg
 from bellpoly.cglmp import (
     RSTU,
     SCHEME_EXAMPLE1,
@@ -190,6 +190,13 @@ def test_constructive_witness_small_d():
             assert len(batch.vectors) == 4 * d
             assert batch.rank_after == 4 * d * (j + 1)
         assert batches[-1].rank_after == 4 * d * (d - 1)
+
+
+def test_repeated_witness_step_is_refused(monkeypatch):
+    steps = witness_steps(5)
+    monkeypatch.setattr(cglmp, "witness_steps", lambda d: [steps[0], steps[1], steps[1], steps[3]])
+    with pytest.raises(cglmp.WitnessError, match=r"step 2 .* raised the rank by 0, expected 20"):
+        constructive_witness(5)
 
 
 def test_witness_d3_shape():

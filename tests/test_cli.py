@@ -139,6 +139,12 @@ def test_budget_exhaustion_reports_incomplete(capsys):
     assert data["complete"] is False
 
 
+def test_budget_applies_below_d4(capsys):
+    code, data = run_json(capsys, "enumerate", "3", "--space", "corr", "--budget", "0")
+    assert code == 0
+    assert data["complete"] is False
+
+
 def test_byte_identical_output(capsys):
     _, out1 = run(capsys, "verify-cglmp", "4")
     _, out2 = run(capsys, "verify-cglmp", "4")

@@ -1,6 +1,9 @@
+import importlib.resources as resources
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from bellpoly.correlators import (
     cglmp_corr_inequality,
     chsh_inequality,
     corr_index,
+    lift,
     projected_generators,
 )
 from bellpoly.facets import (
@@ -23,7 +27,7 @@ from bellpoly.facets import (
 )
 from bellpoly.membership import nosignaling_max
 from bellpoly.lp import lp_max
-from bellpoly.scenario import Inequality, Scenario, all_generators
+from bellpoly.scenario import Inequality, Scenario, all_generators, inequality_from_json
 
 from oracles import square_subset_facets
 
@@ -127,6 +131,24 @@ def test_classify_trivial_examples():
     assert classify_trivial(chsh_inequality()) is False
     assert classify_trivial(cglmp_corr_inequality(3)) is False
     assert nosignaling_max(chsh_inequality()) == 4
+
+
+def _closed_form_cases(name):
+    if name == "cglmp":
+        return [cglmp_corr_inequality(d) for d in range(2, 6)]
+    if name == "d4":
+        text = (Path(__file__).parents[1] / "perfbench/data/corr_facets_d4.json").read_text()
+    else:
+        text = resources.files("bellpoly").joinpath(f"golden/corr_facets_{name}.json").read_text()
+    data = json.loads(text)
+    return [inequality_from_json({"space": "correlator", "d": data["d"], **f}) for f in data["facets"]]
+
+
+@pytest.mark.parametrize("name", ["d2", "d3", "cglmp", pytest.param("d4", marks=pytest.mark.slow)])
+def test_correlator_closed_form_matches_lifted_lp(name):
+    # the block-maximum closed form against the behavior-space LP of the lift
+    for q in _closed_form_cases(name):
+        assert nosignaling_max(q) == nosignaling_max(lift(q))
 
 
 def test_saturation_counts():

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bellpoly.linalg import IntRowBasis, affine_dim, int_rank, nullspace, rank, rref
+from bellpoly import linalg
+from bellpoly.linalg import affine_dim, int_rank, nullspace, rank, rref
 from bellpoly.scenario import Scenario, all_generators, constraint_matrix
 
 
@@ -50,12 +52,39 @@ def test_rank_constructed_block():
     assert rank(base + extra) == 4
 
 
-def test_fast_and_pure_paths_agree():
+def _low_rank(rng, nr, nc, k, scale):
+    left = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(nr)]
+    right = [[rng.randint(-scale, scale) for _ in range(nc)] for _ in range(k)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def test_int_rank_matches_rref():
     rng = random.Random(3)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        m = _low_rank(rng, nr, nc, rng.randint(1, min(nr, nc)), 9)
+        m = [[x * 2 ** rng.choice((0, 0, 40, 70)) for x in row] for row in m]
+        assert int_rank(m) == int_rank(np.array(m, dtype=object)) == len(rref(m)[1])
+
+
+@pytest.mark.parametrize("limit,scale", [(linalg.OVERFLOW_LIMIT, 2**17), (2**20, 9)])
+def test_int_rank_leaves_int64_mid_elimination(monkeypatch, limit, scale):
+    # the inputs start below the limit and pass the first pivots in int64;
+    # later products trip the guard, so the array becomes Python ints halfway
+    monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", limit)
+    rng = random.Random(17)
     for _ in range(30):
-        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        assert int_rank(m, force_pure=False) == int_rank(m, force_pure=True)
+        nr, nc = rng.randint(3, 8), rng.randint(3, 8)
+        m = _low_rank(rng, nr, nc, rng.randint(2, min(nr, nc)), scale)
+        assert int_rank(np.array(m, dtype=np.int64)) == len(rref(m)[1])
+
+
+def test_int_rank_list_entries_past_int64():
+    # np.array would infer uint64 for these and overflow on the first product
+    m = [[2**63 + 1, 1], [2**64 - 1, 2], [2**63 + 1, 1]]
+    assert int_rank(m) == 2
+    assert int_rank([[2**64 - 1, 2**64 - 1], [1, 1]]) == 1
+    assert int_rank([[np.int64(5), 2**70], [np.int64(3), 1]]) == 2
 
 
 def test_pure_path_handles_huge_entries():
@@ -88,24 +117,6 @@ def test_affine_dim_empty_errors():
 def test_ragged_matrix_errors():
     with pytest.raises(ValueError):
         rank([[Fraction(1)], [Fraction(1), Fraction(2)]])
-
-
-def test_int_row_basis_matches_one_shot():
-    rng = random.Random(19)
-    for _ in range(20):
-        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
-        m = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
-        basis = IntRowBasis(nc)
-        grew = sum(1 for row in m if basis.add(row))
-        assert basis.rank == grew == int_rank(m)
-
-
-def test_int_row_basis_pure_mode():
-    basis = IntRowBasis(3, force_pure=True)
-    assert basis.add([2**70, 1, 0])
-    assert basis.add([0, 1, 1])
-    assert not basis.add([2**70, 2, 1])
-    assert basis.rank == 2
 
 
 def test_rref_and_nullspace():
