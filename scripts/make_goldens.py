@@ -11,10 +11,10 @@ import json
 import pathlib
 
 from bellpoly.correlators import cglmp_corr_inequality, projected_generators
-from bellpoly.facets import canonicalize, classify_trivial, enumerate_facets, standard_equations, vrep_of
+from bellpoly.facets import canonicalize, enumerate_facets, standard_equations, vrep_of
 from bellpoly.jsonio import encode_rational
 from bellpoly.scenario import inequality_to_json
-from bellpoly.symmetry import canonical_class, label_classes
+from bellpoly.symmetry import canonical_class, trivial_and_classes
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "src" / "bellpoly" / "golden"
 
@@ -22,8 +22,7 @@ GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "src" / "bellpoly" / "gol
 def facet_catalog(d: int) -> dict:
     gens = projected_generators(d)
     hrep = enumerate_facets(vrep_of(gens), space="correlator", d=d)
-    labels, reps = label_classes(hrep.facets)
-    trivial = [classify_trivial(f) for f in hrep.facets]
+    trivial, labels = trivial_and_classes(hrep.facets, "correlator", d)
     return {
         "space": "correlator",
         "d": d,

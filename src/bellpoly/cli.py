@@ -24,7 +24,7 @@ from .correlators import (
     project,
     projected_generators,
 )
-from .facets import classify_trivial, enumerate_facets, saturation_count, vrep_of
+from .facets import enumerate_facets, saturation_count, vrep_of
 from .jsonio import encode_rational
 from .linalg import rank
 from .scenario import (
@@ -37,7 +37,7 @@ from .scenario import (
     inequality_to_json,
     polytope_affine_dim,
 )
-from .symmetry import label_classes
+from .symmetry import trivial_and_classes
 
 
 class UsageError(Exception):
@@ -216,13 +216,10 @@ def cmd_enumerate(args) -> int:
         f"(dim {hrep.reduced_dim}) in {time.monotonic()-t0:.2f}s",
         file=sys.stderr,
     )
-    trivial = [classify_trivial(f) for f in hrep.facets]
-    if space == "behavior" and d >= 4:
-        labels = None
+    trivial, labels = trivial_and_classes(hrep.facets, space, d)
+    if labels is None:
         print("note: the behavior-space symmetry group is too large for d >= 4; "
               "facets emitted without class labels", file=sys.stderr)
-    else:
-        labels, _reps = label_classes(hrep.facets)
     facets_json = []
     for i, f in enumerate(hrep.facets):
         entry = {
@@ -276,10 +273,9 @@ def cmd_classify(args) -> int:
         except ValueError as exc:
             checked.append({"supporting": False, "error": str(exc)})
             ok = False
-    if space == "behavior" and d >= 4:
+    trivial, labels = trivial_and_classes(facets, space, d)
+    if labels is None:
         labels = [None] * len(facets)
-    else:
-        labels, _ = label_classes(facets)
     payload = {
         "space": space,
         "d": d,
@@ -287,7 +283,7 @@ def cmd_classify(args) -> int:
             {
                 "coeffs": [encode_rational(c) for c in f.coeffs],
                 "bound": encode_rational(f.bound),
-                "trivial": classify_trivial(f),
+                "trivial": trivial[i],
                 "class": labels[i],
                 **checked[i],
             }

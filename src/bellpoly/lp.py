@@ -1,4 +1,4 @@
-"""Exact linear programming: dense two-phase simplex over Fraction.
+"""Exact linear programming: dense two-phase simplex over Python ints.
 
 Solves  max c.x  subject to  A_eq x = b_eq,  A_in x <= b_in,  and
 nonnegativity on a chosen subset of variables.  Everything is rational, so
@@ -11,22 +11,32 @@ certificate that multiplies out to a contradiction:
 
 An "optimal" result carries a dual y, one entry per original row
 (redundant equality rows included), and is checked just as exactly: x is
-feasible, y is dual feasible, and c.x = y.b = optimum.
+feasible, y is dual feasible, and c.x = y.b = optimum.  The optimum is read
+off the tableau, so c.x = optimum is a real check.
 
 Pivoting follows Bland's rule (lowest eligible index in, lowest basic
 variable index out), which is what makes termination a theorem rather than
 a hope; with exact arithmetic, cycling was the only possible failure mode.
 Degenerate ties resolve to the lowest index, so runs are deterministic.
+
+The tableau is integer-preserving (Edmonds 1967).  Each structural column
+is first multiplied by the lcm of its entries' denominators and the
+right-hand side by the lcm of its own; every stored row is then den times
+the true row, for one common den = |det B| of the current basis B, so each
+pivot  T_i <- (T_i * p - T_ic * T_r) // den,  den <- p  divides exactly.
+The cost row carries its own positive scale, cscale * den.  Positive
+column scales change no sign, and in the ratio test they multiply every
+ratio of one column by the same positive factor, so Bland's rule makes the
+same pivots as a Fraction tableau of the unscaled problem, and primal,
+dual and certificate come back as the same Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -40,57 +50,60 @@ class LPResult:
     certificate: tuple[Fraction, ...] | None = None
 
 
-def _pivot(rows, rhs, basis, costrow, pr: int, pc: int) -> Fraction:
-    """In-place tableau pivot; returns the objective-value increment."""
-    piv = rows[pr][pc]
-    if piv != 1:
-        inv = 1 / piv
-        rows[pr] = [x * inv for x in rows[pr]]
-        rhs[pr] = rhs[pr] * inv
-    prow = rows[pr]
-    pb = rhs[pr]
-    for i in range(len(rows)):
-        if i == pr:
-            continue
-        f = rows[i][pc]
-        if f:
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-            rhs[i] = rhs[i] - f * pb
-    f = costrow[pc]
-    delta = _ZERO
+def _eliminate(row: list[int], prow: list[int], pc: int, p: int, den: int) -> list[int]:
+    """One row of Edmonds' pivot: exact because every stored row is
+    +-adj(B) [A | b] before and after."""
+    f = row[pc]
     if f:
-        for j in range(len(costrow)):
-            if prow[j]:
-                costrow[j] -= f * prow[j]
-        delta = f * pb
+        return [(a * p - f * b) // den for a, b in zip(row, prow)]
+    if p == den:
+        return row
+    return [a * p // den for a in row]
+
+
+def _pivot(rows, cost, basis, den: int, pr: int, pc: int) -> int:
+    """In-place integer pivot; returns the new common denominator p.  Row
+    pr then stays as it is: it already is p times its new true row.  The
+    entry is negative only when evicting an artificial at level 0, and
+    negating that row first keeps p, and so every later den, positive."""
+    if rows[pr][pc] < 0:
+        rows[pr] = [-x for x in rows[pr]]
+    prow = rows[pr]
+    p = prow[pc]
+    for i in range(len(rows)):
+        if i != pr:
+            rows[i] = _eliminate(rows[i], prow, pc, p, den)
+    if cost is not None:
+        cost[:] = _eliminate(cost, prow, pc, p, den)
     basis[pr] = pc
-    return delta
+    return p
 
 
-def _simplex(rows, rhs, basis, costrow, allowed) -> tuple[str, Fraction]:
-    """Run Bland-rule simplex to optimality or unboundedness."""
-    gained = _ZERO
-    ncols = len(costrow)
+def _simplex(rows, cost, basis, den: int, nenter: int) -> tuple[str, int]:
+    """Run Bland-rule simplex to optimality or unboundedness; only the first
+    nenter columns may enter.  Ratios rhs/a are compared by cross-multiplying."""
     while True:
-        enter = -1
-        for j in range(ncols):
-            if allowed[j] and costrow[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(nenter) if cost[j] > 0), -1)
         if enter < 0:
-            return "optimal", gained
+            return "optimal", den
         leave = -1
-        best = None
-        for i in range(len(rows)):
-            a = rows[i][enter]
+        for i, row in enumerate(rows):
+            a = row[enter]
             if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave < 0:
+                    leave, num, dnm = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * dnm, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, dnm = i, row[-1], a
         if leave < 0:
-            return "unbounded", gained
-        gained += _pivot(rows, rhs, basis, costrow, leave, enter)
+            return "unbounded", den
+        den = _pivot(rows, cost, basis, den, leave, enter)
+
+
+def _rational(x) -> int | Fraction:
+    """Ints and Fractions as given, anything else through Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def lp_max(
@@ -102,12 +115,12 @@ def lp_max(
     nonneg: bool | Iterable[int] = True,
 ) -> LPResult:
     """Maximize exactly; nonneg is True (all vars), False, or an index set."""
-    obj = [Fraction(x) for x in objective]
+    obj = [_rational(x) for x in objective]
     n = len(obj)
-    eqA = [[Fraction(x) for x in row] for row in eq_rows]
-    eqb = [Fraction(x) for x in eq_rhs]
-    inA = [[Fraction(x) for x in row] for row in ineq_rows]
-    inb = [Fraction(x) for x in ineq_rhs]
+    eqA = [[_rational(x) for x in row] for row in eq_rows]
+    eqb = [_rational(x) for x in eq_rhs]
+    inA = [[_rational(x) for x in row] for row in ineq_rows]
+    inb = [_rational(x) for x in ineq_rhs]
     if len(eqA) != len(eqb) or len(inA) != len(inb):
         raise ValueError("constraint rows and right-hand sides disagree")
     for row in eqA:
@@ -124,10 +137,12 @@ def lp_max(
         nonneg_set = set(nonneg)
         if not nonneg_set <= set(range(n)):
             raise ValueError("nonneg indices out of range")
+    allrows, allrhs = eqA + inA, eqb + inb
 
     # standard form: split free variables, slack per inequality, one
     # artificial per row; artificial columns stay in the tableau so the
-    # dual values can be read off the final cost row
+    # dual values can be read off the final cost row.  The last entry of
+    # every row is its right-hand side.
     columns: list[tuple[int, int]] = []
     for j in range(n):
         columns.append((j, 1))
@@ -136,94 +151,79 @@ def lp_max(
     nstruct = len(columns)
     neq, nin = len(eqA), len(inA)
     m = neq + nin
-    ncols = nstruct + nin + m
+    nreal = nstruct + nin
+    ncols = nreal + m
+    scale = [lcm(*(row[j].denominator for row in allrows)) for j in range(n)]
+    bscale = lcm(*(b.denominator for b in allrhs))
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
     flips: list[int] = []
-    for i, (row, b) in enumerate(zip(eqA + inA, eqb + inb)):
-        vec = [_ZERO] * ncols
+    for i, (row, b) in enumerate(zip(allrows, allrhs)):
+        ints = [x.numerator * (s // x.denominator) for x, s in zip(row, scale)]
+        vec = [0] * (ncols + 1)
         for cidx, (j, sgn) in enumerate(columns):
-            if row[j]:
-                vec[cidx] = row[j] if sgn == 1 else -row[j]
+            vec[cidx] = sgn * ints[j]
         if i >= neq:
-            vec[nstruct + (i - neq)] = _ONE
-        flip = 1
-        if b < 0:
-            flip, b = -1, -b
+            vec[nstruct + (i - neq)] = 1
+        flip = -1 if b < 0 else 1
+        if flip < 0:
             vec = [-x for x in vec]
-        vec[nstruct + nin + i] = _ONE
+        vec[nreal + i] = 1
+        vec[-1] = flip * b.numerator * (bscale // b.denominator)
         rows.append(vec)
-        rhs.append(b)
         flips.append(flip)
+    basis = [nreal + i for i in range(m)]
 
-    basis = [nstruct + nin + i for i in range(m)]
-    art_col = {i: nstruct + nin + i for i in range(m)}
-    allowed = [True] * ncols
-
-    # phase 1: drive the artificials to zero
-    costrow = [_ZERO] * ncols
-    for j in range(ncols):
-        tot = sum(rows[i][j] for i in range(m))
-        costrow[j] = (Fraction(-1) if j >= nstruct + nin else _ZERO) + tot
-    objval = -sum(rhs, _ZERO)
-    status, gained = _simplex(rows, rhs, basis, costrow, allowed)
-    objval += gained
+    # phase 1: drive the artificials to zero; over the artificial basis the
+    # reduced costs of -sum(art) are the column sums, 0 on the artificials,
+    # and the last entry of the cost row is minus the objective
+    cost = [sum(row[j] for row in rows) for j in range(nreal)] + [0] * m
+    cost.append(sum(row[-1] for row in rows))
+    status, den = _simplex(rows, cost, basis, 1, ncols)
     if status != "optimal":
         raise AssertionError("phase 1 cannot be unbounded")
-    if objval < 0:
-        y = [flips[i] * (Fraction(-1) - costrow[art_col[i]]) for i in range(m)]
-        _check_farkas(y, eqA + inA, eqb + inb, neq, nonneg_set, n)
+    if cost[-1] > 0:
+        y = [Fraction(flips[i] * (-den - cost[nreal + i]), den) for i in range(m)]
+        _check_farkas(y, allrows, allrhs, neq, nonneg_set, n)
         return LPResult(status="infeasible", certificate=tuple(y))
 
     # phase 2: evict leftover artificials, then optimize the real objective;
     # a row left with no structural entry is redundant and is dropped, but
     # every original row keeps its artificial column, so its dual survives
-    drop: list[int] = []
+    keep: list[int] = []
     for r in range(len(rows)):
-        if basis[r] >= nstruct + nin:
-            pc = -1
-            for j in range(nstruct + nin):
-                if rows[r][j] != 0:
-                    pc = j
-                    break
-            if pc >= 0:
-                _pivot(rows, rhs, basis, costrow, r, pc)
-            else:
-                drop.append(r)
-    if drop:
-        rows = [rows[r] for r in range(len(rows)) if r not in drop]
-        rhs = [rhs[r] for r in range(len(rhs)) if r not in drop]
-        basis = [basis[r] for r in range(len(basis)) if r not in drop]
-    for i in range(m):
-        allowed[art_col[i]] = False
+        if basis[r] >= nreal:
+            pc = next((j for j in range(nreal) if rows[r][j]), -1)
+            if pc < 0:
+                continue
+            den = _pivot(rows, None, basis, den, r, pc)
+        keep.append(r)
+    rows = [rows[r] for r in keep]
+    basis = [basis[r] for r in keep]
 
-    cost2 = [_ZERO] * ncols
-    for cidx, (j, sgn) in enumerate(columns):
-        cost2[cidx] = obj[j] if sgn == 1 else -obj[j]
-    costrow = list(cost2)
-    objval = _ZERO
-    for r, b in enumerate(basis):
-        cb = cost2[b]
+    cscaled = [c * s for c, s in zip(obj, scale)]
+    cscale = lcm(*(c.denominator for c in cscaled))
+    cint = [c.numerator * (cscale // c.denominator) for c in cscaled]
+    cvec = [sgn * cint[j] for j, sgn in columns] + [0] * (m + nin + 1)
+    cost = [den * c for c in cvec]
+    for row, b in zip(rows, basis):
+        cb = cvec[b]
         if cb:
-            objval += cb * rhs[r]
-            for j in range(ncols):
-                if rows[r][j]:
-                    costrow[j] -= cb * rows[r][j]
-    status, gained = _simplex(rows, rhs, basis, costrow, allowed)
+            cost = [x - cb * t for x, t in zip(cost, row)]
+    status, den = _simplex(rows, cost, basis, den, nreal)
     if status == "unbounded":
         return LPResult(status="unbounded")
-    objval += gained
 
-    x = [_ZERO] * n
-    for r, b in enumerate(basis):
+    optimum = Fraction(-cost[-1], cscale * den * bscale)
+    x = [Fraction(0)] * n
+    for row, b in zip(rows, basis):
         if b < nstruct:
             j, sgn = columns[b]
-            x[j] += rhs[r] if sgn == 1 else -rhs[r]
-    dual = [flips[i] * (-costrow[art_col[i]]) for i in range(m)]
-    _check_optimal(obj, x, dual, objval, eqA + inA, eqb + inb, neq, nonneg_set)
+            x[j] += Fraction(sgn * scale[j] * row[-1], den * bscale)
+    dual = [Fraction(-flips[i] * cost[nreal + i], cscale * den) for i in range(m)]
+    _check_optimal(obj, x, dual, optimum, allrows, allrhs, neq, nonneg_set)
     return LPResult(
-        status="optimal", optimum=objval, primal=tuple(x), dual=tuple(dual)
+        status="optimal", optimum=optimum, primal=tuple(x), dual=tuple(dual)
     )
 
 

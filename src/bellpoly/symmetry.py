@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .correlators import CorrVector, corr_index, projected_generator_matrix
-from .facets import canonicalize, standard_equations
+from .facets import canonicalize, classify_trivial, standard_equations
 from .scenario import Behavior, Inequality, coord_index, generator_matrix
 
 
@@ -287,3 +287,20 @@ def label_classes(ineqs: Iterable[Inequality]) -> tuple[list[int], list[Inequali
             lookup.update(dict.fromkeys(map(tuple, slack_orbit(ineq).tolist()), label))
         labels.append(label)
     return labels, reps
+
+
+def trivial_and_classes(
+    ineqs: Iterable[Inequality], space: str, d: int
+) -> tuple[list[bool], list[int] | None]:
+    """Triviality and class label of each inequality.
+
+    Triviality is invariant under the group, so it is decided once per
+    class, on the representative.  Behavior space at d >= 4 has no group
+    table: there triviality is decided per inequality and labels are None.
+    """
+    items = list(ineqs)
+    if space == "behavior" and d >= 4:
+        return [classify_trivial(q) for q in items], None
+    labels, reps = label_classes(items)
+    trivial = [classify_trivial(r) for r in reps]
+    return [trivial[label] for label in labels], labels

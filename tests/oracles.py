@@ -4,15 +4,20 @@ Nothing here calls the algorithms it is meant to check: vertices of the
 no-signaling polytope come from basic-solution enumeration, facets of the
 d=2 correlator polytope from hyperplanes through vertex subsets, symmetry
 classes from Fraction orbits in a fixed gauge (the library compares
-integer slack vectors instead), and the reductions are hardcoded rather
+integer slack vectors instead), LP results from a Fraction tableau (the
+library pivots over integers), and the reductions are hardcoded rather
 than borrowed from the library.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterable, Sequence
+
+from bellpoly.lp import LPResult
 
 
 def solve_exact(rows, rhs):
@@ -54,12 +59,13 @@ def row_reduce(rows):
     return rows[:r], pivots
 
 
-def nosignaling_vertices(d: int):
+@functools.lru_cache(maxsize=None)
+def nosignaling_vertices(d: int) -> tuple:
     """All vertices of the no-signaling polytope by basic-solution search.
 
     The polytope is {x >= 0, A x = b}; its vertices are the feasible basic
     solutions: pick rank-many columns, solve, keep nonnegative solutions.
-    Exponential, meant for d=2 only.
+    Exponential, meant for d=2 only, and cached: several tests use it.
     """
     from bellpoly.scenario import Scenario, constraint_matrix
 
@@ -79,7 +85,7 @@ def nosignaling_vertices(d: int):
         for j, x in zip(basis, sol):
             full[j] = x
         verts.add(tuple(full))
-    return sorted(verts)
+    return tuple(sorted(verts))
 
 
 def _canonical_int(coeffs, bound):
@@ -160,3 +166,190 @@ def gauge_labels(ineqs):
             lookup.update(dict.fromkeys(gauge_orbit(q), len(set(labels))))
         labels.append(lookup[key])
     return labels
+
+
+def _fraction_pivot(rows, rhs, basis, costrow, pr: int, pc: int) -> Fraction:
+    """In-place tableau pivot; returns the objective-value increment."""
+    piv = rows[pr][pc]
+    if piv != 1:
+        inv = 1 / piv
+        rows[pr] = [x * inv for x in rows[pr]]
+        rhs[pr] = rhs[pr] * inv
+    prow = rows[pr]
+    pb = rhs[pr]
+    for i in range(len(rows)):
+        if i == pr:
+            continue
+        f = rows[i][pc]
+        if f:
+            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+            rhs[i] = rhs[i] - f * pb
+    f = costrow[pc]
+    delta = Fraction(0)
+    if f:
+        for j in range(len(costrow)):
+            if prow[j]:
+                costrow[j] -= f * prow[j]
+        delta = f * pb
+    basis[pr] = pc
+    return delta
+
+
+def _fraction_simplex(rows, rhs, basis, costrow, allowed) -> tuple[str, Fraction]:
+    """Run Bland-rule simplex to optimality or unboundedness."""
+    gained = Fraction(0)
+    ncols = len(costrow)
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if allowed[j] and costrow[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", gained
+        leave = -1
+        best = None
+        for i in range(len(rows)):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded", gained
+        gained += _fraction_pivot(rows, rhs, basis, costrow, leave, enter)
+
+
+def fraction_lp_max(
+    objective: Sequence[Fraction | int],
+    eq_rows: Sequence[Sequence[Fraction | int]] = (),
+    eq_rhs: Sequence[Fraction | int] = (),
+    ineq_rows: Sequence[Sequence[Fraction | int]] = (),
+    ineq_rhs: Sequence[Fraction | int] = (),
+    nonneg: bool | Iterable[int] = True,
+) -> LPResult:
+    """The Fraction two-phase simplex that bellpoly.lp.lp_max replaced: the
+    same Bland pivots on the unscaled tableau, unchecked.  lp_max must give
+    field-for-field the same LPResult."""
+    obj = [Fraction(x) for x in objective]
+    n = len(obj)
+    eqA = [[Fraction(x) for x in row] for row in eq_rows]
+    eqb = [Fraction(x) for x in eq_rhs]
+    inA = [[Fraction(x) for x in row] for row in ineq_rows]
+    inb = [Fraction(x) for x in ineq_rhs]
+    if len(eqA) != len(eqb) or len(inA) != len(inb):
+        raise ValueError("constraint rows and right-hand sides disagree")
+    for row in eqA:
+        if len(row) != n:
+            raise ValueError("dimension mismatch in equality rows")
+    for row in inA:
+        if len(row) != n:
+            raise ValueError("dimension mismatch in inequality rows")
+    if nonneg is True:
+        nonneg_set = set(range(n))
+    elif nonneg is False or nonneg is None:
+        nonneg_set = set()
+    else:
+        nonneg_set = set(nonneg)
+        if not nonneg_set <= set(range(n)):
+            raise ValueError("nonneg indices out of range")
+
+    # standard form: split free variables, slack per inequality, one
+    # artificial per row; artificial columns stay in the tableau so the
+    # dual values can be read off the final cost row
+    columns: list[tuple[int, int]] = []
+    for j in range(n):
+        columns.append((j, 1))
+        if j not in nonneg_set:
+            columns.append((j, -1))
+    nstruct = len(columns)
+    neq, nin = len(eqA), len(inA)
+    m = neq + nin
+    ncols = nstruct + nin + m
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    flips: list[int] = []
+    for i, (row, b) in enumerate(zip(eqA + inA, eqb + inb)):
+        vec = [Fraction(0)] * ncols
+        for cidx, (j, sgn) in enumerate(columns):
+            if row[j]:
+                vec[cidx] = row[j] if sgn == 1 else -row[j]
+        if i >= neq:
+            vec[nstruct + (i - neq)] = Fraction(1)
+        flip = 1
+        if b < 0:
+            flip, b = -1, -b
+            vec = [-x for x in vec]
+        vec[nstruct + nin + i] = Fraction(1)
+        rows.append(vec)
+        rhs.append(b)
+        flips.append(flip)
+
+    basis = [nstruct + nin + i for i in range(m)]
+    art_col = {i: nstruct + nin + i for i in range(m)}
+    allowed = [True] * ncols
+
+    # phase 1: drive the artificials to zero
+    costrow = [Fraction(0)] * ncols
+    for j in range(ncols):
+        tot = sum(rows[i][j] for i in range(m))
+        costrow[j] = (Fraction(-1) if j >= nstruct + nin else Fraction(0)) + tot
+    objval = -sum(rhs, Fraction(0))
+    status, gained = _fraction_simplex(rows, rhs, basis, costrow, allowed)
+    objval += gained
+    if status != "optimal":
+        raise AssertionError("phase 1 cannot be unbounded")
+    if objval < 0:
+        y = [flips[i] * (Fraction(-1) - costrow[art_col[i]]) for i in range(m)]
+        return LPResult(status="infeasible", certificate=tuple(y))
+
+    # phase 2: evict leftover artificials, then optimize the real objective;
+    # a row left with no structural entry is redundant and is dropped, but
+    # every original row keeps its artificial column, so its dual survives
+    drop: list[int] = []
+    for r in range(len(rows)):
+        if basis[r] >= nstruct + nin:
+            pc = -1
+            for j in range(nstruct + nin):
+                if rows[r][j] != 0:
+                    pc = j
+                    break
+            if pc >= 0:
+                _fraction_pivot(rows, rhs, basis, costrow, r, pc)
+            else:
+                drop.append(r)
+    if drop:
+        rows = [rows[r] for r in range(len(rows)) if r not in drop]
+        rhs = [rhs[r] for r in range(len(rhs)) if r not in drop]
+        basis = [basis[r] for r in range(len(basis)) if r not in drop]
+    for i in range(m):
+        allowed[art_col[i]] = False
+
+    cost2 = [Fraction(0)] * ncols
+    for cidx, (j, sgn) in enumerate(columns):
+        cost2[cidx] = obj[j] if sgn == 1 else -obj[j]
+    costrow = list(cost2)
+    objval = Fraction(0)
+    for r, b in enumerate(basis):
+        cb = cost2[b]
+        if cb:
+            objval += cb * rhs[r]
+            for j in range(ncols):
+                if rows[r][j]:
+                    costrow[j] -= cb * rows[r][j]
+    status, gained = _fraction_simplex(rows, rhs, basis, costrow, allowed)
+    if status == "unbounded":
+        return LPResult(status="unbounded")
+    objval += gained
+
+    x = [Fraction(0)] * n
+    for r, b in enumerate(basis):
+        if b < nstruct:
+            j, sgn = columns[b]
+            x[j] += rhs[r] if sgn == 1 else -rhs[r]
+    dual = [flips[i] * (-costrow[art_col[i]]) for i in range(m)]
+    return LPResult(
+        status="optimal", optimum=objval, primal=tuple(x), dual=tuple(dual)
+    )

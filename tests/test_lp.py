@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import bellpoly.lp as lp_mod
 from bellpoly.lp import lp_max
 from bellpoly.scenario import Scenario, constraint_matrix
 from bellpoly.correlators import chsh_inequality, lift
 
-from oracles import nosignaling_vertices
+from oracles import fraction_lp_max, nosignaling_vertices
 
 
 def test_segment():
@@ -200,3 +202,75 @@ def test_optimality_check_rejects_a_wrong_dual():
         _check_optimal(chsh.coeffs, res.primal, zeroed, *args[3:])
     with pytest.raises(AssertionError):
         _check_optimal(chsh.coeffs, res.primal, res.dual, res.optimum + 1, *args[4:])
+
+
+def _entry(rng, zero=0.4):
+    """Zero with probability `zero`, else a small fraction (possibly 0)."""
+    if rng.random() < zero:
+        return Fraction(0)
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def _general_lp(rng):
+    """A seeded LP with fractional entries, free variables, negative
+    right-hand sides, inequality rows and, often, a redundant equality row;
+    right-hand sides through a point with zero coordinates and tight rows
+    make degenerate vertices."""
+    n = rng.randint(1, 5)
+    eq_rows = [[_entry(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    if len(eq_rows) >= 2 and rng.random() < 0.4:
+        a, b = rng.sample(eq_rows, 2)
+        k = _entry(rng, zero=0)
+        eq_rows.append([x + k * y for x, y in zip(a, b)])
+    in_rows = [[_entry(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    x0 = [_entry(rng, zero=0.5) for _ in range(n)]
+    eq_rhs = [sum(a * x for a, x in zip(row, x0)) for row in eq_rows]
+    in_rhs = [
+        sum(a * x for a, x in zip(row, x0)) + (0 if rng.random() < 0.5 else abs(_entry(rng)))
+        for row in in_rows
+    ]
+    if eq_rhs and rng.random() < 0.15:
+        eq_rhs[rng.randrange(len(eq_rhs))] += 1
+    nonneg = rng.choice((True, False, [j for j in range(n) if rng.random() < 0.5]))
+    obj = [_entry(rng) for _ in range(n)]
+    return (obj, eq_rows, eq_rhs, in_rows, in_rhs), nonneg
+
+
+@pytest.fixture
+def negative_pivots(monkeypatch):
+    """Rows of every pivot made on a negative entry, which only the
+    eviction of an artificial at level 0 can ask for."""
+    seen = []
+    pivot = lp_mod._pivot
+
+    def counting(rows, cost, basis, den, pr, pc):
+        if rows[pr][pc] < 0:
+            seen.append(pr)
+        return pivot(rows, cost, basis, den, pr, pc)
+
+    monkeypatch.setattr(lp_mod, "_pivot", counting)
+    return seen
+
+
+def test_integer_simplex_matches_fraction_simplex(negative_pivots):
+    rng = random.Random(505)
+    statuses = Counter()
+    for _ in range(400):
+        args, nonneg = _general_lp(rng)
+        res = lp_max(*args, nonneg=nonneg)
+        assert res == fraction_lp_max(*args, nonneg=nonneg)
+        statuses[res.status] += 1
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 20
+    assert negative_pivots
+
+
+def test_eviction_pivots_on_a_negative_entry(negative_pivots):
+    # phase 1 ends with the artificial of -x1 = 0 basic at level 0, and the
+    # only structural entry of its row is negative
+    args = ([0, 1], [[-1, 0], [0, -2]], [0, -1])
+    res = lp_max(*args)
+    assert negative_pivots == [0]
+    assert res == fraction_lp_max(*args)
+    assert (res.optimum, res.primal, res.dual) == (
+        Fraction(1, 2), (0, Fraction(1, 2)), (0, Fraction(-1, 2))
+    )

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import gauge_orbit_min
+from oracles import fraction_lp_max, gauge_orbit_min
+
+import bellpoly.membership as membership_mod
 
 from bellpoly.cglmp import cglmp_inequality, evaluate
 from bellpoly.correlators import (
@@ -25,6 +27,7 @@ from bellpoly.scenario import (
     Behavior,
     Inequality,
     Scenario,
+    all_generators,
     all_strategies,
     constraint_matrix,
     coord_index,
@@ -259,3 +262,43 @@ def test_certificate_class_matches_gauge_oracle(space, d, boxes):
         seen.add(want)
     if (space, d) == ("correlator", 4):
         assert seen == {"cglmp", "uncataloged"}
+
+
+def _seeded_mixture(rng, space, d):
+    """A seeded convex mixture of three to six generators, so local."""
+    if space == "behavior":
+        gens = [g.coords for g in all_generators(Scenario(d))]
+    else:
+        gens = [g.coords for g in projected_generators(d)]
+    picks = [rng.choice(gens) for _ in range(rng.randint(3, 6))]
+    raw = [rng.randint(1, 9) for _ in picks]
+    coords = tuple(
+        sum((Fraction(w, sum(raw)) * g[i] for w, g in zip(raw, picks)), Fraction(0))
+        for i in range(len(gens[0]))
+    )
+    if space == "behavior":
+        return local_decompose(Behavior(d, coords))
+    return corr_local_decompose(CorrVector(d, coords))
+
+
+@pytest.mark.parametrize(
+    "space,d", [("behavior", 2), ("behavior", 3), ("correlator", 3), ("correlator", 4)]
+)
+def test_membership_lps_match_fraction_simplex(monkeypatch, space, d):
+    # every LP of seeded local and nonlocal queries comes back field for
+    # field as from the Fraction tableau the integer simplex replaced
+    statuses = []
+
+    def both(*args, **kwargs):
+        res = lp_max(*args, **kwargs)
+        assert res == fraction_lp_max(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(membership_mod, "lp_max", both)
+    rng = random.Random(f"lps{space}{d}")
+    for _ in range(2):
+        assert _seeded_mixture(rng, space, d).local
+        assert not _seeded_box(rng, space, d).local
+    assert statuses.count("infeasible") == 2
+    assert statuses.count("optimal") == 4

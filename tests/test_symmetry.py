@@ -36,6 +36,7 @@ from bellpoly.symmetry import (
     label_classes,
     slack,
     slack_orbit,
+    trivial_and_classes,
 )
 
 
@@ -188,6 +189,22 @@ def test_trivial_status_is_orbit_invariant():
         op = rng.choice(grp)
         assert classify_trivial(apply_inequality(op, q)) is False
         assert classify_trivial(apply_inequality(op, triv)) is True
+
+
+@pytest.mark.parametrize("d", [2, pytest.param(3, marks=pytest.mark.slow)])
+def test_triviality_decided_once_per_class(monkeypatch, d):
+    # behavior space, where triviality is an LP: one per class, and the
+    # same flags as one LP per facet
+    import bellpoly.symmetry as symmetry_mod
+
+    hrep = enumerate_facets(vrep_of(all_generators(Scenario(d))), space="behavior", d=d)
+    per_facet = [classify_trivial(f) for f in hrep.facets]
+    calls = []
+    monkeypatch.setattr(symmetry_mod, "classify_trivial", lambda q: calls.append(q) or classify_trivial(q))
+    trivial, labels = trivial_and_classes(hrep.facets, "behavior", d)
+    assert trivial == per_facet
+    assert labels == label_classes(hrep.facets)[0]
+    assert len(calls) == len(set(labels))
 
 
 def test_facet_images_are_facets():
