@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import pathlib
 
+from bellpoly.cli import facet_list_json
 from bellpoly.correlators import cglmp_corr_inequality, projected_generators
 from bellpoly.facets import canonicalize, enumerate_facets, standard_equations, vrep_of
-from bellpoly.jsonio import encode_rational
 from bellpoly.scenario import inequality_to_json
 from bellpoly.symmetry import canonical_class, trivial_and_classes
 
@@ -23,25 +23,7 @@ def facet_catalog(d: int) -> dict:
     gens = projected_generators(d)
     hrep = enumerate_facets(vrep_of(gens), space="correlator", d=d)
     trivial, labels = trivial_and_classes(hrep.facets, "correlator", d)
-    return {
-        "space": "correlator",
-        "d": d,
-        "complete": hrep.complete,
-        "reduced_dim": hrep.reduced_dim,
-        "equations": [
-            {"coeffs": [encode_rational(c) for c in row], "rhs": encode_rational(rhs)}
-            for row, rhs in hrep.equations
-        ],
-        "facets": [
-            {
-                "coeffs": [encode_rational(c) for c in f.coeffs],
-                "bound": encode_rational(f.bound),
-                "trivial": trivial[i],
-                "class": labels[i],
-            }
-            for i, f in enumerate(hrep.facets)
-        ],
-    }
+    return facet_list_json("correlator", d, hrep, trivial, labels)
 
 
 def main() -> None:

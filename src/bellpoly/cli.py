@@ -17,27 +17,20 @@ import time
 
 from . import cglmp as cglmp_mod
 from . import membership as membership_mod
-from .correlators import (
-    cglmp_corr_inequality,
-    corr_from_json,
-    corr_to_json,
-    project,
-    projected_generators,
-)
-from .facets import enumerate_facets, saturation_count, vrep_of
+from .correlators import cglmp_corr_inequality, corr_from_json, corr_to_json, project
+from .facets import HRep, enumerate_facets, saturation_count, vrep_of
 from .jsonio import encode_rational
 from .linalg import rank
 from .scenario import (
     BLOCKS,
     Scenario,
-    all_generators,
     behavior_from_json,
     constraint_matrix,
     inequality_from_json,
     inequality_to_json,
     polytope_affine_dim,
 )
-from .symmetry import trivial_and_classes
+from .symmetry import space_vertices, trivial_and_classes
 
 
 class UsageError(Exception):
@@ -198,10 +191,33 @@ def cmd_cglmp(args) -> int:
     return 0
 
 
-def _vertices_for(space: str, d: int):
-    if space == "correlator":
-        return projected_generators(d)
-    return all_generators(Scenario(d))
+def _facets_json(facets, trivial, labels) -> list[dict]:
+    """One entry per facet; labels None leaves every class null."""
+    return [
+        {
+            "coeffs": [encode_rational(c) for c in f.coeffs],
+            "bound": encode_rational(f.bound),
+            "trivial": trivial[i],
+            "class": None if labels is None else labels[i],
+        }
+        for i, f in enumerate(facets)
+    ]
+
+
+def facet_list_json(space: str, d: int, hrep: HRep, trivial, labels) -> dict:
+    """The facet-list document printed by `enumerate` and frozen in the
+    golden catalogs."""
+    return {
+        "space": space,
+        "d": d,
+        "complete": hrep.complete,
+        "reduced_dim": hrep.reduced_dim,
+        "equations": [
+            {"coeffs": [encode_rational(c) for c in row], "rhs": encode_rational(rhs)}
+            for row, rhs in hrep.equations
+        ],
+        "facets": _facets_json(hrep.facets, trivial, labels),
+    }
 
 
 def cmd_enumerate(args) -> int:
@@ -209,7 +225,7 @@ def cmd_enumerate(args) -> int:
     space = "correlator" if args.space == "corr" else "behavior"
     deadline = None if args.budget is None else time.monotonic() + float(args.budget)
     t0 = time.monotonic()
-    verts = _vertices_for(space, d)
+    verts = space_vertices(space, d)
     hrep = enumerate_facets(vrep_of(verts), space=space, d=d, deadline=deadline)
     print(
         f"enumerated {len(hrep.facets)} facets of {len(verts)} vertices "
@@ -220,26 +236,7 @@ def cmd_enumerate(args) -> int:
     if labels is None:
         print("note: the behavior-space symmetry group is too large for d >= 4; "
               "facets emitted without class labels", file=sys.stderr)
-    facets_json = []
-    for i, f in enumerate(hrep.facets):
-        entry = {
-            "coeffs": [encode_rational(c) for c in f.coeffs],
-            "bound": encode_rational(f.bound),
-            "trivial": trivial[i],
-            "class": None if labels is None else labels[i],
-        }
-        facets_json.append(entry)
-    payload = {
-        "space": space,
-        "d": d,
-        "complete": hrep.complete,
-        "reduced_dim": hrep.reduced_dim,
-        "equations": [
-            {"coeffs": [encode_rational(c) for c in row], "rhs": encode_rational(rhs)}
-            for row, rhs in hrep.equations
-        ],
-        "facets": facets_json,
-    }
+    payload = facet_list_json(space, d, hrep, trivial, labels)
     nclasses = len(set(l for l in labels)) if labels is not None else None
     lines = [
         f"{space} polytope at d={d}: {len(hrep.facets)} facets"
@@ -263,7 +260,13 @@ def cmd_classify(args) -> int:
         raise UsageError(f"bad facet list: {exc}") from exc
     if space not in ("behavior", "correlator"):
         raise UsageError(f"unknown space {space!r}")
-    verts = _vertices_for(space, d)
+    if d < 2:
+        raise UsageError("bad facet list: need d >= 2")
+    width = 4 * d if space == "correlator" else 4 * d * d
+    for i, f in enumerate(facets):
+        if len(f.coeffs) != width:
+            raise UsageError(f"bad facet list: facet {i} has {len(f.coeffs)} coefficients, not {width}")
+    verts = space_vertices(space, d)
     checked = []
     ok = True
     for f in facets:
@@ -273,22 +276,14 @@ def cmd_classify(args) -> int:
         except ValueError as exc:
             checked.append({"supporting": False, "error": str(exc)})
             ok = False
-    trivial, labels = trivial_and_classes(facets, space, d)
-    if labels is None:
-        labels = [None] * len(facets)
+    try:
+        trivial, labels = trivial_and_classes(facets, space, d)
+    except ValueError as exc:  # an equation on the affine hull has no class
+        raise UsageError(f"bad facet list: {exc}") from exc
     payload = {
         "space": space,
         "d": d,
-        "facets": [
-            {
-                "coeffs": [encode_rational(c) for c in f.coeffs],
-                "bound": encode_rational(f.bound),
-                "trivial": trivial[i],
-                "class": labels[i],
-                **checked[i],
-            }
-            for i, f in enumerate(facets)
-        ],
+        "facets": [{**e, **c} for e, c in zip(_facets_json(facets, trivial, labels), checked)],
         "ok": ok,
     }
     lines = [f"classified {len(facets)} inequalities ({space}, d={d}); ok={ok}"]

@@ -18,8 +18,10 @@ list is emitted in canonical lexicographic order.
 A deadline can be supplied (the d=4 correlator polytope is the intended
 user).  On expiry the insertion loop stops and whatever current rays are
 valid for all remaining constraints are returned as verified facets with
-complete=False; extremality in an intermediate cone plus global validity
-makes them genuine facets of the full polytope, just not all of them.
+complete=False; extremality in an intermediate pointed cone plus global
+validity makes them genuine facets of the full polytope, just not all of
+them.  Before the cone is pointed its rays are extreme only up to the
+lineality space, so an expiry that early returns no facets.
 """
 
 from __future__ import annotations
@@ -72,13 +74,12 @@ class BudgetExpired(Exception):
 
 
 def vrep_of(vectors, ambient_dim: int | None = None) -> VRep:
-    """Wrap coordinate vectors or objects with .coords as a VRep."""
-    verts = []
-    for v in vectors:
-        coords = v.coords if hasattr(v, "coords") else tuple(Fraction(x) for x in v)
-        verts.append(tuple(Fraction(x) for x in coords))
+    """Wrap coordinate vectors, objects with .coords or an integer ndarray
+    as a VRep."""
+    mat, den = linalg.integer_rows(vectors)
+    verts = tuple(tuple(Fraction(x, den) for x in row) for row in mat.tolist())
     dim = ambient_dim if ambient_dim is not None else len(verts[0])
-    return VRep(dim, tuple(verts))
+    return VRep(dim, verts)
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +151,8 @@ def dd_extreme_rays(
     The cone must come out pointed (the constraints span), which holds for
     homogenized vertex sets of full-dimensional polytopes.  Returns the
     rays and a completeness flag; with a deadline the last consistent
-    snapshot is filtered for global validity by the caller.
+    snapshot of a pointed cone (empty before the cone is pointed) is
+    filtered for global validity by the caller.
     """
     lin: list[list[int]] = [[int(i == j) for j in range(dim)] for i in range(dim)]
     rays: list[list] = []  # [vector, zset bitmask over inserted constraints]
@@ -163,7 +165,8 @@ def dd_extreme_rays(
         for ci, a in enumerate(constraints):
             if expired():
                 raise BudgetExpired
-            snapshot = [tuple(r) for r, _ in rays]
+            # rays are extreme only once the cone is pointed (no lineality left)
+            snapshot = [] if lin else [tuple(r) for r, _ in rays]
             bit = 1 << ci
             lin_dots = [_idot(a, l) for l in lin]
             hit = next((i for i, v in enumerate(lin_dots) if v), None)
@@ -275,22 +278,23 @@ def enumerate_facets(
     )
     rows = [linalg.clear_denominators(r) for r in reduced]
     rays, complete = dd_extreme_rays(rows, reduced_dim + 1, deadline=deadline)
-    if not complete:
-        rays = [r for r in rays if all(_idot(row, r) <= 0 for row in rows)]
 
-    facets = []
-    for ray in rays:
-        coeffs = [Fraction(0)] * ambient
+    # soundness: every ray, as an ambient inequality, is valid on every vertex;
+    # a run cut short keeps only the rays that are
+    coeffs = [[0] * ambient for _ in rays]
+    for row, ray in zip(coeffs, rays):
         for j, c in zip(free, ray[:-1]):
-            coeffs[j] = Fraction(c)
-        ineq = Inequality(space, d, tuple(coeffs), Fraction(-ray[-1]))
-        facets.append(canonicalize(ineq))
-    facets = sorted(set(facets), key=lambda q: (q.coeffs, q.bound))
-
-    for q in facets:  # soundness: exact validity on every vertex
-        for v in verts:
-            if sum(c * x for c, x in zip(q.coeffs, v) if c) > q.bound:
-                raise AssertionError("enumerated facet violated by an input vertex")
+            row[j] = c
+    mat, den = linalg.integer_rows(verts)
+    valid = (linalg.slack_matrix(coeffs, [-den * r[-1] for r in rays], mat) >= 0).all(axis=1)
+    if complete and not valid.all():
+        raise AssertionError("enumerated facet violated by an input vertex")
+    facets = {
+        canonicalize(Inequality(space, d, tuple(map(Fraction, row)), Fraction(-ray[-1])))
+        for row, ray, ok in zip(coeffs, rays, valid)
+        if ok
+    }
+    facets = sorted(facets, key=lambda q: (q.coeffs, q.bound))
     return HRep(ambient, tuple(equations), tuple(facets), reduced_dim, complete)
 
 
@@ -301,18 +305,15 @@ def saturation_count(ineq: Inequality, vertices) -> tuple[int, int]:
     them; a facet of a D-dimensional polytope whose affine hull misses the
     origin shows rank exactly D.
     """
-    tight = []
-    for v in vertices:
-        coords = v.coords if hasattr(v, "coords") else tuple(Fraction(x) for x in v)
-        val = sum(c * x for c, x in zip(ineq.coeffs, coords) if c)
-        if val > ineq.bound:
-            raise ValueError("inequality is violated by a vertex; not supporting")
-        if val == ineq.bound:
-            tight.append(coords)
-    if not tight:
+    mat, den = linalg.integer_rows(vertices)
+    *coeffs, bound = linalg.clear_denominators([*ineq.coeffs, ineq.bound])
+    slack = linalg.slack_matrix([coeffs], [den * bound], mat)[0]
+    if (slack < 0).any():
+        raise ValueError("inequality is violated by a vertex; not supporting")
+    tight = slack == 0
+    if not tight.any():
         raise ValueError("inequality touches no vertex; not supporting")
-    mat = [linalg.clear_denominators(list(v)) for v in tight]
-    return len(tight), linalg.int_rank(mat)
+    return int(tight.sum()), linalg.int_rank(mat[tight])
 
 
 def nosignaling_max(ineq: Inequality) -> Fraction:

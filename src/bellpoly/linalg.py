@@ -5,12 +5,14 @@ saturation ranks, hyperplane normals) reduces to Gaussian elimination over
 exact numbers.  Rationals are `fractions.Fraction`; a matrix is any sequence
 of equal-length rows of Fractions or ints.
 
-Rank-type questions are answered by clearing denominators row by row and
+Rank-type questions are answered by clearing denominators and
 eliminating over the integers (fraction-free, rows divided by their gcd so
-entries stay small).  ``int_rank`` is the one kernel: a vectorized numpy
-loop that runs in int64 behind a certified overflow guard and, the first
-time the guard would trip, converts its working array to Python integers
-and carries on from the same column, so the rank is exact for any input.
+entries stay small).  ``int_rank`` is the one rank kernel: a vectorized
+numpy loop that runs in int64 behind a certified overflow guard and, the
+first time the guard would trip, converts its working array to Python
+integers and carries on from the same column, so the rank is exact for any
+input.  ``slack_matrix`` is the one check of inequalities against vertices,
+``bound - coeffs.v`` for every pair, behind the same guard.
 """
 
 from __future__ import annotations
@@ -46,6 +48,55 @@ def gcd_reduce(row: list[int]) -> list[int]:
     return row
 
 
+def _peak(a: np.ndarray) -> int:
+    """Largest absolute entry (0 for an empty array)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _int_array(rows, ndim: int = 2) -> np.ndarray:
+    """A fresh integer array: int64 when every entry is below OVERFLOW_LIMIT,
+    Python ints (dtype object) otherwise."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
+        a = rows.astype(np.int64)
+    else:
+        # through object first, so entries in [2^63, 2^64) never become uint64
+        a = np.array(rows, dtype=object)
+    if a.size and a.ndim != ndim:
+        raise ValueError("ragged matrix")
+    if _peak(a) < OVERFLOW_LIMIT:
+        return a.astype(np.int64, copy=False)
+    return np.frompyfunc(int, 1, 1)(a)  # numpy scalars among the entries would overflow
+
+
+def integer_rows(rows) -> tuple[np.ndarray, int]:
+    """Rational rows as one integer matrix M and a positive common
+    denominator den with rows == M / den.
+
+    Rows are vectors of Fractions or ints, objects with .coords, or an
+    integer ndarray (den 1).
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
+        return _int_array(rows), 1
+    rows = [tuple(v.coords if hasattr(v, "coords") else v) for v in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row if isinstance(x, Fraction)))
+    return _int_array([[int(x * den) for x in row] for row in rows]), den
+
+
+def slack_matrix(coeffs, bounds, vertices) -> np.ndarray:
+    """bounds[:, None] - coeffs @ vertices.T, exactly, for integer
+    inequality rows, their integer bounds and an integer vertex matrix.
+
+    int64 when max|b| + width * max|a| * max|v|, a bound on every partial
+    sum, stays under OVERFLOW_LIMIT; Python ints (dtype object) otherwise.
+    """
+    v = _int_array(vertices)
+    a = _int_array(coeffs).reshape(-1, v.shape[1])
+    b = _int_array(bounds, ndim=1)
+    if _peak(b) + v.shape[1] * _peak(a) * _peak(v) >= OVERFLOW_LIMIT:
+        a, b, v = (x.astype(object) for x in (a, b, v))
+    return b[:, None] - a @ v.T
+
+
 def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact rank of an integer matrix by fraction-free elimination.
 
@@ -54,19 +105,9 @@ def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
     rows eliminated so far.  On object arrays every updated row is divided
     by its gcd.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
-        a = rows.astype(np.int64)
-    else:
-        # through object first, so entries in [2^63, 2^64) never become uint64
-        a = np.array(rows, dtype=object)
+    a = _int_array(rows)
     if a.size == 0:
         return 0
-    if a.ndim != 2:
-        raise ValueError("ragged matrix")
-    if max(int(a.max()), -int(a.min())) < OVERFLOW_LIMIT:
-        a = a.astype(np.int64, copy=False)
-    else:
-        a = np.frompyfunc(int, 1, 1)(a)  # numpy scalars among the entries would overflow
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
@@ -106,16 +147,7 @@ def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
 
 def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank of a rational matrix (empty matrix has rank 0)."""
-    rows = list(matrix)
-    if not rows:
-        return 0
-    width = len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("ragged matrix")
-    if width == 0:
-        return 0
-    return int_rank([clear_denominators(row) for row in rows])
+    return int_rank(integer_rows(matrix)[0])
 
 
 def affine_dim(points: Sequence[Sequence[Fraction | int]]) -> int:

@@ -26,6 +26,7 @@ from .correlators import (
     projected_generators,
 )
 from .facets import canonicalize, nosignaling_max, standard_equations  # noqa: F401 (re-exported)
+from .linalg import integer_rows, slack_matrix
 from .lp import lp_max
 from .scenario import (
     BLOCKS,
@@ -37,10 +38,9 @@ from .scenario import (
     generator,
     is_normalized,
     is_nosignaling,
-    strategy_values,
     uniform_behavior,
 )
-from .symmetry import equivalent
+from .symmetry import equivalent, space_vertices
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,11 @@ class MembershipResult:
 
 
 def local_max(ineq: Inequality) -> Fraction:
-    """Exact maximum over the (projected) generators."""
-    if ineq.space == "behavior":
-        return max(strategy_values(ineq.coeffs, ineq.d))
-    if ineq.space == "correlator":
-        return max(evaluate(ineq, g) for g in projected_generators(ineq.d))
-    raise ValueError(f"no generators for space {ineq.space!r}")
+    """Exact maximum over the (projected) generators: minus the least
+    entry of the slack row 0 - coeffs.v, over the common denominator."""
+    coeffs, den = integer_rows([ineq.coeffs])
+    slack = slack_matrix(coeffs, [0], space_vertices(ineq.space, ineq.d))
+    return Fraction(-int(slack.min()), den)
 
 
 def _decompose(query, columns, labels, uniform, space: str, d: int) -> MembershipResult:

@@ -200,13 +200,14 @@ def apply_inequality(op: SymmetryOp, ineq: Inequality) -> Inequality:
 
 
 @lru_cache(maxsize=None)
-def _vertex_ones(space: str, d: int) -> np.ndarray:
-    """The coordinates of the four unit entries of every vertex, one row each."""
-    if space == "behavior":
-        return np.nonzero(generator_matrix(d))[1].reshape(-1, 4)
-    if space == "correlator":
-        return np.nonzero(projected_generator_matrix(d))[1].reshape(-1, 4)
-    raise ValueError(f"no vertices for space {space!r}")
+def space_vertices(space: str, d: int) -> np.ndarray:
+    """The vertices of a space as one read-only 0/1 integer matrix: the
+    generators, or the projected generators."""
+    if space not in ("behavior", "correlator"):
+        raise ValueError(f"no vertices for space {space!r}")
+    mat = generator_matrix(d) if space == "behavior" else projected_generator_matrix(d)
+    mat.flags.writeable = False
+    return mat
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +220,7 @@ def _vertex_perms(space: str, d: int) -> np.ndarray:
     being vertex k's.  Vertices are looked up by a mixed-radix code with one
     digit per block: the position of the block's unit entry.
     """
-    ones = _vertex_ones(space, d)
+    ones = np.nonzero(space_vertices(space, d))[1].reshape(-1, 4)  # unit coordinates per vertex
     width = d * d if space == "behavior" else d
     coord = np.arange(4 * width)
     digit = (coord % width) * width ** (coord // width)
@@ -232,14 +233,12 @@ def _vertex_perms(space: str, d: int) -> np.ndarray:
 def slack(ineq: Inequality) -> np.ndarray:
     """bound - coeffs.v over the vertices of the space, as coprime integers.
 
-    int64 when every entry fits, Python ints (dtype object) otherwise.  A
-    constant slack means the inequality is an equation on the affine hull,
-    which has no class: ValueError.
+    One row of linalg.slack_matrix: int64 when every entry fits, Python
+    ints (dtype object) otherwise.  A constant slack means the inequality
+    is an equation on the affine hull, which has no class: ValueError.
     """
-    ints = linalg.clear_denominators([*ineq.coeffs, ineq.bound])
-    # an entry sums five of these, so below 2**60 int64 cannot overflow
-    vec = np.array(ints, dtype=np.int64 if max(map(abs, ints)) < 2**60 else object)
-    s = vec[-1] - vec[_vertex_ones(ineq.space, ineq.d)].sum(axis=1)
+    *coeffs, bound = linalg.clear_denominators([*ineq.coeffs, ineq.bound])
+    s = linalg.slack_matrix([coeffs], [bound], space_vertices(ineq.space, ineq.d))[0]
     if (s == s[0]).all():
         raise ValueError("constant slack: the inequality is an equation on the affine hull")
     return s // np.gcd.reduce(s)

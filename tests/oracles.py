@@ -1,8 +1,11 @@
 """Independent reference computations used to check the main code paths.
 
 Nothing here calls the algorithms it is meant to check: vertices of the
-no-signaling polytope come from basic-solution enumeration, facets of the
-d=2 correlator polytope from hyperplanes through vertex subsets, symmetry
+no-signaling polytope are written out and checked vertex by vertex (only
+their completeness is read off the package's facet enumeration, which the
+subset oracle below checks on its own), slack values come from one
+Fraction dot product per vertex, facets of the d=2 correlator polytope
+from hyperplanes through vertex subsets, symmetry
 classes from Fraction orbits in a fixed gauge (the library compares
 integer slack vectors instead), LP results from a Fraction tableau (the
 library pivots over integers), and the reductions are hardcoded rather
@@ -18,24 +21,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from bellpoly.lp import LPResult
-
-
-def solve_exact(rows, rhs):
-    """Unique solution of a square rational system, or None if singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def row_reduce(rows):
@@ -59,33 +44,64 @@ def row_reduce(rows):
     return rows[:r], pivots
 
 
+def _behavior_d2(entry) -> tuple[Fraction, ...]:
+    """The d=2 behavior with P(k, s | a, b) = entry(a, b, k, s), settings
+    and outcomes counted from 0, in the package's coordinate order."""
+    return tuple(
+        Fraction(entry(a, b, k, s))
+        for a, b, k, s in itertools.product(range(2), repeat=4)
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def nosignaling_vertices(d: int) -> tuple:
-    """All vertices of the no-signaling polytope by basic-solution search.
+    """The 24 vertices of the d=2 no-signaling polytope, written out.
 
-    The polytope is {x >= 0, A x = b}; its vertices are the feasible basic
-    solutions: pick rank-many columns, solve, keep nonnegative solutions.
-    Exponential, meant for d=2 only, and cached: several tests use it.
+    The 16 deterministic strategies and the 8 PR boxes, k xor s = a*b xor
+    alpha*a xor beta*b xor gamma with probability 1/2 each.  Checked here
+    against their defining properties: each point is feasible, each is a
+    vertex (with the equations, its zero coordinates have full rank 16),
+    the points are distinct, and the list is complete, because the facets
+    of their hull are exactly the 16 positivity constraints.
     """
+    from bellpoly.facets import VRep, enumerate_facets
     from bellpoly.scenario import Scenario, constraint_matrix
 
-    rows, rhs = constraint_matrix(Scenario(d))
-    red, pivots = row_reduce([row + [b] for row, b in zip(rows, rhs)])
-    sys_rows = [row[:-1] for row in red]
-    sys_rhs = [row[-1] for row in red]
-    m = len(sys_rows)
-    n = len(sys_rows[0])
-    verts = set()
-    for basis in itertools.combinations(range(n), m):
-        sub = [[row[j] for j in basis] for row in sys_rows]
-        sol = solve_exact(sub, sys_rhs)
-        if sol is None or any(x < 0 for x in sol):
-            continue
-        full = [Fraction(0)] * n
-        for j, x in zip(basis, sol):
-            full[j] = x
-        verts.add(tuple(full))
-    return tuple(sorted(verts))
+    if d != 2:
+        raise ValueError("the written-out vertex list is for d=2")
+    points = [
+        _behavior_d2(lambda a, b, k, s, lam=lam: k == lam[a] and s == lam[2 + b])
+        for lam in itertools.product(range(2), repeat=4)
+    ] + [
+        _behavior_d2(
+            lambda a, b, k, s, box=box: Fraction(k ^ s == (a & b) ^ (box[0] & a) ^ (box[1] & b) ^ box[2], 2)
+        )
+        for box in itertools.product(range(2), repeat=3)
+    ]
+    rows, rhs = constraint_matrix(Scenario(2))
+    for p in points:
+        assert min(p) >= 0
+        assert [sum(c * x for c, x in zip(row, p)) for row in rows] == rhs
+        tight = [[int(i == j) for j in range(16)] for i in range(16) if p[i] == 0]
+        assert len(row_reduce(rows + tight)[1]) == 16
+    assert len(set(points)) == 24
+    hull = enumerate_facets(VRep(16, tuple(points)))
+    zero_sets = {frozenset(p for p in points if p[i] == 0) for i in range(16)}
+    facet_sets = {
+        frozenset(p for p in points if sum(c * x for c, x in zip(q.coeffs, p)) == q.bound)
+        for q in hull.facets
+    }
+    assert hull.reduced_dim == 8 and len(hull.facets) == 16 and facet_sets == zero_sets
+    return tuple(sorted(points))
+
+
+def fraction_slack(coeffs, bound, vertices) -> list[Fraction]:
+    """bound - coeffs.v at every vertex, one Fraction dot product each: the
+    loop that linalg.slack_matrix replaced in the package."""
+    return [
+        Fraction(bound) - sum((Fraction(c) * x for c, x in zip(coeffs, v)), Fraction(0))
+        for v in vertices
+    ]
 
 
 def _canonical_int(coeffs, bound):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +132,40 @@ def test_classify_flags_bad_inequality(tmp_path, capsys):
     assert code == 1
     assert not data["ok"]
     assert not data["facets"][0]["supporting"]
+
+
+def test_enumerate_4_matches_reference_list(capsys):
+    # the d=4 correlator list the benchmark checks its classify inputs against
+    reference = Path(__file__).parents[1] / "perfbench" / "data" / "corr_facets_d4.json"
+    code, out = run(capsys, "enumerate", "4", "--space", "corr")
+    assert code == 0
+    assert out == reference.read_text() + "\n"
+
+
+def _classify_error(tmp_path, capsys, doc):
+    path = tmp_path / "facets.json"
+    path.write_text(json.dumps(doc))
+    code = main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: bad facet list: ")
+    return captured.err
+
+
+def test_classify_rejects_d_below_2(tmp_path, capsys):
+    doc = {"space": "correlator", "d": 1, "facets": [{"coeffs": [1, 0, 0, 0], "bound": 1}]}
+    assert "d >= 2" in _classify_error(tmp_path, capsys, doc)
+
+
+def test_classify_rejects_wrong_coefficient_count(tmp_path, capsys):
+    doc = {"space": "correlator", "d": 2, "facets": [{"coeffs": [1, -1, 1, -1, -1, 1], "bound": 2}]}
+    assert "6 coefficients, not 8" in _classify_error(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("coeffs,bound", [([1, 1, 0, 0, 0, 0, 0, 0], 1), ([0] * 8, 0)])
+def test_classify_rejects_equations_on_the_hull(tmp_path, capsys, coeffs, bound):
+    doc = {"space": "correlator", "d": 2, "facets": [{"coeffs": coeffs, "bound": bound}]}
+    assert "constant slack" in _classify_error(tmp_path, capsys, doc)
 
 
 def test_budget_exhaustion_reports_incomplete(capsys):

@@ -1,12 +1,15 @@
 import importlib.resources as resources
+import itertools
 import json
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from bellpoly import facets as facets_module
 from bellpoly.cglmp import cglmp_inequality
 from bellpoly.correlators import (
     cglmp_corr_inequality,
@@ -211,6 +214,49 @@ def test_budget_exhaustion_returns_verified_subset():
     assert not hrep.complete
     full = enumerate_facets(vrep_of(gens), space="correlator", d=3)
     assert set(hrep.facets) <= set(full.facets)
+
+
+def _with_extra_ray(monkeypatch, complete):
+    """Make DD report one more ray: the reverse of its first one, which
+    every vertex off that facet violates."""
+    real = facets_module.dd_extreme_rays
+
+    def dd(*args, **kwargs):
+        rays, _ = real(*args, **kwargs)
+        return rays + [tuple(-x for x in rays[0])], complete
+
+    monkeypatch.setattr(facets_module, "dd_extreme_rays", dd)
+
+
+def test_invalid_ray_fails_a_complete_run(monkeypatch):
+    _with_extra_ray(monkeypatch, complete=True)
+    with pytest.raises(AssertionError, match="violated by an input vertex"):
+        enumerate_facets(vrep_of(projected_generators(2)), space="correlator", d=2)
+
+
+def test_invalid_ray_is_dropped_from_a_partial_run(monkeypatch):
+    gens = projected_generators(2)
+    full = enumerate_facets(vrep_of(gens), space="correlator", d=2)
+    _with_extra_ray(monkeypatch, complete=False)
+    partial = enumerate_facets(vrep_of(gens), space="correlator", d=2)
+    assert not partial.complete
+    assert partial.facets == full.facets
+
+
+def test_mid_run_expiry_returns_facets_only(monkeypatch):
+    # a clock that ticks once per deadline check: deadline k expires at the
+    # k-th check, so every stage of the run is cut once
+    gens = projected_generators(3)
+    full = set(enumerate_facets(vrep_of(gens), space="correlator", d=3).facets)
+    sizes = []
+    for k in range(len(gens)):
+        ticks = itertools.count()
+        monkeypatch.setattr(facets_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        hrep = enumerate_facets(vrep_of(gens), space="correlator", d=3, deadline=k)
+        assert set(hrep.facets) <= full
+        if not hrep.complete:
+            sizes.append(len(hrep.facets))
+    assert any(0 < n < len(full) for n in sizes)
 
 
 def test_dd_rejects_nonspanning_input():
