@@ -35,6 +35,7 @@ import numpy as np
 
 from . import linalg
 from .scenario import (
+    BLOCKS,
     DeterministicStrategy,
     Inequality,
     Scenario,
@@ -42,7 +43,6 @@ from .scenario import (
     check_strategy,
     coord_index,
     generator_rows,
-    strategy_values,
 )
 
 
@@ -107,6 +107,19 @@ def eval_on_generator(lam: DeterministicStrategy, d: int) -> Fraction:
     return sum(f_value(x, d) for x in v)
 
 
+def _case_branches(d: int) -> dict[tuple[int, int], str]:
+    """(number of negatives, r+s+t+u) -> case tag."""
+    return {
+        (0, d - 1): "case1",
+        (1, d - 1): "case2a",
+        (1, -1): "case2b",
+        (2, -1): "case3",
+        (3, -1): "case4a",
+        (3, -d - 1): "case4b",
+        (4, -d - 1): "case5",
+    }
+
+
 def classify_case(v: RSTU, d: int) -> CaseClass:
     lo, hi = window_bounds(d)
     if not all(lo <= x <= hi for x in v):
@@ -116,16 +129,7 @@ def classify_case(v: RSTU, d: int) -> CaseClass:
         raise ValueError(f"{v} violates the sum constraint for d={d}")
     neg = sum(1 for x in v if x < 0)
     value = Fraction(sum(_f_scaled(x, d) for x in v), d - 1)
-    branches = {
-        (0, d - 1): "case1",
-        (1, d - 1): "case2a",
-        (1, -1): "case2b",
-        (2, -1): "case3",
-        (3, -1): "case4a",
-        (3, -d - 1): "case4b",
-        (4, -d - 1): "case5",
-    }
-    tag = branches.get((neg, total))
+    tag = _case_branches(d).get((neg, total))
     if tag is None:
         raise ValueError(f"{v} matches no sign/sum case for d={d}")
     return CaseClass(tag=tag, negatives=neg, total=total, value=value)
@@ -183,12 +187,53 @@ class Condition1Report:
     case_histogram: dict[str, int]
 
 
+def _rstu_arrays(grid: np.ndarray, d: int) -> np.ndarray:
+    """rstu of every strategy in a 4 x n array (a1, a2, b1, b2) as a 4 x n array."""
+    a1, a2, b1, b2 = grid
+    return np.stack([
+        center_mod(a1 - b1, d),
+        center_mod(-a1 + b2, d),
+        center_mod(-a2 + b1 - 1, d),
+        center_mod(a2 - b2, d),
+    ])
+
+
+def _case_codes(v: np.ndarray, d: int) -> np.ndarray:
+    """Case of every column of a 4 x n rstu array, as its position in
+    _case_branches(d); -1 where no sign/sum case matches (classify_case
+    would refuse it)."""
+    neg = (v < 0).sum(axis=0)
+    total = v.sum(axis=0)
+    codes = np.full(total.shape, -1)
+    for code, (n, t) in enumerate(_case_branches(d)):
+        codes[(neg == n) & (total == t)] = code
+    return codes
+
+
+def _check_generator(lam: DeterministicStrategy, by_coeff: int, d: int) -> None:
+    """The checks verify_condition1 makes on one strategy, in order; raises
+    on the first that fails."""
+    scale = d - 1
+    v = rstu(lam, d)
+    by_f = sum(_f_scaled(x, d) for x in v)
+    if by_f != by_coeff:
+        raise VerificationError(
+            f"coefficient form and f form disagree on {lam}: "
+            f"{Fraction(by_coeff, scale)} vs {Fraction(by_f, scale)}"
+        )
+    if by_f not in (2 * scale, -2, -2 * (d + 1)):
+        raise VerificationError(f"{lam} evaluates to {Fraction(by_f, scale)}, outside the value set")
+    classify_case(v, d)
+
+
 def verify_condition1(d: int) -> Condition1Report:
     """Evaluate I_d on every generator by both forms and check everything.
 
-    Both evaluations run in integers scaled by d-1.  Any disagreement
-    between the forms, any value outside {2, -2/(d-1), -2(d+1)/(d-1)}, or a
-    maximum different from 2 raises VerificationError naming the strategy.
+    Both evaluations run in integers scaled by d-1, as numpy arrays over
+    all d^4 strategies in all_strategies order.  Any disagreement between
+    the forms, any value outside {2, -2/(d-1), -2(d+1)/(d-1)}, or a maximum
+    different from 2 raises VerificationError naming the first offending
+    strategy, with the message the one-strategy check gives.
     """
     ineq = cglmp_inequality(d)
     scale = d - 1
@@ -196,34 +241,33 @@ def verify_condition1(d: int) -> Condition1Report:
     if any(c.denominator != 1 for c in coeffs_scaled):
         raise AssertionError("scaled coefficients must be integers")
     cs = [int(c) for c in coeffs_scaled]
-    allowed = {2 * scale, -2, -2 * (d + 1)}
-    hist: dict[int, int] = {}
-    cases: dict[str, int] = {}
-    best = None
-    for lam, by_coeff in zip(all_strategies(Scenario(d)), strategy_values(cs, d)):
-        v = rstu(lam, d)
-        by_f = sum(_f_scaled(x, d) for x in v)
-        if by_f != by_coeff:
-            raise VerificationError(
-                f"coefficient form and f form disagree on {lam}: "
-                f"{Fraction(by_coeff, scale)} vs {Fraction(by_f, scale)}"
-            )
-        if by_f not in allowed:
-            raise VerificationError(f"{lam} evaluates to {Fraction(by_f, scale)}, outside the value set")
-        hist[by_f] = hist.get(by_f, 0) + 1
-        tag = classify_case(v, d).tag
-        cases[tag] = cases.get(tag, 0) + 1
-        if best is None or by_f > best:
-            best = by_f
+    cs = np.array(cs, dtype=np.int64 if max(map(abs, cs)) < linalg.OVERFLOW_LIMIT // 4 else object)
+    grid = np.indices((d,) * 4).reshape(4, -1)
+    a1, a2, b1, b2 = grid
+    o11, o12, o21, o22 = (coord_index(d, a, b, 0, 0) for a, b in BLOCKS)
+    by_coeff = cs[o11 + a1 * d + b1] + cs[o12 + a1 * d + b2] + cs[o21 + a2 * d + b1] + cs[o22 + a2 * d + b2]
+    v = _rstu_arrays(grid, d)
+    by_f = np.where(v >= 0, -2 * v + (d - 1), -2 * v - (d + 1)).sum(axis=0)
+    cases = _case_codes(v, d)
+    bad = (by_f != by_coeff) | ~np.isin(by_f, (2 * scale, -2, -2 * (d + 1))) | (cases < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        lam = DeterministicStrategy(*(int(x) for x in grid[:, i]))
+        _check_generator(lam, int(by_coeff[i]), d)
+        raise AssertionError(f"the sweep and the one-strategy check disagree on {lam}")
+    best = int(by_f.max())
     if best != 2 * scale:
         raise VerificationError(f"maximum over generators is {Fraction(best, scale)}, not 2")
-    histogram = {Fraction(k, scale): n for k, n in sorted(hist.items(), reverse=True)}
+    values, counts = np.unique(by_f, return_counts=True)
+    histogram = {Fraction(int(k), scale): int(n) for k, n in sorted(zip(values, counts), reverse=True)}
+    codes, code_counts = np.unique(cases, return_counts=True)
+    tags = list(_case_branches(d).values())
     return Condition1Report(
         d=d,
         total=d**4,
         max_value=Fraction(2),
         histogram=histogram,
-        case_histogram=dict(sorted(cases.items())),
+        case_histogram=dict(sorted((tags[c], int(n)) for c, n in zip(codes, code_counts))),
     )
 
 
@@ -242,15 +286,18 @@ def saturating_generators(d: int) -> list[DeterministicStrategy]:
     return by_value
 
 
+def _saturating_mask(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """All strategies as a 4 x d^4 array in all_strategies order, and the
+    mask of the saturating ones (case1 and case2b)."""
+    grid = np.indices((d, d, d, d)).reshape(4, -1)
+    codes = _case_codes(_rstu_arrays(grid, d), d)
+    tags = list(_case_branches(d).values())
+    return grid, (codes == tags.index("case1")) | (codes == tags.index("case2b"))
+
+
 def _saturating_matrix(d: int) -> np.ndarray:
     """0/1 behavior rows of all saturating generators, vectorized."""
-    grid = np.indices((d, d, d, d)).reshape(4, -1)
-    a1, a2, b1, b2 = grid
-    r, s = center_mod(a1 - b1, d), center_mod(-a1 + b2, d)
-    t, u = center_mod(-a2 + b1 - 1, d), center_mod(a2 - b2, d)
-    neg = (r < 0).astype(int) + (s < 0).astype(int) + (t < 0).astype(int) + (u < 0).astype(int)
-    tot = r + s + t + u
-    mask = ((neg == 0) & (tot == d - 1)) | ((neg == 1) & (tot == -1))
+    grid, mask = _saturating_mask(d)
     return generator_rows(d, grid[:, mask])
 
 
@@ -267,9 +314,27 @@ class TightnessReport:
 
 
 def tightness_rank(d: int) -> TightnessReport:
-    """Rank of the saturating generators; tight means it reaches 4d(d-1)."""
-    mat = _saturating_matrix(d)
-    return TightnessReport(d=d, h=4 * d * (d - 1), saturating=mat.shape[0], rank=linalg.int_rank(mat))
+    """Rank of the saturating generators; tight means it reaches 4d(d-1).
+
+    Every generator satisfies the normalization and no-signalling system,
+    whose solutions form an affine space of dimension h = 4d(d-1) that
+    misses the origin; the saturating ones also lie on the hyperplane
+    I_d = 2, which cuts that space since not every generator saturates.
+    So their linear rank is at most h, and the witness strategies, each
+    checked to be saturating, reaching rank h proves the rank is h.  The
+    whole saturating matrix is ranked only when the witness falls short,
+    so a report that is not tight still carries the true rank.
+    """
+    h = 4 * d * (d - 1)
+    _, mask = _saturating_mask(d)
+    try:
+        strategies = [lam for step in _checked_steps(d) for lam in step.strategies]
+        rank = linalg.int_rank(generator_rows(d, np.array(strategies, dtype=np.int64).reshape(-1, 4).T))
+    except WitnessError:
+        rank = None
+    if rank != h:
+        rank = linalg.int_rank(_saturating_matrix(d))
+    return TightnessReport(d=d, h=h, saturating=int(mask.sum()), rank=rank)
 
 
 # --- staged witness -------------------------------------------------------
@@ -395,14 +460,22 @@ def _pattern_strategy(pattern: tuple[int, int, int, int], first: int, d: int) ->
     return DeterministicStrategy(a1, a2, b1, b2)
 
 
-def _witness_vector(pattern: tuple[int, int, int, int], first: int, d: int) -> tuple[int, ...]:
+def _witness_support(pattern: tuple[int, int, int, int], first: int, d: int) -> tuple[int, ...]:
+    """The four coordinates at which a witness vector is 1."""
     r, s, t, u = pattern
     a1 = first % d
+    return (
+        coord_index(d, 1, 1, a1, r % d),
+        coord_index(d, 1, 2, a1, s % d),
+        coord_index(d, 2, 1, (a1 - r) % d, t % d),
+        coord_index(d, 2, 2, (a1 + s) % d, u % d),
+    )
+
+
+def _witness_vector(pattern: tuple[int, int, int, int], first: int, d: int) -> tuple[int, ...]:
     vec = [0] * (4 * d * d)
-    vec[coord_index(d, 1, 1, a1, r % d)] = 1
-    vec[coord_index(d, 1, 2, a1, s % d)] = 1
-    vec[coord_index(d, 2, 1, (a1 - r) % d, t % d)] = 1
-    vec[coord_index(d, 2, 2, (a1 + s) % d, u % d)] = 1
+    for j in _witness_support(pattern, first, d):
+        vec[j] = 1
     return tuple(vec)
 
 
@@ -430,25 +503,24 @@ def _example2_minor(scheme: str, params: tuple[int, ...], d: int) -> list[list[i
     return rows
 
 
-def constructive_witness(d: int) -> list[WitnessBatch]:
-    """Build and verify the d-1 staged batches of 4d saturating vectors.
+class _CheckedStep(NamedTuple):
+    step_index: int
+    scheme: str
+    params: tuple[int, ...]
+    patterns: list[tuple[int, int, int, int]]
+    strategies: list[DeterministicStrategy]
+    supports: list[tuple[int, ...]]  # the ones of each permuted-frame vector
 
-    Every vector is checked to be a saturating generator, every example-2
-    style step is checked to have a nonsingular 4x4 key minor, and the rank
-    of the batches so far is required to grow by exactly 4d per batch,
-    ending at 4d(d-1).  Raises WitnessError naming the first failing step
-    otherwise.
-    """
-    if d < 2:
-        raise ValueError("need d >= 2")
+
+def _checked_steps(d: int):
+    """The witness steps in order, every vector checked to be a saturating
+    generator and every example-2 style step to have a nonsingular 4x4 key
+    minor; raises WitnessError at the first step that fails a check."""
     lo, hi = window_bounds(d)
-    prefix: list[np.ndarray] = []
-    rank = 0
-    batches: list[WitnessBatch] = []
     for step_index, (scheme, params) in enumerate(witness_steps(d)):
         patterns = scheme_patterns(scheme, params)
         strategies: list[DeterministicStrategy] = []
-        vectors: list[tuple[int, ...]] = []
+        supports: list[tuple[int, ...]] = []
         for pattern in patterns:
             if not all(lo <= x <= hi for x in pattern):
                 raise WitnessError(f"step {step_index}: pattern {pattern} leaves the window for d={d}")
@@ -459,29 +531,64 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
                 if classify_case(RSTU(*pattern), d).value != 2:
                     raise WitnessError(f"step {step_index}: pattern {pattern} is not saturating")
                 strategies.append(lam)
-                vectors.append(_witness_vector(pattern, first, d))
+                supports.append(_witness_support(pattern, first, d))
         if scheme in (SCHEME_EXAMPLE2, SCHEME_EXAMPLE2_VARIANT):
             minor = _example2_minor(scheme, params, d)
             if linalg.int_rank(minor) != 4:
                 raise WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
-        prefix.append(np.array(vectors, dtype=np.int64))
-        before, rank = rank, linalg.int_rank(np.vstack(prefix))
+        yield _CheckedStep(step_index, scheme, params, patterns, strategies, supports)
+
+
+def constructive_witness(d: int) -> list[WitnessBatch]:
+    """Build and verify the d-1 staged batches of 4d saturating vectors.
+
+    Every vector is checked to be a saturating generator, every example-2
+    style step is checked to have a nonsingular 4x4 key minor, and the rank
+    of the batches so far is required to grow by exactly 4d per batch,
+    ending at 4d(d-1).  Raises WitnessError naming the first failing step
+    otherwise.
+
+    One elimination serves every prefix: with the vectors as the columns
+    of one matrix, the pivot columns below the end of a batch count the
+    rank of the batches up to it.
+    """
+    if d < 2:
+        raise ValueError("need d >= 2")
+    steps: list[_CheckedStep] = []
+    error = None
+    try:
+        for step in _checked_steps(d):
+            steps.append(step)
+    except WitnessError as exc:  # raised after the steps before it are ranked
+        error = exc
+    supports = [sup for step in steps for sup in step.supports]
+    stack = np.zeros((4 * d * d, len(supports)), dtype=np.int8)
+    stack[np.array(supports, dtype=np.int64).reshape(-1, 4).T, np.arange(len(supports))] = 1
+    pivots = np.array(linalg.pivot_columns(stack), dtype=np.int64)
+    rank = 0
+    end = 0
+    batches: list[WitnessBatch] = []
+    for step in steps:
+        start, end = end, end + len(step.supports)
+        before, rank = rank, int(np.searchsorted(pivots, end))
         if rank != before + 4 * d:
             raise WitnessError(
-                f"step {step_index} ({scheme} {params}) raised the rank by "
+                f"step {step.step_index} ({step.scheme} {step.params}) raised the rank by "
                 f"{rank - before}, expected {4 * d}"
             )
         batches.append(
             WitnessBatch(
-                step_index=step_index,
-                scheme=scheme,
-                params=tuple(params),
-                patterns=tuple(patterns),
-                strategies=tuple(strategies),
-                vectors=tuple(vectors),
+                step_index=step.step_index,
+                scheme=step.scheme,
+                params=tuple(step.params),
+                patterns=tuple(step.patterns),
+                strategies=tuple(step.strategies),
+                vectors=tuple(map(tuple, stack[:, start:end].T.tolist())),
                 rank_after=rank,
             )
         )
+    if error is not None:
+        raise error
     if rank != 4 * d * (d - 1):
         raise WitnessError(f"witness ends at rank {rank}, expected {4 * d * (d - 1)}")
     return batches

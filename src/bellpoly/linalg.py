@@ -11,7 +11,8 @@ entries stay small).  ``int_rank`` is the one rank kernel: a vectorized
 numpy loop that runs in int64 behind a certified overflow guard and, the
 first time the guard would trip, converts its working array to Python
 integers and carries on from the same column, so the rank is exact for any
-input.  ``slack_matrix`` is the one check of inequalities against vertices,
+input; ``pivot_columns`` is the same loop and also reports where the rank
+grows.  ``slack_matrix`` is the one check of inequalities against vertices,
 ``bound - coeffs.v`` for every pair, behind the same guard.
 """
 
@@ -79,7 +80,10 @@ def integer_rows(rows) -> tuple[np.ndarray, int]:
         return _int_array(rows), 1
     rows = [tuple(v.coords if hasattr(v, "coords") else v) for v in rows]
     den = math.lcm(*(x.denominator for row in rows for x in row if isinstance(x, Fraction)))
-    return _int_array([[int(x * den) for x in row] for row in rows]), den
+    return _int_array([
+        [x.numerator * (den // x.denominator) if isinstance(x, Fraction) else int(x * den) for x in row]
+        for row in rows
+    ]), den
 
 
 def slack_matrix(coeffs, bounds, vertices) -> np.ndarray:
@@ -97,9 +101,12 @@ def slack_matrix(coeffs, bounds, vertices) -> np.ndarray:
     return b[:, None] - a @ v.T
 
 
-def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination.
+def pivot_columns(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
+    """Pivot columns of an integer matrix under fraction-free elimination.
 
+    Columns are eliminated left to right, so column c is a pivot exactly
+    when it is not in the span of the columns before it: the pivots below
+    k count the rank of the first k columns, and there are rank-many.
     The working array is int64 while the overflow guard holds and switches
     to Python ints (dtype object) the first time it would trip, keeping the
     rows eliminated so far.  On object arrays every updated row is divided
@@ -107,8 +114,9 @@ def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
     """
     a = _int_array(rows)
     if a.size == 0:
-        return 0
+        return []
     nrows, ncols = a.shape
+    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -141,8 +149,14 @@ def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
                 g[g == 0] = 1
                 sub //= g[:, None]
             a[idx] = sub
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
+
+
+def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
+    """Exact rank of an integer matrix: its number of pivot columns."""
+    return len(pivot_columns(rows))
 
 
 def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:

@@ -226,10 +226,22 @@ def is_probability(p: Behavior) -> bool:
 
 
 def polytope_affine_dim(s: Scenario) -> int:
-    """Affine dimension of the hull of all d^4 generators."""
-    mat = generator_matrix(s.d)
-    diffs = mat[1:] - mat[0]
-    return linalg.int_rank(diffs)
+    """Affine dimension of the hull of all d^4 generators.
+
+    Every generator solves the normalization and no-signalling system, so
+    the dimension is at most 4d^2 minus its rank.  The spanning strategy
+    grid is a subset of the generators, and the rank of its rows less one
+    is at most the rank of their differences, so at most the dimension.
+    When the two bounds meet that is the answer; otherwise the differences
+    of all d^4 generators are ranked.
+    """
+    d = s.d
+    upper = 4 * d * d - linalg.rank(constraint_matrix(s)[0])
+    grid = np.array(spanning_strategy_grid(d), dtype=np.int64).reshape(-1, 4).T
+    if linalg.int_rank(generator_rows(d, grid)) - 1 == upper:
+        return upper
+    mat = generator_matrix(d)
+    return linalg.int_rank(mat[1:] - mat[0])
 
 
 def spanning_strategy_grid(d: int) -> list[DeterministicStrategy]:

@@ -8,8 +8,11 @@ Fraction dot product per vertex, facets of the d=2 correlator polytope
 from hyperplanes through vertex subsets, symmetry
 classes from Fraction orbits in a fixed gauge (the library compares
 integer slack vectors instead), LP results from a Fraction tableau (the
-library pivots over integers), and the reductions are hardcoded rather
-than borrowed from the library.
+library pivots over integers), the CGLMP tightness rank and polytope
+dimension from the full saturating and d^4-row matrices and the CGLMP
+bound from a strategy-by-strategy loop (the library ranks the explicit
+witness and strategy grid and sweeps the bound with numpy), and the
+reductions are hardcoded rather than borrowed from the library.
 """
 
 from __future__ import annotations
@@ -368,4 +371,79 @@ def fraction_lp_max(
     dual = [flips[i] * (-costrow[art_col[i]]) for i in range(m)]
     return LPResult(
         status="optimal", optimum=objval, primal=tuple(x), dual=tuple(dual)
+    )
+
+
+# --- the CGLMP certificates the long way -------------------------------------
+# The library ranks the explicit witness and the spanning strategy grid and
+# sweeps the bound with numpy; these are the full-matrix ranks and the
+# strategy-by-strategy loop it replaced.
+
+
+def full_tightness_rank(d: int):
+    """TightnessReport with the rank of every saturating generator's row."""
+    import numpy as np
+
+    from bellpoly import cglmp, linalg
+    from bellpoly.scenario import generator_rows
+
+    grid = np.indices((d, d, d, d)).reshape(4, -1)
+    a1, a2, b1, b2 = grid
+    r, s = cglmp.center_mod(a1 - b1, d), cglmp.center_mod(-a1 + b2, d)
+    t, u = cglmp.center_mod(-a2 + b1 - 1, d), cglmp.center_mod(a2 - b2, d)
+    neg = (r < 0).astype(int) + (s < 0).astype(int) + (t < 0).astype(int) + (u < 0).astype(int)
+    tot = r + s + t + u
+    mask = ((neg == 0) & (tot == d - 1)) | ((neg == 1) & (tot == -1))
+    mat = generator_rows(d, grid[:, mask])
+    return cglmp.TightnessReport(d=d, h=4 * d * (d - 1), saturating=mat.shape[0], rank=linalg.int_rank(mat))
+
+
+def full_polytope_affine_dim(d: int) -> int:
+    """Rank of the differences of all d^4 generators."""
+    from bellpoly import linalg
+    from bellpoly.scenario import generator_matrix
+
+    mat = generator_matrix(d)
+    return linalg.int_rank(mat[1:] - mat[0])
+
+
+def loop_verify_condition1(d: int):
+    """verify_condition1 one strategy at a time, in all_strategies order."""
+    from bellpoly import cglmp
+    from bellpoly.scenario import Scenario, all_strategies, strategy_values
+
+    ineq = cglmp.cglmp_inequality(d)
+    scale = d - 1
+    coeffs_scaled = [c * scale for c in ineq.coeffs]
+    if any(c.denominator != 1 for c in coeffs_scaled):
+        raise AssertionError("scaled coefficients must be integers")
+    cs = [int(c) for c in coeffs_scaled]
+    allowed = {2 * scale, -2, -2 * (d + 1)}
+    hist: dict[int, int] = {}
+    cases: dict[str, int] = {}
+    best = None
+    for lam, by_coeff in zip(all_strategies(Scenario(d)), strategy_values(cs, d)):
+        v = cglmp.rstu(lam, d)
+        by_f = sum(cglmp._f_scaled(x, d) for x in v)
+        if by_f != by_coeff:
+            raise cglmp.VerificationError(
+                f"coefficient form and f form disagree on {lam}: "
+                f"{Fraction(by_coeff, scale)} vs {Fraction(by_f, scale)}"
+            )
+        if by_f not in allowed:
+            raise cglmp.VerificationError(f"{lam} evaluates to {Fraction(by_f, scale)}, outside the value set")
+        hist[by_f] = hist.get(by_f, 0) + 1
+        tag = cglmp.classify_case(v, d).tag
+        cases[tag] = cases.get(tag, 0) + 1
+        if best is None or by_f > best:
+            best = by_f
+    if best != 2 * scale:
+        raise cglmp.VerificationError(f"maximum over generators is {Fraction(best, scale)}, not 2")
+    histogram = {Fraction(k, scale): n for k, n in sorted(hist.items(), reverse=True)}
+    return cglmp.Condition1Report(
+        d=d,
+        total=d**4,
+        max_value=Fraction(2),
+        histogram=histogram,
+        case_histogram=dict(sorted(cases.items())),
     )

@@ -1,0 +1,127 @@
+"""The CGLMP certificates from the witness, the strategy grid and the numpy
+sweep, against the full-matrix and per-strategy oracles, the recorded
+stdout of the certify commands, and their fallbacks."""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from bellpoly import cglmp, scenario
+from bellpoly.cli import main
+from bellpoly.scenario import Scenario, polytope_affine_dim
+
+from oracles import full_polytope_affine_dim, full_tightness_rank, loop_verify_condition1
+
+STDOUT = json.loads((Path(__file__).parent / "data" / "certify_stdout_sha256.json").read_text())["stdout"]
+
+ORACLE_DS = [*range(2, 11), *(pytest.param(d, marks=pytest.mark.slow) for d in (11, 12))]
+
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def digest(argv):
+    """Exit code and stdout sha256 of one command, as in the data file."""
+    code, out = run(*argv.split())
+    return {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("d", ORACLE_DS)
+def test_tightness_rank_matches_full_saturating_rank(d):
+    assert cglmp.tightness_rank(d) == full_tightness_rank(d)
+
+
+@pytest.mark.parametrize("d", ORACLE_DS)
+def test_affine_dim_matches_full_generator_rank(d):
+    assert polytope_affine_dim(Scenario(d)) == full_polytope_affine_dim(d)
+
+
+@pytest.mark.parametrize("d", ORACLE_DS)
+def test_verify_condition1_matches_strategy_loop(d):
+    rep = cglmp.verify_condition1(d)
+    want = loop_verify_condition1(d)
+    assert rep == want
+    assert list(rep.histogram.items()) == list(want.histogram.items())
+    assert list(rep.case_histogram.items()) == list(want.case_histogram.items())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(key, marks=pytest.mark.slow) if int(key.split()[1]) > 10 else key for key in STDOUT],
+)
+def test_certify_stdout_is_byte_identical(argv):
+    assert digest(argv) == STDOUT[argv]
+
+
+def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
+    def refuse(d):
+        raise AssertionError("full matrix built")
+
+    monkeypatch.setattr(cglmp, "_saturating_matrix", refuse)
+    monkeypatch.setattr(scenario, "generator_matrix", refuse)
+    for d in range(2, 11):
+        assert cglmp.tightness_rank(d).tight
+        assert polytope_affine_dim(Scenario(d)) == 4 * d * (d - 1)
+
+
+def test_tightness_falls_back_to_full_rank_when_witness_fails(monkeypatch):
+    steps = cglmp.witness_steps(5)
+    monkeypatch.setattr(cglmp, "witness_steps", lambda d: [steps[0], steps[1], steps[1], steps[3]])
+    ranked = []
+    full = cglmp._saturating_matrix
+    monkeypatch.setattr(cglmp, "_saturating_matrix", lambda d: ranked.append(d) or full(d))
+    code, out = run("tightness", "5", "--witness")
+    got = json.loads(out)
+    assert code == 1 and ranked == [5]
+    assert (got["rank"], got["saturating"], got["tight"], got["ok"]) == (80, full_tightness_rank(5).saturating, True, False)
+    assert "step 2" in got["witness_error"] and "raised the rank by 0" in got["witness_error"]
+
+
+def test_tightness_reports_true_rank_when_witness_construction_fails(monkeypatch):
+    def broken(d):
+        raise cglmp.WitnessError("step 0: broken on purpose")
+
+    monkeypatch.setattr(cglmp, "_checked_steps", broken)
+    assert cglmp.tightness_rank(6) == full_tightness_rank(6)
+
+
+def test_dims_falls_back_to_full_matrix(monkeypatch):
+    grid = scenario.spanning_strategy_grid(4)
+    monkeypatch.setattr(scenario, "spanning_strategy_grid", lambda d: grid[: len(grid) // 2])
+    full = scenario.generator_matrix
+    built = []
+    monkeypatch.setattr(scenario, "generator_matrix", lambda d: built.append(d) or full(d))
+    for argv in ("dims 4", "dims 4 --pretty"):
+        assert digest(argv) == STDOUT[argv]
+    assert built == [4, 4]
+
+
+@pytest.mark.parametrize("d,index,delta", [(3, 0, 1), (4, 37, -2), (5, 99, 2**70), (6, 143, Fraction(1, 5))])
+def test_perturbed_coefficient_fails_like_the_loop(monkeypatch, d, index, delta):
+    ineq = cglmp.cglmp_inequality(d)
+    coeffs = list(ineq.coeffs)
+    coeffs[index] += delta
+    monkeypatch.setattr(cglmp, "cglmp_inequality", lambda d: dataclasses.replace(ineq, coeffs=tuple(coeffs)))
+    with pytest.raises(cglmp.VerificationError) as want:
+        loop_verify_condition1(d)
+    with pytest.raises(cglmp.VerificationError) as got:
+        cglmp.verify_condition1(d)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.slow
+def test_certify_commands_at_d32():
+    for argv in ("tightness 32 --witness", "dims 32", "verify-cglmp 32"):
+        code, out = run(*argv.split())
+        got = json.loads(out)
+        assert code == 0 and got["ok"] is True and got.get("tight", True) is True

@@ -79,6 +79,20 @@ def test_int_rank_leaves_int64_mid_elimination(monkeypatch, limit, scale):
         assert int_rank(np.array(m, dtype=np.int64)) == len(rref(m)[1])
 
 
+@pytest.mark.parametrize("limit", [linalg.OVERFLOW_LIMIT, 2**20])
+def test_pivot_columns_are_the_rref_pivots(monkeypatch, limit):
+    # the greedy column basis, whatever the pivot rows; with the lowered
+    # limit the array becomes Python ints partway
+    monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", limit)
+    rng = random.Random(23)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        m = _low_rank(rng, nr, nc, rng.randint(1, min(nr, nc)), 9)
+        if rng.random() < 0.5:  # repeated and zero columns
+            m = [[row[j] if j % 3 else 0 for j in list(range(nc)) + [0, nc - 1]] for row in m]
+        assert linalg.pivot_columns(np.array(m, dtype=np.int64)) == rref(m)[1]
+
+
 def test_int_rank_list_entries_past_int64():
     # np.array would infer uint64 for these and overflow on the first product
     m = [[2**63 + 1, 1], [2**64 - 1, 2], [2**63 + 1, 1]]
