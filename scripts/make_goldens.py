@@ -11,17 +11,16 @@ import json
 import pathlib
 
 from bellpoly.cli import facet_list_json
-from bellpoly.correlators import cglmp_corr_inequality, projected_generators
+from bellpoly.correlators import cglmp_corr_inequality
 from bellpoly.facets import canonicalize, enumerate_facets, standard_equations, vrep_of
 from bellpoly.scenario import inequality_to_json
-from bellpoly.symmetry import canonical_class, trivial_and_classes
+from bellpoly.symmetry import canonical_class, space_vertices, trivial_and_classes
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "src" / "bellpoly" / "golden"
 
 
 def facet_catalog(d: int) -> dict:
-    gens = projected_generators(d)
-    hrep = enumerate_facets(vrep_of(gens), space="correlator", d=d)
+    hrep = enumerate_facets(vrep_of(space_vertices("correlator", d)), space="correlator", d=d)
     trivial, labels = trivial_and_classes(hrep.facets, "correlator", d)
     return facet_list_json("correlator", d, hrep, trivial, labels)
 

@@ -27,7 +27,7 @@ The staged batches live in permuted coordinates in which a generator reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -307,6 +307,9 @@ class TightnessReport:
     h: int  # 4d(d-1), the affine dimension the rank must reach
     saturating: int
     rank: int
+    # the checked witness batches, or the error that stopped them
+    witness: list[WitnessBatch] | None = field(default=None, compare=False, repr=False)
+    witness_error: WitnessError | None = field(default=None, compare=False)
 
     @property
     def tight(self) -> bool:
@@ -320,21 +323,18 @@ def tightness_rank(d: int) -> TightnessReport:
     whose solutions form an affine space of dimension h = 4d(d-1) that
     misses the origin; the saturating ones also lie on the hyperplane
     I_d = 2, which cuts that space since not every generator saturates.
-    So their linear rank is at most h, and the witness strategies, each
-    checked to be saturating, reaching rank h proves the rank is h.  The
-    whole saturating matrix is ranked only when the witness falls short,
-    so a report that is not tight still carries the true rank.
+    So their linear rank is at most h, and constructive_witness, whose
+    vectors are checked saturating generators, reaching rank h proves the
+    rank is h.  The whole saturating matrix is ranked only when the witness
+    fails, so a report that is not tight still carries the true rank.
     """
     h = 4 * d * (d - 1)
     _, mask = _saturating_mask(d)
     try:
-        strategies = [lam for step in _checked_steps(d) for lam in step.strategies]
-        rank = linalg.int_rank(generator_rows(d, np.array(strategies, dtype=np.int64).reshape(-1, 4).T))
-    except WitnessError:
-        rank = None
-    if rank != h:
-        rank = linalg.int_rank(_saturating_matrix(d))
-    return TightnessReport(d=d, h=h, saturating=int(mask.sum()), rank=rank)
+        batches, error, rank = constructive_witness(d), None, h
+    except WitnessError as exc:
+        batches, error, rank = None, exc, linalg.int_rank(_saturating_matrix(d))
+    return TightnessReport(d, h, int(mask.sum()), rank, batches, error)
 
 
 # --- staged witness -------------------------------------------------------
@@ -352,9 +352,15 @@ class WitnessBatch:
     scheme: str
     params: tuple[int, ...]
     patterns: tuple[tuple[int, int, int, int], ...]
-    strategies: tuple[DeterministicStrategy, ...]
-    vectors: tuple[tuple[int, ...], ...]  # permuted-frame 0/1 coordinates
+    strategies: tuple[DeterministicStrategy, ...]  # d per pattern
+    supports: tuple[tuple[int, ...], ...]  # the ones of each permuted-frame vector
     rank_after: int
+
+    @property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """The 4d vectors as permuted-frame 0/1 coordinates."""
+        d = len(self.strategies) // len(self.patterns)
+        return tuple(_witness_vector(sup, d) for sup in self.supports)
 
 
 class WitnessError(VerificationError):
@@ -472,9 +478,10 @@ def _witness_support(pattern: tuple[int, int, int, int], first: int, d: int) -> 
     )
 
 
-def _witness_vector(pattern: tuple[int, int, int, int], first: int, d: int) -> tuple[int, ...]:
+def _witness_vector(support: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """The permuted-frame 0/1 vector with ones at the support."""
     vec = [0] * (4 * d * d)
-    for j in _witness_support(pattern, first, d):
+    for j in support:
         vec[j] = 1
     return tuple(vec)
 
@@ -498,7 +505,7 @@ def _example2_minor(scheme: str, params: tuple[int, ...], d: int) -> list[list[i
         ]
     rows = []
     for pattern in scheme_patterns(scheme, params):
-        vec = _witness_vector(pattern, 0, d)
+        vec = _witness_vector(_witness_support(pattern, 0, d), d)
         rows.append([vec[c] for c in cols])
     return rows
 
@@ -569,7 +576,7 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
     end = 0
     batches: list[WitnessBatch] = []
     for step in steps:
-        start, end = end, end + len(step.supports)
+        end += len(step.supports)
         before, rank = rank, int(np.searchsorted(pivots, end))
         if rank != before + 4 * d:
             raise WitnessError(
@@ -583,7 +590,7 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
                 params=tuple(step.params),
                 patterns=tuple(step.patterns),
                 strategies=tuple(step.strategies),
-                vectors=tuple(map(tuple, stack[:, start:end].T.tolist())),
+                supports=tuple(step.supports),
                 rank_after=rank,
             )
         )

@@ -20,12 +20,12 @@ from . import membership as membership_mod
 from .correlators import cglmp_corr_inequality, corr_from_json, corr_to_json, project
 from .facets import HRep, enumerate_facets, saturation_count, vrep_of
 from .jsonio import encode_rational
-from .linalg import rank
 from .scenario import (
     BLOCKS,
     Scenario,
     behavior_from_json,
     constraint_matrix,
+    constraint_rank,
     inequality_from_json,
     inequality_to_json,
     polytope_affine_dim,
@@ -68,7 +68,7 @@ def cmd_dims(args) -> int:
     d = _parse_d(args.d)
     s = Scenario(d)
     rows, _ = constraint_matrix(s)
-    got_rank = rank(rows)
+    got_rank = constraint_rank(s)
     got_dim = polytope_affine_dim(s)
     ok = got_rank == 4 * d and got_dim == 4 * d * (d - 1)
     payload = {
@@ -131,27 +131,23 @@ def cmd_tightness(args) -> int:
         f"rank {rep.rank} of required {rep.h} -> {'tight' if rep.tight else 'NOT tight'}"
     ]
     ok = rep.tight
-    if args.witness:
-        try:
-            batches = cglmp_mod.constructive_witness(d)
-            payload["witness_steps"] = [
-                {
-                    "step": b.step_index,
-                    "scheme": b.scheme,
-                    "params": list(b.params),
-                    "vectors": len(b.vectors),
-                    "rank_after": b.rank_after,
-                }
-                for b in batches
-            ]
-            for b in batches:
-                lines.append(
-                    f"  step {b.step_index}: {b.scheme} {b.params} -> rank {b.rank_after}"
-                )
-        except cglmp_mod.WitnessError as exc:
-            payload["witness_error"] = str(exc)
-            lines.append(f"  witness FAILED: {exc}")
-            ok = False
+    if args.witness and rep.witness_error is None:
+        payload["witness_steps"] = [
+            {
+                "step": b.step_index,
+                "scheme": b.scheme,
+                "params": list(b.params),
+                "vectors": len(b.vectors),
+                "rank_after": b.rank_after,
+            }
+            for b in rep.witness
+        ]
+        for b in rep.witness:
+            lines.append(f"  step {b.step_index}: {b.scheme} {b.params} -> rank {b.rank_after}")
+    elif args.witness:
+        payload["witness_error"] = str(rep.witness_error)
+        lines.append(f"  witness FAILED: {rep.witness_error}")
+        ok = False
     payload["ok"] = ok
     _emit(payload, lines, args.pretty)
     return 0 if ok else 1

@@ -1,19 +1,21 @@
 """From vertices to facets: exact double description over the rationals.
 
-Vertices are homogenized to integer rays (v, 1); the valid inequalities
-w.x <= beta of the polytope are exactly the rays y = (w, -beta) of the
-polar cone {y : y.r_i <= 0 for all i}, and the facets are its extreme
-rays.  The double description method inserts the constraints r_i one at a
-time, maintaining the extreme rays (and, early on, the lineality basis) of
-the intermediate cone.  New rays are produced only from adjacent
+Vertices are cleared of their common denominator den and homogenized to
+integer rays (den v, den); the valid inequalities w.x <= beta of the
+polytope are exactly the rays y = (w, -beta) of the polar cone
+{y : y.r_i <= 0 for all i}, and the facets are its extreme rays.  The
+double description method inserts the constraints r_i one at a time,
+maintaining the extreme rays (and, early on, the lineality basis) of the
+intermediate cone.  New rays are produced only from adjacent
 positive/negative pairs, with the standard combinatorial adjacency test on
 zero-sets kept as bitmasks.
 
 Everything runs in reduced full-dimensional coordinates obtained from the
 affine hull of the input vertices, so equations never masquerade as pairs
-of facets.  All arithmetic is integer (rays are kept gcd-reduced), results
-are deterministic: constraints are inserted in sorted order and the facet
-list is emitted in canonical lexicographic order.
+of facets.  All arithmetic is integer, from the affine hull to the facets:
+rays are kept gcd-reduced, so each facet is emitted as its ray, already in
+canonical form.  Results are deterministic: constraints are inserted in
+sorted order and the facet list is emitted in lexicographic order.
 
 A deadline can be supplied (the d=4 correlator polytope is the intended
 user).  On expiry the insertion loop stops and whatever current rays are
@@ -247,20 +249,15 @@ def enumerate_facets(
     coordinate choice, canonicalized, in lexicographic order.  Soundness
     (every vertex satisfies every facet) is asserted before returning.
     """
-    verts = list(vrep.vertices)
+    mat, den = linalg.integer_rows(vrep.vertices)
+    ints = mat.tolist()
     ambient = vrep.ambient_dim
     if d is None:
         d = ambient
-    # affine hull: all (w, c) with w.v = c on every vertex
-    hom = [list(v) + [Fraction(1)] for v in verts]
-    null = linalg.nullspace(hom)
+    # affine hull: all (w, c) with w.v = c on every vertex v = row / den
+    null = linalg.nullspace([row + [den] for row in ints])
     equations = [(tuple(vec[:-1]), -vec[-1]) for vec in null]
-    if equations:
-        aug = [list(w) + [c] for w, c in equations]
-        red, pivots = linalg.rref(aug)
-        eqrows = red[: len(pivots)]
-    else:
-        eqrows, pivots = [], []
+    pivots = linalg.pivot_columns(linalg.integer_rows([w for w, _ in equations])[0])
     free = [j for j in range(ambient) if j not in pivots]
     reduced_dim = len(free)
     if vrep.expected_dim is not None and reduced_dim != vrep.expected_dim:
@@ -268,15 +265,12 @@ def enumerate_facets(
             f"degenerate input: affine hull has dimension {reduced_dim}, "
             f"claimed {vrep.expected_dim}"
         )
-    if len(verts) < reduced_dim + 1:
+    if len(ints) < reduced_dim + 1:
         raise ValueError("degenerate input: fewer vertices than dimension plus one")
     if reduced_dim == 0:
         return HRep(ambient, tuple(equations), (), 0, True)
 
-    reduced = sorted(
-        {tuple(v[j] for j in free) + (Fraction(1),) for v in verts}
-    )
-    rows = [linalg.clear_denominators(r) for r in reduced]
+    rows = sorted({tuple(row[j] for j in free) + (den,) for row in ints})
     rays, complete = dd_extreme_rays(rows, reduced_dim + 1, deadline=deadline)
 
     # soundness: every ray, as an ambient inequality, is valid on every vertex;
@@ -285,17 +279,17 @@ def enumerate_facets(
     for row, ray in zip(coeffs, rays):
         for j, c in zip(free, ray[:-1]):
             row[j] = c
-    mat, den = linalg.integer_rows(verts)
     valid = (linalg.slack_matrix(coeffs, [-den * r[-1] for r in rays], mat) >= 0).all(axis=1)
     if complete and not valid.all():
         raise AssertionError("enumerated facet violated by an input vertex")
-    facets = {
-        canonicalize(Inequality(space, d, tuple(map(Fraction, row)), Fraction(-ray[-1])))
-        for row, ray, ok in zip(coeffs, rays, valid)
-        if ok
-    }
-    facets = sorted(facets, key=lambda q: (q.coeffs, q.bound))
-    return HRep(ambient, tuple(equations), tuple(facets), reduced_dim, complete)
+    # the rays are gcd-reduced and distinct, so each already is its canonical form
+    kept = sorted((tuple(row), -ray[-1]) for row, ray, ok in zip(coeffs, rays, valid) if ok)
+    if any(not any(row) for row, _ in kept):
+        raise ValueError("zero coefficient vector cannot be canonicalized")
+    facets = tuple(
+        Inequality(space, d, tuple(map(Fraction, row)), Fraction(bound)) for row, bound in kept
+    )
+    return HRep(ambient, tuple(equations), facets, reduced_dim, complete)
 
 
 def saturation_count(ineq: Inequality, vertices) -> tuple[int, int]:

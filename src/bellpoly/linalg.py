@@ -5,14 +5,16 @@ saturation ranks, hyperplane normals) reduces to Gaussian elimination over
 exact numbers.  Rationals are `fractions.Fraction`; a matrix is any sequence
 of equal-length rows of Fractions or ints.
 
-Rank-type questions are answered by clearing denominators and
-eliminating over the integers (fraction-free, rows divided by their gcd so
-entries stay small).  ``int_rank`` is the one rank kernel: a vectorized
-numpy loop that runs in int64 behind a certified overflow guard and, the
-first time the guard would trip, converts its working array to Python
-integers and carries on from the same column, so the rank is exact for any
-input; ``pivot_columns`` is the same loop and also reports where the rank
-grows.  ``slack_matrix`` is the one check of inequalities against vertices,
+There is one elimination loop, and it runs over the integers: denominators
+are cleared first and the elimination is fraction-free (updated rows
+divided by their gcd so entries stay small).  It is vectorized in numpy,
+runs in int64 behind a certified overflow guard and, the first time the
+guard would trip, converts its working array to Python integers and
+carries on from the same column, so every answer is exact for any input.
+``pivot_columns`` and ``int_rank`` clear only the rows below each pivot;
+``rref`` clears every other row and divides each pivot row by its pivot
+only at the end, and ``nullspace`` reads its basis off the ``rref``.
+``slack_matrix`` is the one check of inequalities against vertices,
 ``bound - coeffs.v`` for every pair, behind the same guard.
 """
 
@@ -101,22 +103,24 @@ def slack_matrix(coeffs, bounds, vertices) -> np.ndarray:
     return b[:, None] - a @ v.T
 
 
-def pivot_columns(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
-    """Pivot columns of an integer matrix under fraction-free elimination.
+def _eliminate(rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """The one elimination loop: fraction-free Gaussian elimination of an
+    integer matrix, columns left to right; returns the worked array, its
+    pivot rows first, and the pivot columns.
 
-    Columns are eliminated left to right, so column c is a pivot exactly
-    when it is not in the span of the columns before it: the pivots below
-    k count the rank of the first k columns, and there are rank-many.
-    The working array is int64 while the overflow guard holds and switches
-    to Python ints (dtype object) the first time it would trip, keeping the
-    rows eliminated so far.  On object arrays every updated row is divided
-    by its gcd.
+    The pivot is the first smallest nonzero entry at or below the current
+    row; it clears the rows below it, and with reduced=True every other row
+    too (Gauss-Jordan), so each pivot row ends with zeros in all the other
+    pivot columns.  The working array is int64 while the overflow guard
+    holds and switches to Python ints (dtype object) the first time it
+    would trip, keeping the rows eliminated so far.  On object arrays every
+    updated row is divided by its gcd.
     """
     a = _int_array(rows)
-    if a.size == 0:
-        return []
-    nrows, ncols = a.shape
     pivots: list[int] = []
+    if a.size == 0:
+        return a, pivots
+    nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -130,7 +134,10 @@ def pivot_columns(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
         if p != r:
             a[[r, p]] = a[[p, r]]
         piv = int(a[r, c])
-        idx = np.nonzero(a[r + 1:, c])[0] + (r + 1)
+        first = 0 if reduced else r + 1
+        idx = np.nonzero(a[first:, c])[0] + first
+        if reduced:
+            idx = idx[idx != r]
         if idx.size:
             sub = a[idx]
             colv = sub[:, c].copy()
@@ -151,7 +158,18 @@ def pivot_columns(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
             a[idx] = sub
         pivots.append(c)
         r += 1
-    return pivots
+    return a, pivots
+
+
+def pivot_columns(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
+    """Pivot columns of an integer matrix under fraction-free elimination.
+
+    Columns are eliminated left to right, so column c is a pivot exactly
+    when it is not in the span of the columns before it: the pivots below
+    k count the rank of the first k columns, and there are rank-many.
+    Each pivot clears only the rows below it.
+    """
+    return _eliminate(rows, reduced=False)[1]
 
 
 def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
@@ -177,38 +195,23 @@ def affine_dim(points: Sequence[Sequence[Fraction | int]]) -> int:
 
 
 def rref(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns).
+    """Reduced row echelon form of a rational matrix; returns (rows, pivot
+    columns), one row per input row, zero rows last.
 
-    Intended for the small structured systems (constraint matrices, affine
-    hull equations); the result is deterministic, with unit pivots and
-    zero entries above and below each pivot.
+    The elimination runs in integers (denominators cleared, every pivot
+    clearing all other rows); each pivot row is then divided by its pivot,
+    so the rows have unit pivots and zeros above and below each pivot.  The
+    reduced row echelon form is unique, so it does not depend on the pivot
+    rows chosen.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = list(matrix)
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+    a, pivots = _eliminate(integer_rows(rows)[0], reduced=True)
+    ncols = a.shape[1]
+    pivot_rows = a[: len(pivots)].tolist()
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(pivot_rows, pivots)]
+    return red + [[Fraction(0)] * ncols for _ in range(len(rows) - len(pivots))], pivots
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction | int]], ncols: int | None = None) -> list[list[Fraction]]:

@@ -17,25 +17,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
 from .cglmp import cglmp_inequality, evaluate
 from .correlators import (
     CorrVector,
     cglmp_corr_inequality,
     corr_index,
     is_corr_probability,
-    projected_generators,
 )
 from .facets import canonicalize, nosignaling_max, standard_equations  # noqa: F401 (re-exported)
 from .linalg import integer_rows, slack_matrix
 from .lp import lp_max
 from .scenario import (
-    BLOCKS,
     Behavior,
     Inequality,
     Scenario,
     all_strategies,
     coord_index,
-    generator,
     is_normalized,
     is_nosignaling,
     uniform_behavior,
@@ -157,7 +157,7 @@ def local_decompose(p: Behavior) -> MembershipResult:
         raise ValueError("behavior is signaling; locality is not defined for it")
     d = p.d
     labels = all_strategies(Scenario(d))
-    columns = [generator(Scenario(d), lam).coords for lam in labels]
+    columns = space_vertices("behavior", d).tolist()  # in all_strategies order
     return _decompose(p.coords, columns, labels, uniform_behavior(d).coords, "behavior", d)
 
 
@@ -166,12 +166,10 @@ def corr_local_decompose(c: CorrVector) -> MembershipResult:
     if not is_corr_probability(c):
         raise ValueError("correlation vector must be nonnegative with unit block sums")
     d = c.d
-    gens = projected_generators(d)
-    columns = [g.coords for g in gens]
-    # a projected generator is named by its four outcome differences
-    labels = [
-        tuple(next(n for n in range(d) if g.coords[corr_index(d, a, b, n)] == 1) for a, b in BLOCKS)
-        for g in gens
-    ]
+    mat = space_vertices("correlator", d)
+    columns = mat.tolist()
+    # a projected generator is named by its four outcome differences, the
+    # positions of its unit entries within their blocks
+    labels = list(map(tuple, (np.nonzero(mat)[1].reshape(-1, 4) % d).tolist()))
     uniform = [Fraction(1, d)] * (4 * d)
     return _decompose(c.coords, columns, labels, uniform, "correlator", d)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -195,6 +196,12 @@ def constraint_matrix(s: Scenario) -> tuple[list[list[Fraction]], list[Fraction]
     return rows, rhs
 
 
+@lru_cache(maxsize=None)
+def constraint_rank(s: Scenario) -> int:
+    """Rank of the normalization and no-signalling system (4d, computed)."""
+    return linalg.rank(constraint_matrix(s)[0])
+
+
 def is_normalized(p: Behavior) -> bool:
     d = p.d
     for a, b in BLOCKS:
@@ -236,7 +243,7 @@ def polytope_affine_dim(s: Scenario) -> int:
     of all d^4 generators are ranked.
     """
     d = s.d
-    upper = 4 * d * d - linalg.rank(constraint_matrix(s)[0])
+    upper = 4 * d * d - constraint_rank(s)
     grid = np.array(spanning_strategy_grid(d), dtype=np.int64).reshape(-1, 4).T
     if linalg.int_rank(generator_rows(d, grid)) - 1 == upper:
         return upper

@@ -1,6 +1,8 @@
 """Independent reference computations used to check the main code paths.
 
-Nothing here calls the algorithms it is meant to check: vertices of the
+Nothing here calls the algorithms it is meant to check: row reductions
+are Fraction row operations (the library eliminates over integers and
+divides by the pivots at the end), vertices of the
 no-signaling polytope are written out and checked vertex by vertex (only
 their completeness is read off the package's facet enumeration, which the
 subset oracle below checks on its own), slack values come from one
@@ -26,16 +28,27 @@ from typing import Iterable, Sequence
 from bellpoly.lp import LPResult
 
 
-def row_reduce(rows):
-    """Independent row echelon pass; returns (reduced nonzero rows, pivots)."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+def fraction_rref(matrix):
+    """Reduced row echelon form over Fraction, one row operation at a time;
+    returns (rows, pivot columns), zero rows last: the loop that the
+    integer elimination replaced as linalg.rref."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
     pivots = []
     r = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
@@ -44,7 +57,7 @@ def row_reduce(rows):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return rows[:r], pivots
+    return rows, pivots
 
 
 def _behavior_d2(entry) -> tuple[Fraction, ...]:
@@ -86,7 +99,7 @@ def nosignaling_vertices(d: int) -> tuple:
         assert min(p) >= 0
         assert [sum(c * x for c, x in zip(row, p)) for row in rows] == rhs
         tight = [[int(i == j) for j in range(16)] for i in range(16) if p[i] == 0]
-        assert len(row_reduce(rows + tight)[1]) == 16
+        assert len(fraction_rref(rows + tight)[1]) == 16
     assert len(set(points)) == 24
     hull = enumerate_facets(VRep(16, tuple(points)))
     zero_sets = {frozenset(p for p in points if p[i] == 0) for i in range(16)}
@@ -131,7 +144,7 @@ def square_subset_facets(vertices_reduced, dim):
     found = set()
     for subset in itertools.combinations(vertices_reduced, dim):
         hom = [list(v) + [Fraction(1)] for v in subset]
-        red, pivots = row_reduce(hom)
+        red, pivots = fraction_rref(hom)
         if len(pivots) != dim:
             continue  # subset does not span a hyperplane
         free = [c for c in range(dim + 1) if c not in pivots]

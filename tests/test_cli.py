@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,11 @@ from bellpoly.cli import main
 from bellpoly.scenario import behavior_to_json, uniform_behavior
 
 from test_membership import pr_box
+
+ENUMERATE_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "enumerate_stdout_sha256.json").read_text()
+)["stdout"]
+SLOW_ENUMERATE = ("enumerate 5 --space corr", "enumerate 3 --space behavior")
 
 
 def run(capsys, *argv):
@@ -216,3 +222,16 @@ def test_malformed_behavior_rejected(tmp_path, capsys):
     blob["P"]["a1b1"][0][0] = 0.25
     path2.write_text(json.dumps(blob))
     assert main(["membership", str(path2)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(key, marks=pytest.mark.slow) if key.startswith(SLOW_ENUMERATE) else key
+        for key in ENUMERATE_STDOUT
+    ],
+)
+def test_enumerate_stdout_is_byte_identical(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    got = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+    assert got == ENUMERATE_STDOUT[argv]

@@ -270,3 +270,51 @@ def test_degenerate_vrep_errors():
         enumerate_facets(VRep(2, collinear, expected_dim=2))
     # without a claim the same input is just a segment
     assert len(enumerate_facets(VRep(2, collinear)).facets) == 2
+
+
+@pytest.mark.parametrize("name", ["corr-2", "corr-3", "square/3"])
+def test_facets_are_fixed_points_of_canonicalize(name):
+    # enumerate_facets emits the gcd-reduced rays as they are; corr d=2/3
+    # are the golden catalogs
+    if name == "square/3":
+        square = ((Fraction(x, 3) + Fraction(1, 2), Fraction(y, 3)) for x in (0, 1) for y in (0, 1))
+        hrep = enumerate_facets(VRep(2, tuple(square)))
+    else:
+        d = int(name[-1])
+        hrep = enumerate_facets(vrep_of(projected_generators(d)), space="correlator", d=d)
+    assert hrep.facets
+    for q in hrep.facets:
+        assert canonicalize(q) == q
+    assert list(hrep.facets) == sorted(hrep.facets, key=lambda q: (q.coeffs, q.bound))
+
+
+def test_zero_coefficient_ray_is_refused(monkeypatch):
+    # (0, ..., 0, -1) reads 0.x <= 1: valid everywhere, but no facet
+    real = facets_module.dd_extreme_rays
+
+    def dd(*args, **kwargs):
+        rays, complete = real(*args, **kwargs)
+        return rays + [(0,) * (len(rays[0]) - 1) + (-1,)], complete
+
+    monkeypatch.setattr(facets_module, "dd_extreme_rays", dd)
+    with pytest.raises(ValueError, match="zero coefficient vector"):
+        enumerate_facets(vrep_of(projected_generators(2)), space="correlator", d=2)
+
+
+def test_rational_square_on_a_tilted_plane():
+    # vertices over the common denominator 210 with one affine-hull equation:
+    # the equation and the gauge-fixed facets the Fraction elimination gave
+    square = tuple(
+        (Fraction(x, 3) + Fraction(1, 2), Fraction(y, 3), Fraction(x, 5) + Fraction(y, 7))
+        for x in (0, 1)
+        for y in (0, 1)
+    )
+    hrep = enumerate_facets(VRep(3, square))
+    assert hrep.reduced_dim == 2
+    assert hrep.equations == ((_fr(-2, Fraction(-10, 7), Fraction(10, 3)), Fraction(-1)),)
+    assert [(q.coeffs, q.bound) for q in hrep.facets] == [
+        (_fr(0, -15, 35), Fraction(7)),
+        (_fr(0, -1, 0), Fraction(0)),
+        (_fr(0, 3, -7), Fraction(0)),
+        (_fr(0, 3, 0), Fraction(1)),
+    ]

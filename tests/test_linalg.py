@@ -8,6 +8,8 @@ from bellpoly import linalg
 from bellpoly.linalg import affine_dim, int_rank, nullspace, rank, rref
 from bellpoly.scenario import Scenario, all_generators, constraint_matrix
 
+from oracles import fraction_rref
+
 
 def test_rank_identity():
     ident = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
@@ -64,7 +66,7 @@ def test_int_rank_matches_rref():
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         m = _low_rank(rng, nr, nc, rng.randint(1, min(nr, nc)), 9)
         m = [[x * 2 ** rng.choice((0, 0, 40, 70)) for x in row] for row in m]
-        assert int_rank(m) == int_rank(np.array(m, dtype=object)) == len(rref(m)[1])
+        assert int_rank(m) == int_rank(np.array(m, dtype=object)) == len(fraction_rref(m)[1])
 
 
 @pytest.mark.parametrize("limit,scale", [(linalg.OVERFLOW_LIMIT, 2**17), (2**20, 9)])
@@ -76,7 +78,7 @@ def test_int_rank_leaves_int64_mid_elimination(monkeypatch, limit, scale):
     for _ in range(30):
         nr, nc = rng.randint(3, 8), rng.randint(3, 8)
         m = _low_rank(rng, nr, nc, rng.randint(2, min(nr, nc)), scale)
-        assert int_rank(np.array(m, dtype=np.int64)) == len(rref(m)[1])
+        assert int_rank(np.array(m, dtype=np.int64)) == len(fraction_rref(m)[1])
 
 
 @pytest.mark.parametrize("limit", [linalg.OVERFLOW_LIMIT, 2**20])
@@ -90,7 +92,7 @@ def test_pivot_columns_are_the_rref_pivots(monkeypatch, limit):
         m = _low_rank(rng, nr, nc, rng.randint(1, min(nr, nc)), 9)
         if rng.random() < 0.5:  # repeated and zero columns
             m = [[row[j] if j % 3 else 0 for j in list(range(nc)) + [0, nc - 1]] for row in m]
-        assert linalg.pivot_columns(np.array(m, dtype=np.int64)) == rref(m)[1]
+        assert linalg.pivot_columns(np.array(m, dtype=np.int64)) == fraction_rref(m)[1]
 
 
 def test_int_rank_list_entries_past_int64():
@@ -139,10 +141,36 @@ def test_rref_and_nullspace():
         nr, nc = rng.randint(1, 5), rng.randint(2, 6)
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(nr)]
         basis = nullspace(m)
-        assert len(basis) == nc - rank(m)
+        assert len(basis) == nc - len(fraction_rref(m)[1])
         for vec in basis:
             for row in m:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
     red, pivots = rref([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])
     assert pivots == [0]
     assert red[0] == [Fraction(1), Fraction(2)]
+
+
+def _rational_matrix(rng, scale):
+    """A seeded rational matrix of low rank with zero rows, repeated and
+    zero columns mixed in, entries times scale."""
+    nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+    m = _low_rank(rng, nr, nc, rng.randint(1, min(nr, nc)), 9)
+    if rng.random() < 0.5:
+        m = [[row[j] if j % 3 else 0 for j in list(range(nc)) + [0, nc - 1]] for row in m]
+    if rng.random() < 0.5:
+        m.insert(rng.randint(0, len(m)), [0] * len(m[0]))
+    return [[Fraction(x * scale, rng.randint(1, 6)) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("limit", [linalg.OVERFLOW_LIMIT, 2**20])
+@pytest.mark.parametrize("scale", [1, 2**30, 2**70])
+def test_rref_matches_fraction_rref(monkeypatch, limit, scale):
+    # with the lowered limit, or entries of 2^30 and more, the array becomes
+    # Python ints partway, for many matrices while clearing rows above a
+    # pivot, which rank alone never does; entries past 2^62 start as Python ints
+    monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", limit)
+    rng = random.Random(f"rref{limit}{scale}")
+    for _ in range(60):
+        m = _rational_matrix(rng, scale)
+        assert rref(m) == fraction_rref(m)
+

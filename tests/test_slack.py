@@ -14,7 +14,7 @@ from bellpoly.linalg import integer_rows, slack_matrix
 from bellpoly.membership import local_max
 from bellpoly.scenario import Inequality, Scenario, all_generators
 
-from oracles import fraction_slack, row_reduce
+from oracles import fraction_rref, fraction_slack
 
 
 def _vertices(name):
@@ -63,7 +63,7 @@ def test_saturation_count_matches_fraction_oracle(name):
         coeffs, bound = _supporting(rng, verts)
         tight = [v for v, s in zip(verts, fraction_slack(coeffs, bound, verts)) if s == 0]
         q = Inequality(space, d, tuple(coeffs), bound)
-        assert saturation_count(q, verts) == (len(tight), len(row_reduce(tight)[1]))
+        assert saturation_count(q, verts) == (len(tight), len(fraction_rref(tight)[1]))
         with pytest.raises(ValueError, match="violated"):
             saturation_count(Inequality(space, d, tuple(coeffs), bound - Fraction(1, 7)), verts)
         with pytest.raises(ValueError, match="touches no vertex"):
