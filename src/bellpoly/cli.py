@@ -137,7 +137,7 @@ def cmd_tightness(args) -> int:
                 "step": b.step_index,
                 "scheme": b.scheme,
                 "params": list(b.params),
-                "vectors": len(b.vectors),
+                "vectors": len(b.supports),
                 "rank_after": b.rank_after,
             }
             for b in rep.witness

@@ -5,12 +5,14 @@ saturation ranks, hyperplane normals) reduces to Gaussian elimination over
 exact numbers.  Rationals are `fractions.Fraction`; a matrix is any sequence
 of equal-length rows of Fractions or ints.
 
-There is one elimination loop, and it runs over the integers: denominators
-are cleared first and the elimination is fraction-free (updated rows
-divided by their gcd so entries stay small).  It is vectorized in numpy,
-runs in int64 behind a certified overflow guard and, the first time the
-guard would trip, converts its working array to Python integers and
-carries on from the same column, so every answer is exact for any input.
+There is one fraction-free row update, ``_fraction_free``, for
+elimination here and for the simplex of ``lp``: the chosen rows become
+(a_i p - a_ic a_r) // den, vectorized in numpy, in int64 behind a certified
+overflow guard and, the first time the guard would trip, over Python
+integers from that update on, so every answer is exact for any input.
+There is one elimination loop on it, over the integers: denominators are
+cleared first, den is 1 and updated rows are divided by their gcd so
+entries stay small.
 ``pivot_columns`` and ``int_rank`` clear only the rows below each pivot;
 ``rref`` clears every other row and divides each pivot row by its pivot
 only at the end, and ``nullspace`` reads its basis off the ``rref``.
@@ -60,15 +62,19 @@ def _int_array(rows, ndim: int = 2) -> np.ndarray:
     """A fresh integer array: int64 when every entry is below OVERFLOW_LIMIT,
     Python ints (dtype object) otherwise."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
-        a = rows.astype(np.int64)
+        src = rows.astype(np.int64)
     else:
         # through object first, so entries in [2^63, 2^64) never become uint64
-        a = np.array(rows, dtype=object)
-    if a.size and a.ndim != ndim:
+        src = np.asarray(rows, dtype=object)
+    if src.size and src.ndim != ndim:
         raise ValueError("ragged matrix")
-    if _peak(a) < OVERFLOW_LIMIT:
-        return a.astype(np.int64, copy=False)
-    return np.frompyfunc(int, 1, 1)(a)  # numpy scalars among the entries would overflow
+    try:
+        a = src.astype(np.int64, copy=False)
+    except OverflowError:
+        a = None
+    if a is not None and _peak(a) < OVERFLOW_LIMIT:
+        return a
+    return np.frompyfunc(int, 1, 1)(src)  # numpy scalars among the entries would overflow
 
 
 def integer_rows(rows) -> tuple[np.ndarray, int]:
@@ -103,6 +109,30 @@ def slack_matrix(coeffs, bounds, vertices) -> np.ndarray:
     return b[:, None] - a @ v.T
 
 
+def _fraction_free(a: np.ndarray, idx: np.ndarray, r: int, c: int, den: int = 1) -> np.ndarray:
+    """The one fraction-free row update (Edmonds 1967; Bareiss 1968): rows
+    idx of a become (a_i * p - a_ic * a_r) // den, p = a[r, c]; the caller
+    vouches that den divides them.  In int64 while |p| max|rows| +
+    max|col| max|a_r| stays under OVERFLOW_LIMIT; otherwise a is first
+    switched to Python ints (dtype object).  Returns a, or its switched copy.
+    """
+    piv = int(a[r, c])
+    sub = a[idx]
+    colv = sub[:, c].copy()
+    if a.dtype != object:
+        bound = abs(piv) * int(np.abs(sub).max()) + int(np.abs(colv).max()) * int(np.abs(a[r]).max())
+        if bound >= OVERFLOW_LIMIT:
+            a = a.astype(object)
+            sub = a[idx]
+            colv = sub[:, c].copy()
+    sub *= piv
+    sub -= colv[:, None] * a[r]
+    if den != 1:
+        sub //= den
+    a[idx] = sub
+    return a
+
+
 def _eliminate(rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
     """The one elimination loop: fraction-free Gaussian elimination of an
     integer matrix, columns left to right; returns the worked array, its
@@ -111,10 +141,10 @@ def _eliminate(rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
     The pivot is the first smallest nonzero entry at or below the current
     row; it clears the rows below it, and with reduced=True every other row
     too (Gauss-Jordan), so each pivot row ends with zeros in all the other
-    pivot columns.  The working array is int64 while the overflow guard
-    holds and switches to Python ints (dtype object) the first time it
-    would trip, keeping the rows eliminated so far.  On object arrays every
-    updated row is divided by its gcd.
+    pivot columns.  The rows are updated by ``_fraction_free`` with den 1,
+    so the array leaves int64 the first time its guard would trip, keeping
+    the rows eliminated so far.  On object arrays every updated row is then
+    divided by its gcd.
     """
     a = _int_array(rows)
     pivots: list[int] = []
@@ -133,29 +163,19 @@ def _eliminate(rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
         p = r + int(pick)
         if p != r:
             a[[r, p]] = a[[p, r]]
-        piv = int(a[r, c])
         first = 0 if reduced else r + 1
         idx = np.nonzero(a[first:, c])[0] + first
         if reduced:
             idx = idx[idx != r]
         if idx.size:
+            a = _fraction_free(a, idx, r, c)
             sub = a[idx]
-            colv = sub[:, c].copy()
-            if a.dtype != object:
-                bound = abs(piv) * int(np.max(np.abs(sub))) + int(
-                    np.max(np.abs(colv))
-                ) * int(np.max(np.abs(a[r])))
-                if bound >= OVERFLOW_LIMIT:
-                    a = a.astype(object)
-                    sub = a[idx]
-                    colv = sub[:, c].copy()
-            sub *= piv
-            sub -= colv[:, None] * a[r]
-            if a.dtype == object or int(np.max(np.abs(sub))) > 2**31:
+            if a.dtype == object or _peak(sub) > 2**31:
                 g = np.gcd.reduce(np.abs(sub), axis=1)
                 g[g == 0] = 1
                 sub //= g[:, None]
-            a[idx] = sub
+                a[idx] = sub
+            del sub  # not held through the next update, whose copies it would add to
         pivots.append(c)
         r += 1
     return a, pivots

@@ -1,4 +1,4 @@
-"""Exact linear programming: dense two-phase simplex over Python ints.
+"""Exact linear programming: dense two-phase simplex over the integers.
 
 Solves  max c.x  subject to  A_eq x = b_eq,  A_in x <= b_in,  and
 nonnegativity on a chosen subset of variables.  Everything is rational, so
@@ -19,16 +19,20 @@ variable index out), which is what makes termination a theorem rather than
 a hope; with exact arithmetic, cycling was the only possible failure mode.
 Degenerate ties resolve to the lowest index, so runs are deterministic.
 
-The tableau is integer-preserving (Edmonds 1967).  Each structural column
-is first multiplied by the lcm of its entries' denominators and the
+The tableau is one integer numpy array, constraint rows first and cost
+rows last, and is integer-preserving (Edmonds 1967).  Each structural
+column is first multiplied by the lcm of its entries' denominators and the
 right-hand side by the lcm of its own; every stored row is then den times
 the true row, for one common den = |det B| of the current basis B, so each
 pivot  T_i <- (T_i * p - T_ic * T_r) // den,  den <- p  divides exactly.
-The cost row carries its own positive scale, cscale * den.  Positive
-column scales change no sign, and in the ratio test they multiply every
-ratio of one column by the same positive factor, so Bland's rule makes the
-same pivots as a Fraction tableau of the unscaled problem, and primal,
-dual and certificate come back as the same Fractions.
+That update is ``linalg._fraction_free``, the same guarded kernel as the
+package's elimination: int64 until an intermediate could reach the
+overflow guard, Python ints from that pivot on.  The cost row carries its
+own positive scale, cscale * den.  Positive column scales change no sign,
+and in the ratio test they multiply every ratio of one column by the same
+positive factor, so Bland's rule makes the same pivots as a Fraction
+tableau of the unscaled problem, and primal, dual and certificate come
+back as the same Fractions.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
+
+import numpy as np
+
+from .linalg import _fraction_free, _int_array
 
 
 @dataclass(frozen=True)
@@ -50,55 +58,42 @@ class LPResult:
     certificate: tuple[Fraction, ...] | None = None
 
 
-def _eliminate(row: list[int], prow: list[int], pc: int, p: int, den: int) -> list[int]:
-    """One row of Edmonds' pivot: exact because every stored row is
-    +-adj(B) [A | b] before and after."""
-    f = row[pc]
-    if f:
-        return [(a * p - f * b) // den for a, b in zip(row, prow)]
-    if p == den:
-        return row
-    return [a * p // den for a in row]
-
-
-def _pivot(rows, cost, basis, den: int, pr: int, pc: int) -> int:
-    """In-place integer pivot; returns the new common denominator p.  Row
-    pr then stays as it is: it already is p times its new true row.  The
-    entry is negative only when evicting an artificial at level 0, and
-    negating that row first keeps p, and so every later den, positive."""
-    if rows[pr][pc] < 0:
-        rows[pr] = [-x for x in rows[pr]]
-    prow = rows[pr]
-    p = prow[pc]
-    for i in range(len(rows)):
-        if i != pr:
-            rows[i] = _eliminate(rows[i], prow, pc, p, den)
-    if cost is not None:
-        cost[:] = _eliminate(cost, prow, pc, p, den)
+def _pivot(T: np.ndarray, basis, den: int, pr: int, pc: int) -> tuple[np.ndarray, int]:
+    """Integer pivot on T[pr, pc]: every other row, the cost rows included,
+    gets Edmonds' update, exact because every stored row is +-adj(B) [A | b]
+    before and after.  Returns the tableau (Python ints once the guard
+    trips) and the new common denominator p.  Row pr then stays as it is:
+    it already is p times its new true row.  The entry is negative only when
+    evicting an artificial at level 0, and negating that row first keeps p,
+    and so every later den, positive."""
+    if T[pr, pc] < 0:
+        T[pr] = -T[pr]
     basis[pr] = pc
-    return p
+    others = np.arange(len(T) - 1)
+    others[pr:] += 1
+    return _fraction_free(T, others, pr, pc, den), int(T[pr, pc])
 
 
-def _simplex(rows, cost, basis, den: int, nenter: int) -> tuple[str, int]:
-    """Run Bland-rule simplex to optimality or unboundedness; only the first
-    nenter columns may enter.  Ratios rhs/a are compared by cross-multiplying."""
+def _simplex(T: np.ndarray, basis, den: int, nenter: int) -> tuple[str, np.ndarray, int]:
+    """Run Bland-rule simplex to optimality or unboundedness: the first
+    len(basis) rows of T are the constraints, its last row the cost row, and
+    only the first nenter columns may enter.  Ratios rhs/a over the positive
+    entries are compared by cross-multiplying Python ints."""
+    k = len(basis)
     while True:
-        enter = next((j for j in range(nenter) if cost[j] > 0), -1)
-        if enter < 0:
-            return "optimal", den
+        eligible = (T[-1, :nenter] > 0).nonzero()[0]
+        if not eligible.size:
+            return "optimal", T, den
+        enter = int(eligible[0])
         leave = -1
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                if leave < 0:
-                    leave, num, dnm = i, row[-1], a
-                    continue
-                lhs, rhs = row[-1] * dnm, num * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, dnm = i, row[-1], a
+        for i, (a, b) in enumerate(zip(T[:k, enter].tolist(), T[:k, -1].tolist())):
+            if a > 0 and (
+                leave < 0 or b * dnm < num * a or (b * dnm == num * a and basis[i] < basis[leave])
+            ):
+                leave, num, dnm = i, b, a
         if leave < 0:
-            return "unbounded", den
-        den = _pivot(rows, cost, basis, den, leave, enter)
+            return "unbounded", T, den
+        T, den = _pivot(T, basis, den, leave, enter)
 
 
 def _rational(x) -> int | Fraction:
@@ -155,33 +150,35 @@ def lp_max(
     ncols = nreal + m
     scale = [lcm(*(row[j].denominator for row in allrows)) for j in range(n)]
     bscale = lcm(*(b.denominator for b in allrhs))
+    cscaled = [c * s for c, s in zip(obj, scale)]
+    cscale = lcm(*(c.denominator for c in cscaled))
 
-    rows: list[list[int]] = []
-    flips: list[int] = []
-    for i, (row, b) in enumerate(zip(allrows, allrhs)):
-        ints = [x.numerator * (s // x.denominator) for x, s in zip(row, scale)]
-        vec = [0] * (ncols + 1)
-        for cidx, (j, sgn) in enumerate(columns):
-            vec[cidx] = sgn * ints[j]
-        if i >= neq:
-            vec[nstruct + (i - neq)] = 1
-        flip = -1 if b < 0 else 1
-        if flip < 0:
-            vec = [-x for x in vec]
-        vec[nreal + i] = 1
-        vec[-1] = flip * b.numerator * (bscale // b.denominator)
-        rows.append(vec)
-        flips.append(flip)
-    basis = [nreal + i for i in range(m)]
-
+    # rows 0..m-1 are the constraints, row m the phase-2 objective
+    # cscale * c, carried through phase 1 by the same pivots, and the last
+    # row the phase-1 cost
+    T = np.zeros((m + 2, ncols + 1), dtype=object)
+    T[: m + 1, :nstruct] = np.array(
+        [[x.numerator * (s // x.denominator) for x, s in zip(row, scale)] for row in allrows]
+        + [[c.numerator * (cscale // c.denominator) for c in cscaled]],
+        dtype=object,
+    ).reshape(m + 1, n)[:, [j for j, _ in columns]]
+    T[: m + 1, [k for k, (_, sgn) in enumerate(columns) if sgn < 0]] *= -1
+    T[neq + np.arange(nin), nstruct + np.arange(nin)] = 1
+    flips = [-1 if b < 0 else 1 for b in allrhs]
+    T[:m, -1] = [b.numerator * (bscale // b.denominator) for b in allrhs]
+    T[[i for i, f in enumerate(flips) if f < 0]] *= -1
+    T[np.arange(m), nreal + np.arange(m)] = 1
     # phase 1: drive the artificials to zero; over the artificial basis the
     # reduced costs of -sum(art) are the column sums, 0 on the artificials,
     # and the last entry of the cost row is minus the objective
-    cost = [sum(row[j] for row in rows) for j in range(nreal)] + [0] * m
-    cost.append(sum(row[-1] for row in rows))
-    status, den = _simplex(rows, cost, basis, 1, ncols)
+    T[-1, :nreal] = T[:m, :nreal].sum(axis=0)
+    T[-1, -1] = T[:m, -1].sum()
+    T = _int_array(T)
+    basis = [nreal + i for i in range(m)]
+    status, T, den = _simplex(T, basis, 1, ncols)
     if status != "optimal":
         raise AssertionError("phase 1 cannot be unbounded")
+    cost = T[-1].tolist()
     if cost[-1] > 0:
         y = [Fraction(flips[i] * (-den - cost[nreal + i]), den) for i in range(m)]
         _check_farkas(y, allrows, allrhs, neq, nonneg_set, n)
@@ -191,35 +188,25 @@ def lp_max(
     # a row left with no structural entry is redundant and is dropped, but
     # every original row keeps its artificial column, so its dual survives
     keep: list[int] = []
-    for r in range(len(rows)):
+    for r in range(m):
         if basis[r] >= nreal:
-            pc = next((j for j in range(nreal) if rows[r][j]), -1)
-            if pc < 0:
+            nz = T[r, :nreal].nonzero()[0]
+            if not nz.size:
                 continue
-            den = _pivot(rows, None, basis, den, r, pc)
+            T, den = _pivot(T, basis, den, r, int(nz[0]))
         keep.append(r)
-    rows = [rows[r] for r in keep]
-    basis = [basis[r] for r in keep]
-
-    cscaled = [c * s for c, s in zip(obj, scale)]
-    cscale = lcm(*(c.denominator for c in cscaled))
-    cint = [c.numerator * (cscale // c.denominator) for c in cscaled]
-    cvec = [sgn * cint[j] for j, sgn in columns] + [0] * (m + nin + 1)
-    cost = [den * c for c in cvec]
-    for row, b in zip(rows, basis):
-        cb = cvec[b]
-        if cb:
-            cost = [x - cb * t for x, t in zip(cost, row)]
-    status, den = _simplex(rows, cost, basis, den, nreal)
+    T, basis = T[keep + [m]], [basis[r] for r in keep]
+    status, T, den = _simplex(T, basis, den, nreal)
     if status == "unbounded":
         return LPResult(status="unbounded")
 
+    cost = T[-1].tolist()
     optimum = Fraction(-cost[-1], cscale * den * bscale)
     x = [Fraction(0)] * n
-    for row, b in zip(rows, basis):
+    for b, rhs in zip(basis, T[:-1, -1].tolist()):
         if b < nstruct:
             j, sgn = columns[b]
-            x[j] += Fraction(sgn * scale[j] * row[-1], den * bscale)
+            x[j] += Fraction(sgn * scale[j] * rhs, den * bscale)
     dual = [Fraction(-flips[i] * cost[nreal + i], cscale * den) for i in range(m)]
     _check_optimal(obj, x, dual, optimum, allrows, allrhs, neq, nonneg_set)
     return LPResult(

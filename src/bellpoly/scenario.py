@@ -155,7 +155,7 @@ def uniform_behavior(d: int) -> Behavior:
     return Behavior(d, tuple([q] * (4 * d * d)))
 
 
-def constraint_matrix(s: Scenario) -> tuple[list[list[Fraction]], list[Fraction]]:
+def constraint_matrix(s: Scenario) -> tuple[list[list[int]], list[int]]:
     """Normalization plus no-signaling as one linear system.
 
     Four normalization rows (right-hand side 1, blocks in order a1b1, a1b2,
@@ -163,43 +163,42 @@ def constraint_matrix(s: Scenario) -> tuple[list[list[Fraction]], list[Fraction]
     each observable and each outcome, the marginal computed against the
     partner's first setting minus the one against the second.  All 4d rows
     are included even though only a subset is independent; the rank of the
-    system is computed, never assumed.
+    system is computed, never assumed.  The entries are Python ints.
     """
     d = s.d
     ncols = 4 * d * d
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    one = Fraction(1)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for a, b in BLOCKS:
-        row = [Fraction(0)] * ncols
+        row = [0] * ncols
         for k in range(d):
             for t in range(d):
-                row[coord_index(d, a, b, k, t)] = one
+                row[coord_index(d, a, b, k, t)] = 1
         rows.append(row)
-        rhs.append(one)
+        rhs.append(1)
     for a in (1, 2):  # Alice's marginals must not see Bob's setting
         for k in range(d):
-            row = [Fraction(0)] * ncols
+            row = [0] * ncols
             for t in range(d):
-                row[coord_index(d, a, 1, k, t)] += one
-                row[coord_index(d, a, 2, k, t)] -= one
+                row[coord_index(d, a, 1, k, t)] += 1
+                row[coord_index(d, a, 2, k, t)] -= 1
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
     for b in (1, 2):  # and symmetrically for Bob
         for t in range(d):
-            row = [Fraction(0)] * ncols
+            row = [0] * ncols
             for k in range(d):
-                row[coord_index(d, 1, b, k, t)] += one
-                row[coord_index(d, 2, b, k, t)] -= one
+                row[coord_index(d, 1, b, k, t)] += 1
+                row[coord_index(d, 2, b, k, t)] -= 1
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
     return rows, rhs
 
 
 @lru_cache(maxsize=None)
 def constraint_rank(s: Scenario) -> int:
     """Rank of the normalization and no-signalling system (4d, computed)."""
-    return linalg.rank(constraint_matrix(s)[0])
+    return linalg.int_rank(constraint_matrix(s)[0])
 
 
 def is_normalized(p: Behavior) -> bool:
@@ -245,7 +244,8 @@ def polytope_affine_dim(s: Scenario) -> int:
     d = s.d
     upper = 4 * d * d - constraint_rank(s)
     grid = np.array(spanning_strategy_grid(d), dtype=np.int64).reshape(-1, 4).T
-    if linalg.int_rank(generator_rows(d, grid)) - 1 == upper:
+    # ranked last row first: the same rank with less fill-in
+    if linalg.int_rank(generator_rows(d, grid)[::-1]) - 1 == upper:
         return upper
     mat = generator_matrix(d)
     return linalg.int_rank(mat[1:] - mat[0])

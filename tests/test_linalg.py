@@ -95,6 +95,18 @@ def test_pivot_columns_are_the_rref_pivots(monkeypatch, limit):
         assert linalg.pivot_columns(np.array(m, dtype=np.int64)) == fraction_rref(m)[1]
 
 
+@pytest.mark.parametrize("slack,dtype", [(1, np.int64), (0, object)])
+def test_fraction_free_switches_at_the_guard(monkeypatch, slack, dtype):
+    # rows 1 and 2 against the pivot a[0, 0] = 3: |p| max|rows| +
+    # max|col| max|a_r| = 3 * 7 + 6 * 5 = 51, so a limit of 51 switches
+    monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", 51 + slack)
+    a = np.array([[3, 5, -4], [2, 7, 1], [-6, 1, 2]], dtype=np.int64)
+    out = linalg._fraction_free(a, np.array([1, 2]), 0, 0)
+    assert out.dtype == dtype
+    assert out.tolist() == [[3, 5, -4], [0, 11, 11], [0, 33, -18]]
+    assert linalg._fraction_free(out, np.array([2]), 1, 1, den=3).tolist()[2] == [0, 0, -187]
+
+
 def test_int_rank_list_entries_past_int64():
     # np.array would infer uint64 for these and overflow on the first product
     m = [[2**63 + 1, 1], [2**64 - 1, 2], [2**63 + 1, 1]]

@@ -2,9 +2,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bellpoly.lp as lp_mod
+from bellpoly import linalg
 from bellpoly.lp import lp_max
 from bellpoly.scenario import Scenario, constraint_matrix
 from bellpoly.correlators import chsh_inequality, lift
@@ -243,10 +245,10 @@ def negative_pivots(monkeypatch):
     seen = []
     pivot = lp_mod._pivot
 
-    def counting(rows, cost, basis, den, pr, pc):
-        if rows[pr][pc] < 0:
+    def counting(T, basis, den, pr, pc):
+        if T[pr, pc] < 0:
             seen.append(pr)
-        return pivot(rows, cost, basis, den, pr, pc)
+        return pivot(T, basis, den, pr, pc)
 
     monkeypatch.setattr(lp_mod, "_pivot", counting)
     return seen
@@ -274,3 +276,24 @@ def test_eviction_pivots_on_a_negative_entry(negative_pivots):
     assert (res.optimum, res.primal, res.dual) == (
         Fraction(1, 2), (0, Fraction(1, 2)), (0, Fraction(-1, 2))
     )
+
+
+@pytest.mark.parametrize("limit", [2**12, 2**20])
+def test_tableau_leaves_int64_mid_simplex(monkeypatch, limit):
+    # with the guard lowered, pivots switch int64 tableaus to Python ints
+    # partway through the simplex, and the results stay exact
+    monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", limit)
+    switches = []
+    pivot = lp_mod._pivot
+
+    def watching(T, basis, den, pr, pc):
+        out = pivot(T, basis, den, pr, pc)
+        switches.append(T.dtype == np.int64 and out[0].dtype == object)
+        return out
+
+    monkeypatch.setattr(lp_mod, "_pivot", watching)
+    rng = random.Random(606)
+    for _ in range(150):
+        args, nonneg = _general_lp(rng)
+        assert lp_max(*args, nonneg=nonneg) == fraction_lp_max(*args, nonneg=nonneg)
+    assert any(switches)

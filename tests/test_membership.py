@@ -1,10 +1,16 @@
+import contextlib
+import hashlib
+import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import fraction_lp_max, gauge_orbit_min
 
 import bellpoly.membership as membership_mod
+from bellpoly.cli import main
 
 from bellpoly.cglmp import cglmp_inequality, evaluate
 from bellpoly.correlators import (
@@ -12,6 +18,7 @@ from bellpoly.correlators import (
     cglmp_corr_inequality,
     chsh_inequality,
     corr_index,
+    corr_to_json,
     lift,
     project,
     projected_generators,
@@ -29,6 +36,7 @@ from bellpoly.scenario import (
     Scenario,
     all_generators,
     all_strategies,
+    behavior_to_json,
     constraint_matrix,
     coord_index,
     generator,
@@ -205,7 +213,7 @@ def test_every_nosignaling_vertex_classified_correctly():
     assert (local, nonlocal_) == (16, 8)
 
 
-def _seeded_box(rng, space, d):
+def _box_query(rng, space, d):
     """v*PR + (1-v)*noise, the PR box demanding outcome difference t_ab on
     block ab with t_11 - t_12 - t_21 + t_22 != 0 mod d; the noise is uniform
     or one deterministic strategy, in turn."""
@@ -226,9 +234,15 @@ def _seeded_box(rng, space, d):
             for n in range(d):
                 noise = Fraction(1, d) if uniform else Fraction(int(n == (ka - kb) % d))
                 coords.append(v * (n == targets[blk]) + (1 - v) * noise)
-    if space == "behavior":
-        return local_decompose(Behavior(d, tuple(coords)))
-    return corr_local_decompose(CorrVector(d, tuple(coords)))
+    return Behavior(d, tuple(coords)) if space == "behavior" else CorrVector(d, tuple(coords))
+
+
+def _decompose(query):
+    return (local_decompose if isinstance(query, Behavior) else corr_local_decompose)(query)
+
+
+def _seeded_box(rng, space, d):
+    return _decompose(_box_query(rng, space, d))
 
 
 @pytest.mark.parametrize(
@@ -264,7 +278,7 @@ def test_certificate_class_matches_gauge_oracle(space, d, boxes):
         assert seen == {"cglmp", "uncataloged"}
 
 
-def _seeded_mixture(rng, space, d):
+def _mixture_query(rng, space, d):
     """A seeded convex mixture of three to six generators, so local."""
     if space == "behavior":
         gens = [g.coords for g in all_generators(Scenario(d))]
@@ -276,9 +290,11 @@ def _seeded_mixture(rng, space, d):
         sum((Fraction(w, sum(raw)) * g[i] for w, g in zip(raw, picks)), Fraction(0))
         for i in range(len(gens[0]))
     )
-    if space == "behavior":
-        return local_decompose(Behavior(d, coords))
-    return corr_local_decompose(CorrVector(d, coords))
+    return Behavior(d, coords) if space == "behavior" else CorrVector(d, coords)
+
+
+def _seeded_mixture(rng, space, d):
+    return _decompose(_mixture_query(rng, space, d))
 
 
 @pytest.mark.parametrize(
@@ -302,3 +318,35 @@ def test_membership_lps_match_fraction_simplex(monkeypatch, space, d):
         assert not _seeded_box(rng, space, d).local
     assert statuses.count("infeasible") == 2
     assert statuses.count("optimal") == 4
+
+
+MEMBERSHIP_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "membership_stdout_sha256.json").read_text()
+)["stdout"]
+SLOW_QUERIES = ("behavior 3 box", "behavior 4 box", "correlator 6 box", "correlator 8 box")
+
+
+def _query_file(tmp_path, key):
+    """Write the query named "<space> <d> box|mixture", seeded by its name."""
+    space, d, kind = key.split()
+    make = _box_query if kind == "box" else _mixture_query
+    query = make(random.Random(key), space, int(d))
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps(behavior_to_json(query) if space == "behavior" else corr_to_json(query)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key",
+    [pytest.param(key, marks=pytest.mark.slow) if key in SLOW_QUERIES else key
+     for key in dict.fromkeys(k.removesuffix(" --pretty") for k in MEMBERSHIP_STDOUT)],
+)
+def test_membership_stdout_is_byte_identical(tmp_path, key):
+    # the printed weights come from the simplex pivots, so this pins them
+    path = _query_file(tmp_path, key)
+    for flags in ([], ["--pretty"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["membership", str(path), *flags])
+        got = {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+        assert got == MEMBERSHIP_STDOUT[" ".join([key, *flags])]
