@@ -4,26 +4,38 @@ Vertices are cleared of their common denominator den and homogenized to
 integer rays (den v, den); the valid inequalities w.x <= beta of the
 polytope are exactly the rays y = (w, -beta) of the polar cone
 {y : y.r_i <= 0 for all i}, and the facets are its extreme rays.  The
-double description method inserts the constraints r_i one at a time,
-maintaining the extreme rays (and, early on, the lineality basis) of the
-intermediate cone.  New rays are produced only from adjacent
-positive/negative pairs, with the standard combinatorial adjacency test on
-zero-sets kept as bitmasks.
+double description method (Fukuda and Prodon, "Double description method
+revisited", 1996) starts from the simplicial cone of the first dim
+linearly independent constraints, whose extreme rays are the columns of
+-B^-1, and inserts the other constraints one at a time in sorted order,
+maintaining the extreme rays of the intermediate cone.
+
+Each insertion is a few numpy operations over all rays.  The rays are one
+integer array, int64 behind an overflow guard and Python ints once it
+trips; their zero sets (the inserted constraints each ray meets with
+equality) are packed uint64 words, one row per ray.  New rays come only
+from adjacent positive/negative pairs.  A pair is kept only if its two
+zero sets share dim - 2 constraints, which is tested for whole blocks of
+pairs by a table popcount of the ANDed words.  The survivors get the
+combinatorial adjacency test transposed: row j of an incidence table is
+the packed set of rays whose zero set holds constraint j, and the AND of
+those rows over a pair's common zero set, one reduceat for all pairs, is
+the rays containing it; the pair is adjacent iff those are the pair alone.
 
 Everything runs in reduced full-dimensional coordinates obtained from the
 affine hull of the input vertices, so equations never masquerade as pairs
 of facets.  All arithmetic is integer, from the affine hull to the facets:
 rays are kept gcd-reduced, so each facet is emitted as its ray, already in
-canonical form.  Results are deterministic: constraints are inserted in
-sorted order and the facet list is emitted in lexicographic order.
+canonical form.  Results are deterministic: the facet list is emitted in
+lexicographic order.
 
 A deadline can be supplied (the d=4 correlator polytope is the intended
-user).  On expiry the insertion loop stops and whatever current rays are
-valid for all remaining constraints are returned as verified facets with
+user); it is checked before each insertion and between blocks of pairs.
+On expiry the insertion loop stops and whatever current rays are valid
+for all remaining constraints are returned as verified facets with
 complete=False; extremality in an intermediate pointed cone plus global
 validity makes them genuine facets of the full polytope, just not all of
-them.  Before the cone is pointed its rays are extreme only up to the
-lineality space, so an expiry that early returns no facets.
+them.
 """
 
 from __future__ import annotations
@@ -33,6 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from . import linalg
 from .linalg import gcd_reduce
@@ -141,8 +155,88 @@ def canonicalize(ineq: Inequality, equations=None) -> Inequality:
     )
 
 
-def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+# set bits of every byte value; _BYTE_SUM adds the eight bytes of a word into its top byte
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_BYTE_SUM = np.uint64(0x0101010101010101)
+_TOP_BYTE = np.uint64(56)
+# positive x negative pairs per filter block; packed words gathered per adjacency chunk
+_PAIR_BLOCK = 1 << 15
+_ADJ_WORDS = 1 << 18
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each word of a C-contiguous uint64 array."""
+    out = _POPCOUNT.take(words.view(np.uint8)).view(np.uint64)
+    out *= _BYTE_SUM
+    out >>= _TOP_BYTE
+    return out
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows as packed uint64 words: bit j % 64 of word j // 64."""
+    n, k = bits.shape
+    out = np.zeros((n, -(-k // 64) * 8), dtype=np.uint8)
+    out[:, : -(-k // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """Packed uint64 rows as 0/1 bytes, bit j of a row in column j."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+
+
+def _adjacent_pairs(zsets: np.ndarray, pos: np.ndarray, neg: np.ndarray, needed: int, expired):
+    """The positive/negative pairs of rays that are adjacent.
+
+    A pair can be adjacent only if its zero sets share needed bits; that
+    filter runs over blocks of pairs, with a deadline check between
+    blocks.  The survivors get the combinatorial adjacency test: no ray
+    but the two has a zero set containing their common zero set.  Row j
+    of the transposed incidence is the packed set of rays whose zero set
+    holds bit j; the AND of those rows over a pair's common set is the rays
+    containing it, and the pair is adjacent iff that is the pair alone.
+    """
+    if not neg.size:
+        return neg, neg
+    found = []
+    # row w: word w of the zero set of every positive (negative) ray
+    zpos, zneg = zsets[pos].T, zsets[neg].T
+    bits = incidence = None
+    step = max(1, _PAIR_BLOCK // len(neg))
+    for start in range(0, len(pos), step):
+        if start and expired():
+            raise BudgetExpired
+        counts = sum(_popcount(zp[start:start + step, None] & zn) for zp, zn in zip(zpos, zneg))
+        ip, jn = (counts >= needed).nonzero()
+        if not ip.size:
+            continue
+        if incidence is None:
+            bits = _unpack(zsets)
+            incidence = _pack(bits.T)
+        ip, jn = pos[ip + start], neg[jn]
+        # every common set holds the sentinel bit, so no segment is empty
+        pair, con = (bits[ip] & bits[jn]).nonzero()
+        starts = pair.searchsorted(np.arange(len(ip) + 1))
+        adjacent = np.empty(len(ip), dtype=bool)
+        chunk = max(1, _ADJ_WORDS // incidence.shape[1] * len(ip) // len(con))
+        for c in range(0, len(ip), chunk):
+            end = min(c + chunk, len(ip))
+            lo, hi = starts[c], starts[end]
+            containing = np.bitwise_and.reduceat(incidence[con[lo:hi]], starts[c:end] - lo, axis=0)
+            adjacent[c:end] = np.add.reduce(_popcount(containing), axis=1) == 2
+        found.append((ip[adjacent], jn[adjacent]))
+    if not found:
+        return neg[:0], neg[:0]
+    pp, nn = zip(*found)
+    return np.concatenate(pp), np.concatenate(nn)
+
+
+def _new_rays(rays: np.ndarray, vals: np.ndarray, pp: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """Where the face spanned by each adjacent pair (r_p, r_n) meets the
+    hyperplane a.y = 0: the ray vals_p r_n - vals_n r_p, gcd-reduced."""
+    new = vals[pp, None] * rays[nn] - vals[nn, None] * rays[pp]
+    new //= np.gcd.reduce(new, axis=1)[:, None]
+    return new
 
 
 def dd_extreme_rays(
@@ -150,93 +244,60 @@ def dd_extreme_rays(
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Extreme rays of {y : a.y <= 0 for each constraint a}.
 
-    The cone must come out pointed (the constraints span), which holds for
+    The constraints must span (the cone is then pointed), which holds for
     homogenized vertex sets of full-dimensional polytopes.  Returns the
-    rays and a completeness flag; with a deadline the last consistent
-    snapshot of a pointed cone (empty before the cone is pointed) is
-    filtered for global validity by the caller.
+    rays and a completeness flag; with a deadline the rays of the last
+    intermediate cone are returned, to be filtered for global validity by
+    the caller.
     """
-    lin: list[list[int]] = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    rays: list[list] = []  # [vector, zset bitmask over inserted constraints]
-    snapshot: list[tuple[int, ...]] = []
+    cons = linalg._int_array(constraints).reshape(-1, dim)
+    m = len(cons)
+    # Gauss-Jordan on [C^T | I] picks the first dim independent constraints
+    # as a basis B and leaves [D | D B^-T] with D diagonal in the pivot columns
+    red, basis = linalg._eliminate(np.hstack([cons.T, np.eye(dim, dtype=cons.dtype)]), reduced=True)
+    if basis[-1] >= m:
+        raise ValueError("degenerate input: constraints do not span, cone is not pointed")
+    # the initial rays, the columns of -B^-1: ray k is zero on every basis row but row k
+    diag = red[np.arange(dim), basis]
+    rays = linalg._int_array([gcd_reduce(row) for row in (-np.sign(diag)[:, None] * red[:, m:]).tolist()])
+    peak = int(np.abs(rays).max())
+    cons_peak = np.abs(cons).max(axis=1).tolist()
+    # zero set of each ray: bit i for each inserted constraint i the ray
+    # meets with equality, and the sentinel bit m, which every ray has
+    bits = np.zeros((dim, m + 1), dtype=np.uint8)
+    bits[:, basis] = 1 - np.eye(dim, dtype=np.uint8)
+    bits[:, m] = 1
+    zsets = _pack(bits)
+    # adjacent rays share dim - 2 constraints, and the sentinel
+    needed = dim - 1
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() > deadline
 
     try:
-        for ci, a in enumerate(constraints):
+        for ci in sorted(set(range(m)) - set(basis)):
             if expired():
                 raise BudgetExpired
-            # rays are extreme only once the cone is pointed (no lineality left)
-            snapshot = [] if lin else [tuple(r) for r, _ in rays]
-            bit = 1 << ci
-            lin_dots = [_idot(a, l) for l in lin]
-            hit = next((i for i, v in enumerate(lin_dots) if v), None)
-            if hit is not None:
-                l0 = lin[hit] if lin_dots[hit] < 0 else [-x for x in lin[hit]]
-                d0 = _idot(a, l0)  # < 0
-                new_lin = []
-                for i, l in enumerate(lin):
-                    if i == hit:
-                        continue
-                    dl = lin_dots[i]
-                    new_lin.append(gcd_reduce([d0 * x - dl * y for x, y in zip(l, l0)]))
-                lin = new_lin
-                for entry in rays:
-                    r = entry[0]
-                    dr = _idot(a, r)
-                    if dr:
-                        entry[0] = gcd_reduce([-d0 * x + dr * y for x, y in zip(r, l0)])
-                    entry[1] |= bit
-                mask = (1 << ci) - 1
-                rays.append([gcd_reduce(list(l0)), mask])
+            # |vals| <= dim peak max|a|, and a new ray is at most 2 max|vals| peak
+            if rays.dtype != object and 2 * dim * peak * cons_peak[ci] * peak >= linalg.OVERFLOW_LIMIT:
+                rays = rays.astype(object)
+            vals = rays @ cons[ci]
+            bit = np.uint64(1 << (ci % 64))
+            zsets[:, ci // 64] |= (vals == 0) * bit
+            pos = (vals > 0).nonzero()[0]
+            if not pos.size:
                 continue
-            zero, neg, pos = [], [], []
-            for entry in rays:
-                v = _idot(a, entry[0])
-                if v == 0:
-                    entry[1] |= bit
-                    zero.append(entry)
-                elif v < 0:
-                    neg.append((entry, v))
-                else:
-                    pos.append((entry, v))
-            if not pos:
-                continue
-            if not neg and not zero:
-                rays = []
-                continue
-            needed = dim - len(lin) - 2
-            combos: dict[tuple[int, ...], list] = {}
-            work = 0
-            for pentry, pval in pos:
-                for nentry, nval in neg:
-                    work += 1
-                    if work % 4096 == 0 and expired():
-                        raise BudgetExpired
-                    common = pentry[1] & nentry[1]
-                    if common.bit_count() < needed:
-                        continue
-                    adjacent = True
-                    for entry in rays:
-                        if entry is pentry or entry is nentry:
-                            continue
-                        if entry[1] & common == common:
-                            adjacent = False
-                            break
-                    if not adjacent:
-                        continue
-                    vec = gcd_reduce(
-                        [-nval * x + pval * y for x, y in zip(pentry[0], nentry[0])]
-                    )
-                    combos.setdefault(tuple(vec), [list(vec), common | bit])
-            keep = [e for e, _ in neg] + zero
-            rays = keep + [v for _, v in sorted(combos.items())]
+            keep = vals <= 0
+            pp, nn = _adjacent_pairs(zsets, pos, (vals < 0).nonzero()[0], needed, expired)
+            new = _new_rays(rays, vals, pp, nn)
+            peak = max(peak, int(np.abs(new).max(initial=0)))
+            znew = zsets[pp] & zsets[nn]
+            znew[:, ci // 64] |= bit
+            rays, zsets = np.concatenate([rays[keep], new]), np.concatenate([zsets[keep], znew])
     except BudgetExpired:
-        return snapshot, False
-    if lin:
-        raise ValueError("degenerate input: constraints do not span, cone is not pointed")
-    return [tuple(r) for r, _ in rays], True
+        # rays is replaced only once an insertion is complete
+        return [tuple(r) for r in rays.tolist()], False
+    return [tuple(r) for r in rays.tolist()], True
 
 
 def enumerate_facets(
@@ -286,8 +347,10 @@ def enumerate_facets(
     kept = sorted((tuple(row), -ray[-1]) for row, ray, ok in zip(coeffs, rays, valid) if ok)
     if any(not any(row) for row, _ in kept):
         raise ValueError("zero coefficient vector cannot be canonicalized")
+    # one Fraction per distinct value; the facets share a few small integers
+    frac = {x: Fraction(x) for x in {x for row, bound in kept for x in (*row, bound)}}
     facets = tuple(
-        Inequality(space, d, tuple(map(Fraction, row)), Fraction(bound)) for row, bound in kept
+        Inequality(space, d, tuple(map(frac.__getitem__, row)), frac[bound]) for row, bound in kept
     )
     return HRep(ambient, tuple(equations), facets, reduced_dim, complete)
 

@@ -13,7 +13,9 @@ integer slack vectors instead), LP results from a Fraction tableau (the
 library pivots over integers), the CGLMP tightness rank and polytope
 dimension from the full saturating and d^4-row matrices and the CGLMP
 bound from a strategy-by-strategy loop (the library ranks the explicit
-witness and strategy grid and sweeps the bound with numpy), and the
+witness and strategy grid and sweeps the bound with numpy), extreme rays
+from double description one positive/negative pair at a time (the
+library filters and tests whole blocks of pairs in numpy), and the
 reductions are hardcoded rather than borrowed from the library.
 """
 
@@ -460,3 +462,79 @@ def loop_verify_condition1(d: int):
         histogram=histogram,
         case_histogram=dict(sorted(cases.items())),
     )
+
+
+# --- double description one pair at a time ------------------------------------
+# The library runs each insertion as numpy operations over all rays (packed
+# zero sets, a blockwise pair filter and a transposed adjacency test) from
+# an initial simplicial cone; this is the list-of-lists loop it replaced,
+# which removes the lineality space one constraint at a time and tests
+# every positive/negative pair with Python-int bitmasks.
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = 0
+    for x in row:
+        g = math.gcd(g, x)
+    return [x // g for x in row] if g > 1 else row
+
+
+def loop_dd_extreme_rays(constraints, dim: int) -> list[tuple[int, ...]]:
+    """Extreme rays of {y : a.y <= 0 for each constraint a}, gcd-reduced;
+    raises ValueError when the cone is not pointed."""
+    lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rays: list[list] = []  # [vector, zero set bitmask over inserted constraints]
+    for ci, a in enumerate(constraints):
+        bit = 1 << ci
+        lin_dots = [_dot(a, l) for l in lin]
+        hit = next((i for i, v in enumerate(lin_dots) if v), None)
+        if hit is not None:
+            l0 = lin[hit] if lin_dots[hit] < 0 else [-x for x in lin[hit]]
+            d0 = _dot(a, l0)  # < 0
+            lin = [
+                _primitive([d0 * x - dl * y for x, y in zip(l, l0)])
+                for i, (l, dl) in enumerate(zip(lin, lin_dots))
+                if i != hit
+            ]
+            for entry in rays:
+                dr = _dot(a, entry[0])
+                if dr:
+                    entry[0] = _primitive([-d0 * x + dr * y for x, y in zip(entry[0], l0)])
+                entry[1] |= bit
+            rays.append([_primitive(list(l0)), bit - 1])
+            continue
+        zero, neg, pos = [], [], []
+        for entry in rays:
+            v = _dot(a, entry[0])
+            if v == 0:
+                entry[1] |= bit
+                zero.append(entry)
+            elif v < 0:
+                neg.append((entry, v))
+            else:
+                pos.append((entry, v))
+        if not pos:
+            continue
+        needed = dim - len(lin) - 2
+        combos: dict[tuple[int, ...], list] = {}
+        for pentry, pval in pos:
+            for nentry, nval in neg:
+                common = pentry[1] & nentry[1]
+                if common.bit_count() < needed:
+                    continue
+                if any(
+                    entry[1] & common == common
+                    for entry in rays
+                    if entry is not pentry and entry is not nentry
+                ):
+                    continue
+                vec = _primitive([-nval * x + pval * y for x, y in zip(pentry[0], nentry[0])])
+                combos.setdefault(tuple(vec), [vec, common | bit])
+        rays = [e for e, _ in neg] + zero + [v for _, v in sorted(combos.items())]
+    if lin:
+        raise ValueError("constraints do not span, cone is not pointed")
+    return [tuple(r) for r, _ in rays]

@@ -7,9 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bellpoly import facets as facets_module
+from bellpoly import linalg
 from bellpoly.cglmp import cglmp_inequality
 from bellpoly.correlators import (
     cglmp_corr_inequality,
@@ -32,7 +34,7 @@ from bellpoly.membership import nosignaling_max
 from bellpoly.lp import lp_max
 from bellpoly.scenario import Inequality, Scenario, all_generators, inequality_from_json
 
-from oracles import square_subset_facets
+from oracles import loop_dd_extreme_rays, square_subset_facets
 
 
 def _fr(*xs):
@@ -259,6 +261,24 @@ def test_mid_run_expiry_returns_facets_only(monkeypatch):
     assert any(0 < n < len(full) for n in sizes)
 
 
+def test_deadline_is_checked_between_pair_blocks(monkeypatch):
+    # one positive ray per block of pairs: the clock is read inside
+    # insertions too, and an expiry there still returns only facets
+    gens = projected_generators(3)
+    full = set(enumerate_facets(vrep_of(gens), space="correlator", d=3).facets)
+    monkeypatch.setattr(facets_module, "_PAIR_BLOCK", 1)
+    ticks = itertools.count()
+    monkeypatch.setattr(facets_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    assert set(enumerate_facets(vrep_of(gens), space="correlator", d=3, deadline=10**9).facets) == full
+    checks = next(ticks)
+    insertions = len(gens) - 9  # the first 9 independent vertices make the initial cone
+    assert checks > 2 * insertions
+    for k in range(insertions, checks - 1, 5):
+        ticks = itertools.count()
+        hrep = enumerate_facets(vrep_of(gens), space="correlator", d=3, deadline=k)
+        assert not hrep.complete and set(hrep.facets) <= full
+
+
 def test_dd_rejects_nonspanning_input():
     with pytest.raises(ValueError):
         dd_extreme_rays([[1, 0, 0]], 3)
@@ -318,3 +338,73 @@ def test_rational_square_on_a_tilted_plane():
         (_fr(0, 3, -7), Fraction(0)),
         (_fr(0, 3, 0), Fraction(1)),
     ]
+
+
+def _dd_input(vectors):
+    """The constraints and dimension that enumerate_facets hands to DD."""
+    seen = []
+    real = facets_module.dd_extreme_rays
+
+    def record(rows, dim, **kwargs):
+        seen.append((rows, dim))
+        return real(rows, dim, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(facets_module, "dd_extreme_rays", record)
+        enumerate_facets(vrep_of(vectors))
+    return seen[0]
+
+
+def _random_points(dim, lo, hi):
+    rng = random.Random(f"{dim}:{lo}:{hi}")
+    return [tuple(rng.randint(lo, hi) for _ in range(dim)) for _ in range(3 * dim)]
+
+
+def _dd_case(name):
+    kind, _, arg = name.partition("-")
+    if kind == "corr":
+        return projected_generators(int(arg))
+    if kind == "behavior":
+        return all_generators(Scenario(int(arg)))
+    if kind == "random":
+        return _random_points(int(arg), -2, 2)
+    # the cyclic 3-polytope: n points on the moment curve, 2n - 4 facets
+    return [(t, t * t, t**3) for t in range(int(arg))]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["corr-2", "corr-3", "behavior-2", "random-3", "random-4", "random-5", "random-6", "cyclic-130",
+     pytest.param("corr-4", marks=pytest.mark.slow)],
+)
+def test_dd_matches_loop_oracle(name):
+    # cyclic-130 has 130 constraints, so its zero sets take three words
+    rows, dim = _dd_input(_dd_case(name))
+    rays, complete = dd_extreme_rays(rows, dim)
+    assert complete
+    assert len(set(rays)) == len(rays)
+    assert set(rays) == set(loop_dd_extreme_rays(rows, dim))
+    if name == "cyclic-130":
+        assert len(rays) == 2 * 130 - 4
+
+
+@pytest.mark.parametrize("limit,scale", [(2**12, 1), (2**20, 2**8)])
+def test_dd_leaves_int64_mid_run(monkeypatch, limit, scale):
+    # 17 distinct points of {-1, 0, 1}^6: the first new rays are made in
+    # int64, later insertions trip the guard and the ray array becomes
+    # Python ints; scaling every constraint leaves the cone as it is
+    rows = [[scale * x for x in p] + [scale] for p in sorted(set(_random_points(6, -1, 1)))]
+    expected = set(loop_dd_extreme_rays(rows, 7))
+    dtypes = []
+    real = facets_module._new_rays
+
+    def spy(rays, *args):
+        dtypes.append(rays.dtype)
+        return real(rays, *args)
+
+    monkeypatch.setattr(facets_module, "_new_rays", spy)
+    monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", limit)
+    rays, complete = dd_extreme_rays(rows, 7)
+    assert complete
+    assert set(rays) == expected
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
