@@ -11,6 +11,7 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -331,7 +332,10 @@ def cmd_membership(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="bellpoly",
         description="exact local-realistic polytopes, CGLMP certificates and Bell facets",
@@ -379,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -102,8 +102,8 @@ def slack_matrix(coeffs, bounds, vertices) -> np.ndarray:
     sum, stays under OVERFLOW_LIMIT; Python ints (dtype object) otherwise.
     """
     v = _int_array(vertices)
-    a = _int_array(coeffs).reshape(-1, v.shape[1])
     b = _int_array(bounds, ndim=1)
+    a = _int_array(coeffs).reshape(len(b), v.shape[1])
     if _peak(b) + v.shape[1] * _peak(a) * _peak(v) >= OVERFLOW_LIMIT:
         a, b, v = (x.astype(object) for x in (a, b, v))
     return b[:, None] - a @ v.T
@@ -120,7 +120,7 @@ def _fraction_free(a: np.ndarray, idx: np.ndarray, r: int, c: int, den: int = 1)
     sub = a[idx]
     colv = sub[:, c].copy()
     if a.dtype != object:
-        bound = abs(piv) * int(np.abs(sub).max()) + int(np.abs(colv).max()) * int(np.abs(a[r]).max())
+        bound = abs(piv) * _peak(sub) + _peak(colv) * _peak(a[r])
         if bound >= OVERFLOW_LIMIT:
             a = a.astype(object)
             sub = a[idx]

@@ -62,44 +62,40 @@ def local_max(ineq: Inequality) -> Fraction:
     return Fraction(-int(slack.min()), den)
 
 
-def _decompose(query, columns, labels, uniform, space: str, d: int) -> MembershipResult:
-    """Shared core: columns are the generator vectors, labels their names."""
+def _decompose(query, vertices: np.ndarray, labels, uniform, space: str, d: int) -> MembershipResult:
+    """Shared core: vertices holds the generator vectors as rows, labels
+    their names."""
     ncoords = len(query)
-    eq_rows = [[col[i] for col in columns] for i in range(ncoords)]
-    eq_rows.append([Fraction(1)] * len(columns))
-    eq_rhs = list(query) + [Fraction(1)]
-    feas = lp_max([Fraction(0)] * len(columns), eq_rows=eq_rows, eq_rhs=eq_rhs, nonneg=True)
+    nverts = len(vertices)
+    eq_rows = np.ones((ncoords + 1, nverts), dtype=np.int64)
+    eq_rows[:ncoords] = vertices.T
+    eq_rhs = [*query, 1]
+    feas = lp_max([0] * nverts, eq_rows=eq_rows, eq_rhs=eq_rhs, nonneg=True)
     if feas.status == "optimal":
-        weights = {}
-        recon = [Fraction(0)] * ncoords
-        total = Fraction(0)
-        for lab, col, w in zip(labels, columns, feas.primal):
-            if w < 0:
-                raise AssertionError("negative weight from the feasibility LP")
-            if w:
-                weights[lab] = w
-                total += w
-                for i, x in enumerate(col):
-                    if x:
-                        recon[i] += w * x
-        if total != 1 or recon != list(query):
+        # the weights w / wden sum to 1 and rebuild the query: rows w / wden == b / bden
+        w, wden = integer_rows([feas.primal])
+        if (w < 0).any():
+            raise AssertionError("negative weight from the feasibility LP")
+        b, bden = integer_rows([eq_rhs])
+        rebuilt = -slack_matrix(eq_rows, np.zeros(ncoords + 1, dtype=np.int64), w)[:, 0]  # rows w
+        if [bden * v for v in rebuilt.tolist()] != [wden * v for v in b[0].tolist()]:
             raise AssertionError("decomposition does not reconstruct the query exactly")
+        weights = {lab: x for lab, x in zip(labels, feas.primal) if x}
         return MembershipResult(local=True, weights=weights)
     if feas.status != "infeasible":
         raise AssertionError(f"feasibility LP came back {feas.status}")
 
-    # interior ray: max t with  sum_w w G = u + t (p - u),  sum w = 1, w >= 0
-    delta = [q - u for q, u in zip(query, uniform)]
-    ray_rows = []
-    for i in range(ncoords):
-        ray_rows.append([col[i] for col in columns] + [-delta[i]])
-    ray_rows.append([Fraction(1)] * len(columns) + [Fraction(0)])
-    ray_obj = [Fraction(0)] * len(columns) + [Fraction(1)]
+    # interior ray: max t with  sum_w w G = u + t (p - u),  sum w = 1, w >= 0;
+    # with p - u = delta / D the column of t is -delta and its objective D
+    delta, D = integer_rows([[q - u for q, u in zip(query, uniform)]])
+    ray_rows = np.zeros((ncoords + 1, nverts + 1), dtype=delta.dtype)
+    ray_rows[:, :nverts] = eq_rows
+    ray_rows[:ncoords, nverts] = -delta[0]
     res = lp_max(
-        ray_obj,
+        [0] * nverts + [D],
         eq_rows=ray_rows,
-        eq_rhs=list(uniform) + [Fraction(1)],
-        nonneg=range(len(columns)),
+        eq_rhs=[*uniform, 1],
+        nonneg=range(nverts),
     )
     if res.status != "optimal":
         raise AssertionError(f"interior-ray LP came back {res.status}")
@@ -156,9 +152,9 @@ def local_decompose(p: Behavior) -> MembershipResult:
     if not is_nosignaling(p):
         raise ValueError("behavior is signaling; locality is not defined for it")
     d = p.d
-    labels = all_strategies(Scenario(d))
-    columns = space_vertices("behavior", d).tolist()  # in all_strategies order
-    return _decompose(p.coords, columns, labels, uniform_behavior(d).coords, "behavior", d)
+    labels = all_strategies(Scenario(d))  # the order of the vertex rows
+    vertices = space_vertices("behavior", d)
+    return _decompose(p.coords, vertices, labels, uniform_behavior(d).coords, "behavior", d)
 
 
 def corr_local_decompose(c: CorrVector) -> MembershipResult:
@@ -167,9 +163,8 @@ def corr_local_decompose(c: CorrVector) -> MembershipResult:
         raise ValueError("correlation vector must be nonnegative with unit block sums")
     d = c.d
     mat = space_vertices("correlator", d)
-    columns = mat.tolist()
     # a projected generator is named by its four outcome differences, the
     # positions of its unit entries within their blocks
     labels = list(map(tuple, (np.nonzero(mat)[1].reshape(-1, 4) % d).tolist()))
     uniform = [Fraction(1, d)] * (4 * d)
-    return _decompose(c.coords, columns, labels, uniform, "correlator", d)
+    return _decompose(c.coords, mat, labels, uniform, "correlator", d)

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bellpoly.cli import main
+import bellpoly
+from bellpoly.cli import build_parser, main
 from bellpoly.scenario import behavior_to_json, uniform_behavior
 
 from test_membership import pr_box
@@ -25,6 +29,24 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # main reuses one parser, so a flag or default of one call must not
+    # reach the next: each call prints what a fresh process prints
+    path = tmp_path / "pr.json"
+    path.write_text(json.dumps(behavior_to_json(pr_box())))
+    src = str(Path(bellpoly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    codes = []
+    for argv in (["enumerate", "2", "--pretty"], ["enumerate", "2"], ["dims", "x"], ["membership", str(path)]):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bellpoly.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout)
+        codes.append(fresh.returncode)
+    assert codes == [0, 0, 2, 0]
+    assert build_parser() is build_parser()
 
 
 def test_dims(capsys):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -191,19 +192,51 @@ def test_nosignaling_dual_keeps_redundant_rows():
     _assert_optimal_pair(res, chsh.coeffs, rows, rhs)
 
 
+def _integer_optimal(res, obj, rows, rhs):
+    """The arguments of lp._check_optimal for an optimal result of an
+    integer problem, whose column scales are 1: the primal, dual and
+    optimum as integers over their common denominator."""
+    p = lp_mod._integer_lp(obj, rows, rhs, (), (), True)
+    assert (set(p.scale), p.bscale, p.cscale) == ({1}, 1, 1)
+    den = lcm(*(v.denominator for v in (*res.primal, *res.dual, res.optimum)))
+    x, y = ([int(v * den) for v in vec] for vec in (res.primal, res.dual))
+    return p, x, y, int(res.optimum * den), den
+
+
 def test_optimality_check_rejects_a_wrong_dual():
     from bellpoly.lp import _check_optimal
 
     chsh = lift(chsh_inequality())
     rows, rhs = constraint_matrix(Scenario(2))
     res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
-    args = (chsh.coeffs, res.primal, res.dual, res.optimum, rows, rhs, len(rows), set(range(16)))
+    p, x, y, opt, den = _integer_optimal(res, chsh.coeffs, rows, rhs)
+    args = (p, x, y, opt, den)
     _check_optimal(*args)
-    zeroed = tuple(Fraction(0) if i == 0 else yi for i, yi in enumerate(res.dual))
+    zeroed = [0] + y[1:]
     with pytest.raises(AssertionError):
-        _check_optimal(chsh.coeffs, res.primal, zeroed, *args[3:])
+        _check_optimal(p, x, zeroed, *args[3:])
     with pytest.raises(AssertionError):
-        _check_optimal(chsh.coeffs, res.primal, res.dual, res.optimum + 1, *args[4:])
+        _check_optimal(p, x, y, opt + den, den)
+    # c = (1, -1, ...): this primal keeps c.x and its signs, and breaks a row
+    with pytest.raises(AssertionError):
+        _check_optimal(p, [x[0] + den, x[1] + den, *x[2:]], y, opt, den)
+
+
+def test_farkas_check_rejects_a_tampered_certificate():
+    # x + u = 1 and u >= 2 with x >= 0 and u free: the certificate is unique
+    # up to scale, so zeroing or negating any entry breaks a condition
+    args = ([0, 0], [[1, 1]], [1], [[0, -1]], [-2], [0])
+    res = lp_max(*args)
+    assert res.status == "infeasible"
+    p = lp_mod._integer_lp(*args)
+    den = lcm(*(v.denominator for v in res.certificate))
+    y = [int(v * den) for v in res.certificate]
+    assert all(y)
+    lp_mod._check_farkas(p, y)
+    for i, v in enumerate(y):
+        for tampered in (0, -v):
+            with pytest.raises(AssertionError):
+                lp_mod._check_farkas(p, [*y[:i], tampered, *y[i + 1 :]])
 
 
 def _entry(rng, zero=0.4):

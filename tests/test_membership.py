@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import fraction_lp_max, gauge_orbit_min
 
+import bellpoly.lp as lp_mod
 import bellpoly.membership as membership_mod
+from bellpoly import linalg
 from bellpoly.cli import main
 
 from bellpoly.cglmp import cglmp_inequality, evaluate
@@ -23,6 +26,7 @@ from bellpoly.correlators import (
     project,
     projected_generators,
 )
+from bellpoly.linalg import slack_matrix
 from bellpoly.lp import lp_max
 from bellpoly.membership import (
     corr_local_decompose,
@@ -318,6 +322,39 @@ def test_membership_lps_match_fraction_simplex(monkeypatch, space, d):
         assert not _seeded_box(rng, space, d).local
     assert statuses.count("infeasible") == 2
     assert statuses.count("optimal") == 4
+
+
+@pytest.mark.parametrize("limit", [None, 2**4])
+@pytest.mark.parametrize("space,d", [("behavior", 2), ("correlator", 3)])
+def test_lp_on_membership_shaped_input(monkeypatch, space, d, limit):
+    # a box query's two LPs, as membership builds them: integer ndarray rows
+    # and a rational right-hand side; with the guard lowered, the checks'
+    # matrix products run over Python ints
+    calls, products = [], []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return lp_max(*args, **kwargs)
+
+    def spy(*args):
+        products.append(slack_matrix(*args))
+        return products[-1]
+
+    monkeypatch.setattr(membership_mod, "lp_max", record)
+    assert not _decompose(_box_query(random.Random(f"shaped {space} {d}"), space, d)).local
+    monkeypatch.setattr(lp_mod, "slack_matrix", spy)
+    if limit:
+        monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", limit)
+    statuses = []
+    for args, kwargs in calls:
+        rows, rhs = kwargs["eq_rows"], kwargs["eq_rhs"]
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+        assert any(isinstance(b, Fraction) and b.denominator > 1 for b in rhs)
+        res = lp_max(*args, **kwargs)
+        assert res == fraction_lp_max(*args, **kwargs)
+        statuses.append(res.status)
+    assert statuses == ["infeasible", "optimal"]
+    assert {a.dtype for a in products} == {np.dtype(object) if limit else np.dtype(np.int64)}
 
 
 MEMBERSHIP_STDOUT = json.loads(
