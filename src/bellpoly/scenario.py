@@ -201,30 +201,30 @@ def constraint_rank(s: Scenario) -> int:
     return linalg.int_rank(constraint_matrix(s)[0])
 
 
+@lru_cache(maxsize=None)
+def _constraint_system(d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """constraint_matrix of Scenario(d) as a read-only int64 matrix and its
+    right-hand side, built once per d."""
+    rows, rhs = constraint_matrix(Scenario(d))
+    mat = np.array(rows, dtype=np.int64)
+    mat.flags.writeable = False
+    return mat, tuple(rhs)
+
+
+def _constraint_residual(p: Behavior, rows: slice) -> np.ndarray:
+    """rhs - rows . p for the given rows of constraint_matrix, scaled by the
+    common denominator of p: zero exactly where p satisfies them."""
+    mat, rhs = _constraint_system(p.d)
+    num, den = linalg.integer_rows([p.coords])
+    return linalg.slack_matrix(mat[rows], [den * b for b in rhs[rows]], num)[:, 0]
+
+
 def is_normalized(p: Behavior) -> bool:
-    d = p.d
-    for a, b in BLOCKS:
-        total = sum(p.coords[coord_index(d, a, b, k, t)] for k in range(d) for t in range(d))
-        if total != 1:
-            return False
-    return True
+    return not _constraint_residual(p, slice(4)).any()
 
 
 def is_nosignaling(p: Behavior) -> bool:
-    d = p.d
-    for a in (1, 2):
-        for k in range(d):
-            m1 = sum(p.coords[coord_index(d, a, 1, k, t)] for t in range(d))
-            m2 = sum(p.coords[coord_index(d, a, 2, k, t)] for t in range(d))
-            if m1 != m2:
-                return False
-    for b in (1, 2):
-        for t in range(d):
-            m1 = sum(p.coords[coord_index(d, 1, b, k, t)] for k in range(d))
-            m2 = sum(p.coords[coord_index(d, 2, b, k, t)] for k in range(d))
-            if m1 != m2:
-                return False
-    return True
+    return not _constraint_residual(p, slice(4, None)).any()
 
 
 def is_probability(p: Behavior) -> bool:

@@ -11,8 +11,15 @@ In behavior space relabelings are arbitrary per-observable permutations:
 group order 8 (d!)^4.  In correlator space only those relabelings survive
 the projection that act on outcome differences, namely per-observable
 cyclic shifts and the global reflection of all outcomes; the classification
-group there is the shift+reflection subgroup (8 d^4 2 elements before
-coincidences).
+group there is the shift+reflection subgroup.  One offset added to all four
+shifts acts trivially, so the B2 shift is fixed at 0: 16 d^3 elements, and
+64 at d=2, where the reflection is the identity.
+
+Each space has one numpy kernel saying how its generators act on
+coordinates, vectorised over a leading axis of elements.  The group table
+of a space is that kernel applied to all of its generating data at once,
+deduplicated by np.unique into one read-only integer array (one row per
+element); the single-element constructors call the same kernel on one row.
 
 Inequalities are compared by their slack over the vertices of their space
 (the generators, or the projected generators): bound - coeffs.v for every
@@ -20,8 +27,8 @@ vertex v, cleared of denominators and divided by its gcd.  The vertices
 span the affine hull, so two inequalities have the same slack exactly when
 they agree up to the hull's equations and a positive scale.  Every group
 element permutes the vertices, hence the entries of a slack vector; the
-whole group is tabulated once per space as vertex index permutations, and
-an orbit is one fancy index into that table.  Two inequalities are
+group table is turned once per space into vertex index permutations, and an
+orbit is one fancy index into that table.  Two inequalities are
 equivalent when the slack of one lies in the other's orbit.
 """
 
@@ -35,9 +42,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .correlators import CorrVector, corr_index, projected_generator_matrix
+from .correlators import CorrVector, projected_generator_matrix
 from .facets import canonicalize, classify_trivial, standard_equations
-from .scenario import Behavior, Inequality, coord_index, generator_matrix
+from .scenario import Behavior, Inequality, generator_matrix
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,35 @@ def identity_op(space: str, d: int) -> SymmetryOp:
     return SymmetryOp(space, d, tuple(range(size)))
 
 
+def _behavior_perms(d: int, flips: np.ndarray, inverse_relabelings: np.ndarray) -> np.ndarray:
+    """Behavior coordinate permutations, one row per element g: flips[g] is
+    (party swap, A swap, B swap), inverse_relabelings[g] the inverse outcome
+    relabelings of (A1, A2, B1, B2).  The party swap reads the transposed
+    table."""
+    a, b, k, s = np.indices((2, 2, d, d))
+    swap, flip_a, flip_b = np.asarray(flips, dtype=np.int64).T[:, :, None, None, None, None]
+    aa = np.where(swap, b, a) ^ flip_a
+    bb = np.where(swap, a, b) ^ flip_b
+    kk, ss = np.where(swap, s, k), np.where(swap, k, s)
+    inv = np.asarray(inverse_relabelings)
+    g = np.arange(len(inv))[:, None, None, None, None]
+    return (((2 * aa + bb) * d + inv[g, aa, kk]) * d + inv[g, 2 + bb, ss]).reshape(len(inv), -1)
+
+
+def _correlator_perms(d: int, flips: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Correlator coordinate permutations, one row per element g: flips[g]
+    is (party swap, A swap, B swap, reflection), shifts[g] the outcome shifts
+    of (A1, A2, B1, B2).  The party swap and the reflection each negate n."""
+    a, b, n = np.indices((2, 2, d))
+    swap, flip_a, flip_b, reflect = np.asarray(flips, dtype=np.int64).T[:, :, None, None, None]
+    aa = np.where(swap, b, a) ^ flip_a
+    bb = np.where(swap, a, b) ^ flip_b
+    shifts = np.asarray(shifts)
+    g = np.arange(len(shifts))[:, None, None, None]
+    nn = (np.where(swap ^ reflect, -n, n) - shifts[g, aa] + shifts[g, 2 + bb]) % d
+    return ((2 * aa + bb) * d + nn).reshape(len(shifts), -1)
+
+
 def behavior_symmetry(
     d: int,
     *,
@@ -79,32 +115,12 @@ def behavior_symmetry(
     outcome_perms gives the relabeling sigma for (A1, A2, B1, B2) in the
     original labels; sigma maps old outcome to new outcome.
     """
-    ident = tuple(range(d))
-    if outcome_perms is None:
-        perms = (ident, ident, ident, ident)
-    else:
-        perms = tuple(tuple(p) for p in outcome_perms)
-        if len(perms) != 4 or any(sorted(p) != list(range(d)) for p in perms):
-            raise ValueError("outcome_perms must be four permutations of range(d)")
-    inv = [tuple(sorted(range(d), key=lambda k: p[k])) for p in perms]
-    sigma_a_inv = {1: inv[0], 2: inv[1]}
-    sigma_b_inv = {1: inv[2], 2: inv[3]}
-
-    perm = [0] * (4 * d * d)
-    for a in (1, 2):
-        for b in (1, 2):
-            for k in range(d):
-                for s in range(d):
-                    # party swap reads the transposed table
-                    aa, bb, kk, ss = (b, a, s, k) if swap_parties else (a, b, k, s)
-                    if swap_a:
-                        aa = 3 - aa
-                    if swap_b:
-                        bb = 3 - bb
-                    perm[coord_index(d, a, b, k, s)] = coord_index(
-                        d, aa, bb, sigma_a_inv[aa][kk], sigma_b_inv[bb][ss]
-                    )
-    return SymmetryOp("behavior", d, tuple(perm))
+    perms = [list(p) for p in ([range(d)] * 4 if outcome_perms is None else outcome_perms)]
+    if len(perms) != 4 or any(sorted(p) != list(range(d)) for p in perms):
+        raise ValueError("outcome_perms must be four permutations of range(d)")
+    inv = np.argsort(perms, axis=1)  # the inverse of a permutation sorts it
+    row = _behavior_perms(d, [[swap_parties, swap_a, swap_b]], inv[None])[0]
+    return SymmetryOp("behavior", d, tuple(row.tolist()))
 
 
 def correlator_symmetry(
@@ -118,65 +134,43 @@ def correlator_symmetry(
 ) -> SymmetryOp:
     """Build one correlator-space element: shifts are per-observable outcome
     shifts (A1, A2, B1, B2); reflect negates all outcomes, sending n to -n."""
-    c = tuple(int(x) % d for x in shifts)
+    c = [int(x) % d for x in shifts]
     if len(c) != 4:
         raise ValueError("shifts must have four entries")
-    shift_a = {1: c[0], 2: c[1]}
-    shift_b = {1: c[2], 2: c[3]}
-    perm = [0] * (4 * d)
-    for a in (1, 2):
-        for b in (1, 2):
-            for n in range(d):
-                aa, bb, nn = (b, a, (-n) % d) if swap_parties else (a, b, n)
-                if swap_a:
-                    aa = 3 - aa
-                if swap_b:
-                    bb = 3 - bb
-                if reflect:
-                    nn = (-nn) % d
-                nn = (nn - shift_a[aa] + shift_b[bb]) % d
-                perm[corr_index(d, a, b, n)] = corr_index(d, aa, bb, nn)
-    return SymmetryOp("correlator", d, tuple(perm))
+    row = _correlator_perms(d, [[swap_parties, swap_a, swap_b, reflect]], [c])[0]
+    return SymmetryOp("correlator", d, tuple(row.tolist()))
 
 
 def behavior_group(d: int) -> list[SymmetryOp]:
     """All 8 (d!)^4 behavior-space elements; refused for d >= 4."""
-    if d >= 4:
-        raise ValueError(f"behavior-space group for d={d} has 8*(d!)^4 elements; too large")
-    perms = list(itertools.permutations(range(d)))
-    seen: dict[tuple[int, ...], SymmetryOp] = {}
-    for (swap_parties, swap_a, swap_b), relabels in itertools.product(
-        itertools.product((False, True), repeat=3), itertools.product(perms, repeat=4)
-    ):
-        op = behavior_symmetry(
-            d, swap_parties=swap_parties, swap_a=swap_a, swap_b=swap_b, outcome_perms=relabels
-        )
-        seen.setdefault(op.perm, op)
-    return list(seen.values())
+    return [SymmetryOp("behavior", d, tuple(row)) for row in group_for("behavior", d).tolist()]
 
 
 def correlator_group(d: int) -> list[SymmetryOp]:
     """The shift+reflection subgroup acting on correlator coordinates."""
-    seen: dict[tuple[int, ...], SymmetryOp] = {}
-    for (swap_parties, swap_a, swap_b, reflect), shifts in itertools.product(
-        itertools.product((False, True), repeat=4), itertools.product(range(d), repeat=4)
-    ):
-        op = correlator_symmetry(
-            d, swap_parties=swap_parties, swap_a=swap_a, swap_b=swap_b, shifts=shifts,
-            reflect=reflect,
-        )
-        seen.setdefault(op.perm, op)
-    return list(seen.values())
+    return [SymmetryOp("correlator", d, tuple(row)) for row in group_for("correlator", d).tolist()]
 
 
 @lru_cache(maxsize=None)
-def group_for(space: str, d: int) -> tuple[SymmetryOp, ...]:
-    """The whole group of a space, built once per (space, d)."""
+def group_for(space: str, d: int) -> np.ndarray:
+    """The whole group of a space as one read-only integer table of
+    coordinate permutations, one distinct row per element, in lexicographic
+    order; built once per (space, d) from all of its generating data."""
     if space == "behavior":
-        return tuple(behavior_group(d))
-    if space == "correlator":
-        return tuple(correlator_group(d))
-    raise ValueError(f"no symmetry group for space {space!r}")
+        if d >= 4:
+            raise ValueError(f"behavior-space group for d={d} has 8*(d!)^4 elements; too large")
+        perms = np.array(list(itertools.permutations(range(d))))  # the inverses of all relabelings
+        data = np.indices((2, 2, 2) + (len(perms),) * 4).reshape(7, -1).T
+        table = _behavior_perms(d, data[:, :3], perms[data[:, 3:]])
+    elif space == "correlator":
+        # the B2 shift stays 0: adding one offset to all four shifts acts trivially
+        data = np.indices((2, 2, 2, 2, d, d, d)).reshape(7, -1).T
+        table = _correlator_perms(d, data[:, :4], np.pad(data[:, 4:], ((0, 0), (0, 1))))
+    else:
+        raise ValueError(f"no symmetry group for space {space!r}")
+    table = np.unique(table, axis=0)
+    table.flags.writeable = False
+    return table
 
 
 def apply_behavior(op: SymmetryOp, p: Behavior) -> Behavior:
@@ -226,7 +220,7 @@ def _vertex_perms(space: str, d: int) -> np.ndarray:
     digit = (coord % width) * width ** (coord // width)
     vertex_of = np.zeros(width**4, dtype=np.int32)
     vertex_of[digit[ones].sum(axis=1)] = np.arange(len(ones))
-    perms = digit[np.array([op.perm for op in group_for(space, d)])]
+    perms = digit[group_for(space, d)]
     return vertex_of[sum(perms[:, col] for col in ones.T)]
 
 
@@ -255,7 +249,8 @@ def canonical_class(ineq: Inequality) -> Inequality:
     facets.canonicalize (coefficients reduced modulo the space's equations)."""
     rows = slack_orbit(ineq).tolist()
     least = min(range(len(rows)), key=rows.__getitem__)
-    image = apply_inequality(group_for(ineq.space, ineq.d)[least], ineq)
+    op = SymmetryOp(ineq.space, ineq.d, tuple(group_for(ineq.space, ineq.d)[least].tolist()))
+    image = apply_inequality(op, ineq)
     return canonicalize(image, equations=standard_equations(ineq.space, ineq.d))
 
 

@@ -8,8 +8,9 @@ their completeness is read off the package's facet enumeration, which the
 subset oracle below checks on its own), slack values come from one
 Fraction dot product per vertex, facets of the d=2 correlator polytope
 from hyperplanes through vertex subsets, symmetry
-classes from Fraction orbits in a fixed gauge (the library compares
-integer slack vectors instead), LP results from a Fraction tableau (the
+classes from Fraction orbits in a fixed gauge over a group built one
+element at a time (the library compares integer slack vectors, under a
+group table broadcast in numpy), LP results from a Fraction tableau (the
 library pivots over integers), the CGLMP tightness rank and polytope
 dimension from the full saturating and d^4-row matrices and the CGLMP
 bound from a strategy-by-strategy loop (the library ranks the explicit
@@ -175,12 +176,13 @@ def gauge_key(ineq):
 
 
 def gauge_orbit(ineq):
-    """The fixed-gauge key of the image of ineq under every group element,
-    one Fraction canonicalization per element."""
-    from bellpoly.symmetry import apply_inequality, group_for
+    """The fixed-gauge key of the image of ineq under every element of
+    loop_group, one Fraction canonicalization per element."""
+    from bellpoly.scenario import Inequality
 
-    for op in group_for(ineq.space, ineq.d):
-        yield gauge_key(apply_inequality(op, ineq))
+    for perm in loop_group(ineq.space, ineq.d):
+        image = Inequality(ineq.space, ineq.d, tuple(ineq.coeffs[i] for i in perm), ineq.bound)
+        yield gauge_key(image)
 
 
 def gauge_orbit_min(ineq):
@@ -538,3 +540,69 @@ def loop_dd_extreme_rays(constraints, dim: int) -> list[tuple[int, ...]]:
     if lin:
         raise ValueError("constraints do not span, cone is not pointed")
     return [tuple(r) for r, _ in rays]
+
+
+# The symmetry groups one element at a time, each coordinate's image
+# written out in Python and the elements deduplicated in a dict: the loop
+# builders that the broadcast tables of symmetry.group_for replaced.
+
+
+def _loop_behavior_perm(d, swap_parties, swap_a, swap_b, perms):
+    """out[i] = in[perm[i]]; perms relabel (A1, A2, B1, B2), old to new."""
+    index = lambda a, b, k, s: ((a - 1) * 2 + (b - 1)) * d * d + k * d + s
+    inv = [tuple(sorted(range(d), key=lambda k: p[k])) for p in perms]
+    sigma_a_inv = {1: inv[0], 2: inv[1]}
+    sigma_b_inv = {1: inv[2], 2: inv[3]}
+    perm = [0] * (4 * d * d)
+    for a in (1, 2):
+        for b in (1, 2):
+            for k in range(d):
+                for s in range(d):
+                    # party swap reads the transposed table
+                    aa, bb, kk, ss = (b, a, s, k) if swap_parties else (a, b, k, s)
+                    if swap_a:
+                        aa = 3 - aa
+                    if swap_b:
+                        bb = 3 - bb
+                    perm[index(a, b, k, s)] = index(aa, bb, sigma_a_inv[aa][kk], sigma_b_inv[bb][ss])
+    return tuple(perm)
+
+
+def _loop_correlator_perm(d, swap_parties, swap_a, swap_b, shifts, reflect):
+    """out[i] = in[perm[i]]; shifts of (A1, A2, B1, B2), reflect sends n to -n."""
+    index = lambda a, b, n: ((a - 1) * 2 + (b - 1)) * d + n
+    shift_a = {1: shifts[0], 2: shifts[1]}
+    shift_b = {1: shifts[2], 2: shifts[3]}
+    perm = [0] * (4 * d)
+    for a in (1, 2):
+        for b in (1, 2):
+            for n in range(d):
+                aa, bb, nn = (b, a, (-n) % d) if swap_parties else (a, b, n)
+                if swap_a:
+                    aa = 3 - aa
+                if swap_b:
+                    bb = 3 - bb
+                if reflect:
+                    nn = (-nn) % d
+                nn = (nn - shift_a[aa] + shift_b[bb]) % d
+                perm[index(a, b, n)] = index(aa, bb, nn)
+    return tuple(perm)
+
+
+@functools.lru_cache(maxsize=None)
+def loop_group(space: str, d: int) -> tuple[tuple[int, ...], ...]:
+    """Every distinct coordinate permutation of the group of a space, built
+    from all of its generating data (all four shifts free in correlator
+    space), one element at a time, in order of first appearance."""
+    flips = list(itertools.product((False, True), repeat=3))
+    if space == "behavior":
+        perms = list(itertools.permutations(range(d)))
+        data = itertools.product(flips, itertools.product(perms, repeat=4))
+        elements = (_loop_behavior_perm(d, *f, relabels) for f, relabels in data)
+    else:
+        data = itertools.product(flips, itertools.product(range(d), repeat=4), (False, True))
+        elements = (_loop_correlator_perm(d, *f, shifts, reflect) for f, shifts, reflect in data)
+    seen: dict[tuple[int, ...], None] = {}
+    for perm in elements:
+        seen.setdefault(perm)
+    return tuple(seen)

@@ -105,6 +105,30 @@ def test_nosignaling_detects_marginal_shift():
     assert not is_probability(p)
 
 
+def test_nosignaling_detects_bob_only_signalling():
+    # Alice uniform and independent of Bob; Bob's outcome is 0 when Alice
+    # measures A1 and 1 when she measures A2, whatever his own setting
+    d = 3
+    coords = [Fraction(0)] * (4 * d * d)
+    for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for k in range(d):
+            coords[coord_index(d, a, b, k, a - 1)] = Fraction(1, d)
+    p = Behavior(d, tuple(coords))
+    assert is_normalized(p)
+    assert not is_nosignaling(p)
+
+
+def test_normalization_is_separate_from_nosignaling():
+    d = 3
+    p = Behavior(d, tuple(2 * x for x in uniform_behavior(d).coords))  # blocks sum to 2
+    assert is_nosignaling(p)
+    assert not is_normalized(p)
+    assert not is_probability(p)
+    u = uniform_behavior(d).coords
+    last_block_halved = u[: 3 * d * d] + tuple(x / 2 for x in u[3 * d * d :])
+    assert not is_normalized(Behavior(d, last_block_halved))
+
+
 def test_polytope_affine_dim():
     assert polytope_affine_dim(Scenario(2)) == 8
     assert polytope_affine_dim(Scenario(3)) == 24

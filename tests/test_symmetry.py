@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from oracles import gauge_key, gauge_labels, gauge_orbit
+from oracles import gauge_key, gauge_labels, gauge_orbit, loop_group
 
 from bellpoly.cglmp import cglmp_inequality, evaluate
 from bellpoly.correlators import (
@@ -245,7 +247,8 @@ def _space(space, d):
     """(vertices, group, facets) of a standard space."""
     verts = projected_generators(d) if space == "correlator" else all_generators(Scenario(d))
     facets = enumerate_facets(vrep_of(verts), space=space, d=d).facets
-    return verts, group_for(space, d), list(facets)
+    group = behavior_group(d) if space == "behavior" else correlator_group(d)
+    return verts, group, list(facets)
 
 
 SPACES = [
@@ -314,10 +317,59 @@ def test_canonical_class_is_a_gauge_fixed_image():
 
 
 def test_group_for_is_built_once():
-    assert isinstance(group_for("correlator", 3), tuple)
-    assert group_for("correlator", 3) is group_for("correlator", 3)
+    table = group_for("correlator", 3)
+    assert isinstance(table, np.ndarray) and table.dtype.kind == "i"
+    assert not table.flags.writeable
+    assert group_for("correlator", 3) is table
     with pytest.raises(ValueError):
         group_for("vector", 3)
+
+
+@pytest.mark.parametrize(
+    "space,d",
+    [
+        ("correlator", 2),
+        ("correlator", 3),
+        ("correlator", 4),
+        ("correlator", 5),
+        ("behavior", 2),
+        pytest.param("correlator", 6, marks=pytest.mark.slow),
+        pytest.param("correlator", 8, marks=pytest.mark.slow),
+        pytest.param("behavior", 3, marks=pytest.mark.slow),
+    ],
+)
+def test_group_table_matches_loop_oracle(space, d):
+    table = group_for(space, d)
+    rows = set(map(tuple, table.tolist()))
+    assert len(rows) == len(table)
+    assert rows == set(loop_group(space, d))
+    if space == "behavior":
+        assert len(table) == 8 * math.factorial(d) ** 4
+    else:
+        assert len(table) == (64 if d == 2 else 16 * d**3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_single_elements_are_table_rows(d):
+    rng = random.Random(f"elements{d}")
+    corr = set(map(tuple, group_for("correlator", d).tolist()))
+    behavior = set(map(tuple, group_for("behavior", d).tolist())) if d < 4 else None
+    for _ in range(20):
+        swaps = {key: rng.random() < 0.5 for key in ("swap_parties", "swap_a", "swap_b")}
+        shifts = [rng.randrange(-d, 2 * d) for _ in range(4)]
+        assert correlator_symmetry(d, **swaps, shifts=shifts, reflect=rng.random() < 0.5).perm in corr
+        if behavior is not None:
+            perms = [rng.sample(range(d), d) for _ in range(4)]
+            assert behavior_symmetry(d, **swaps, outcome_perms=perms).perm in behavior
+
+
+def test_single_element_validation():
+    with pytest.raises(ValueError):
+        behavior_symmetry(3, outcome_perms=[(0, 1, 2)] * 3)
+    with pytest.raises(ValueError):
+        behavior_symmetry(3, outcome_perms=[(0, 1, 2), (0, 1, 2), (0, 0, 2), (0, 1, 2)])
+    with pytest.raises(ValueError):
+        correlator_symmetry(3, shifts=(0, 1, 2))
 
 
 def test_huge_slack_falls_back_to_python_ints():
