@@ -99,60 +99,45 @@ def vrep_of(vectors, ambient_dim: int | None = None) -> VRep:
 
 
 @lru_cache(maxsize=None)
-def standard_equations(space: str, d: int):
-    """Affine-hull equation system of a standard space, in reduced form.
-
-    Returns (rows, pivots) where each row is (coefficients..., rhs) with a
-    unit pivot; used to push inequality coefficients into a fixed gauge.
-    """
+def standard_equations(space: str, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Affine-hull equation system of a standard space, in reduced form:
+    (E, pivots), E one read-only integer matrix of rows [w | rhs] over a
+    common denominator D, D at every pivot of its own row and 0 at the
+    other pivots; canonicalize pushes coefficients into the fixed gauge
+    with it."""
     if space == "behavior":
         rows, rhs = constraint_matrix(Scenario(d))
     elif space == "correlator":
-        rows = []
-        rhs = []
-        for block in range(4):
-            row = [Fraction(0)] * (4 * d)
-            for n in range(d):
-                row[block * d + n] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(1))
+        rows, rhs = np.kron(np.eye(4, dtype=np.int64), np.ones(d, dtype=np.int64)), [1] * 4
     else:
         raise ValueError(f"no standard equations for space {space!r}")
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = linalg.rref(aug)
-    if any(p >= len(rows[0]) for p in pivots):
+    red, pivots = linalg.rref(np.column_stack([rows, rhs]))
+    if pivots[-1] >= len(rows[0]):
         raise AssertionError("inconsistent standard equation system")
-    kept = tuple(tuple(row) for row in red[: len(pivots)])
-    return kept, tuple(pivots)
+    eqs = linalg.integer_rows(red[: len(pivots)])[0]
+    eqs.flags.writeable = False
+    return eqs, tuple(pivots)
 
 
 def canonicalize(ineq: Inequality, equations=None) -> Inequality:
     """Scale to coprime integers (orientation stays <=); idempotent.
 
-    With an equation system, coefficients are first reduced modulo the
-    equations (pivot coordinates eliminated, bound shifted along), which
-    makes representatives comparable across gauge choices.
+    With an equation system (E, pivots) from standard_equations, the
+    coefficients are first reduced modulo the equations: the integer row
+    x = (coeffs, bound) becomes D x - x[pivots] E, zero at every pivot
+    coordinate, which makes representatives comparable across gauge
+    choices.  All of it is integer; the equations step runs over Python
+    ints, so it is exact at any size.
     """
-    coeffs = list(ineq.coeffs)
-    bound = ineq.bound
+    row = linalg.integer_rows([(*ineq.coeffs, ineq.bound)])[0][0]
     if equations is not None:
-        rows, pivots = equations
-        for row, pc in zip(rows, pivots):
-            c = coeffs[pc]
-            if c:
-                for j in range(len(coeffs)):
-                    if row[j]:
-                        coeffs[j] -= c * row[j]
-                bound -= c * row[-1]
-    if not any(coeffs):
+        eqs, pivots = equations
+        row = row.astype(object)
+        row = int(eqs[0, pivots[0]]) * row - row[list(pivots)] @ eqs
+    if not row[:-1].any():
         raise ValueError("zero coefficient vector cannot be canonicalized")
-    scaled = gcd_reduce(linalg.clear_denominators(coeffs + [bound]))
-    return Inequality(
-        ineq.space,
-        ineq.d,
-        tuple(Fraction(x) for x in scaled[:-1]),
-        Fraction(scaled[-1]),
-    )
+    *coeffs, bound = map(Fraction, gcd_reduce(row).tolist())
+    return Inequality(ineq.space, ineq.d, tuple(coeffs), bound)
 
 
 # set bits of every byte value; _BYTE_SUM adds the eight bytes of a word into its top byte
@@ -234,9 +219,7 @@ def _adjacent_pairs(zsets: np.ndarray, pos: np.ndarray, neg: np.ndarray, needed:
 def _new_rays(rays: np.ndarray, vals: np.ndarray, pp: np.ndarray, nn: np.ndarray) -> np.ndarray:
     """Where the face spanned by each adjacent pair (r_p, r_n) meets the
     hyperplane a.y = 0: the ray vals_p r_n - vals_n r_p, gcd-reduced."""
-    new = vals[pp, None] * rays[nn] - vals[nn, None] * rays[pp]
-    new //= np.gcd.reduce(new, axis=1)[:, None]
-    return new
+    return gcd_reduce(vals[pp, None] * rays[nn] - vals[nn, None] * rays[pp])
 
 
 def dd_extreme_rays(
@@ -259,7 +242,7 @@ def dd_extreme_rays(
         raise ValueError("degenerate input: constraints do not span, cone is not pointed")
     # the initial rays, the columns of -B^-1: ray k is zero on every basis row but row k
     diag = red[np.arange(dim), basis]
-    rays = linalg._int_array([gcd_reduce(row) for row in (-np.sign(diag)[:, None] * red[:, m:]).tolist()])
+    rays = linalg._int_array(gcd_reduce(-np.sign(diag)[:, None] * red[:, m:]))
     peak = int(np.abs(rays).max())
     cons_peak = np.abs(cons).max(axis=1).tolist()
     # zero set of each ray: bit i for each inserted constraint i the ray
@@ -363,8 +346,8 @@ def saturation_count(ineq: Inequality, vertices) -> tuple[int, int]:
     origin shows rank exactly D.
     """
     mat, den = linalg.integer_rows(vertices)
-    *coeffs, bound = linalg.clear_denominators([*ineq.coeffs, ineq.bound])
-    slack = linalg.slack_matrix([coeffs], [den * bound], mat)[0]
+    row = linalg.integer_rows([(*ineq.coeffs, ineq.bound)])[0]
+    slack = linalg.slack_matrix(row[:, :-1], [den * int(row[0, -1])], mat)[0]
     if (slack < 0).any():
         raise ValueError("inequality is violated by a vertex; not supporting")
     tight = slack == 0

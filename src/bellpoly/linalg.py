@@ -18,6 +18,10 @@ entries stay small.
 only at the end, and ``nullspace`` reads its basis off the ``rref``.
 ``slack_matrix`` is the one check of inequalities against vertices,
 ``bound - coeffs.v`` for every pair, behind the same guard.
+
+Rationals enter the integers in one place, ``integer_rows`` (a batch of
+rows over one common denominator), and rows leave them divided by their
+gcd in one place, ``gcd_reduce``.
 """
 
 from __future__ import annotations
@@ -32,25 +36,13 @@ import numpy as np
 OVERFLOW_LIMIT = 2**62
 
 
-def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
-    """Scale a rational row by the positive lcm of its denominators."""
-    denoms = [x.denominator for x in row if isinstance(x, Fraction)]
-    lcm = 1
-    for q in denoms:
-        lcm = lcm * q // math.gcd(lcm, q)
-    return [int(x * lcm) for x in row]
-
-
-def gcd_reduce(row: list[int]) -> list[int]:
-    """Divide an integer row by the gcd of its entries (zero rows unchanged)."""
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-        if g == 1:
-            return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+def gcd_reduce(a: np.ndarray) -> np.ndarray:
+    """Each row of an integer array (int64 or Python ints) divided by the
+    gcd of its entries, along the last axis; signs are kept and zero rows
+    stay unchanged."""
+    g = np.abs(np.gcd.reduce(a, axis=-1, keepdims=True))  # a one-entry row reduces to itself
+    g[g == 0] = 1
+    return a // g
 
 
 def _peak(a: np.ndarray) -> int:
@@ -171,10 +163,7 @@ def _eliminate(rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
             a = _fraction_free(a, idx, r, c)
             sub = a[idx]
             if a.dtype == object or _peak(sub) > 2**31:
-                g = np.gcd.reduce(np.abs(sub), axis=1)
-                g[g == 0] = 1
-                sub //= g[:, None]
-                a[idx] = sub
+                a[idx] = gcd_reduce(sub)
             del sub  # not held through the next update, whose copies it would add to
         pivots.append(c)
         r += 1

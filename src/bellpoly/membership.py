@@ -40,7 +40,7 @@ from .scenario import (
     is_nosignaling,
     uniform_behavior,
 )
-from .symmetry import equivalent, space_vertices
+from .symmetry import slack_orbit, slack_rows, space_vertices
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,8 @@ def _decompose(query, vertices: np.ndarray, labels, uniform, space: str, d: int)
 
 def _catalog_label(cert: Inequality) -> str:
     """Match a certificate against the known classes where feasible: CGLMP
-    and a nonnegativity facet.  The certificate is never constant on the
+    and a nonnegativity facet, whose slacks are looked up in the one slack
+    orbit of the certificate.  The certificate is never constant on the
     affine hull (canonicalize would have refused it), so its slack exists."""
     space, d = cert.space, cert.d
     if space == "behavior" and d >= 4:
@@ -136,8 +137,9 @@ def _catalog_label(cert: Inequality) -> str:
     nonneg = [Fraction(0)] * len(cert.coeffs)
     nonneg[nonneg_at] = Fraction(-1)
     trivial_rep = Inequality(space, d, tuple(nonneg), Fraction(0))
-    for name, q in (("cglmp", reference), ("nonnegativity", trivial_rep)):
-        if equivalent(cert, q):
+    orbit = slack_orbit(cert)
+    for name, row in zip(("cglmp", "nonnegativity"), slack_rows([reference, trivial_rep])):
+        if (orbit == row).all(axis=1).any():
             return name
     return "uncataloged"
 

@@ -137,19 +137,6 @@ def generator_matrix(d: int) -> np.ndarray:
     return generator_rows(d, np.indices((d, d, d, d)).reshape(4, -1))
 
 
-def strategy_values(coeffs, d: int):
-    """Value of a behavior-space coefficient vector on every generator, in
-    all_strategies order: the sum of its four unit coordinates."""
-    o11, o12, o21, o22 = (coord_index(d, a, b, 0, 0) for a, b in BLOCKS)
-    for a1, a2, b1, b2 in itertools.product(range(d), repeat=4):
-        yield (
-            coeffs[o11 + a1 * d + b1]
-            + coeffs[o12 + a1 * d + b2]
-            + coeffs[o21 + a2 * d + b1]
-            + coeffs[o22 + a2 * d + b2]
-        )
-
-
 def uniform_behavior(d: int) -> Behavior:
     q = Fraction(1, d * d)
     return Behavior(d, tuple([q] * (4 * d * d)))

@@ -23,7 +23,9 @@ element); the single-element constructors call the same kernel on one row.
 
 Inequalities are compared by their slack over the vertices of their space
 (the generators, or the projected generators): bound - coeffs.v for every
-vertex v, cleared of denominators and divided by its gcd.  The vertices
+vertex v, divided by its gcd.  A batch of inequalities gets its slack rows
+from one integer matrix over a common denominator and one slack_matrix
+product, then each row is divided by its own gcd.  The vertices
 span the affine hull, so two inequalities have the same slack exactly when
 they agree up to the hull's equations and a positive scale.  Every group
 element permutes the vertices, hence the entries of a slack vector; the
@@ -224,18 +226,28 @@ def _vertex_perms(space: str, d: int) -> np.ndarray:
     return vertex_of[sum(perms[:, col] for col in ones.T)]
 
 
-def slack(ineq: Inequality) -> np.ndarray:
-    """bound - coeffs.v over the vertices of the space, as coprime integers.
+def slack_rows(ineqs: Sequence[Inequality]) -> np.ndarray:
+    """bound - coeffs.v over the vertices of the space, one row of coprime
+    integers per inequality, all of one space.
 
-    One row of linalg.slack_matrix: int64 when every entry fits, Python
-    ints (dtype object) otherwise.  A constant slack means the inequality
-    is an equation on the affine hull, which has no class: ValueError.
+    One integer_rows, one linalg.slack_matrix product and one gcd_reduce:
+    int64 when every entry fits, Python ints (dtype object) otherwise.  A
+    constant slack means the inequality is an equation on the affine hull,
+    which has no class: ValueError.
     """
-    *coeffs, bound = linalg.clear_denominators([*ineq.coeffs, ineq.bound])
-    s = linalg.slack_matrix([coeffs], [bound], space_vertices(ineq.space, ineq.d))[0]
-    if (s == s[0]).all():
+    space, d = ineqs[0].space, ineqs[0].d
+    if any((q.space, q.d) != (space, d) for q in ineqs):
+        raise ValueError("inequalities of different spaces in one batch")
+    rows = linalg.integer_rows([(*q.coeffs, q.bound) for q in ineqs])[0]
+    s = linalg.slack_matrix(rows[:, :-1], rows[:, -1], space_vertices(space, d))
+    if (s == s[:, :1]).all(axis=1).any():
         raise ValueError("constant slack: the inequality is an equation on the affine hull")
-    return s // np.gcd.reduce(s)
+    return linalg.gcd_reduce(s)
+
+
+def slack(ineq: Inequality) -> np.ndarray:
+    """The slack row of one inequality."""
+    return slack_rows([ineq])[0]
 
 
 def slack_orbit(ineq: Inequality) -> np.ndarray:
@@ -256,29 +268,31 @@ def canonical_class(ineq: Inequality) -> Inequality:
 
 def equivalent(i1: Inequality, i2: Inequality) -> bool:
     """Whether the orbit of i1 contains i2, compared by slack."""
-    if (i1.space, i1.d) != (i2.space, i2.d):
-        raise ValueError("inequalities live in different spaces")
-    return bool((slack_orbit(i1) == slack(i2)).all(axis=1).any())
+    s1, s2 = slack_rows([i1, i2])
+    return bool((s1[_vertex_perms(i1.space, i1.d)] == s2).all(axis=1).any())
 
 
 def label_classes(ineqs: Iterable[Inequality]) -> tuple[list[int], list[Inequality]]:
     """Group inequalities into symmetry classes, labels by first appearance.
 
-    The representative of a class is its first input, as given.  When a new
-    class shows up its whole slack orbit goes into a lookup for the rest.
+    The representative of a class is its first input, as given.  All slack
+    rows come from one slack_rows batch; when a new class shows up its
+    whole slack orbit goes into a lookup for the rest.
     """
     items = list(ineqs)
+    if not items:
+        return [], []
+    rows = slack_rows(items)
+    perms = _vertex_perms(items[0].space, items[0].d)
     labels: list[int] = []
     reps: list[Inequality] = []
     lookup: dict[tuple, int] = {}
-    for ineq in items:
-        if (ineq.space, ineq.d) != (items[0].space, items[0].d):
-            raise ValueError("mixed spaces in one classification run")
-        label = lookup.get(tuple(slack(ineq).tolist()))
+    for ineq, row, key in zip(items, rows, map(tuple, rows.tolist())):
+        label = lookup.get(key)
         if label is None:
             label = len(reps)
             reps.append(ineq)
-            lookup.update(dict.fromkeys(map(tuple, slack_orbit(ineq).tolist()), label))
+            lookup.update(dict.fromkeys(map(tuple, row[perms].tolist()), label))
         labels.append(label)
     return labels, reps
 

@@ -10,7 +10,9 @@ Fraction dot product per vertex, facets of the d=2 correlator polytope
 from hyperplanes through vertex subsets, symmetry
 classes from Fraction orbits in a fixed gauge over a group built one
 element at a time (the library compares integer slack vectors, under a
-group table broadcast in numpy), LP results from a Fraction tableau (the
+group table broadcast in numpy), the fixed gauge from a Fraction loop
+over fraction_rref equations (the library reduces an integer row in one
+product), LP results from a Fraction tableau (the
 library pivots over integers), the CGLMP tightness rank and polytope
 dimension from the full saturating and d^4-row matrices and the CGLMP
 bound from a strategy-by-strategy loop (the library ranks the explicit
@@ -166,12 +168,47 @@ def square_subset_facets(vertices_reduced, dim):
     return found
 
 
+@functools.lru_cache(maxsize=None)
+def fraction_equations(space: str, d: int):
+    """The affine-hull equations of a standard space as (rows, pivots):
+    the fraction_rref rows [w | rhs] with a unit pivot each."""
+    from bellpoly.scenario import Scenario, constraint_matrix
+
+    if space == "behavior":
+        rows, rhs = constraint_matrix(Scenario(d))
+    else:  # the four correlator block sums are 1
+        rows, rhs = [[int(j // d == block) for j in range(4 * d)] for block in range(4)], [1] * 4
+    red, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    return tuple(map(tuple, red[: len(pivots)])), tuple(pivots)
+
+
+def fraction_canonicalize(ineq, equations=None):
+    """canonicalize as a Fraction loop: coefficients reduced modulo the
+    equations one pivot row at a time, then scaled to coprime integers; the
+    loop that the integer row update replaced in facets.canonicalize."""
+    from bellpoly.scenario import Inequality
+
+    coeffs = list(ineq.coeffs)
+    bound = ineq.bound
+    if equations is not None:
+        rows, pivots = equations
+        for row, pc in zip(rows, pivots):
+            c = coeffs[pc]
+            if c:
+                for j in range(len(coeffs)):
+                    if row[j]:
+                        coeffs[j] -= c * row[j]
+                bound -= c * row[-1]
+    if not any(coeffs):
+        raise ValueError("zero coefficient vector cannot be canonicalized")
+    ints, b = _canonical_int(coeffs, bound)
+    return Inequality(ineq.space, ineq.d, tuple(map(Fraction, ints)), Fraction(b))
+
+
 def gauge_key(ineq):
     """(coeffs, bound) in the fixed gauge: coefficients reduced modulo the
     space's affine-hull equations, then scaled to coprime integers."""
-    from bellpoly.facets import canonicalize, standard_equations
-
-    q = canonicalize(ineq, equations=standard_equations(ineq.space, ineq.d))
+    q = fraction_canonicalize(ineq, fraction_equations(ineq.space, ineq.d))
     return q.coeffs, q.bound
 
 
@@ -424,10 +461,25 @@ def full_polytope_affine_dim(d: int) -> int:
     return linalg.int_rank(mat[1:] - mat[0])
 
 
+def strategy_values(coeffs, d: int):
+    """Value of a behavior-space coefficient vector on every generator, in
+    all_strategies order: the sum of its four unit coordinates."""
+    from bellpoly.scenario import BLOCKS, coord_index
+
+    o11, o12, o21, o22 = (coord_index(d, a, b, 0, 0) for a, b in BLOCKS)
+    for a1, a2, b1, b2 in itertools.product(range(d), repeat=4):
+        yield (
+            coeffs[o11 + a1 * d + b1]
+            + coeffs[o12 + a1 * d + b2]
+            + coeffs[o21 + a2 * d + b1]
+            + coeffs[o22 + a2 * d + b2]
+        )
+
+
 def loop_verify_condition1(d: int):
     """verify_condition1 one strategy at a time, in all_strategies order."""
     from bellpoly import cglmp
-    from bellpoly.scenario import Scenario, all_strategies, strategy_values
+    from bellpoly.scenario import Scenario, all_strategies
 
     ineq = cglmp.cglmp_inequality(d)
     scale = d - 1

@@ -34,7 +34,13 @@ from bellpoly.membership import nosignaling_max
 from bellpoly.lp import lp_max
 from bellpoly.scenario import Inequality, Scenario, all_generators, inequality_from_json
 
-from oracles import loop_dd_extreme_rays, square_subset_facets
+from oracles import (
+    fraction_canonicalize,
+    fraction_equations,
+    fraction_rref,
+    loop_dd_extreme_rays,
+    square_subset_facets,
+)
 
 
 def _fr(*xs):
@@ -96,6 +102,51 @@ def test_canonicalize_with_equations_gauge():
     shift[corr_index(2, 1, 1, 1)] += Fraction(3)
     q2 = Inequality("correlator", 2, tuple(shift), q1.bound + 3)
     assert canonicalize(q1, equations=eqs) == canonicalize(q2, equations=eqs)
+
+
+def _outcome(canon, *args):
+    """The canonical form, or the ValueError that refuses it."""
+    try:
+        return canon(*args)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize(
+    "space, d, n",
+    [("vector", 5, 5), ("correlator", 2, 8), ("correlator", 3, 12), ("behavior", 2, 16), ("behavior", 3, 36)],
+)
+def test_canonicalize_matches_fraction_oracle(space, d, n):
+    rng = random.Random(f"canonical{space}{d}")
+    if space == "vector":
+        # a rational system in the same form, over a common denominator past 1
+        rows, pivots = fraction_rref([[Fraction(rng.randint(-9, 9), rng.randint(2, 6)) for _ in range(n + 1)]
+                                      for _ in range(2)])
+        eqs = linalg.integer_rows(rows)[0]
+        assert eqs[0, pivots[0]] > 1
+        gauges = [(None, None), ((eqs, tuple(pivots)), (rows, pivots))]
+    else:
+        gauges = [(None, None), (standard_equations(space, d), fraction_equations(space, d))]
+    for i in range(40):
+        # 2^70-scaled numerators, and int64 entries whose reduction leaves int64
+        scale, den = (2**70, 6) if i % 5 == 0 else (2**58, 1) if i % 5 == 1 else (1, 6)
+        coeffs = [Fraction(scale * rng.randint(-9, 9), rng.randint(1, den)) for _ in range(n)]
+        if i == 2:
+            coeffs = [Fraction(0)] * n
+        q = Inequality(space, d, tuple(coeffs), Fraction(scale * rng.randint(-9, 9), rng.randint(1, den)))
+        for eqs, fraction_eqs in gauges:
+            assert _outcome(canonicalize, q, eqs) == _outcome(fraction_canonicalize, q, fraction_eqs)
+
+
+@pytest.mark.parametrize("space, d", [("correlator", 2), ("correlator", 5), ("behavior", 2), ("behavior", 3)])
+def test_standard_equations_are_the_rref_over_one_denominator(space, d):
+    eqs, pivots = standard_equations(space, d)
+    rows, fraction_pivots = fraction_equations(space, d)
+    den = int(eqs[0, pivots[0]])
+    assert pivots == fraction_pivots and not eqs.flags.writeable
+    assert eqs[:, list(pivots)].tolist() == (den * np.eye(len(pivots), dtype=int)).tolist()
+    assert [[Fraction(x, den) for x in row] for row in eqs.tolist()] == [list(row) for row in rows]
+    assert standard_equations(space, d) is standard_equations(space, d)
 
 
 def test_d2_corr_enumeration_matches_subset_oracle():

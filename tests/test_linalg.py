@@ -186,3 +186,14 @@ def test_rref_matches_fraction_rref(monkeypatch, limit, scale):
         m = _rational_matrix(rng, scale)
         assert rref(m) == fraction_rref(m)
 
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_gcd_reduce_rows(dtype):
+    a = np.array([[4, -6, 8], [0, 0, 0], [-3, 0, 0], [5, 7, 1], [0, -10, 0]], dtype=dtype)
+    if dtype is object:
+        a[3] *= 2**70
+    got = linalg.gcd_reduce(a)
+    assert got.dtype == a.dtype
+    assert got.tolist() == [[2, -3, 4], [0, 0, 0], [-1, 0, 0], [5, 7, 1], [0, -1, 0]]
+    assert linalg.gcd_reduce(a[2]).tolist() == [-1, 0, 0] and linalg.gcd_reduce(a[2, :1]).tolist() == [-1]

@@ -214,7 +214,7 @@ def test_generator_matrix_rows_are_the_fraction_generators():
 
 
 def test_strategy_values_match_generator_inner_products():
-    from bellpoly.scenario import strategy_values
+    from oracles import strategy_values
 
     rng = random.Random(41)
     for d in range(2, 5):

@@ -86,7 +86,7 @@ def test_huge_coefficients_fall_back_to_python_ints(name):
     space, d, verts = _vertices(name)
     mat, den = integer_rows(verts)
     coeffs, bound = _supporting(rng, verts)
-    *ints, b = linalg.clear_denominators([*coeffs, bound])
+    (*ints, b), = integer_rows([[*coeffs, bound]])[0].tolist()
     small = slack_matrix([ints], [den * b], mat)
     big = slack_matrix([[2**70 * x for x in ints]], [2**70 * den * b], mat)
     assert small.dtype == np.int64 and big.dtype == object
@@ -117,7 +117,7 @@ def test_lowered_overflow_limit_gives_the_same_answers(monkeypatch, name):
     maxima = [local_max(q) for q in queries] if space != "vector" else []
     monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", 8)
     mat, den = integer_rows(verts)
-    *ints, b = linalg.clear_denominators([*cases[0][0], cases[0][1]])
+    (*ints, b), = integer_rows([[*cases[0][0], cases[0][1]]])[0].tolist()
     assert slack_matrix([ints], [den * b], mat).dtype == object
     assert [saturation_count(q, verts) for q in queries] == before
     assert ([local_max(q) for q in queries] if space != "vector" else []) == maxima

@@ -38,6 +38,7 @@ from bellpoly.symmetry import (
     label_classes,
     slack,
     slack_orbit,
+    slack_rows,
     trivial_and_classes,
 )
 
@@ -389,6 +390,34 @@ def test_huge_slack_falls_back_to_python_ints():
     assert equivalent(big, image) and not equivalent(big, q)
     items = [big, q, image, scaled]
     assert label_classes(items)[0] == gauge_labels(items) == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("space, d", [("correlator", 3), ("behavior", 2)])
+def test_slack_rows_match_per_row_slack(space, d):
+    rng = random.Random(f"batch{space}{d}")
+    n = 4 * d * d if space == "behavior" else 4 * d
+    batch = [
+        Inequality(space, d, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)), Fraction(1, 7))
+        for _ in range(5)
+    ]
+    huge = batch[0]
+    batch.append(Inequality(space, d, tuple(c * 2**70 for c in huge.coeffs), huge.bound * 2**70 + 1))
+    rows = slack_rows(batch)
+    assert slack(batch[1]).dtype == np.int64 and rows.dtype == object
+    assert rows.tolist() == [slack(q).tolist() for q in batch]
+    assert slack_rows(batch[1:3]).tolist() == rows[1:3].tolist()
+
+
+def test_batches_refuse_constant_rows_and_mixed_spaces():
+    q = cglmp_corr_inequality(3)
+    block_sum = Inequality("correlator", 3, (Fraction(1),) * 3 + (Fraction(0),) * 9, Fraction(2))
+    for call in (slack_rows, label_classes):
+        with pytest.raises(ValueError, match="constant slack"):
+            call([q, block_sum, q])
+        # correlator d=4 and behavior d=2 both have 16 coordinates
+        with pytest.raises(ValueError, match="different spaces"):
+            call([cglmp_corr_inequality(4), cglmp_inequality(2)])
+    assert label_classes([]) == ([], [])
 
 
 def test_constant_slack_is_refused():
