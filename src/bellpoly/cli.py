@@ -24,8 +24,8 @@ from .jsonio import encode_rational
 from .scenario import (
     BLOCKS,
     Scenario,
+    _constraint_system,
     behavior_from_json,
-    constraint_matrix,
     constraint_rank,
     inequality_from_json,
     inequality_to_json,
@@ -68,13 +68,13 @@ def _load_json(path: str) -> dict:
 def cmd_dims(args) -> int:
     d = _parse_d(args.d)
     s = Scenario(d)
-    rows, _ = constraint_matrix(s)
+    nrows = len(_constraint_system(d)[0])
     got_rank = constraint_rank(s)
     got_dim = polytope_affine_dim(s)
     ok = got_rank == 4 * d and got_dim == 4 * d * (d - 1)
     payload = {
         "d": d,
-        "constraint_rows": len(rows),
+        "constraint_rows": nrows,
         "constraint_rank": got_rank,
         "expected_constraint_rank": 4 * d,
         "affine_dim": got_dim,
@@ -85,7 +85,7 @@ def cmd_dims(args) -> int:
         payload,
         [
             f"scenario d={d}",
-            f"  constraint system: {len(rows)} rows, rank {got_rank} (expected {4*d})",
+            f"  constraint system: {nrows} rows, rank {got_rank} (expected {4*d})",
             f"  affine dimension of the generator hull: {got_dim} (expected {4*d*(d-1)})",
             f"  {'OK' if ok else 'FAILED'}",
         ],
@@ -156,11 +156,11 @@ def cmd_tightness(args) -> int:
 
 def cmd_project(args) -> int:
     data = _load_json(args.file)
-    if "P" not in data:
-        raise UsageError("expected a behavior JSON object with a 'P' table")
     try:
+        if "P" not in data:
+            raise UsageError("expected a behavior JSON object with a 'P' table")
         p = behavior_from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad behavior file: {exc}") from exc
     c = project(p)
     payload = corr_to_json(c)
@@ -298,17 +298,18 @@ def cmd_membership(args) -> int:
     data = _load_json(args.file)
     try:
         if "P" in data:
-            p = behavior_from_json(data)
-            res = membership_mod.local_decompose(p)
-            keyfmt = lambda lam: ",".join(str(x) for x in lam)
+            point, decide = behavior_from_json(data), membership_mod.local_decompose
         elif "C" in data:
-            c = corr_from_json(data)
-            res = membership_mod.corr_local_decompose(c)
-            keyfmt = lambda lab: ",".join(str(x) for x in lab)
+            point, decide = corr_from_json(data), membership_mod.corr_local_decompose
         else:
             raise UsageError("file is neither a behavior ('P') nor a correlator ('C') object")
-    except ValueError as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad input: {exc}") from exc
+    try:
+        res = decide(point)
+    except ValueError as exc:  # not a no-signaling probability table
+        raise UsageError(f"bad input: {exc}") from exc
+    keyfmt = lambda key: ",".join(str(x) for x in key)
     payload = {
         "verdict": "local" if res.local else "nonlocal",
         "weights": None

@@ -88,8 +88,7 @@ def projected_generators(d: int) -> list[CorrVector]:
 
 def corr_affine_dim(d: int) -> int:
     """Affine dimension of the projected generator hull (comes out 4(d-1))."""
-    mat = projected_generator_matrix(d)
-    return linalg.int_rank(mat[1:] - mat[0])
+    return linalg.affine_dim(projected_generator_matrix(d))
 
 
 def chsh_correlators(p: Behavior) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -169,6 +168,8 @@ def corr_to_json(c: CorrVector) -> dict:
 
 def corr_from_json(data: dict) -> CorrVector:
     d = int(data["d"])
+    if d < 2:
+        raise ValueError("a correlation vector needs d >= 2 outcomes")
     coords = [Fraction(0)] * (4 * d)
     for a, b in BLOCKS:
         block = data["C"][f"a{a}b{b}"]

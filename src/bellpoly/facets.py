@@ -41,7 +41,7 @@ them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -51,27 +51,37 @@ import numpy as np
 from . import linalg
 from .linalg import gcd_reduce
 from .lp import lp_max
-from .scenario import Inequality, Scenario, constraint_matrix
+from .scenario import Inequality, _constraint_system
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VRep:
-    """A polytope given by its vertices.
+    """A polytope given by its vertices: vectors of Fractions or ints,
+    objects with .coords, or an integer ndarray, held as one read-only
+    integer matrix over a positive common denominator (vertices / den).
 
     expected_dim, when set, claims the affine dimension; enumeration fails
     loudly if the vertices span less (or more) than claimed.
     """
 
     ambient_dim: int
-    vertices: tuple[tuple[Fraction, ...], ...]
+    vertices: InitVar[object]
     expected_dim: int | None = None
+    matrix: np.ndarray = field(init=False, repr=False)
+    den: int = field(init=False)
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __post_init__(self, vertices):
+        try:
+            mat, den = linalg.integer_rows(vertices)
+        except ValueError as exc:  # ragged rows
+            raise ValueError("vertex length does not match ambient dimension") from exc
+        if not len(mat):
             raise ValueError("a vertex representation needs at least one vertex")
-        for v in self.vertices:
-            if len(v) != self.ambient_dim:
-                raise ValueError("vertex length does not match ambient dimension")
+        if mat.shape[1] != self.ambient_dim:
+            raise ValueError("vertex length does not match ambient dimension")
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "den", den)
 
 
 @dataclass(frozen=True)
@@ -91,11 +101,12 @@ class BudgetExpired(Exception):
 
 def vrep_of(vectors, ambient_dim: int | None = None) -> VRep:
     """Wrap coordinate vectors, objects with .coords or an integer ndarray
-    as a VRep."""
-    mat, den = linalg.integer_rows(vectors)
-    verts = tuple(tuple(Fraction(x, den) for x in row) for row in mat.tolist())
-    dim = ambient_dim if ambient_dim is not None else len(verts[0])
-    return VRep(dim, verts)
+    as a VRep; the ambient dimension defaults to the first vector's."""
+    if not isinstance(vectors, np.ndarray):
+        vectors = list(vectors)
+    if ambient_dim is None:
+        ambient_dim = len(getattr(vectors[0], "coords", vectors[0]))
+    return VRep(ambient_dim, vectors)
 
 
 @lru_cache(maxsize=None)
@@ -106,15 +117,14 @@ def standard_equations(space: str, d: int) -> tuple[np.ndarray, tuple[int, ...]]
     other pivots; canonicalize pushes coefficients into the fixed gauge
     with it."""
     if space == "behavior":
-        rows, rhs = constraint_matrix(Scenario(d))
+        rows, rhs = _constraint_system(d)
     elif space == "correlator":
         rows, rhs = np.kron(np.eye(4, dtype=np.int64), np.ones(d, dtype=np.int64)), [1] * 4
     else:
         raise ValueError(f"no standard equations for space {space!r}")
-    red, pivots = linalg.rref(np.column_stack([rows, rhs]))
-    if pivots[-1] >= len(rows[0]):
+    eqs, pivots, _ = linalg.integer_rref(np.column_stack([rows, rhs]))
+    if pivots[-1] >= rows.shape[1]:
         raise AssertionError("inconsistent standard equation system")
-    eqs = linalg.integer_rows(red[: len(pivots)])[0]
     eqs.flags.writeable = False
     return eqs, tuple(pivots)
 
@@ -293,15 +303,17 @@ def enumerate_facets(
     coordinate choice, canonicalized, in lexicographic order.  Soundness
     (every vertex satisfies every facet) is asserted before returning.
     """
-    mat, den = linalg.integer_rows(vrep.vertices)
-    ints = mat.tolist()
+    mat, den = vrep.matrix, vrep.den
     ambient = vrep.ambient_dim
     if d is None:
         d = ambient
-    # affine hull: all (w, c) with w.v = c on every vertex v = row / den
-    null = linalg.nullspace([row + [den] for row in ints])
-    equations = [(tuple(vec[:-1]), -vec[-1]) for vec in null]
-    pivots = linalg.pivot_columns(linalg.integer_rows([w for w, _ in equations])[0])
+    # affine hull: all (w, c) with w.v = c on every vertex v = row / den,
+    # the nullspace (w, -c) of the rows [den v | den], over one denominator
+    hull, hden = linalg.integer_nullspace(np.column_stack([mat, np.full(len(mat), den, dtype=object)]))
+    equations = tuple(
+        (tuple(Fraction(x, hden) for x in w), Fraction(-c, hden)) for *w, c in hull.tolist()
+    )
+    pivots = linalg.pivot_columns(hull[:, :-1])
     free = [j for j in range(ambient) if j not in pivots]
     reduced_dim = len(free)
     if vrep.expected_dim is not None and reduced_dim != vrep.expected_dim:
@@ -309,33 +321,34 @@ def enumerate_facets(
             f"degenerate input: affine hull has dimension {reduced_dim}, "
             f"claimed {vrep.expected_dim}"
         )
-    if len(ints) < reduced_dim + 1:
+    if len(mat) < reduced_dim + 1:
         raise ValueError("degenerate input: fewer vertices than dimension plus one")
     if reduced_dim == 0:
-        return HRep(ambient, tuple(equations), (), 0, True)
+        return HRep(ambient, equations, (), 0, True)
 
-    rows = sorted({tuple(row[j] for j in free) + (den,) for row in ints})
+    rows = sorted({(*row, den) for row in mat[:, free].tolist()})
     rays, complete = dd_extreme_rays(rows, reduced_dim + 1, deadline=deadline)
 
     # soundness: every ray, as an ambient inequality, is valid on every vertex;
     # a run cut short keeps only the rays that are
-    coeffs = [[0] * ambient for _ in rays]
-    for row, ray in zip(coeffs, rays):
-        for j, c in zip(free, ray[:-1]):
-            row[j] = c
-    valid = (linalg.slack_matrix(coeffs, [-den * r[-1] for r in rays], mat) >= 0).all(axis=1)
+    rays = linalg._int_array(rays).reshape(len(rays), reduced_dim + 1)
+    coeffs = np.zeros((len(rays), ambient), dtype=rays.dtype)
+    coeffs[:, free] = rays[:, :-1]
+    bounds = -rays[:, -1]
+    valid = (linalg.slack_matrix(coeffs, [den * b for b in bounds.tolist()], mat) >= 0).all(axis=1)
     if complete and not valid.all():
         raise AssertionError("enumerated facet violated by an input vertex")
-    # the rays are gcd-reduced and distinct, so each already is its canonical form
-    kept = sorted((tuple(row), -ray[-1]) for row, ray, ok in zip(coeffs, rays, valid) if ok)
-    if any(not any(row) for row, _ in kept):
+    coeffs, bounds = coeffs[valid], bounds[valid]
+    if not coeffs.any(axis=1).all():
         raise ValueError("zero coefficient vector cannot be canonicalized")
+    # the rays are gcd-reduced and distinct, so each already is its canonical form
+    kept = sorted(zip(map(tuple, coeffs.tolist()), bounds.tolist()))
     # one Fraction per distinct value; the facets share a few small integers
     frac = {x: Fraction(x) for x in {x for row, bound in kept for x in (*row, bound)}}
     facets = tuple(
         Inequality(space, d, tuple(map(frac.__getitem__, row)), frac[bound]) for row, bound in kept
     )
-    return HRep(ambient, tuple(equations), facets, reduced_dim, complete)
+    return HRep(ambient, equations, facets, reduced_dim, complete)
 
 
 def saturation_count(ineq: Inequality, vertices) -> tuple[int, int]:
@@ -370,7 +383,7 @@ def nosignaling_max(ineq: Inequality) -> Fraction:
         return sum((max(ineq.coeffs[b * d:(b + 1) * d]) for b in range(4)), Fraction(0))
     if ineq.space != "behavior":
         raise ValueError("triviality is defined against the no-signaling polytope")
-    rows, rhs = constraint_matrix(Scenario(ineq.d))
+    rows, rhs = _constraint_system(ineq.d)
     res = lp_max(ineq.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
     if res.status != "optimal":
         raise AssertionError(f"no-signaling LP came back {res.status}")

@@ -14,8 +14,9 @@ There is one elimination loop on it, over the integers: denominators are
 cleared first, den is 1 and updated rows are divided by their gcd so
 entries stay small.
 ``pivot_columns`` and ``int_rank`` clear only the rows below each pivot;
-``rref`` clears every other row and divides each pivot row by its pivot
-only at the end, and ``nullspace`` reads its basis off the ``rref``.
+``integer_rref`` clears every other row and scales the pivot rows to one
+common denominator, and ``integer_nullspace`` reads its basis off them;
+``rref`` and ``nullspace`` are their ``Fraction`` views.
 ``slack_matrix`` is the one check of inequalities against vertices,
 ``bound - coeffs.v`` for every pair, behind the same guard.
 
@@ -191,54 +192,63 @@ def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     return int_rank(integer_rows(matrix)[0])
 
 
-def affine_dim(points: Sequence[Sequence[Fraction | int]]) -> int:
-    """Dimension of the affine hull: rank of {p_i - p_0}."""
-    pts = list(points)
-    if not pts:
+def affine_dim(points) -> int:
+    """Dimension of the affine hull: rank of {p_i - p_0}.  Points are
+    anything ``integer_rows`` takes."""
+    mat = integer_rows(points)[0]
+    if not len(mat):
         raise ValueError("affine_dim needs at least one point")
-    base = pts[0]
-    diffs = [[Fraction(x) - Fraction(y) for x, y in zip(p, base)] for p in pts[1:]]
-    if not diffs:
-        return 0
-    return rank(diffs)
+    return int_rank(mat[1:] - mat[0])
+
+
+def integer_rref(rows) -> tuple[np.ndarray, list[int], int]:
+    """Reduced row echelon form of an integer matrix over one common
+    denominator: (E, pivots, D), E / D its nonzero rows and D the least
+    such denominator, so E holds D at the pivot of each of its rows and 0
+    at the other pivots.  Each pivot row of the elimination is divided by
+    its gcd and scaled to D; the form is unique, whatever the pivot rows."""
+    a, pivots = _eliminate(rows, reduced=True)
+    e = gcd_reduce(a[: len(pivots)])
+    piv = e[np.arange(len(pivots)), pivots].tolist()
+    den = math.lcm(*piv)
+    scale = [den // p for p in piv]
+    if e.dtype != object and _peak(e) * max(map(abs, scale), default=0) >= OVERFLOW_LIMIT:
+        e = e.astype(object)
+    return _int_array(e * np.array(scale, dtype=e.dtype)[:, None]), pivots, den
+
+
+def integer_nullspace(rows) -> tuple[np.ndarray, int]:
+    """Deterministic basis of {x : M x = 0} for an integer matrix M, over
+    one common denominator: (N, D), row k of N / D the basis vector of the
+    k-th free column, 1 there, 0 at the other free columns and minus that
+    column of the reduced row echelon form at the pivots."""
+    e, pivots, den = integer_rref(rows)
+    free = [c for c in range(e.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), e.shape[1]), dtype=e.dtype)
+    basis[np.arange(len(free)), free] = den
+    basis[:, pivots] = -e[:, free].T
+    return basis, den
 
 
 def rref(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a rational matrix; returns (rows, pivot
-    columns), one row per input row, zero rows last.
-
-    The elimination runs in integers (denominators cleared, every pivot
-    clearing all other rows); each pivot row is then divided by its pivot,
-    so the rows have unit pivots and zeros above and below each pivot.  The
-    reduced row echelon form is unique, so it does not depend on the pivot
-    rows chosen.
-    """
+    columns), one row per input row, zero rows last: ``integer_rref`` as
+    Fractions, with unit pivots and zeros above and below each pivot."""
     rows = list(matrix)
     if not rows:
         return [], []
-    a, pivots = _eliminate(integer_rows(rows)[0], reduced=True)
-    ncols = a.shape[1]
-    pivot_rows = a[: len(pivots)].tolist()
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(pivot_rows, pivots)]
-    return red + [[Fraction(0)] * ncols for _ in range(len(rows) - len(pivots))], pivots
+    e, pivots, den = integer_rref(integer_rows(rows)[0])
+    red = [[Fraction(x, den) for x in row] for row in e.tolist()]
+    return red + [[Fraction(0)] * e.shape[1] for _ in range(len(rows) - len(pivots))], pivots
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction | int]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Deterministic basis of {x : M x = 0}, one vector per free column."""
+    """Deterministic basis of {x : M x = 0}, one vector per free column:
+    ``integer_nullspace`` as Fractions."""
     rows = list(matrix)
     if not rows:
         if ncols is None:
             raise ValueError("nullspace of an empty matrix needs ncols")
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    width = len(rows[0])
-    red, pivots = rref(rows)
-    red = red[: len(pivots)]
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for prow, pc in zip(red, pivots):
-            vec[pc] = -prow[fc]
-        basis.append(vec)
-    return basis
+        rows = np.zeros((0, ncols), dtype=np.int64)
+    basis, den = integer_nullspace(integer_rows(rows)[0])
+    return [[Fraction(x, den) for x in row] for row in basis.tolist()]

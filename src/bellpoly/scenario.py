@@ -82,12 +82,6 @@ def coord_index(d: int, a: int, b: int, k: int, s: int) -> int:
     return ((a - 1) * 2 + (b - 1)) * d * d + k * d + s
 
 
-def strategy_outcome(lam: DeterministicStrategy, party: str, setting: int) -> int:
-    if party == "A":
-        return lam.a1 if setting == 1 else lam.a2
-    return lam.b1 if setting == 1 else lam.b2
-
-
 def check_strategy(d: int, lam: DeterministicStrategy) -> None:
     for v in lam:
         if not 0 <= v < d:
@@ -98,12 +92,8 @@ def generator(s: Scenario, lam: DeterministicStrategy) -> Behavior:
     """0/1 behavior of a deterministic strategy; exactly four ones."""
     lam = DeterministicStrategy(*lam)
     check_strategy(s.d, lam)
-    coords = [Fraction(0)] * (4 * s.d * s.d)
-    for a, b in BLOCKS:
-        k = strategy_outcome(lam, "A", a)
-        t = strategy_outcome(lam, "B", b)
-        coords[coord_index(s.d, a, b, k, t)] = Fraction(1)
-    return Behavior(s.d, tuple(coords))
+    row = generator_rows(s.d, np.array(lam)[:, None])[0]
+    return Behavior(s.d, tuple(map(Fraction, row.tolist())))
 
 
 def all_strategies(s: Scenario) -> list[DeterministicStrategy]:
@@ -142,60 +132,37 @@ def uniform_behavior(d: int) -> Behavior:
     return Behavior(d, tuple([q] * (4 * d * d)))
 
 
-def constraint_matrix(s: Scenario) -> tuple[list[list[int]], list[int]]:
-    """Normalization plus no-signaling as one linear system.
+@lru_cache(maxsize=None)
+def _constraint_system(d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Normalization plus no-signaling as one read-only int64 matrix and
+    its right-hand side, built once per d: four normalization rows
+    (right-hand side 1, blocks in order a1b1, a1b2, a2b1, a2b2), then 4d
+    no-signaling rows (right-hand side 0), for each observable and outcome
+    the marginal against the partner's first setting minus the one against
+    the second.  Only a subset of the 4d is independent; the rank of the
+    system is computed, never assumed."""
+    table = np.zeros((4 + 4 * d, 2, 2, d, d), dtype=np.int64)  # row, a, b, k, s
+    table[np.arange(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1
+    setting, outcome = np.divmod(np.arange(2 * d), d)
+    # Alice's marginals must not see Bob's setting, and symmetrically for Bob
+    table[4 + np.arange(2 * d), setting, :, outcome] = [[1], [-1]]
+    table[4 + 2 * d + np.arange(2 * d), :, setting, :, outcome] = [[1], [-1]]
+    mat = table.reshape(len(table), -1)
+    mat.flags.writeable = False
+    return mat, (1,) * 4 + (0,) * (4 * d)
 
-    Four normalization rows (right-hand side 1, blocks in order a1b1, a1b2,
-    a2b1, a2b2) followed by 4d no-signaling rows (right-hand side 0): for
-    each observable and each outcome, the marginal computed against the
-    partner's first setting minus the one against the second.  All 4d rows
-    are included even though only a subset is independent; the rank of the
-    system is computed, never assumed.  The entries are Python ints.
-    """
-    d = s.d
-    ncols = 4 * d * d
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for a, b in BLOCKS:
-        row = [0] * ncols
-        for k in range(d):
-            for t in range(d):
-                row[coord_index(d, a, b, k, t)] = 1
-        rows.append(row)
-        rhs.append(1)
-    for a in (1, 2):  # Alice's marginals must not see Bob's setting
-        for k in range(d):
-            row = [0] * ncols
-            for t in range(d):
-                row[coord_index(d, a, 1, k, t)] += 1
-                row[coord_index(d, a, 2, k, t)] -= 1
-            rows.append(row)
-            rhs.append(0)
-    for b in (1, 2):  # and symmetrically for Bob
-        for t in range(d):
-            row = [0] * ncols
-            for k in range(d):
-                row[coord_index(d, 1, b, k, t)] += 1
-                row[coord_index(d, 2, b, k, t)] -= 1
-            rows.append(row)
-            rhs.append(0)
-    return rows, rhs
+
+def constraint_matrix(s: Scenario) -> tuple[list[list[int]], list[int]]:
+    """The normalization and no-signaling system of ``_constraint_system``
+    as lists of Python ints: (rows, right-hand side)."""
+    mat, rhs = _constraint_system(s.d)
+    return mat.tolist(), list(rhs)
 
 
 @lru_cache(maxsize=None)
 def constraint_rank(s: Scenario) -> int:
     """Rank of the normalization and no-signalling system (4d, computed)."""
-    return linalg.int_rank(constraint_matrix(s)[0])
-
-
-@lru_cache(maxsize=None)
-def _constraint_system(d: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """constraint_matrix of Scenario(d) as a read-only int64 matrix and its
-    right-hand side, built once per d."""
-    rows, rhs = constraint_matrix(Scenario(d))
-    mat = np.array(rows, dtype=np.int64)
-    mat.flags.writeable = False
-    return mat, tuple(rhs)
+    return linalg.int_rank(_constraint_system(s.d)[0])
 
 
 def _constraint_residual(p: Behavior, rows: slice) -> np.ndarray:
@@ -234,8 +201,7 @@ def polytope_affine_dim(s: Scenario) -> int:
     # ranked last row first: the same rank with less fill-in
     if linalg.int_rank(generator_rows(d, grid)[::-1]) - 1 == upper:
         return upper
-    mat = generator_matrix(d)
-    return linalg.int_rank(mat[1:] - mat[0])
+    return linalg.affine_dim(generator_matrix(d))
 
 
 def spanning_strategy_grid(d: int) -> list[DeterministicStrategy]:
@@ -264,6 +230,8 @@ def behavior_to_json(p: Behavior) -> dict:
 
 def behavior_from_json(data: dict) -> Behavior:
     d = int(data["d"])
+    if d < 2:
+        raise ValueError("a behavior needs d >= 2 outcomes")
     coords = [Fraction(0)] * (4 * d * d)
     table = data["P"]
     for a, b in BLOCKS:

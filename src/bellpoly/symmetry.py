@@ -219,11 +219,14 @@ def _vertex_perms(space: str, d: int) -> np.ndarray:
     ones = np.nonzero(space_vertices(space, d))[1].reshape(-1, 4)  # unit coordinates per vertex
     width = d * d if space == "behavior" else d
     coord = np.arange(4 * width)
-    digit = (coord % width) * width ** (coord // width)
+    digit = ((coord % width) * width ** (coord // width)).astype(np.int32)
     vertex_of = np.zeros(width**4, dtype=np.int32)
     vertex_of[digit[ones].sum(axis=1)] = np.arange(len(ones))
     perms = digit[group_for(space, d)]
-    return vertex_of[sum(perms[:, col] for col in ones.T)]
+    codes = perms[:, ones[:, 0]]
+    for col in ones.T[1:]:
+        codes += perms[:, col]
+    return vertex_of[codes]
 
 
 def slack_rows(ineqs: Sequence[Inequality]) -> np.ndarray:

@@ -244,6 +244,26 @@ def test_malformed_behavior_rejected(tmp_path, capsys):
     blob["P"]["a1b1"][0][0] = 0.25
     path2.write_text(json.dumps(blob))
     assert main(["membership", str(path2)]) == 2
+    # a missing or null d, rows that are not lists, d < 2 and a bare number
+    # exit 2 with an error line, never a traceback or a verdict
+    capsys.readouterr()
+    rows = {f"a{a}b{b}": [1, 2] for a in (1, 2) for b in (1, 2)}
+    d1_corr = {f"a{a}b{b}": ["1"] for a in (1, 2) for b in (1, 2)}
+    d1_behavior = {f"a{a}b{b}": [["1"]] for a in (1, 2) for b in (1, 2)}
+    cases = [
+        (("membership", "project"), {"P": {}}),
+        (("membership",), {"d": None, "C": {}}),
+        (("membership", "project"), {"d": 2, "P": rows}),
+        (("membership",), {"d": 1, "C": d1_corr}),
+        (("membership", "project"), {"d": 1, "P": d1_behavior}),
+        (("membership", "project"), 5),
+    ]
+    for commands, bad in cases:
+        path.write_text(json.dumps(bad))
+        for command in commands:
+            assert main([command, str(path)]) == 2, (command, bad)
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,10 @@ from bellpoly.cglmp import cglmp_inequality
 from bellpoly.correlators import (
     cglmp_corr_inequality,
     chsh_inequality,
+    corr_affine_dim,
     corr_index,
     lift,
+    projected_generator_matrix,
     projected_generators,
 )
 from bellpoly.facets import (
@@ -32,7 +34,15 @@ from bellpoly.facets import (
 )
 from bellpoly.membership import nosignaling_max
 from bellpoly.lp import lp_max
-from bellpoly.scenario import Inequality, Scenario, all_generators, inequality_from_json
+from bellpoly.scenario import (
+    Inequality,
+    Scenario,
+    all_generators,
+    constraint_rank,
+    generator_matrix,
+    inequality_from_json,
+    polytope_affine_dim,
+)
 
 from oracles import (
     fraction_canonicalize,
@@ -333,6 +343,63 @@ def test_deadline_is_checked_between_pair_blocks(monkeypatch):
 def test_dd_rejects_nonspanning_input():
     with pytest.raises(ValueError):
         dd_extreme_rays([[1, 0, 0]], 3)
+
+
+def test_vrep_inputs_give_one_hrep():
+    # CorrVectors, their Fraction coordinate tuples and the integer matrix
+    # of the same points; and the points over a denominator, scaled back
+    gens = projected_generators(3)
+    mat = projected_generator_matrix(3)
+    hreps = [
+        enumerate_facets(vrep, space="correlator", d=3)
+        for vrep in (vrep_of(gens), VRep(12, tuple(g.coords for g in gens)), vrep_of(mat), VRep(12, mat))
+    ]
+    assert all(h == hreps[0] for h in hreps) and len(hreps[0].facets) == 66
+    halves = VRep(12, tuple(tuple(x / 2 for x in g.coords) for g in gens))
+    assert halves.den == 2 and halves.matrix.tolist() == mat.tolist()
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ((_fr(1, 2), _fr(3)), "vertex length does not match ambient dimension"),
+        ((_fr(1, 2, 3), _fr(4, 5, 6)), "vertex length does not match ambient dimension"),
+        (np.zeros((3, 3), dtype=np.int64), "vertex length does not match ambient dimension"),
+        (np.zeros(2, dtype=np.int64), "vertex length does not match ambient dimension"),
+        ((), "a vertex representation needs at least one vertex"),
+        (np.zeros((0, 2), dtype=np.int64), "a vertex representation needs at least one vertex"),
+    ],
+)
+def test_vrep_refuses_ragged_wrong_width_and_empty_vertices(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        VRep(2, vertices)
+
+
+def test_vrep_of_refuses_ragged_vertices():
+    with pytest.raises(ValueError, match="vertex length does not match ambient dimension"):
+        vrep_of([_fr(1, 2), _fr(3, 4, 5)])
+
+
+def test_facet_pipeline_runs_without_fraction_elimination(monkeypatch):
+    # the affine hull, the standard equations, the constraint rank and the
+    # affine dimensions stay in the integers: the Fraction views never run
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction elimination called")
+
+    want = {(space, d): standard_equations(space, d) for space, d in [("correlator", 3), ("behavior", 3)]}
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    for (space, d), (eqs, pivots) in want.items():
+        got, got_pivots = standard_equations.__wrapped__(space, d)
+        assert got_pivots == pivots and got.tolist() == eqs.tolist()
+    assert len(enumerate_facets(vrep_of(projected_generators(3)), space="correlator", d=3).facets) == 66
+    square = tuple((Fraction(x, 3), Fraction(y, 5), Fraction(x + y, 7)) for x in (0, 1) for y in (0, 1))
+    hrep = enumerate_facets(VRep(3, square))
+    assert hrep.reduced_dim == 2 and len(hrep.equations) == 1 and len(hrep.facets) == 4
+    assert [constraint_rank.__wrapped__(Scenario(d)) for d in (2, 3, 5)] == [8, 12, 20]
+    assert [corr_affine_dim(d) for d in (2, 3, 4)] == [4, 8, 12]
+    assert linalg.affine_dim(generator_matrix(3)) == polytope_affine_dim(Scenario(3)) == 24
+    assert linalg.affine_dim(square) == 2
 
 
 def test_degenerate_vrep_errors():

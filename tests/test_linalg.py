@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -186,6 +187,39 @@ def test_rref_matches_fraction_rref(monkeypatch, limit, scale):
         m = _rational_matrix(rng, scale)
         assert rref(m) == fraction_rref(m)
 
+
+@pytest.mark.parametrize("limit", [linalg.OVERFLOW_LIMIT, 2**20])
+@pytest.mark.parametrize("scale", [1, 2**30, 2**70])
+def test_integer_nullspace_matches_fraction_rref(monkeypatch, limit, scale):
+    # the basis vector of free column f is 1 at f, 0 at the other free
+    # columns and minus column f of the Fraction rref at the pivots; the
+    # integer basis holds it over the least common denominator of the rref
+    monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", limit)
+    rng = random.Random(f"null{limit}{scale}")
+    for _ in range(60):
+        m = _rational_matrix(rng, scale)
+        red, pivots = fraction_rref(m)
+        free = [c for c in range(len(m[0])) if c not in pivots]
+        want = [[Fraction(int(c == f)) for c in range(len(m[0]))] for f in free]
+        for vec, f in zip(want, free):
+            for row, c in zip(red, pivots):
+                vec[c] = -row[f]
+        basis, den = linalg.integer_nullspace(linalg.integer_rows(m)[0])
+        assert den == math.lcm(*(x.denominator for row in red for x in row))
+        assert [[Fraction(x, den) for x in row] for row in basis.tolist()] == want == nullspace(m)
+        assert all(type(x.numerator) is int for row in nullspace(m) for x in row)
+
+
+
+def test_integer_rref_leaves_int64_for_the_common_denominator():
+    # the pivot rows fit int64 as they are, but their coprime pivots near
+    # 2^40 make the common denominator, and the scaled rows, near 2^80
+    p, q = 2**40 + 1, 2**40 + 3
+    m = [[p, 0, 1], [0, q, 1]]
+    e, pivots, den = linalg.integer_rref(m)
+    assert (e.tolist(), pivots, den) == ([[p * q, 0, q], [0, p * q, p]], [0, 1], p * q)
+    assert linalg.integer_nullspace(m)[0].tolist() == [[-q, -p, p * q]]
+    assert rref(m) == fraction_rref(m) and nullspace(m) == [[Fraction(-1, p), Fraction(-1, q), 1]]
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
