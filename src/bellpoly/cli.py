@@ -20,7 +20,7 @@ from . import cglmp as cglmp_mod
 from . import membership as membership_mod
 from .correlators import cglmp_corr_inequality, corr_from_json, corr_to_json, project
 from .facets import HRep, enumerate_facets, saturation_count, vrep_of
-from .jsonio import encode_rational
+from .jsonio import decode_int, encode_rational
 from .scenario import (
     BLOCKS,
     Scenario,
@@ -246,10 +246,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    """Support, saturation count and rank, triviality and class of each
+    listed inequality.  The group permutes the vertices, so saturation is
+    checked once per class, on its first member, and copied to the rest;
+    behavior space at d >= 4 has no classes and checks every inequality."""
     data = _load_json(args.file)
     try:
         space = str(data["space"])
-        d = int(data["d"])
+        d = decode_int(data["d"])
         facets = [
             inequality_from_json({"space": space, "d": d, **f}) for f in data["facets"]
         ]
@@ -263,24 +267,26 @@ def cmd_classify(args) -> int:
     for i, f in enumerate(facets):
         if len(f.coeffs) != width:
             raise UsageError(f"bad facet list: facet {i} has {len(f.coeffs)} coefficients, not {width}")
-    verts = space_vertices(space, d)
-    checked = []
-    ok = True
-    for f in facets:
-        try:
-            count, rk = saturation_count(f, verts)
-            checked.append({"supporting": True, "saturating": count, "rank": rk})
-        except ValueError as exc:
-            checked.append({"supporting": False, "error": str(exc)})
-            ok = False
     try:
         trivial, labels = trivial_and_classes(facets, space, d)
     except ValueError as exc:  # an equation on the affine hull has no class
         raise UsageError(f"bad facet list: {exc}") from exc
+    verts = space_vertices(space, d)
+    keys = range(len(facets)) if labels is None else labels
+    checked: dict[int, dict] = {}
+    for f, key in zip(facets, keys):
+        if key in checked:
+            continue
+        try:
+            count, rk = saturation_count(f, verts)
+            checked[key] = {"supporting": True, "saturating": count, "rank": rk}
+        except ValueError as exc:
+            checked[key] = {"supporting": False, "error": str(exc)}
+    ok = all(c["supporting"] for c in checked.values())
     payload = {
         "space": space,
         "d": d,
-        "facets": [{**e, **c} for e, c in zip(_facets_json(facets, trivial, labels), checked)],
+        "facets": [{**e, **checked[key]} for e, key in zip(_facets_json(facets, trivial, labels), keys)],
         "ok": ok,
     }
     lines = [f"classified {len(facets)} inequalities ({space}, d={d}); ok={ok}"]

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .jsonio import decode_rational, encode_rational
+from .jsonio import decode_int, decode_rational, encode_rational
 from .scenario import BLOCKS, Behavior, Inequality, coord_index, generator_rows
 
 
@@ -167,7 +167,7 @@ def corr_to_json(c: CorrVector) -> dict:
 
 
 def corr_from_json(data: dict) -> CorrVector:
-    d = int(data["d"])
+    d = decode_int(data["d"])
     if d < 2:
         raise ValueError("a correlation vector needs d >= 2 outcomes")
     coords = [Fraction(0)] * (4 * d)

@@ -26,3 +26,11 @@ def decode_rational(v) -> Fraction:
     if isinstance(v, float):
         raise ValueError(f"refusing inexact float {v!r}; use int or 'num/den'")
     raise ValueError(f"cannot parse rational from {v!r}")
+
+
+def decode_int(v) -> int:
+    """An integer field such as d: an int or a decimal string; booleans and
+    floats are refused rather than truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)

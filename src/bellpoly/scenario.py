@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .jsonio import decode_rational, encode_rational
+from .jsonio import decode_int, decode_rational, encode_rational
 
 BLOCKS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -229,7 +229,7 @@ def behavior_to_json(p: Behavior) -> dict:
 
 
 def behavior_from_json(data: dict) -> Behavior:
-    d = int(data["d"])
+    d = decode_int(data["d"])
     if d < 2:
         raise ValueError("a behavior needs d >= 2 outcomes")
     coords = [Fraction(0)] * (4 * d * d)
@@ -256,7 +256,7 @@ def inequality_to_json(ineq: Inequality) -> dict:
 def inequality_from_json(data: dict) -> Inequality:
     return Inequality(
         space=str(data["space"]),
-        d=int(data["d"]),
+        d=decode_int(data["d"]),
         coeffs=tuple(decode_rational(c) for c in data["coeffs"]),
         bound=decode_rational(data["bound"]),
     )

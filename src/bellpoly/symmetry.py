@@ -223,9 +223,11 @@ def _vertex_perms(space: str, d: int) -> np.ndarray:
     vertex_of = np.zeros(width**4, dtype=np.int32)
     vertex_of[digit[ones].sum(axis=1)] = np.arange(len(ones))
     perms = digit[group_for(space, d)]
-    codes = perms[:, ones[:, 0]]
+    # take keeps the table row-major, and so every orbit row[table], whose
+    # rows label_classes keys by their bytes
+    codes = perms.take(ones[:, 0], axis=1)
     for col in ones.T[1:]:
-        codes += perms[:, col]
+        codes += perms.take(col, axis=1)
     return vertex_of[codes]
 
 
@@ -275,12 +277,23 @@ def equivalent(i1: Inequality, i2: Inequality) -> bool:
     return bool((s1[_vertex_perms(i1.space, i1.d)] == s2).all(axis=1).any())
 
 
+def _row_keys(rows: np.ndarray) -> list:
+    """One hashable key per row of a slack array: the row's bytes for int64,
+    a tuple of Python ints for dtype object."""
+    if rows.dtype == object:
+        return list(map(tuple, rows.tolist()))
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
 def label_classes(ineqs: Iterable[Inequality]) -> tuple[list[int], list[Inequality]]:
     """Group inequalities into symmetry classes, labels by first appearance.
 
     The representative of a class is its first input, as given.  All slack
     rows come from one slack_rows batch; when a new class shows up its
-    whole slack orbit goes into a lookup for the rest.
+    whole slack orbit goes into a lookup for the rest.  The lookup is keyed
+    by the bytes of each int64 row (one bytes object per row, not one
+    Python int per entry), or by tuples when the slack needs Python ints.
     """
     items = list(ineqs)
     if not items:
@@ -289,13 +302,13 @@ def label_classes(ineqs: Iterable[Inequality]) -> tuple[list[int], list[Inequali
     perms = _vertex_perms(items[0].space, items[0].d)
     labels: list[int] = []
     reps: list[Inequality] = []
-    lookup: dict[tuple, int] = {}
-    for ineq, row, key in zip(items, rows, map(tuple, rows.tolist())):
+    lookup: dict = {}
+    for ineq, row, key in zip(items, rows, _row_keys(rows)):
         label = lookup.get(key)
         if label is None:
             label = len(reps)
             reps.append(ineq)
-            lookup.update(dict.fromkeys(map(tuple, row[perms].tolist()), label))
+            lookup.update(dict.fromkeys(_row_keys(row[perms]), label))
         labels.append(label)
     return labels, reps
 

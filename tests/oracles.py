@@ -10,7 +10,8 @@ Fraction dot product per vertex, facets of the d=2 correlator polytope
 from hyperplanes through vertex subsets, symmetry
 classes from Fraction orbits in a fixed gauge over a group built one
 element at a time (the library compares integer slack vectors, under a
-group table broadcast in numpy), the fixed gauge from a Fraction loop
+group table broadcast in numpy) and from slack orbits keyed by tuples of
+Python ints (the library keys them by row bytes), the fixed gauge from a Fraction loop
 over fraction_rref equations (the library reduces an integer row in one
 product), LP results from a Fraction tableau (the
 library pivots over integers), the CGLMP tightness rank and polytope
@@ -237,6 +238,20 @@ def gauge_labels(ineqs):
         key = gauge_key(q)
         if key not in lookup:
             lookup.update(dict.fromkeys(gauge_orbit(q), len(set(labels))))
+        labels.append(lookup[key])
+    return labels
+
+
+def tuple_labels(rows, perms):
+    """Class labels by first appearance of the slack rows of a 2-D integer
+    array under vertex index permutations (one row per group element), each
+    new orbit looked up as tuples of Python ints: the loop that
+    symmetry.label_classes keys by row bytes."""
+    lookup = {}
+    labels = []
+    for row, key in zip(rows, map(tuple, rows.tolist())):
+        if key not in lookup:
+            lookup.update(dict.fromkeys(map(tuple, row[perms].tolist()), len(set(labels))))
         labels.append(lookup[key])
     return labels
 

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +13,11 @@ import pytest
 
 import bellpoly
 from bellpoly.cli import build_parser, main
-from bellpoly.scenario import behavior_to_json, uniform_behavior
+from bellpoly.correlators import corr_to_json, project
+from bellpoly.facets import saturation_count
+from bellpoly.jsonio import decode_rational, encode_rational
+from bellpoly.scenario import behavior_to_json, inequality_from_json, uniform_behavior
+from bellpoly.symmetry import space_vertices
 
 from test_membership import pr_box
 
@@ -18,6 +25,12 @@ ENUMERATE_STDOUT = json.loads(
     (Path(__file__).parent / "data" / "enumerate_stdout_sha256.json").read_text()
 )["stdout"]
 SLOW_ENUMERATE = ("enumerate 5 --space corr", "enumerate 3 --space behavior")
+CLASSIFY_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "classify_stdout_sha256.json").read_text()
+)["stdout"]
+SLOW_CLASSIFY = ("correlator 5 enumerate",)
+GOLDEN = Path(bellpoly.__file__).parent / "golden"
+REFERENCE_D4 = Path(__file__).parents[1] / "perfbench" / "data" / "corr_facets_d4.json"
 
 
 def run(capsys, *argv):
@@ -164,10 +177,9 @@ def test_classify_flags_bad_inequality(tmp_path, capsys):
 
 def test_enumerate_4_matches_reference_list(capsys):
     # the d=4 correlator list the benchmark checks its classify inputs against
-    reference = Path(__file__).parents[1] / "perfbench" / "data" / "corr_facets_d4.json"
     code, out = run(capsys, "enumerate", "4", "--space", "corr")
     assert code == 0
-    assert out == reference.read_text() + "\n"
+    assert out == REFERENCE_D4.read_text() + "\n"
 
 
 def _classify_error(tmp_path, capsys, doc):
@@ -277,3 +289,122 @@ def test_enumerate_stdout_is_byte_identical(capsys, argv):
     code, out = run(capsys, *argv.split())
     got = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
     assert got == ENUMERATE_STDOUT[argv]
+
+
+def stdout_of(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def classify_input(name: str) -> dict:
+    """The facet list named "<space> <d> <kind>", seeded by its name: a
+    golden or reference list, the output of enumerate, a shuffled sample of
+    the d=4 reference list with repeated facets, or a golden list with one
+    bound lowered so that the facet is violated by a vertex."""
+    space, d, kind = name.split()
+    rng = random.Random(name)
+    if kind == "enumerate":
+        code, out = stdout_of(["enumerate", d, "--space", "corr" if space == "correlator" else space])
+        assert code == 0
+        return json.loads(out)
+    path = REFERENCE_D4 if d == "4" else GOLDEN / f"corr_facets_d{d}.json"
+    doc = json.loads(path.read_text())
+    if kind == "sample":
+        sample = rng.sample(doc["facets"], 30)
+        sample += rng.choices(sample, k=10)
+        rng.shuffle(sample)
+        doc["facets"] = sample
+    elif kind == "violated":
+        facet = rng.choice(doc["facets"])
+        facet["bound"] = encode_rational(decode_rational(facet["bound"]) - 1)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(name, marks=pytest.mark.slow) if name in SLOW_CLASSIFY else name
+     for name in dict.fromkeys(k.removesuffix(" --pretty") for k in CLASSIFY_STDOUT)],
+)
+def test_classify_stdout_is_byte_identical(tmp_path, name):
+    path = tmp_path / "facets.json"
+    path.write_text(json.dumps(classify_input(name)))
+    for flags in ([], ["--pretty"]):
+        code, out = stdout_of(["classify", str(path), *flags])
+        got = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+        assert got == CLASSIFY_STDOUT[" ".join([name, *flags])]
+
+
+def _count_saturation(monkeypatch):
+    import bellpoly.cli as cli_mod
+
+    calls = []
+    real = cli_mod.saturation_count
+    monkeypatch.setattr(cli_mod, "saturation_count", lambda q, verts: calls.append(q) or real(q, verts))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["correlator 4 sample", "correlator 3 violated", "behavior 2 enumerate"])
+def test_classify_checks_saturation_once_per_class(monkeypatch, tmp_path, name):
+    path = tmp_path / "facets.json"
+    path.write_text(json.dumps(classify_input(name)))
+    calls = _count_saturation(monkeypatch)
+    code, out = stdout_of(["classify", str(path)])
+    classes = {f["class"] for f in json.loads(out)["facets"]}
+    assert code == (1 if name.endswith("violated") else 0)
+    assert len(calls) == len(classes) < len(json.loads(path.read_text())["facets"])
+
+
+def test_classify_checks_each_behavior_facet_without_a_group(monkeypatch, tmp_path):
+    # behavior d=4 has no group table: one check per inequality, repeats too
+    positivity = [0] * 64
+    positivity[5] = -1
+    doc = {"space": "behavior", "d": 4, "facets": [{"coeffs": positivity, "bound": 0}] * 2}
+    path = tmp_path / "facets.json"
+    path.write_text(json.dumps(doc))
+    calls = _count_saturation(monkeypatch)
+    code, out = stdout_of(["classify", str(path)])
+    facets = json.loads(out)["facets"]
+    assert code == 0 and len(calls) == 2
+    assert [(f["class"], f["saturating"], f["rank"]) for f in facets] == [(None, 240, 48)] * 2
+
+
+@pytest.mark.parametrize(
+    "name", ["correlator 3 golden", "correlator 4 reference", "behavior 2 enumerate", "correlator 3 violated"]
+)
+def test_class_entries_match_per_facet_saturation(tmp_path, name):
+    doc = classify_input(name)
+    path = tmp_path / "facets.json"
+    path.write_text(json.dumps(doc))
+    code, out = stdout_of(["classify", str(path)])
+    verts = space_vertices(doc["space"], doc["d"])
+    for f, entry in zip(doc["facets"], json.loads(out)["facets"]):
+        q = inequality_from_json({"space": doc["space"], "d": doc["d"], **f})
+        try:
+            want = {"supporting": True, "saturating": saturation_count(q, verts)}
+        except ValueError as exc:
+            want = {"supporting": False, "error": str(exc)}
+        got = {k: entry[k] for k in want}
+        if entry["supporting"]:
+            got["saturating"] = (entry["saturating"], entry["rank"])
+        assert got == want
+
+
+@pytest.mark.parametrize("d", [2.9, True, 2.0, [2]])
+def test_non_integer_d_is_refused(tmp_path, capsys, d):
+    doc = json.loads((GOLDEN / "corr_facets_d2.json").read_text())
+    corr = corr_to_json(project(uniform_behavior(2)))
+    for command, data in (
+        ("classify", doc),
+        ("membership", behavior_to_json(uniform_behavior(2))),
+        ("membership", corr),
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**data, "d": d}))
+        assert main([command, str(path)]) == 2, (command, d)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad ")
+    facet = {"coeffs": doc["facets"][0]["coeffs"], "bound": 2}
+    with pytest.raises(ValueError, match="expected an integer"):
+        inequality_from_json({"space": "correlator", "d": d, **facet})

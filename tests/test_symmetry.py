@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import gauge_key, gauge_labels, gauge_orbit, loop_group
+from oracles import gauge_key, gauge_labels, gauge_orbit, loop_group, tuple_labels
 
 from bellpoly.cglmp import cglmp_inequality, evaluate
 from bellpoly.correlators import (
@@ -24,6 +24,7 @@ from bellpoly.scenario import (
     generator,
 )
 from bellpoly.symmetry import (
+    _vertex_perms,
     apply_behavior,
     apply_corr,
     apply_inequality,
@@ -300,6 +301,42 @@ def test_label_classes_match_gauge_oracle(space, d):
     moved = [_regauged(apply_inequality(rng.choice(group), q), rng) for q in facets]
     rng.shuffle(moved)
     assert label_classes(moved)[0] == gauge_labels(moved)
+
+
+@pytest.mark.parametrize("space,d", SPACES)
+def test_label_classes_match_tuple_oracle(space, d):
+    # byte keys against tuple keys, on shuffled, moved and regauged facets
+    # plus valid non-facets and inequalities some vertex violates
+    rng = random.Random(f"tuples{space}{d}")
+    verts, group, facets = _space(space, d)
+    perms = _vertex_perms(space, d)
+    assert perms.flags.c_contiguous  # so every orbit row is contiguous bytes
+    for _ in range(3):
+        coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(len(verts[0].coords)))
+        bound = max(evaluate(Inequality(space, d, coeffs, 0), v) for v in verts) - rng.randrange(2)
+        facets.append(Inequality(space, d, coeffs, bound))
+    for _ in range(3):
+        items = [_regauged(apply_inequality(rng.choice(group), q), rng) for q in rng.choices(facets, k=40)]
+        rows = slack_rows(items)
+        assert rows.dtype == np.int64
+        assert label_classes(items)[0] == tuple_labels(rows, perms)
+
+
+def test_python_int_slack_gets_tuple_keys():
+    # f1 + 2^70 f2 has slack past int64; it and its image form one class,
+    # apart from f1 and f2
+    _, _, facets = _space("correlator", 3)
+    labels = label_classes(facets)[0]
+    f1, f2 = facets[labels.index(0)], facets[labels.index(1)]
+    combo = Inequality("correlator", 3, tuple(a + 2**70 * b for a, b in zip(f1.coeffs, f2.coeffs)),
+                       f1.bound + 2**70 * f2.bound)
+    image = apply_inequality(correlator_symmetry(3, swap_parties=True, shifts=(1, 2, 0, 1), reflect=True), combo)
+    items = [f1, combo, f2, image]
+    rows = slack_rows(items)
+    assert rows.dtype == object and max(rows[1]) > 2**63
+    assert slack(image).tolist() != slack(combo).tolist()
+    got = label_classes(items)[0]
+    assert got == tuple_labels(rows, _vertex_perms("correlator", 3)) == gauge_labels(items) == [0, 1, 2, 1]
 
 
 @pytest.mark.parametrize("space,d", [("correlator", 3), ("behavior", 2)])
