@@ -8,8 +8,6 @@ tests with separating Bell-inequality certificates.  All arithmetic is over
 exact rationals; results are bit-reproducible.
 """
 
-from fractions import Fraction
-
 from .scenario import (
     Behavior,
     DeterministicStrategy,
@@ -47,21 +45,8 @@ from .correlators import (
     projected_generators,
 )
 from .facets import HRep, VRep, canonicalize, classify_trivial, enumerate_facets, saturation_count
-from .symmetry import (
-    SymmetryOp,
-    apply_behavior,
-    apply_corr,
-    apply_inequality,
-    behavior_group,
-    behavior_symmetry,
-    canonical_class,
-    correlator_group,
-    correlator_symmetry,
-    equivalent,
-)
+from .symmetry import canonical_class, equivalent
 from .membership import corr_local_decompose, local_decompose, local_max, nosignaling_max
 from .lp import LPResult, lp_max
-
-Rational = Fraction
 
 __all__ = [name for name in dir() if not name.startswith("_")]

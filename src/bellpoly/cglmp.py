@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .scenario import (
     BLOCKS,
     DeterministicStrategy,
     Inequality,
-    Scenario,
-    all_strategies,
     check_strategy,
     coord_index,
     generator_rows,
@@ -198,6 +196,11 @@ def _rstu_arrays(grid: np.ndarray, d: int) -> np.ndarray:
     ])
 
 
+def _f_sums(v: np.ndarray, d: int) -> np.ndarray:
+    """(d-1) times I_d of every column of a 4 x n rstu array, by the f form."""
+    return np.where(v >= 0, -2 * v + (d - 1), -2 * v - (d + 1)).sum(axis=0)
+
+
 def _case_codes(v: np.ndarray, d: int) -> np.ndarray:
     """Case of every column of a 4 x n rstu array, as its position in
     _case_branches(d); -1 where no sign/sum case matches (classify_case
@@ -210,22 +213,6 @@ def _case_codes(v: np.ndarray, d: int) -> np.ndarray:
     return codes
 
 
-def _check_generator(lam: DeterministicStrategy, by_coeff: int, d: int) -> None:
-    """The checks verify_condition1 makes on one strategy, in order; raises
-    on the first that fails."""
-    scale = d - 1
-    v = rstu(lam, d)
-    by_f = sum(_f_scaled(x, d) for x in v)
-    if by_f != by_coeff:
-        raise VerificationError(
-            f"coefficient form and f form disagree on {lam}: "
-            f"{Fraction(by_coeff, scale)} vs {Fraction(by_f, scale)}"
-        )
-    if by_f not in (2 * scale, -2, -2 * (d + 1)):
-        raise VerificationError(f"{lam} evaluates to {Fraction(by_f, scale)}, outside the value set")
-    classify_case(v, d)
-
-
 def verify_condition1(d: int) -> Condition1Report:
     """Evaluate I_d on every generator by both forms and check everything.
 
@@ -233,7 +220,7 @@ def verify_condition1(d: int) -> Condition1Report:
     all d^4 strategies in all_strategies order.  Any disagreement between
     the forms, any value outside {2, -2/(d-1), -2(d+1)/(d-1)}, or a maximum
     different from 2 raises VerificationError naming the first offending
-    strategy, with the message the one-strategy check gives.
+    strategy, read off the sweep arrays.
     """
     ineq = cglmp_inequality(d)
     scale = d - 1
@@ -247,14 +234,22 @@ def verify_condition1(d: int) -> Condition1Report:
     o11, o12, o21, o22 = (coord_index(d, a, b, 0, 0) for a, b in BLOCKS)
     by_coeff = cs[o11 + a1 * d + b1] + cs[o12 + a1 * d + b2] + cs[o21 + a2 * d + b1] + cs[o22 + a2 * d + b2]
     v = _rstu_arrays(grid, d)
-    by_f = np.where(v >= 0, -2 * v + (d - 1), -2 * v - (d + 1)).sum(axis=0)
+    by_f = _f_sums(v, d)
     cases = _case_codes(v, d)
-    bad = (by_f != by_coeff) | ~np.isin(by_f, (2 * scale, -2, -2 * (d + 1))) | (cases < 0)
+    disagree = by_f != by_coeff
+    stray = ~np.isin(by_f, (2 * scale, -2, -2 * (d + 1)))
+    bad = disagree | stray | (cases < 0)
     if bad.any():
         i = int(np.argmax(bad))
-        lam = DeterministicStrategy(*(int(x) for x in grid[:, i]))
-        _check_generator(lam, int(by_coeff[i]), d)
-        raise AssertionError(f"the sweep and the one-strategy check disagree on {lam}")
+        lam = DeterministicStrategy(*grid[:, i].tolist())
+        value = Fraction(int(by_f[i]), scale)
+        if disagree[i]:
+            raise VerificationError(
+                f"coefficient form and f form disagree on {lam}: {Fraction(int(by_coeff[i]), scale)} vs {value}"
+            )
+        if stray[i]:
+            raise VerificationError(f"{lam} evaluates to {value}, outside the value set")
+        classify_case(RSTU(*v[:, i].tolist()), d)  # raises: no sign/sum case matches
     best = int(by_f.max())
     if best != 2 * scale:
         raise VerificationError(f"maximum over generators is {Fraction(best, scale)}, not 2")
@@ -271,21 +266,6 @@ def verify_condition1(d: int) -> Condition1Report:
     )
 
 
-def saturating_generators(d: int) -> list[DeterministicStrategy]:
-    """All strategies with I_d = 2; equals case1 plus case2b exactly."""
-    by_value = []
-    by_case = []
-    for lam in all_strategies(Scenario(d)):
-        v = rstu(lam, d)
-        if sum(_f_scaled(x, d) for x in v) == 2 * (d - 1):
-            by_value.append(lam)
-        if classify_case(v, d).tag in ("case1", "case2b"):
-            by_case.append(lam)
-    if by_value != by_case:
-        raise VerificationError("value-saturating set differs from the case-pattern set")
-    return by_value
-
-
 def _saturating_mask(d: int) -> tuple[np.ndarray, np.ndarray]:
     """All strategies as a 4 x d^4 array in all_strategies order, and the
     mask of the saturating ones (case1 and case2b)."""
@@ -293,6 +273,14 @@ def _saturating_mask(d: int) -> tuple[np.ndarray, np.ndarray]:
     codes = _case_codes(_rstu_arrays(grid, d), d)
     tags = list(_case_branches(d).values())
     return grid, (codes == tags.index("case1")) | (codes == tags.index("case2b"))
+
+
+def saturating_generators(d: int) -> list[DeterministicStrategy]:
+    """All strategies with I_d = 2; equals case1 plus case2b exactly."""
+    grid, mask = _saturating_mask(d)
+    if not np.array_equal(_f_sums(_rstu_arrays(grid, d), d) == 2 * (d - 1), mask):
+        raise VerificationError("value-saturating set differs from the case-pattern set")
+    return [DeterministicStrategy(*lam) for lam in grid[:, mask].T.tolist()]
 
 
 def _saturating_matrix(d: int) -> np.ndarray:
@@ -356,12 +344,6 @@ class WitnessBatch:
     supports: tuple[tuple[int, ...], ...]  # the ones of each permuted-frame vector
     rank_after: int
 
-    @property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        """The 4d vectors as permuted-frame 0/1 coordinates."""
-        d = len(self.strategies) // len(self.patterns)
-        return tuple(_witness_vector(sup, d) for sup in self.supports)
-
 
 class WitnessError(VerificationError):
     """A witness batch failed to raise the rank by 4d."""
@@ -424,50 +406,9 @@ def scheme_patterns(scheme: str, params: tuple[int, ...]) -> list[tuple[int, int
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def witness_frame_permutation(d: int) -> tuple[int, ...]:
-    """perm with permuted_vector[j] = behavior_vector[perm[j]].
-
-    Blockwise bijection sending the joint-outcome coordinate to the
-    (first outcome, outcome difference) coordinate, so a generator becomes
-    |A,r> + |A,s> + |A-r,t> + |A+s,u> across the four blocks.
-    """
-    size = 4 * d * d
-    perm = [0] * size
-    for k in range(d):
-        for s in range(d):
-            perm[coord_index(d, 1, 1, k, (k - s) % d)] = coord_index(d, 1, 1, k, s)
-            perm[coord_index(d, 1, 2, k, (s - k) % d)] = coord_index(d, 1, 2, k, s)
-            perm[coord_index(d, 2, 1, s, (s - k - 1) % d)] = coord_index(d, 2, 1, k, s)
-            perm[coord_index(d, 2, 2, s, (k - s) % d)] = coord_index(d, 2, 2, k, s)
-    return tuple(perm)
-
-
-def to_witness_frame(coords: Sequence, d: int) -> tuple:
-    perm = witness_frame_permutation(d)
-    return tuple(coords[perm[j]] for j in range(4 * d * d))
-
-
-def from_witness_frame(coords: Sequence, d: int) -> tuple:
-    perm = witness_frame_permutation(d)
-    out = [None] * (4 * d * d)
-    for j in range(4 * d * d):
-        out[perm[j]] = coords[j]
-    return tuple(out)
-
-
-def _pattern_strategy(pattern: tuple[int, int, int, int], first: int, d: int) -> DeterministicStrategy:
-    r, s, t, u = pattern
-    a1 = first % d
-    b1 = (a1 - r) % d
-    b2 = (a1 + s) % d
-    a2 = (b1 - t - 1) % d
-    if a2 != (b2 + u) % d:
-        raise AssertionError(f"pattern {pattern} is not congruent to -1 mod {d}")
-    return DeterministicStrategy(a1, a2, b1, b2)
-
-
-def _witness_support(pattern: tuple[int, int, int, int], first: int, d: int) -> tuple[int, ...]:
-    """The four coordinates at which a witness vector is 1."""
+def _witness_support(pattern, first, d: int) -> tuple:
+    """The four coordinates at which a witness vector is 1; elementwise
+    over arrays of patterns (r, s, t, u) and first outcomes."""
     r, s, t, u = pattern
     a1 = first % d
     return (
@@ -476,14 +417,6 @@ def _witness_support(pattern: tuple[int, int, int, int], first: int, d: int) -> 
         coord_index(d, 2, 1, (a1 - r) % d, t % d),
         coord_index(d, 2, 2, (a1 + s) % d, u % d),
     )
-
-
-def _witness_vector(support: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """The permuted-frame 0/1 vector with ones at the support."""
-    vec = [0] * (4 * d * d)
-    for j in support:
-        vec[j] = 1
-    return tuple(vec)
 
 
 def _example2_minor(scheme: str, params: tuple[int, ...], d: int) -> list[list[int]]:
@@ -503,11 +436,7 @@ def _example2_minor(scheme: str, params: tuple[int, ...], d: int) -> list[list[i
             coord_index(d, 2, 1, (-b1) % d, a % d),
             coord_index(d, 2, 2, b2 % d, a % d),
         ]
-    rows = []
-    for pattern in scheme_patterns(scheme, params):
-        vec = _witness_vector(_witness_support(pattern, 0, d), d)
-        rows.append([vec[c] for c in cols])
-    return rows
+    return [[int(c in _witness_support(p, 0, d)) for c in cols] for p in scheme_patterns(scheme, params)]
 
 
 class _CheckedStep(NamedTuple):
@@ -522,27 +451,43 @@ class _CheckedStep(NamedTuple):
 def _checked_steps(d: int):
     """The witness steps in order, every vector checked to be a saturating
     generator and every example-2 style step to have a nonsingular 4x4 key
-    minor; raises WitnessError at the first step that fails a check."""
+    minor; raises WitnessError at the first step that fails a check.
+
+    A step's 4d vectors, pattern by pattern and first outcome A1 = 0..d-1
+    within each, are checked by one _rstu_arrays call; the first vector in
+    that order that fails a check names the failure.
+    """
     lo, hi = window_bounds(d)
     for step_index, (scheme, params) in enumerate(witness_steps(d)):
         patterns = scheme_patterns(scheme, params)
-        strategies: list[DeterministicStrategy] = []
-        supports: list[tuple[int, ...]] = []
-        for pattern in patterns:
-            if not all(lo <= x <= hi for x in pattern):
-                raise WitnessError(f"step {step_index}: pattern {pattern} leaves the window for d={d}")
-            for first in range(d):
-                lam = _pattern_strategy(pattern, first, d)
-                if rstu(lam, d) != pattern:
-                    raise WitnessError(f"step {step_index}: {pattern} does not reproduce itself from {lam}")
-                if classify_case(RSTU(*pattern), d).value != 2:
-                    raise WitnessError(f"step {step_index}: pattern {pattern} is not saturating")
-                strategies.append(lam)
-                supports.append(_witness_support(pattern, first, d))
+        pattern = np.repeat(np.array(patterns, dtype=np.int64).T, d, axis=1)  # one column per vector
+        r, s, t, u = pattern
+        a1 = np.tile(np.arange(d), len(patterns))
+        b1, b2 = (a1 - r) % d, (a1 + s) % d
+        a2 = (b1 - t - 1) % d
+        grid = np.stack([a1, a2, b1, b2])
+        v = _rstu_arrays(grid, d)
+        outside = ((pattern < lo) | (pattern > hi)).any(axis=0)
+        incongruent = a2 != (b2 + u) % d
+        moved = (v != pattern).any(axis=0)
+        bad = outside | incongruent | moved | (_f_sums(v, d) != 2 * (d - 1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            p = patterns[i // d]
+            if outside[i]:
+                raise WitnessError(f"step {step_index}: pattern {p} leaves the window for d={d}")
+            if incongruent[i]:
+                raise AssertionError(f"pattern {p} is not congruent to -1 mod {d}")
+            if moved[i]:
+                lam = DeterministicStrategy(*grid[:, i].tolist())
+                raise WitnessError(f"step {step_index}: {p} does not reproduce itself from {lam}")
+            raise WitnessError(f"step {step_index}: pattern {p} is not saturating")
         if scheme in (SCHEME_EXAMPLE2, SCHEME_EXAMPLE2_VARIANT):
             minor = _example2_minor(scheme, params, d)
             if linalg.int_rank(minor) != 4:
                 raise WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
+        strategies = [DeterministicStrategy(*lam) for lam in grid.T.tolist()]
+        supports = list(map(tuple, np.stack(_witness_support(pattern, a1, d)).T.tolist()))
         yield _CheckedStep(step_index, scheme, params, patterns, strategies, supports)
 
 

@@ -59,14 +59,10 @@ class VRep:
     """A polytope given by its vertices: vectors of Fractions or ints,
     objects with .coords, or an integer ndarray, held as one read-only
     integer matrix over a positive common denominator (vertices / den).
-
-    expected_dim, when set, claims the affine dimension; enumeration fails
-    loudly if the vertices span less (or more) than claimed.
     """
 
     ambient_dim: int
     vertices: InitVar[object]
-    expected_dim: int | None = None
     matrix: np.ndarray = field(init=False, repr=False)
     den: int = field(init=False)
 
@@ -316,11 +312,6 @@ def enumerate_facets(
     pivots = linalg.pivot_columns(hull[:, :-1])
     free = [j for j in range(ambient) if j not in pivots]
     reduced_dim = len(free)
-    if vrep.expected_dim is not None and reduced_dim != vrep.expected_dim:
-        raise ValueError(
-            f"degenerate input: affine hull has dimension {reduced_dim}, "
-            f"claimed {vrep.expected_dim}"
-        )
     if len(mat) < reduced_dim + 1:
         raise ValueError("degenerate input: fewer vertices than dimension plus one")
     if reduced_dim == 0:

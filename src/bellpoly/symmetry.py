@@ -19,7 +19,9 @@ Each space has one numpy kernel saying how its generators act on
 coordinates, vectorised over a leading axis of elements.  The group table
 of a space is that kernel applied to all of its generating data at once,
 deduplicated by np.unique into one read-only integer array (one row per
-element); the single-element constructors call the same kernel on one row.
+element).  An element is a row of that table, and it sends a vector x,
+whether a behavior, a correlator vector or inequality coefficients, to
+x[row].
 
 Inequalities are compared by their slack over the vertices of their space
 (the generators, or the projected generators): bound - coeffs.v for every
@@ -37,42 +39,15 @@ equivalent when the slack of one lies in the other's orbit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .correlators import CorrVector, projected_generator_matrix
+from .correlators import projected_generator_matrix
 from .facets import canonicalize, classify_trivial, standard_equations
-from .scenario import Behavior, Inequality, generator_matrix
-
-
-@dataclass(frozen=True)
-class SymmetryOp:
-    """A symmetry as an index permutation: out[i] = in[perm[i]]."""
-
-    space: str
-    d: int
-    perm: tuple[int, ...]
-
-    def compose(self, other: "SymmetryOp") -> "SymmetryOp":
-        """self after other: apply(self.compose(other), x) = apply(self, apply(other, x))."""
-        if (self.space, self.d) != (other.space, other.d):
-            raise ValueError("cannot compose symmetries of different spaces")
-        return SymmetryOp(self.space, self.d, tuple(other.perm[j] for j in self.perm))
-
-    def inverse(self) -> "SymmetryOp":
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return SymmetryOp(self.space, self.d, tuple(inv))
-
-
-def identity_op(space: str, d: int) -> SymmetryOp:
-    size = 4 * d * d if space == "behavior" else 4 * d
-    return SymmetryOp(space, d, tuple(range(size)))
+from .scenario import Inequality, generator_matrix
 
 
 def _behavior_perms(d: int, flips: np.ndarray, inverse_relabelings: np.ndarray) -> np.ndarray:
@@ -104,55 +79,6 @@ def _correlator_perms(d: int, flips: np.ndarray, shifts: np.ndarray) -> np.ndarr
     return ((2 * aa + bb) * d + nn).reshape(len(shifts), -1)
 
 
-def behavior_symmetry(
-    d: int,
-    *,
-    swap_parties: bool = False,
-    swap_a: bool = False,
-    swap_b: bool = False,
-    outcome_perms: Sequence[Sequence[int]] | None = None,
-) -> SymmetryOp:
-    """Build one behavior-space element from its generating data.
-
-    outcome_perms gives the relabeling sigma for (A1, A2, B1, B2) in the
-    original labels; sigma maps old outcome to new outcome.
-    """
-    perms = [list(p) for p in ([range(d)] * 4 if outcome_perms is None else outcome_perms)]
-    if len(perms) != 4 or any(sorted(p) != list(range(d)) for p in perms):
-        raise ValueError("outcome_perms must be four permutations of range(d)")
-    inv = np.argsort(perms, axis=1)  # the inverse of a permutation sorts it
-    row = _behavior_perms(d, [[swap_parties, swap_a, swap_b]], inv[None])[0]
-    return SymmetryOp("behavior", d, tuple(row.tolist()))
-
-
-def correlator_symmetry(
-    d: int,
-    *,
-    swap_parties: bool = False,
-    swap_a: bool = False,
-    swap_b: bool = False,
-    shifts: Sequence[int] = (0, 0, 0, 0),
-    reflect: bool = False,
-) -> SymmetryOp:
-    """Build one correlator-space element: shifts are per-observable outcome
-    shifts (A1, A2, B1, B2); reflect negates all outcomes, sending n to -n."""
-    c = [int(x) % d for x in shifts]
-    if len(c) != 4:
-        raise ValueError("shifts must have four entries")
-    row = _correlator_perms(d, [[swap_parties, swap_a, swap_b, reflect]], [c])[0]
-    return SymmetryOp("correlator", d, tuple(row.tolist()))
-
-
-def behavior_group(d: int) -> list[SymmetryOp]:
-    """All 8 (d!)^4 behavior-space elements; refused for d >= 4."""
-    return [SymmetryOp("behavior", d, tuple(row)) for row in group_for("behavior", d).tolist()]
-
-
-def correlator_group(d: int) -> list[SymmetryOp]:
-    """The shift+reflection subgroup acting on correlator coordinates."""
-    return [SymmetryOp("correlator", d, tuple(row)) for row in group_for("correlator", d).tolist()]
-
-
 @lru_cache(maxsize=None)
 def group_for(space: str, d: int) -> np.ndarray:
     """The whole group of a space as one read-only integer table of
@@ -175,26 +101,6 @@ def group_for(space: str, d: int) -> np.ndarray:
     return table
 
 
-def apply_behavior(op: SymmetryOp, p: Behavior) -> Behavior:
-    if op.space != "behavior" or op.d != p.d:
-        raise ValueError("operation does not match the behavior's space")
-    return Behavior(p.d, tuple(p.coords[i] for i in op.perm))
-
-
-def apply_corr(op: SymmetryOp, c: CorrVector) -> CorrVector:
-    if op.space != "correlator" or op.d != c.d:
-        raise ValueError("operation does not match the vector's space")
-    return CorrVector(c.d, tuple(c.coords[i] for i in op.perm))
-
-
-def apply_inequality(op: SymmetryOp, ineq: Inequality) -> Inequality:
-    """Permute coefficients (bound unchanged); evaluation is invariant:
-    eval(apply(g, q), apply(g, x)) == eval(q, x)."""
-    if op.space != ineq.space or op.d != ineq.d:
-        raise ValueError("operation does not match the inequality's space")
-    return Inequality(ineq.space, ineq.d, tuple(ineq.coeffs[i] for i in op.perm), ineq.bound)
-
-
 @lru_cache(maxsize=None)
 def space_vertices(space: str, d: int) -> np.ndarray:
     """The vertices of a space as one read-only 0/1 integer matrix: the
@@ -209,7 +115,8 @@ def space_vertices(space: str, d: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _vertex_perms(space: str, d: int) -> np.ndarray:
     """Vertex index permutations of group_for(space, d), one row per
-    element g, such that slack(apply_inequality(g, q)) == slack(q)[row g].
+    element g, such that slack(q)[row g] is the slack of q's image under
+    table row g: q.coeffs indexed by that row, with q's bound.
 
     The image reads coefficient perm[i] at coordinate i, so at vertex k it
     takes q's value at the vertex whose unit coordinates are perm[J], J
@@ -256,7 +163,8 @@ def slack(ineq: Inequality) -> np.ndarray:
 
 
 def slack_orbit(ineq: Inequality) -> np.ndarray:
-    """The slack of the image under every element of group_for, one row each."""
+    """Row g is the slack of the image under group_for row g: the
+    coefficients indexed by that row, with the same bound."""
     return slack(ineq)[_vertex_perms(ineq.space, ineq.d)]
 
 
@@ -266,8 +174,8 @@ def canonical_class(ineq: Inequality) -> Inequality:
     facets.canonicalize (coefficients reduced modulo the space's equations)."""
     rows = slack_orbit(ineq).tolist()
     least = min(range(len(rows)), key=rows.__getitem__)
-    op = SymmetryOp(ineq.space, ineq.d, tuple(group_for(ineq.space, ineq.d)[least].tolist()))
-    image = apply_inequality(op, ineq)
+    perm = group_for(ineq.space, ineq.d)[least].tolist()
+    image = Inequality(ineq.space, ineq.d, tuple(ineq.coeffs[i] for i in perm), ineq.bound)
     return canonicalize(image, equations=standard_equations(ineq.space, ineq.d))
 
 

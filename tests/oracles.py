@@ -467,6 +467,39 @@ def full_tightness_rank(d: int):
     return cglmp.TightnessReport(d=d, h=4 * d * (d - 1), saturating=mat.shape[0], rank=linalg.int_rank(mat))
 
 
+def witness_frame_permutation(d: int) -> tuple[int, ...]:
+    """perm with permuted_vector[j] = behavior_vector[perm[j]].
+
+    Blockwise bijection sending the joint-outcome coordinate to the
+    (first outcome, outcome difference) coordinate, so a generator becomes
+    |A,r> + |A,s> + |A-r,t> + |A+s,u> across the four blocks.
+    """
+    from bellpoly.scenario import coord_index
+
+    size = 4 * d * d
+    perm = [0] * size
+    for k in range(d):
+        for s in range(d):
+            perm[coord_index(d, 1, 1, k, (k - s) % d)] = coord_index(d, 1, 1, k, s)
+            perm[coord_index(d, 1, 2, k, (s - k) % d)] = coord_index(d, 1, 2, k, s)
+            perm[coord_index(d, 2, 1, s, (s - k - 1) % d)] = coord_index(d, 2, 1, k, s)
+            perm[coord_index(d, 2, 2, s, (k - s) % d)] = coord_index(d, 2, 2, k, s)
+    return tuple(perm)
+
+
+def to_witness_frame(coords: Sequence, d: int) -> tuple:
+    perm = witness_frame_permutation(d)
+    return tuple(coords[perm[j]] for j in range(4 * d * d))
+
+
+def from_witness_frame(coords: Sequence, d: int) -> tuple:
+    perm = witness_frame_permutation(d)
+    out = [None] * (4 * d * d)
+    for j in range(4 * d * d):
+        out[perm[j]] = coords[j]
+    return tuple(out)
+
+
 def full_polytope_affine_dim(d: int) -> int:
     """Rank of the differences of all d^4 generators."""
     from bellpoly import linalg
@@ -673,3 +706,10 @@ def loop_group(space: str, d: int) -> tuple[tuple[int, ...], ...]:
     for perm in elements:
         seen.setdefault(perm)
     return tuple(seen)
+
+
+def apply_row(row, x):
+    """x (a Behavior, CorrVector or Inequality) through one group table row: out[i] = in[row[i]]."""
+    if hasattr(x, "coeffs"):
+        return type(x)(x.space, x.d, tuple(x.coeffs[i] for i in row), x.bound)
+    return type(x)(x.d, tuple(x.coords[i] for i in row))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import from_witness_frame, to_witness_frame, witness_frame_permutation
 
 from bellpoly import cglmp, linalg
 from bellpoly.cglmp import (
@@ -14,15 +15,12 @@ from bellpoly.cglmp import (
     eval_on_generator,
     evaluate,
     f_value,
-    from_witness_frame,
     rstu,
     saturating_generators,
     scheme_patterns,
     tightness_rank,
-    to_witness_frame,
     verify_condition1,
     window_bounds,
-    witness_frame_permutation,
     witness_steps,
 )
 from bellpoly.scenario import Scenario, all_strategies, generator, uniform_behavior
@@ -187,7 +185,7 @@ def test_constructive_witness_small_d():
         batches = constructive_witness(d)
         assert len(batches) == d - 1
         for j, batch in enumerate(batches):
-            assert len(batch.vectors) == 4 * d
+            assert len(batch.supports) == 4 * d
             assert batch.rank_after == 4 * d * (j + 1)
         assert batches[-1].rank_after == 4 * d * (d - 1)
 
@@ -202,7 +200,7 @@ def test_repeated_witness_step_is_refused(monkeypatch):
 def test_witness_d3_shape():
     batches = constructive_witness(3)
     assert len(batches) == 2
-    assert all(len(b.vectors) == 12 for b in batches)
+    assert all(len(b.supports) == 12 for b in batches)
     assert batches[0].scheme == SCHEME_EXAMPLE2
     assert batches[-1].rank_after == 24
 
@@ -211,10 +209,10 @@ def test_witness_vectors_are_permuted_saturating_generators():
     for d in (2, 3, 5):
         q = cglmp_inequality(d)
         for batch in constructive_witness(d):
-            for lam, vec in zip(batch.strategies, batch.vectors):
+            for lam, support in zip(batch.strategies, batch.supports):
                 assert evaluate(q, generator(Scenario(d), lam)) == 2
-                back = from_witness_frame(vec, d)
-                assert tuple(back) == tuple(int(x) for x in generator(Scenario(d), lam).coords)
+                back = from_witness_frame([int(j in support) for j in range(4 * d * d)], d)
+                assert back == tuple(int(x) for x in generator(Scenario(d), lam).coords)
 
 
 def test_witness_frame_is_permutation():
@@ -266,3 +264,55 @@ def test_saturating_matrix_rows_are_the_saturating_generators():
         mat = _saturating_matrix(d)
         expected = [generator(Scenario(d), lam).coords for lam in saturating_generators(d)]
         assert [tuple(Fraction(int(x)) for x in row) for row in mat] == expected
+
+
+def _patch_steps(monkeypatch, steps, custom=()):
+    """witness_steps gives steps, and the step scheme "custom" contributes
+    the given patterns."""
+    real = cglmp.scheme_patterns
+    monkeypatch.setattr(cglmp, "witness_steps", lambda d: steps)
+    monkeypatch.setattr(cglmp, "scheme_patterns", lambda s, p: list(custom) if s == "custom" else real(s, p))
+
+
+def test_witness_names_the_first_pattern_outside_the_window(monkeypatch):
+    # the out-of-window pattern 2 comes before the unsaturated pattern 3
+    steps = witness_steps(5)
+    custom = [(1, 1, 1, 1), (2, 0, 0, 2), (3, 0, 0, 1), (1, -1, -1, 0)]
+    _patch_steps(monkeypatch, [steps[0], ("custom", ()), steps[2]], custom)
+    with pytest.raises(cglmp.WitnessError) as exc:
+        constructive_witness(5)
+    assert str(exc.value) == "step 1: pattern (3, 0, 0, 1) leaves the window for d=5"
+
+
+def test_witness_names_the_first_unsaturated_pattern(monkeypatch):
+    # (1, -1, -1, 0) is case3; the out-of-window pattern after it is not reached
+    steps = witness_steps(3)
+    _patch_steps(monkeypatch, [steps[0], ("custom", ())], [(0, 0, -1, 0), (1, -1, -1, 0), (4, 0, 0, 0)])
+    with pytest.raises(cglmp.WitnessError) as exc:
+        constructive_witness(3)
+    assert str(exc.value) == "step 1: pattern (1, -1, -1, 0) is not saturating"
+
+
+def test_witness_names_a_singular_key_minor(monkeypatch):
+    # all four example-2 rows of (1, 1, 1) are the saturating (1, 1, 1, 1)
+    steps = witness_steps(5)
+    _patch_steps(monkeypatch, [steps[0], (SCHEME_EXAMPLE2, (1, 1, 1)), steps[2]])
+    with pytest.raises(cglmp.WitnessError) as exc:
+        constructive_witness(5)
+    assert str(exc.value) == "step 1: singular key minor for example2 (1, 1, 1)"
+
+
+def test_witness_names_the_first_vector_that_does_not_reproduce(monkeypatch):
+    # a window pattern always reproduces itself, so the check is reached by
+    # breaking center_mod: at d=3 the difference 2 goes to -4, not -1.  That
+    # hits pattern 1 from first outcome 2 on and pattern 2 from first
+    # outcome 0 on; pattern order comes first
+    steps = witness_steps(3)
+    _patch_steps(monkeypatch, [steps[0], ("custom", ())], [(0, 0, -1, 0), (-1, 0, 0, 0), (0, -1, 0, 0)])
+    real = cglmp.center_mod
+    monkeypatch.setattr(cglmp, "center_mod", lambda x, d: real(x, d) - d * (x == 2))
+    with pytest.raises(cglmp.WitnessError) as exc:
+        constructive_witness(3)
+    assert str(exc.value) == (
+        "step 1: (-1, 0, 0, 0) does not reproduce itself from DeterministicStrategy(a1=2, a2=2, b1=0, b2=2)"
+    )

@@ -402,14 +402,6 @@ def test_facet_pipeline_runs_without_fraction_elimination(monkeypatch):
     assert linalg.affine_dim(square) == 2
 
 
-def test_degenerate_vrep_errors():
-    collinear = (_fr(0, 0), _fr(1, 1), _fr(2, 2))
-    with pytest.raises(ValueError):
-        enumerate_facets(VRep(2, collinear, expected_dim=2))
-    # without a claim the same input is just a segment
-    assert len(enumerate_facets(VRep(2, collinear)).facets) == 2
-
-
 @pytest.mark.parametrize("name", ["corr-2", "corr-3", "square/3"])
 def test_facets_are_fixed_points_of_canonicalize(name):
     # enumerate_facets emits the gcd-reduced rays as they are; corr d=2/3

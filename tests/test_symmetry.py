@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import gauge_key, gauge_labels, gauge_orbit, loop_group, tuple_labels
+from oracles import (
+    _loop_behavior_perm,
+    _loop_correlator_perm,
+    apply_row,
+    gauge_key,
+    gauge_labels,
+    gauge_orbit,
+    loop_group,
+    tuple_labels,
+)
 
 from bellpoly.cglmp import cglmp_inequality, evaluate
 from bellpoly.correlators import (
@@ -25,17 +34,9 @@ from bellpoly.scenario import (
 )
 from bellpoly.symmetry import (
     _vertex_perms,
-    apply_behavior,
-    apply_corr,
-    apply_inequality,
-    behavior_group,
-    behavior_symmetry,
     canonical_class,
-    correlator_group,
-    correlator_symmetry,
     equivalent,
     group_for,
-    identity_op,
     label_classes,
     slack,
     slack_orbit,
@@ -44,25 +45,31 @@ from bellpoly.symmetry import (
 )
 
 
+def _party_swap(d):
+    return _loop_behavior_perm(d, True, False, False, [range(d)] * 4)
+
+
 def test_identity():
+    # the identity is the lexicographically first row of every table
     d = 3
     p = generator(Scenario(d), (1, 2, 0, 1))
-    op = identity_op("behavior", d)
-    assert apply_behavior(op, p) == p
+    assert group_for("behavior", d)[0].tolist() == list(range(4 * d * d))
+    assert group_for("correlator", d)[0].tolist() == list(range(4 * d))
+    assert apply_row(group_for("behavior", d)[0], p) == p
 
 
 def test_party_swap_is_involution():
     for d in (2, 3):
-        op = behavior_symmetry(d, swap_parties=True)
-        assert op.compose(op).perm == identity_op("behavior", d).perm
+        op = np.array(_party_swap(d))
+        assert op[op].tolist() == list(range(4 * d * d))
 
 
 def test_party_swap_on_generators():
     d = 3
-    op = behavior_symmetry(d, swap_parties=True)
+    op = _party_swap(d)
     for lam in ((0, 1, 2, 0), (1, 1, 0, 2), (2, 0, 1, 1)):
         a1, a2, b1, b2 = lam
-        got = apply_behavior(op, generator(Scenario(d), lam))
+        got = apply_row(op, generator(Scenario(d), lam))
         want = generator(Scenario(d), (b1, b2, a1, a2))
         assert got == want
 
@@ -70,9 +77,9 @@ def test_party_swap_on_generators():
 def test_relabeling_maps_generators_to_generators():
     d = 3
     sigma = (1, 2, 0)
-    op = behavior_symmetry(d, outcome_perms=(sigma, (0, 1, 2), (2, 1, 0), (0, 2, 1)))
+    op = _loop_behavior_perm(d, False, False, False, (sigma, (0, 1, 2), (2, 1, 0), (0, 2, 1)))
     for lam in all_strategies(Scenario(d))[:10]:
-        got = apply_behavior(op, generator(Scenario(d), lam))
+        got = apply_row(op, generator(Scenario(d), lam))
         want = generator(
             Scenario(d), (sigma[lam.a1], lam.a2, (2, 1, 0)[lam.b1], (0, 2, 1)[lam.b2])
         )
@@ -80,81 +87,90 @@ def test_relabeling_maps_generators_to_generators():
 
 
 def test_group_sizes():
-    assert len(behavior_group(2)) == 8 * 2**4
-    grp3 = correlator_group(3)
+    assert len(group_for("behavior", 2)) == 8 * 2**4
+    grp3 = group_for("correlator", 3)
     assert len(grp3) == 16 * 27  # shifts act modulo a global offset: 16 d^3
-    assert len({op.perm for op in grp3}) == len(grp3)
+    assert len(np.unique(grp3, axis=0)) == len(grp3)
 
 
 def test_behavior_group_guard():
     with pytest.raises(ValueError):
-        behavior_group(4)
+        group_for("behavior", 4)
 
 
 def test_group_action_law():
+    # g after h is the row h[g], and it is a row of the table
     rng = random.Random(11)
     d = 2
-    grp = behavior_group(d)
+    grp = group_for("behavior", d)
+    rows = set(map(tuple, grp.tolist()))
     p = Behavior(d, tuple(Fraction(rng.randint(0, 9), 11) for _ in range(16)))
     for _ in range(25):
         g = rng.choice(grp)
         h = rng.choice(grp)
-        assert apply_behavior(g.compose(h), p) == apply_behavior(g, apply_behavior(h, p))
-    grpc = correlator_group(3)
+        assert tuple(h[g].tolist()) in rows
+        assert apply_row(h[g], p) == apply_row(g, apply_row(h, p))
+    grpc = group_for("correlator", 3)
+    rows = set(map(tuple, grpc.tolist()))
     c = project(Behavior(3, tuple(Fraction(rng.randint(0, 9), 11) for _ in range(36))))
     for _ in range(25):
         g = rng.choice(grpc)
         h = rng.choice(grpc)
-        assert apply_corr(g.compose(h), c) == apply_corr(g, apply_corr(h, c))
+        assert tuple(h[g].tolist()) in rows
+        assert apply_row(h[g], c) == apply_row(g, apply_row(h, c))
 
 
 def test_group_preserves_generator_sets():
     d = 2
     gens = {g.coords for g in all_generators(Scenario(d))}
-    for op in behavior_group(d):
-        assert {apply_behavior(op, Behavior(d, c)).coords for c in gens} == gens
+    for op in group_for("behavior", d):
+        assert {apply_row(op, Behavior(d, c)).coords for c in gens} == gens
     pgens = {g.coords for g in projected_generators(3)}
     rng = random.Random(13)
-    grpc = correlator_group(3)
+    grpc = group_for("correlator", 3)
     from bellpoly.correlators import CorrVector
 
     for _ in range(40):
         op = rng.choice(grpc)
-        assert {apply_corr(op, CorrVector(3, c)).coords for c in pgens} == pgens
+        assert {apply_row(op, CorrVector(3, c)).coords for c in pgens} == pgens
 
 
 def test_eval_invariance():
     rng = random.Random(17)
     d = 2
-    grp = behavior_group(d)
+    grp = group_for("behavior", d)
     q = cglmp_inequality(d)
     for _ in range(30):
         op = rng.choice(grp)
         p = Behavior(d, tuple(Fraction(rng.randint(-5, 9), 11) for _ in range(16)))
-        assert evaluate(apply_inequality(op, q), apply_behavior(op, p)) == evaluate(q, p)
+        assert evaluate(apply_row(op, q), apply_row(op, p)) == evaluate(q, p)
 
 
 def test_inverse():
+    # the inverse of a row is its argsort, and it is a row of the table
     rng = random.Random(19)
-    grp = correlator_group(2)
+    grp = group_for("correlator", 2)
+    rows = set(map(tuple, grp.tolist()))
     for _ in range(20):
         op = rng.choice(grp)
-        assert op.compose(op.inverse()).perm == identity_op("correlator", 2).perm
+        inverse = np.argsort(op)
+        assert tuple(inverse.tolist()) in rows
+        assert inverse[op].tolist() == list(range(8))
 
 
 def test_canonical_class_constant_on_orbit():
     rng = random.Random(23)
     q = cglmp_corr_inequality(3)
     rep = canonical_class(q)
-    grp = correlator_group(3)
+    grp = group_for("correlator", 3)
     for _ in range(20):
         op = rng.choice(grp)
-        assert canonical_class(apply_inequality(op, q)) == rep
+        assert canonical_class(apply_row(op, q)) == rep
 
 
 def test_party_swapped_chsh_same_class():
     q = chsh_inequality()
-    swapped = apply_inequality(correlator_symmetry(2, swap_parties=True), q)
+    swapped = apply_row(_loop_correlator_perm(2, True, False, False, (0, 0, 0, 0), False), q)
     assert canonical_class(swapped) == canonical_class(q)
     assert equivalent(q, swapped)
 
@@ -172,7 +188,7 @@ def test_d2_nontrivial_facets_single_class():
 def test_equivalences():
     assert equivalent(chsh_inequality(), cglmp_corr_inequality(2))
     q3 = cglmp_corr_inequality(3)
-    swapped = apply_inequality(correlator_symmetry(3, swap_a=True), q3)
+    swapped = apply_row(_loop_correlator_perm(3, False, True, False, (0, 0, 0, 0), False), q3)
     assert equivalent(q3, swapped)
     coeffs = [Fraction(0)] * 12
     coeffs[corr_index(3, 1, 1, 1)] = Fraction(-1)
@@ -184,15 +200,15 @@ def test_equivalences():
 
 def test_trivial_status_is_orbit_invariant():
     rng = random.Random(29)
-    grp = correlator_group(2)
+    grp = group_for("correlator", 2)
     q = chsh_inequality()
     coeffs = [Fraction(0)] * 8
     coeffs[corr_index(2, 2, 1, 0)] = Fraction(-1)
     triv = Inequality("correlator", 2, tuple(coeffs), Fraction(0))
     for _ in range(10):
         op = rng.choice(grp)
-        assert classify_trivial(apply_inequality(op, q)) is False
-        assert classify_trivial(apply_inequality(op, triv)) is True
+        assert classify_trivial(apply_row(op, q)) is False
+        assert classify_trivial(apply_row(op, triv)) is True
 
 
 @pytest.mark.parametrize("d", [2, pytest.param(3, marks=pytest.mark.slow)])
@@ -215,10 +231,10 @@ def test_facet_images_are_facets():
     rng = random.Random(31)
     gens = projected_generators(2)
     hrep = enumerate_facets(vrep_of(gens), space="correlator", d=2)
-    grp = correlator_group(2)
+    grp = group_for("correlator", 2)
     for q in hrep.facets[:6]:
         op = rng.choice(grp)
-        image = apply_inequality(op, q)
+        image = apply_row(op, q)
         count, rk = saturation_count(image, gens)
         assert rk == hrep.reduced_dim
         assert (count, rk) == saturation_count(q, gens)
@@ -229,10 +245,10 @@ def test_local_max_invariant_under_group():
 
     rng = random.Random(37)
     q = cglmp_inequality(2)
-    grp = behavior_group(2)
+    grp = group_for("behavior", 2)
     for _ in range(10):
         op = rng.choice(grp)
-        assert local_max(apply_inequality(op, q)) == local_max(q)
+        assert local_max(apply_row(op, q)) == local_max(q)
 
 
 def _regauged(q, rng):
@@ -246,11 +262,10 @@ def _regauged(q, rng):
 
 
 def _space(space, d):
-    """(vertices, group, facets) of a standard space."""
+    """(vertices, group table, facets) of a standard space."""
     verts = projected_generators(d) if space == "correlator" else all_generators(Scenario(d))
     facets = enumerate_facets(vrep_of(verts), space=space, d=d).facets
-    group = behavior_group(d) if space == "behavior" else correlator_group(d)
-    return verts, group, list(facets)
+    return verts, group_for(space, d), list(facets)
 
 
 SPACES = [
@@ -282,7 +297,7 @@ def test_equivalent_agrees_with_canonical_class(space, d, pairs):
     seen = set()
     for i in range(pairs):
         a = rng.choice(pool)
-        b = _regauged(apply_inequality(rng.choice(group), a if i % 2 else rng.choice(pool)), rng)
+        b = _regauged(apply_row(rng.choice(group), a if i % 2 else rng.choice(pool)), rng)
         got = equivalent(a, b)
         assert got == (gauge_key(b) in set(gauge_orbit(a)))
         assert got == (canonical_class(a) == canonical_class(b))
@@ -298,7 +313,7 @@ def test_label_classes_match_gauge_oracle(space, d):
     assert labels == gauge_labels(facets)
     assert reps == [facets[labels.index(k)] for k in range(len(reps))]
     # moved, regauged and shuffled copies land in the same partition
-    moved = [_regauged(apply_inequality(rng.choice(group), q), rng) for q in facets]
+    moved = [_regauged(apply_row(rng.choice(group), q), rng) for q in facets]
     rng.shuffle(moved)
     assert label_classes(moved)[0] == gauge_labels(moved)
 
@@ -316,7 +331,7 @@ def test_label_classes_match_tuple_oracle(space, d):
         bound = max(evaluate(Inequality(space, d, coeffs, 0), v) for v in verts) - rng.randrange(2)
         facets.append(Inequality(space, d, coeffs, bound))
     for _ in range(3):
-        items = [_regauged(apply_inequality(rng.choice(group), q), rng) for q in rng.choices(facets, k=40)]
+        items = [_regauged(apply_row(rng.choice(group), q), rng) for q in rng.choices(facets, k=40)]
         rows = slack_rows(items)
         assert rows.dtype == np.int64
         assert label_classes(items)[0] == tuple_labels(rows, perms)
@@ -330,7 +345,7 @@ def test_python_int_slack_gets_tuple_keys():
     f1, f2 = facets[labels.index(0)], facets[labels.index(1)]
     combo = Inequality("correlator", 3, tuple(a + 2**70 * b for a, b in zip(f1.coeffs, f2.coeffs)),
                        f1.bound + 2**70 * f2.bound)
-    image = apply_inequality(correlator_symmetry(3, swap_parties=True, shifts=(1, 2, 0, 1), reflect=True), combo)
+    image = apply_row(_loop_correlator_perm(3, True, False, False, (1, 2, 0, 1), True), combo)
     items = [f1, combo, f2, image]
     rows = slack_rows(items)
     assert rows.dtype == object and max(rows[1]) > 2**63
@@ -346,7 +361,7 @@ def test_slack_orbit_rows_are_image_slacks(space, d):
     rows = slack_orbit(q)
     assert rows.shape == (len(group), len(verts))
     for g, op in enumerate(group):
-        assert rows[g].tolist() == slack(apply_inequality(op, q)).tolist()
+        assert rows[g].tolist() == slack(apply_row(op, q)).tolist()
 
 
 def test_canonical_class_is_a_gauge_fixed_image():
@@ -387,29 +402,6 @@ def test_group_table_matches_loop_oracle(space, d):
         assert len(table) == (64 if d == 2 else 16 * d**3)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_single_elements_are_table_rows(d):
-    rng = random.Random(f"elements{d}")
-    corr = set(map(tuple, group_for("correlator", d).tolist()))
-    behavior = set(map(tuple, group_for("behavior", d).tolist())) if d < 4 else None
-    for _ in range(20):
-        swaps = {key: rng.random() < 0.5 for key in ("swap_parties", "swap_a", "swap_b")}
-        shifts = [rng.randrange(-d, 2 * d) for _ in range(4)]
-        assert correlator_symmetry(d, **swaps, shifts=shifts, reflect=rng.random() < 0.5).perm in corr
-        if behavior is not None:
-            perms = [rng.sample(range(d), d) for _ in range(4)]
-            assert behavior_symmetry(d, **swaps, outcome_perms=perms).perm in behavior
-
-
-def test_single_element_validation():
-    with pytest.raises(ValueError):
-        behavior_symmetry(3, outcome_perms=[(0, 1, 2)] * 3)
-    with pytest.raises(ValueError):
-        behavior_symmetry(3, outcome_perms=[(0, 1, 2), (0, 1, 2), (0, 0, 2), (0, 1, 2)])
-    with pytest.raises(ValueError):
-        correlator_symmetry(3, shifts=(0, 1, 2))
-
-
 def test_huge_slack_falls_back_to_python_ints():
     q = cglmp_corr_inequality(3)
     scale = Fraction(2**70)
@@ -423,7 +415,7 @@ def test_huge_slack_falls_back_to_python_ints():
     big = Inequality(q.space, q.d, tuple(coeffs), q.bound)
     s = slack(big)
     assert s.dtype == object and max(s) > 2**63
-    image = apply_inequality(correlator_symmetry(3, swap_a=True, shifts=(1, 0, 2, 0)), big)
+    image = apply_row(_loop_correlator_perm(3, False, True, False, (1, 0, 2, 0), False), big)
     assert equivalent(big, image) and not equivalent(big, q)
     items = [big, q, image, scaled]
     assert label_classes(items)[0] == gauge_labels(items) == [0, 1, 0, 1]
