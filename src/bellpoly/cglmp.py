@@ -439,19 +439,11 @@ def _example2_minor(scheme: str, params: tuple[int, ...], d: int) -> list[list[i
     return [[int(c in _witness_support(p, 0, d)) for c in cols] for p in scheme_patterns(scheme, params)]
 
 
-class _CheckedStep(NamedTuple):
-    step_index: int
-    scheme: str
-    params: tuple[int, ...]
-    patterns: list[tuple[int, int, int, int]]
-    strategies: list[DeterministicStrategy]
-    supports: list[tuple[int, ...]]  # the ones of each permuted-frame vector
-
-
 def _checked_steps(d: int):
     """The witness steps in order, every vector checked to be a saturating
     generator and every example-2 style step to have a nonsingular 4x4 key
-    minor; raises WitnessError at the first step that fails a check.
+    minor; raises WitnessError at the first step that fails a check.  Each
+    step comes as the WitnessBatch fields before rank_after.
 
     A step's 4d vectors, pattern by pattern and first outcome A1 = 0..d-1
     within each, are checked by one _rstu_arrays call; the first vector in
@@ -486,9 +478,9 @@ def _checked_steps(d: int):
             minor = _example2_minor(scheme, params, d)
             if linalg.int_rank(minor) != 4:
                 raise WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
-        strategies = [DeterministicStrategy(*lam) for lam in grid.T.tolist()]
-        supports = list(map(tuple, np.stack(_witness_support(pattern, a1, d)).T.tolist()))
-        yield _CheckedStep(step_index, scheme, params, patterns, strategies, supports)
+        strategies = tuple(DeterministicStrategy(*lam) for lam in grid.T.tolist())
+        supports = tuple(map(tuple, np.stack(_witness_support(pattern, a1, d)).T.tolist()))
+        yield step_index, scheme, tuple(params), tuple(patterns), strategies, supports
 
 
 def constructive_witness(d: int) -> list[WitnessBatch]:
@@ -506,14 +498,14 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    steps: list[_CheckedStep] = []
+    steps: list[tuple] = []
     error = None
     try:
         for step in _checked_steps(d):
             steps.append(step)
     except WitnessError as exc:  # raised after the steps before it are ranked
         error = exc
-    supports = [sup for step in steps for sup in step.supports]
+    supports = [sup for *_, step_supports in steps for sup in step_supports]
     stack = np.zeros((4 * d * d, len(supports)), dtype=np.int8)
     stack[np.array(supports, dtype=np.int64).reshape(-1, 4).T, np.arange(len(supports))] = 1
     pivots = np.array(linalg.pivot_columns(stack), dtype=np.int64)
@@ -521,24 +513,15 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
     end = 0
     batches: list[WitnessBatch] = []
     for step in steps:
-        end += len(step.supports)
+        step_index, scheme, params, _, _, step_supports = step
+        end += len(step_supports)
         before, rank = rank, int(np.searchsorted(pivots, end))
         if rank != before + 4 * d:
             raise WitnessError(
-                f"step {step.step_index} ({step.scheme} {step.params}) raised the rank by "
+                f"step {step_index} ({scheme} {params}) raised the rank by "
                 f"{rank - before}, expected {4 * d}"
             )
-        batches.append(
-            WitnessBatch(
-                step_index=step.step_index,
-                scheme=step.scheme,
-                params=tuple(step.params),
-                patterns=tuple(step.patterns),
-                strategies=tuple(step.strategies),
-                supports=tuple(step.supports),
-                rank_after=rank,
-            )
-        )
+        batches.append(WitnessBatch(*step, rank_after=rank))
     if error is not None:
         raise error
     if rank != 4 * d * (d - 1):

@@ -220,7 +220,9 @@ def facet_list_json(space: str, d: int, hrep: HRep, trivial, labels) -> dict:
 def cmd_enumerate(args) -> int:
     d = _parse_d(args.d)
     space = "correlator" if args.space == "corr" else "behavior"
-    deadline = None if args.budget is None else time.monotonic() + float(args.budget)
+    if args.budget is not None and not args.budget >= 0:  # refuses nan too
+        raise UsageError(f"--budget must be a number of seconds >= 0, got {args.budget}")
+    deadline = None if args.budget is None else time.monotonic() + args.budget
     t0 = time.monotonic()
     verts = space_vertices(space, d)
     hrep = enumerate_facets(vrep_of(verts), space=space, d=d, deadline=deadline)

@@ -375,7 +375,7 @@ def nosignaling_max(ineq: Inequality) -> Fraction:
     if ineq.space != "behavior":
         raise ValueError("triviality is defined against the no-signaling polytope")
     rows, rhs = _constraint_system(ineq.d)
-    res = lp_max(ineq.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
+    res = lp_max(ineq.coeffs, eq_rows=rows, eq_rhs=rhs)
     if res.status != "optimal":
         raise AssertionError(f"no-signaling LP came back {res.status}")
     return res.optimum

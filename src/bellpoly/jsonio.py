@@ -22,7 +22,10 @@ def decode_rational(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {v!r}") from exc
     if isinstance(v, float):
         raise ValueError(f"refusing inexact float {v!r}; use int or 'num/den'")
     raise ValueError(f"cannot parse rational from {v!r}")

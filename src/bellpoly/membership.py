@@ -70,7 +70,7 @@ def _decompose(query, vertices: np.ndarray, labels, uniform, space: str, d: int)
     eq_rows = np.ones((ncoords + 1, nverts), dtype=np.int64)
     eq_rows[:ncoords] = vertices.T
     eq_rhs = [*query, 1]
-    feas = lp_max([0] * nverts, eq_rows=eq_rows, eq_rhs=eq_rhs, nonneg=True)
+    feas = lp_max([0] * nverts, eq_rows=eq_rows, eq_rhs=eq_rhs)
     if feas.status == "optimal":
         # the weights w / wden sum to 1 and rebuild the query: rows w / wden == b / bden
         w, wden = integer_rows([feas.primal])
@@ -85,18 +85,14 @@ def _decompose(query, vertices: np.ndarray, labels, uniform, space: str, d: int)
     if feas.status != "infeasible":
         raise AssertionError(f"feasibility LP came back {feas.status}")
 
-    # interior ray: max t with  sum_w w G = u + t (p - u),  sum w = 1, w >= 0;
-    # with p - u = delta / D the column of t is -delta and its objective D
+    # interior ray: max t with  sum_w w G = u + t (p - u),  sum w = 1, w >= 0,
+    # t >= 0 (the uniform point u is local, so t = 0 is feasible); with
+    # p - u = delta / D the column of t is -delta and its objective D
     delta, D = integer_rows([[q - u for q, u in zip(query, uniform)]])
     ray_rows = np.zeros((ncoords + 1, nverts + 1), dtype=delta.dtype)
     ray_rows[:, :nverts] = eq_rows
     ray_rows[:ncoords, nverts] = -delta[0]
-    res = lp_max(
-        [0] * nverts + [D],
-        eq_rows=ray_rows,
-        eq_rhs=[*uniform, 1],
-        nonneg=range(nverts),
-    )
+    res = lp_max([0] * nverts + [D], eq_rows=ray_rows, eq_rhs=[*uniform, 1])
     if res.status != "optimal":
         raise AssertionError(f"interior-ray LP came back {res.status}")
     t_star = res.optimum

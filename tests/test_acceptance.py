@@ -246,7 +246,7 @@ def test_criterion_10_property_suites():
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         rhs = [Fraction(rng.randint(-2, 3)) for _ in range(m)]
         obj = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        res = lp_max(obj, eq_rows=rows, eq_rhs=rhs, nonneg=True)
+        res = lp_max(obj, eq_rows=rows, eq_rhs=rhs)
         if res.status == "optimal":
             optimal += 1
             assert all(x >= 0 for x in res.primal)

@@ -220,6 +220,20 @@ def test_budget_applies_below_d4(capsys):
     assert data["complete"] is False
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1", "--budget=-inf"])
+def test_budget_below_zero_or_nan_is_refused(capsys, budget):
+    flags = [budget] if budget.startswith("--") else ["--budget", budget]
+    assert main(["enumerate", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --budget")
+
+
+def test_infinite_budget_is_no_budget(capsys):
+    code, data = run_json(capsys, "enumerate", "3", "--space", "corr", "--budget", "inf")
+    assert code == 0
+    assert data["complete"] is True
+
+
 def test_byte_identical_output(capsys):
     _, out1 = run(capsys, "verify-cglmp", "4")
     _, out2 = run(capsys, "verify-cglmp", "4")
@@ -270,6 +284,17 @@ def test_malformed_behavior_rejected(tmp_path, capsys):
         (("membership", "project"), {"d": 1, "P": d1_behavior}),
         (("membership", "project"), 5),
     ]
+    # a zero denominator in any rational field: behavior, correlator, facet
+    zero_den = behavior_to_json(uniform_behavior(2))
+    zero_den["P"]["a1b1"][0][0] = "1/0"
+    cases.append((("membership", "project"), zero_den))
+    zero_den = corr_to_json(project(uniform_behavior(2)))
+    zero_den["C"]["a1b1"][0] = "1/0"
+    cases.append((("membership",), zero_den))
+    for field in ("coeffs", "bound"):
+        facet = {"coeffs": [0, 1, 0, 1, 0, 1, 0, -1], "bound": 2}
+        facet[field] = ["1/0"] * 8 if field == "coeffs" else "-3/0"
+        cases.append((("classify",), {"space": "correlator", "d": 2, "facets": [facet]}))
     for commands, bad in cases:
         path.write_text(json.dumps(bad))
         for command in commands:

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import numpy as np
 import pytest
@@ -32,18 +33,8 @@ def test_contradictory_equalities():
 
 
 def test_unbounded():
-    res = lp_max([1], eq_rows=[], eq_rhs=[], nonneg=True)
+    res = lp_max([1], eq_rows=[], eq_rhs=[])
     assert res.status == "unbounded"
-    res = lp_max([1, 0], ineq_rows=[[0, 1]], ineq_rhs=[1], nonneg=False)
-    assert res.status == "unbounded"
-
-
-def test_free_variables():
-    # max -|x| style: x free, minimize via max of -x with x >= 3
-    res = lp_max([-1], ineq_rows=[[-1]], ineq_rhs=[-3], nonneg=False)
-    assert res.status == "optimal"
-    assert res.primal == (Fraction(3),)
-    assert res.optimum == -3
 
 
 def test_dimension_mismatch():
@@ -51,6 +42,14 @@ def test_dimension_mismatch():
         lp_max([1, 2], eq_rows=[[1]], eq_rhs=[1])
     with pytest.raises(ValueError):
         lp_max([1], eq_rows=[[1]], eq_rhs=[1, 2])
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5])
+def test_non_integer_row_entry_is_refused(entry):
+    # rows are integer; an entry with a denominator is refused, not truncated
+    with pytest.raises(ValueError):
+        lp_max([0, 0], eq_rows=[[1, entry]], eq_rhs=[1])
+    assert lp_max([0, 0], eq_rows=[[1, Fraction(2)]], eq_rhs=[1]).status == "optimal"
 
 
 def test_chsh_over_nosignaling_polytope_matches_vertex_oracle():
@@ -62,31 +61,28 @@ def test_chsh_over_nosignaling_polytope_matches_vertex_oracle():
     oracle_max = max(sum(c * x for c, x in zip(chsh.coeffs, v)) for v in verts)
     assert oracle_max == 4
     rows, rhs = constraint_matrix(Scenario(2))
-    res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
+    res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs)
     assert res.status == "optimal"
     assert res.optimum == 4
 
 
 def _random_lp(rng):
+    """Integer rows and a rational objective; right-hand sides through a
+    random nonnegative rational point, so feasibility is frequent."""
     n = rng.randint(1, 5)
-    m_eq = rng.randint(0, 2)
-    m_in = rng.randint(0, 3)
-    obj = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-    eq_rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m_eq)]
-    in_rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m_in)]
-    # right-hand sides from a random nonnegative point, so feasibility is frequent
-    x0 = [Fraction(rng.randint(0, 3)) for _ in range(n)]
+    obj = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+    eq_rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+    x0 = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(n)]
     eq_rhs = [sum(r * x for r, x in zip(row, x0)) for row in eq_rows]
-    in_rhs = [sum(r * x for r, x in zip(row, x0)) + rng.randint(0, 2) for row in in_rows]
-    return obj, eq_rows, eq_rhs, in_rows, in_rhs
+    return obj, eq_rows, eq_rhs
 
 
 def test_random_optimal_solutions_are_exact():
     rng = random.Random(101)
     optimal_seen = 0
     for _ in range(60):
-        obj, eq_rows, eq_rhs, in_rows, in_rhs = _random_lp(rng)
-        res = lp_max(obj, eq_rows, eq_rhs, in_rows, in_rhs, nonneg=True)
+        obj, eq_rows, eq_rhs = _random_lp(rng)
+        res = lp_max(obj, eq_rows, eq_rhs)
         if res.status != "optimal":
             continue
         optimal_seen += 1
@@ -94,18 +90,12 @@ def test_random_optimal_solutions_are_exact():
         assert all(v >= 0 for v in x)
         for row, b in zip(eq_rows, eq_rhs):
             assert sum(r * v for r, v in zip(row, x)) == b
-        for row, b in zip(in_rows, in_rhs):
-            assert sum(r * v for r, v in zip(row, x)) <= b
         assert sum(c * v for c, v in zip(obj, x)) == res.optimum
         # dual exactness: y.b equals the optimum, dual feasibility holds
         y = res.dual
-        allrows = eq_rows + in_rows
-        allrhs = eq_rhs + in_rhs
-        assert sum(yi * bi for yi, bi in zip(y, allrhs)) == res.optimum
-        for i in range(len(eq_rows), len(allrows)):
-            assert y[i] >= 0
+        assert sum(yi * bi for yi, bi in zip(y, eq_rhs)) == res.optimum
         for j in range(len(obj)):
-            assert sum(y[i] * allrows[i][j] for i in range(len(allrows))) >= obj[j]
+            assert sum(yi * row[j] for yi, row in zip(y, eq_rows)) >= obj[j]
     assert optimal_seen >= 20
 
 
@@ -114,25 +104,20 @@ def test_random_infeasible_certificates_verify():
     infeasible_seen = 0
     for _ in range(60):
         n = rng.randint(1, 4)
-        row = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        row = [rng.randint(-3, 3) for _ in range(n)]
         if all(v == 0 for v in row):
             continue
         # the same row forced to two different values is always infeasible
-        eq_rows = [row, row, [Fraction(rng.randint(-2, 2)) for _ in range(n)]]
-        eq_rhs = [Fraction(1), Fraction(2), Fraction(rng.randint(-2, 2))]
-        in_rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]]
-        in_rhs = [Fraction(rng.randint(-2, 2))]
-        res = lp_max([0] * n, eq_rows, eq_rhs, in_rows, in_rhs, nonneg=False)
+        eq_rows = [row, row, [rng.randint(-2, 2) for _ in range(n)]]
+        eq_rhs = [Fraction(1, 2), Fraction(2), Fraction(rng.randint(-2, 2), rng.randint(1, 3))]
+        res = lp_max([0] * n, eq_rows, eq_rhs)
         if res.status != "infeasible":
             continue
         infeasible_seen += 1
         y = res.certificate
-        allrows = eq_rows + in_rows
-        allrhs = eq_rhs + in_rhs
-        assert y[len(eq_rows)] >= 0  # inequality-row multiplier
-        for j in range(n):  # free columns must cancel exactly
-            assert sum(y[i] * allrows[i][j] for i in range(len(allrows))) == 0
-        assert sum(y[i] * allrhs[i] for i in range(len(allrows))) < 0
+        for j in range(n):  # y A >= 0 on every column, all of them nonnegative
+            assert sum(yi * r[j] for yi, r in zip(y, eq_rows)) >= 0
+        assert sum(yi * b for yi, b in zip(y, eq_rhs)) < 0
     assert infeasible_seen >= 20
 
 
@@ -144,7 +129,7 @@ def test_infeasible_certificate_conditions_detailed():
         m = rng.randint(2, 4)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-        res = lp_max([0] * n, eq_rows=rows, eq_rhs=rhs, nonneg=True)
+        res = lp_max([0] * n, eq_rows=rows, eq_rhs=rhs)
         if res.status != "infeasible":
             continue
         checked += 1
@@ -159,15 +144,12 @@ def test_infeasible_certificate_conditions_detailed():
 def test_determinism():
     rng = random.Random(404)
     for _ in range(10):
-        obj, eq_rows, eq_rhs, in_rows, in_rhs = _random_lp(rng)
-        r1 = lp_max(obj, eq_rows, eq_rhs, in_rows, in_rhs)
-        r2 = lp_max(obj, eq_rows, eq_rhs, in_rows, in_rhs)
-        assert r1 == r2
+        args = _random_lp(rng)
+        assert lp_max(*args) == lp_max(*args)
 
 
 def _assert_optimal_pair(res, obj, rows, rhs):
-    """Primal feasibility, dual feasibility and c.x = y.b = optimum, all
-    nonnegative columns and equality rows only."""
+    """Primal feasibility, dual feasibility and c.x = y.b = optimum."""
     x, y = res.primal, res.dual
     assert len(y) == len(rows)
     assert all(v >= 0 for v in x)
@@ -186,18 +168,18 @@ def test_nosignaling_dual_keeps_redundant_rows():
 
     chsh = lift(chsh_inequality())
     rows, rhs = constraint_matrix(Scenario(2))
-    res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
+    res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs)
     assert res.status == "optimal"
     assert res.optimum == nosignaling_max(chsh_inequality()) == 4
     _assert_optimal_pair(res, chsh.coeffs, rows, rhs)
 
 
 def _integer_optimal(res, obj, rows, rhs):
-    """The arguments of lp._check_optimal for an optimal result of an
-    integer problem, whose column scales are 1: the primal, dual and
-    optimum as integers over their common denominator."""
-    p = lp_mod._integer_lp(obj, rows, rhs, (), (), True)
-    assert (set(p.scale), p.bscale, p.cscale) == ({1}, 1, 1)
+    """The arguments of lp._check_optimal for an optimal result of a
+    problem with integer b and c: the primal, dual and optimum as integers
+    over their common denominator."""
+    p = lp_mod._integer_lp(obj, rows, rhs)
+    assert (p.bscale, p.cscale) == (1, 1)
     den = lcm(*(v.denominator for v in (*res.primal, *res.dual, res.optimum)))
     x, y = ([int(v * den) for v in vec] for vec in (res.primal, res.dual))
     return p, x, y, int(res.optimum * den), den
@@ -208,7 +190,7 @@ def test_optimality_check_rejects_a_wrong_dual():
 
     chsh = lift(chsh_inequality())
     rows, rhs = constraint_matrix(Scenario(2))
-    res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
+    res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs)
     p, x, y, opt, den = _integer_optimal(res, chsh.coeffs, rows, rhs)
     args = (p, x, y, opt, den)
     _check_optimal(*args)
@@ -220,12 +202,19 @@ def test_optimality_check_rejects_a_wrong_dual():
     # c = (1, -1, ...): this primal keeps c.x and its signs, and breaks a row
     with pytest.raises(AssertionError):
         _check_optimal(p, [x[0] + den, x[1] + den, *x[2:]], y, opt, den)
+    # a null direction v of the rows with c.v = 0 keeps every row and c.x;
+    # far enough along it the primal turns negative
+    u, w = linalg.integer_nullspace(rows)[0].tolist()[:2]
+    v = [sum(map(mul, p.c, w)) * a - sum(map(mul, p.c, u)) * b for a, b in zip(u, w)]
+    sign = 1 if min(v) < 0 else -1
+    with pytest.raises(AssertionError, match="negative"):
+        _check_optimal(p, [a + sign * (sum(x) + 1) * b for a, b in zip(x, v)], y, opt, den)
 
 
 def test_farkas_check_rejects_a_tampered_certificate():
-    # x + u = 1 and u >= 2 with x >= 0 and u free: the certificate is unique
-    # up to scale, so zeroing or negating any entry breaks a condition
-    args = ([0, 0], [[1, 1]], [1], [[0, -1]], [-2], [0])
+    # x1 = 1, x2 = 1 and x1 + x2 = 1 with x >= 0: every certificate has
+    # y1, y2 < 0 < y3, so zeroing or negating any entry breaks a condition
+    args = ([0, 0], [[1, 0], [0, 1], [1, 1]], [1, 1, 1])
     res = lp_max(*args)
     assert res.status == "infeasible"
     p = lp_mod._integer_lp(*args)
@@ -247,28 +236,25 @@ def _entry(rng, zero=0.4):
 
 
 def _general_lp(rng):
-    """A seeded LP with fractional entries, free variables, negative
-    right-hand sides, inequality rows and, often, a redundant equality row;
-    right-hand sides through a point with zero coordinates and tight rows
-    make degenerate vertices."""
+    """A seeded LP with integer rows, fractional right-hand sides and
+    objective, negative right-hand sides and, often, a redundant row;
+    right-hand sides through a nonnegative point with zero coordinates make
+    degenerate vertices, and a shifted one often makes the LP infeasible."""
     n = rng.randint(1, 5)
-    eq_rows = [[_entry(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    eq_rows = [
+        [0 if rng.random() < 0.4 else rng.randint(-6, 6) for _ in range(n)]
+        for _ in range(rng.randint(0, 4))
+    ]
     if len(eq_rows) >= 2 and rng.random() < 0.4:
         a, b = rng.sample(eq_rows, 2)
-        k = _entry(rng, zero=0)
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
         eq_rows.append([x + k * y for x, y in zip(a, b)])
-    in_rows = [[_entry(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
-    x0 = [_entry(rng, zero=0.5) for _ in range(n)]
+    x0 = [abs(_entry(rng, zero=0.5)) for _ in range(n)]
     eq_rhs = [sum(a * x for a, x in zip(row, x0)) for row in eq_rows]
-    in_rhs = [
-        sum(a * x for a, x in zip(row, x0)) + (0 if rng.random() < 0.5 else abs(_entry(rng)))
-        for row in in_rows
-    ]
-    if eq_rhs and rng.random() < 0.15:
-        eq_rhs[rng.randrange(len(eq_rhs))] += 1
-    nonneg = rng.choice((True, False, [j for j in range(n) if rng.random() < 0.5]))
+    if eq_rhs and rng.random() < 0.25:
+        eq_rhs[rng.randrange(len(eq_rhs))] += _entry(rng, zero=0)
     obj = [_entry(rng) for _ in range(n)]
-    return (obj, eq_rows, eq_rhs, in_rows, in_rhs), nonneg
+    return obj, eq_rows, eq_rhs
 
 
 @pytest.fixture
@@ -291,9 +277,9 @@ def test_integer_simplex_matches_fraction_simplex(negative_pivots):
     rng = random.Random(505)
     statuses = Counter()
     for _ in range(400):
-        args, nonneg = _general_lp(rng)
-        res = lp_max(*args, nonneg=nonneg)
-        assert res == fraction_lp_max(*args, nonneg=nonneg)
+        args = _general_lp(rng)
+        res = lp_max(*args)
+        assert res == fraction_lp_max(*args)
         statuses[res.status] += 1
     assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 20
     assert negative_pivots
@@ -327,6 +313,6 @@ def test_tableau_leaves_int64_mid_simplex(monkeypatch, limit):
     monkeypatch.setattr(lp_mod, "_pivot", watching)
     rng = random.Random(606)
     for _ in range(150):
-        args, nonneg = _general_lp(rng)
-        assert lp_max(*args, nonneg=nonneg) == fraction_lp_max(*args, nonneg=nonneg)
+        args = _general_lp(rng)
+        assert lp_max(*args) == fraction_lp_max(*args)
     assert any(switches)

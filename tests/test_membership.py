@@ -157,7 +157,7 @@ def test_corr_maximizer_d3_is_nonlocal_with_cglmp_certificate():
     # get a no-signaling behavior maximizing the CGLMP form, then project
     q = lift(cglmp_corr_inequality(3))
     rows, rhs = constraint_matrix(Scenario(3))
-    res = lp_max(q.coeffs, eq_rows=rows, eq_rhs=rhs, nonneg=True)
+    res = lp_max(q.coeffs, eq_rows=rows, eq_rhs=rhs)
     assert res.status == "optimal"
     assert res.optimum == 4  # all four difference terms at their best weight
     maximizer = Behavior(3, res.primal)

@@ -166,7 +166,6 @@ def test_generators_are_extreme_d2():
             [Fraction(0)] * len(others),
             eq_rows=eq_rows,
             eq_rhs=list(g.coords) + [Fraction(1)],
-            nonneg=True,
         )
         assert res.status == "infeasible"
 
