@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
+from .correlators import cglmp_corr_inequality, lift
 from .scenario import (
     BLOCKS,
     DeterministicStrategy,
@@ -75,91 +76,84 @@ def center_mod(x: int, d: int) -> int:
     return (x - lo) % d + lo
 
 
+def _rstu_arrays(grid: np.ndarray, d: int) -> np.ndarray:
+    """rstu of every strategy in a 4 x n array (a1, a2, b1, b2) as a 4 x n array."""
+    a1, a2, b1, b2 = grid
+    return np.stack([
+        center_mod(a1 - b1, d),
+        center_mod(-a1 + b2, d),
+        center_mod(-a2 + b1 - 1, d),
+        center_mod(a2 - b2, d),
+    ])
+
+
+def _f_sums(v: np.ndarray, d: int) -> np.ndarray:
+    """(d-1) times I_d of every column of a 4 x n rstu array, by the f form."""
+    return np.where(v >= 0, -2 * v + (d - 1), -2 * v - (d + 1)).sum(axis=0)
+
+
+CASE_TAGS = ("case1", "case2a", "case2b", "case3", "case4a", "case4b", "case5")
+
+
+def _case_keys(d: int) -> tuple[tuple[int, int], ...]:
+    """(number of negatives, r+s+t+u) of each case in CASE_TAGS."""
+    return (0, d - 1), (1, d - 1), (1, -1), (2, -1), (3, -1), (3, -d - 1), (4, -d - 1)
+
+
+def _case_codes(v: np.ndarray, d: int) -> np.ndarray:
+    """Case of every column of a 4 x n rstu array, as its position in
+    CASE_TAGS; -1 where no sign/sum case matches (classify_case would
+    refuse it)."""
+    neg = (v < 0).sum(axis=0)
+    total = v.sum(axis=0)
+    codes = np.full(total.shape, -1)
+    for code, (n, t) in enumerate(_case_keys(d)):
+        codes[(neg == n) & (total == t)] = code
+    return codes
+
+
+def _sweep(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one pass over all d^4 strategies: the 4 x d^4 array (a1, a2, b1,
+    b2) in all_strategies order, its rstu array and its case codes."""
+    grid = np.indices((d,) * 4).reshape(4, -1)
+    v = _rstu_arrays(grid, d)
+    return grid, v, _case_codes(v, d)
+
+
 def rstu(lam: DeterministicStrategy, d: int) -> RSTU:
+    """rstu of one strategy; this and the scalar views below are one-column
+    calls of the sweep's kernels."""
     lam = DeterministicStrategy(*lam)
     check_strategy(d, lam)
-    v = RSTU(
-        center_mod(lam.a1 - lam.b1, d),
-        center_mod(-lam.a1 + lam.b2, d),
-        center_mod(-lam.a2 + lam.b1 - 1, d),
-        center_mod(lam.a2 - lam.b2, d),
-    )
-    if sum(v) not in (d - 1, -1, -d - 1):
-        raise AssertionError(f"window arithmetic broke for {lam}: {v}")
-    return v
-
-
-def _f_scaled(x: int, d: int) -> int:
-    # f times (d-1); integer arithmetic for the exhaustive sweeps
-    return -2 * x + (d - 1) if x >= 0 else -2 * x - (d + 1)
+    return RSTU(*_rstu_arrays(np.array(lam)[:, None], d)[:, 0].tolist())
 
 
 def f_value(x: int, d: int) -> Fraction:
     """The per-variable weight; exact rational."""
-    return Fraction(_f_scaled(x, d), d - 1)
+    return Fraction(int(_f_sums(np.array([[x]]), d)[0]), d - 1)
 
 
 def eval_on_generator(lam: DeterministicStrategy, d: int) -> Fraction:
     """I_d of a generator through the f form."""
-    v = rstu(lam, d)
-    return sum(f_value(x, d) for x in v)
-
-
-def _case_branches(d: int) -> dict[tuple[int, int], str]:
-    """(number of negatives, r+s+t+u) -> case tag."""
-    return {
-        (0, d - 1): "case1",
-        (1, d - 1): "case2a",
-        (1, -1): "case2b",
-        (2, -1): "case3",
-        (3, -1): "case4a",
-        (3, -d - 1): "case4b",
-        (4, -d - 1): "case5",
-    }
+    return Fraction(int(_f_sums(np.array(rstu(lam, d))[:, None], d)[0]), d - 1)
 
 
 def classify_case(v: RSTU, d: int) -> CaseClass:
     lo, hi = window_bounds(d)
     if not all(lo <= x <= hi for x in v):
         raise ValueError(f"{v} violates the window for d={d}")
-    total = sum(v)
-    if total % d != (-1) % d or total not in (d - 1, -1, -d - 1):
-        raise ValueError(f"{v} violates the sum constraint for d={d}")
-    neg = sum(1 for x in v if x < 0)
-    value = Fraction(sum(_f_scaled(x, d) for x in v), d - 1)
-    tag = _case_branches(d).get((neg, total))
-    if tag is None:
+    col = np.array(v)[:, None]
+    code = int(_case_codes(col, d)[0])
+    if code < 0:
         raise ValueError(f"{v} matches no sign/sum case for d={d}")
-    return CaseClass(tag=tag, negatives=neg, total=total, value=value)
+    neg, total = _case_keys(d)[code]
+    return CaseClass(CASE_TAGS[code], neg, total, Fraction(int(_f_sums(col, d)[0]), d - 1))
 
 
 def cglmp_inequality(d: int) -> Inequality:
-    """I_d over behavior coordinates, bound 2.
-
-    Each probability-of-difference term P(A_a - B_b = m mod d) is expanded
-    into its d joint coordinates (k, s) with k = m + s mod d; built here
-    directly from the eight-term sum, independently of the correlator-space
-    construction, so the two can be cross-checked.
-    """
-    if d < 2:
-        raise ValueError("need d >= 2")
-    coeffs = [Fraction(0)] * (4 * d * d)
-
-    def add_term(a: int, b: int, m: int, c: Fraction) -> None:
-        for s in range(d):
-            coeffs[coord_index(d, a, b, (m + s) % d, s)] += c
-
-    for k in range(d // 2):
-        c = 1 - Fraction(2 * k, d - 1)
-        add_term(1, 1, k, c)
-        add_term(1, 1, -k - 1, -c)
-        add_term(1, 2, -k, c)
-        add_term(1, 2, k + 1, -c)
-        add_term(2, 1, -k - 1, c)
-        add_term(2, 1, k, -c)
-        add_term(2, 2, k, c)
-        add_term(2, 2, -k - 1, -c)
-    return Inequality("behavior", d, tuple(coeffs), Fraction(2))
+    """I_d over behavior coordinates, bound 2: the lift of the correlator
+    table cglmp_corr_inequality(d)."""
+    return lift(cglmp_corr_inequality(d))
 
 
 def evaluate(ineq: Inequality, p) -> Fraction:
@@ -185,42 +179,17 @@ class Condition1Report:
     case_histogram: dict[str, int]
 
 
-def _rstu_arrays(grid: np.ndarray, d: int) -> np.ndarray:
-    """rstu of every strategy in a 4 x n array (a1, a2, b1, b2) as a 4 x n array."""
-    a1, a2, b1, b2 = grid
-    return np.stack([
-        center_mod(a1 - b1, d),
-        center_mod(-a1 + b2, d),
-        center_mod(-a2 + b1 - 1, d),
-        center_mod(a2 - b2, d),
-    ])
-
-
-def _f_sums(v: np.ndarray, d: int) -> np.ndarray:
-    """(d-1) times I_d of every column of a 4 x n rstu array, by the f form."""
-    return np.where(v >= 0, -2 * v + (d - 1), -2 * v - (d + 1)).sum(axis=0)
-
-
-def _case_codes(v: np.ndarray, d: int) -> np.ndarray:
-    """Case of every column of a 4 x n rstu array, as its position in
-    _case_branches(d); -1 where no sign/sum case matches (classify_case
-    would refuse it)."""
-    neg = (v < 0).sum(axis=0)
-    total = v.sum(axis=0)
-    codes = np.full(total.shape, -1)
-    for code, (n, t) in enumerate(_case_branches(d)):
-        codes[(neg == n) & (total == t)] = code
-    return codes
-
-
 def verify_condition1(d: int) -> Condition1Report:
     """Evaluate I_d on every generator by both forms and check everything.
 
-    Both evaluations run in integers scaled by d-1, as numpy arrays over
-    all d^4 strategies in all_strategies order.  Any disagreement between
-    the forms, any value outside {2, -2/(d-1), -2(d+1)/(d-1)}, or a maximum
-    different from 2 raises VerificationError naming the first offending
-    strategy, read off the sweep arrays.
+    The coefficient form reads cglmp_inequality(d), the lifted correlator
+    table, and the f form the sweep, both in integers scaled by d-1 over
+    all d^4 strategies in all_strategies order.  A lifted inequality takes
+    on a generator the value the correlator one takes on its projection, so
+    agreement also certifies the correlator table.  Any disagreement
+    between the forms, any value outside {2, -2/(d-1), -2(d+1)/(d-1)}, or a
+    maximum different from 2 raises VerificationError naming the first
+    offending strategy, read off the sweep arrays.
     """
     ineq = cglmp_inequality(d)
     scale = d - 1
@@ -229,13 +198,11 @@ def verify_condition1(d: int) -> Condition1Report:
         raise AssertionError("scaled coefficients must be integers")
     cs = [int(c) for c in coeffs_scaled]
     cs = np.array(cs, dtype=np.int64 if max(map(abs, cs)) < linalg.OVERFLOW_LIMIT // 4 else object)
-    grid = np.indices((d,) * 4).reshape(4, -1)
+    grid, v, cases = _sweep(d)
     a1, a2, b1, b2 = grid
     o11, o12, o21, o22 = (coord_index(d, a, b, 0, 0) for a, b in BLOCKS)
     by_coeff = cs[o11 + a1 * d + b1] + cs[o12 + a1 * d + b2] + cs[o21 + a2 * d + b1] + cs[o22 + a2 * d + b2]
-    v = _rstu_arrays(grid, d)
     by_f = _f_sums(v, d)
-    cases = _case_codes(v, d)
     disagree = by_f != by_coeff
     stray = ~np.isin(by_f, (2 * scale, -2, -2 * (d + 1)))
     bad = disagree | stray | (cases < 0)
@@ -256,36 +223,33 @@ def verify_condition1(d: int) -> Condition1Report:
     values, counts = np.unique(by_f, return_counts=True)
     histogram = {Fraction(int(k), scale): int(n) for k, n in sorted(zip(values, counts), reverse=True)}
     codes, code_counts = np.unique(cases, return_counts=True)
-    tags = list(_case_branches(d).values())
     return Condition1Report(
         d=d,
         total=d**4,
         max_value=Fraction(2),
         histogram=histogram,
-        case_histogram=dict(sorted((tags[c], int(n)) for c, n in zip(codes, code_counts))),
+        case_histogram=dict(sorted((CASE_TAGS[c], int(n)) for c, n in zip(codes, code_counts))),
     )
 
 
-def _saturating_mask(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """All strategies as a 4 x d^4 array in all_strategies order, and the
-    mask of the saturating ones (case1 and case2b)."""
-    grid = np.indices((d, d, d, d)).reshape(4, -1)
-    codes = _case_codes(_rstu_arrays(grid, d), d)
-    tags = list(_case_branches(d).values())
-    return grid, (codes == tags.index("case1")) | (codes == tags.index("case2b"))
+def _saturating_mask(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep's strategies and rstu arrays, and the mask of the
+    saturating strategies (case1 and case2b)."""
+    grid, v, codes = _sweep(d)
+    return grid, v, np.isin(codes, (CASE_TAGS.index("case1"), CASE_TAGS.index("case2b")))
 
 
 def saturating_generators(d: int) -> list[DeterministicStrategy]:
     """All strategies with I_d = 2; equals case1 plus case2b exactly."""
-    grid, mask = _saturating_mask(d)
-    if not np.array_equal(_f_sums(_rstu_arrays(grid, d), d) == 2 * (d - 1), mask):
+    grid, v, mask = _saturating_mask(d)
+    if not np.array_equal(_f_sums(v, d) == 2 * (d - 1), mask):
         raise VerificationError("value-saturating set differs from the case-pattern set")
     return [DeterministicStrategy(*lam) for lam in grid[:, mask].T.tolist()]
 
 
 def _saturating_matrix(d: int) -> np.ndarray:
     """0/1 behavior rows of all saturating generators, vectorized."""
-    grid, mask = _saturating_mask(d)
+    grid, _, mask = _saturating_mask(d)
     return generator_rows(d, grid[:, mask])
 
 
@@ -317,7 +281,7 @@ def tightness_rank(d: int) -> TightnessReport:
     fails, so a report that is not tight still carries the true rank.
     """
     h = 4 * d * (d - 1)
-    _, mask = _saturating_mask(d)
+    mask = _saturating_mask(d)[2]
     try:
         batches, error, rank = constructive_witness(d), None, h
     except WitnessError as exc:
@@ -339,7 +303,6 @@ class WitnessBatch:
     step_index: int
     scheme: str
     params: tuple[int, ...]
-    patterns: tuple[tuple[int, int, int, int], ...]
     strategies: tuple[DeterministicStrategy, ...]  # d per pattern
     supports: tuple[tuple[int, ...], ...]  # the ones of each permuted-frame vector
     rank_after: int
@@ -480,7 +443,7 @@ def _checked_steps(d: int):
                 raise WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
         strategies = tuple(DeterministicStrategy(*lam) for lam in grid.T.tolist())
         supports = tuple(map(tuple, np.stack(_witness_support(pattern, a1, d)).T.tolist()))
-        yield step_index, scheme, tuple(params), tuple(patterns), strategies, supports
+        yield step_index, scheme, tuple(params), strategies, supports
 
 
 def constructive_witness(d: int) -> list[WitnessBatch]:
@@ -513,7 +476,7 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
     end = 0
     batches: list[WitnessBatch] = []
     for step in steps:
-        step_index, scheme, params, _, _, step_supports = step
+        step_index, scheme, params, _, step_supports = step
         end += len(step_supports)
         before, rank = rank, int(np.searchsorted(pivots, end))
         if rank != before + 4 * d:

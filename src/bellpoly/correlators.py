@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .jsonio import decode_int, decode_rational, encode_rational
-from .scenario import BLOCKS, Behavior, Inequality, coord_index, generator_rows
+from .scenario import BLOCKS, Behavior, Inequality, generator_rows
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,19 @@ def corr_index(d: int, a: int, b: int, n: int) -> int:
     return ((a - 1) * 2 + (b - 1)) * d + n
 
 
+def difference_index(d: int) -> np.ndarray:
+    """The correlator coordinate of every behavior coordinate: joint outcome
+    (k, s) of block (a, b) sits on difference n = k - s mod d, so each of
+    the 4d correlator coordinates is hit by exactly d behavior ones."""
+    block, k, s = np.indices((4, d, d)).reshape(3, -1)
+    return block * d + (k - s) % d
+
+
 def project(p: Behavior) -> CorrVector:
     """Sum joint probabilities along constant outcome difference."""
-    d = p.d
-    coords = []
-    for a, b in BLOCKS:
-        for n in range(d):
-            coords.append(
-                sum(p.coords[coord_index(d, a, b, (n + j) % d, j)] for j in range(d))
-            )
-    return CorrVector(d, tuple(coords))
+    coords = np.zeros(4 * p.d, dtype=object)
+    np.add.at(coords, difference_index(p.d), p.coords)
+    return CorrVector(p.d, tuple(coords.tolist()))
 
 
 def is_corr_probability(c: CorrVector) -> bool:
@@ -69,11 +72,14 @@ def projected_generator_matrix(d: int) -> np.ndarray:
     """Deduplicated 0/1 rows of projected generators, in lexicographic order.
 
     The projection only sees outcome differences, so the d^3 strategies
-    with a1 = 0 already reach every projected generator exactly once.
+    with a1 = 0 already reach every projected generator exactly once; the
+    four ones of each generator row move through difference_index.
     """
     a2, b1, b2 = np.indices((d, d, d)).reshape(3, -1)
-    rows = generator_rows(d, np.stack([np.zeros_like(a2), a2, b1, b2]), projected=True)
-    return np.unique(rows, axis=0)
+    rows, cols = generator_rows(d, np.stack([np.zeros_like(a2), a2, b1, b2])).nonzero()
+    mat = np.zeros((a2.size, 4 * d), dtype=np.int64)
+    np.add.at(mat, (rows, difference_index(d)[cols]), 1)
+    return np.unique(mat, axis=0)
 
 
 def projected_generators(d: int) -> list[CorrVector]:
@@ -95,15 +101,8 @@ def chsh_correlators(p: Behavior) -> tuple[Fraction, Fraction, Fraction, Fractio
     """The four two-outcome correlation functions of a d=2 behavior."""
     if p.d != 2:
         raise ValueError("two-outcome correlators need d=2")
-    out = []
-    for a, b in BLOCKS:
-        out.append(
-            p.coords[coord_index(2, a, b, 0, 0)]
-            + p.coords[coord_index(2, a, b, 1, 1)]
-            - p.coords[coord_index(2, a, b, 0, 1)]
-            - p.coords[coord_index(2, a, b, 1, 0)]
-        )
-    return tuple(out)
+    c = project(p)
+    return tuple(c[(a, b, 0)] - c[(a, b, 1)] for a, b in BLOCKS)
 
 
 def chsh_inequality() -> Inequality:
@@ -119,22 +118,18 @@ def cglmp_corr_inequality(d: int) -> Inequality:
     """The CGLMP functional over the 4d correlator coordinates, bound 2.
 
     Summing k from 0 to floor(d/2)-1 with weight 1 - 2k/(d-1), the eight
-    probability terms per k contribute signed weight to the coordinate
-    carrying their outcome difference.
+    probability terms per k, a plus and a minus outcome difference per
+    block, contribute signed weight to the coordinate carrying their
+    difference.  This is the one CGLMP table: cglmp_inequality is its lift.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     w = [Fraction(0)] * (4 * d)
     for k in range(d // 2):
         c = 1 - Fraction(2 * k, d - 1)
-        w[corr_index(d, 1, 1, k % d)] += c
-        w[corr_index(d, 1, 1, (-k - 1) % d)] -= c
-        w[corr_index(d, 1, 2, (-k) % d)] += c
-        w[corr_index(d, 1, 2, (k + 1) % d)] -= c
-        w[corr_index(d, 2, 1, (-k - 1) % d)] += c
-        w[corr_index(d, 2, 1, k % d)] -= c
-        w[corr_index(d, 2, 2, k % d)] += c
-        w[corr_index(d, 2, 2, (-k - 1) % d)] -= c
+        for (a, b), plus, minus in (((1, 1), k, -k - 1), ((1, 2), -k, k + 1), ((2, 1), -k - 1, k), ((2, 2), k, -k - 1)):
+            w[corr_index(d, a, b, plus % d)] += c
+            w[corr_index(d, a, b, minus % d)] -= c
     return Inequality("correlator", d, tuple(w), Fraction(2))
 
 
@@ -142,20 +137,14 @@ def lift(ineq: Inequality) -> Inequality:
     """Pull a correlator inequality back to behavior coordinates.
 
     The projection is linear, so a correlator coefficient on difference n
-    lands on every joint coordinate (k, s) with k - s = n mod d; the bound
-    is untouched.  eval(lift(q), p) == eval(q, project(p)) for every p.
+    lands on every joint coordinate (k, s) with k - s = n mod d: a gather
+    through difference_index, the bound untouched.
+    eval(lift(q), p) == eval(q, project(p)) for every p.
     """
     if ineq.space != "correlator":
         raise ValueError(f"can only lift correlator inequalities, got {ineq.space!r}")
-    d = ineq.d
-    coeffs = [Fraction(0)] * (4 * d * d)
-    for a, b in BLOCKS:
-        for k in range(d):
-            for s in range(d):
-                coeffs[coord_index(d, a, b, k, s)] = ineq.coeffs[
-                    corr_index(d, a, b, (k - s) % d)
-                ]
-    return Inequality("behavior", d, tuple(coeffs), ineq.bound)
+    coeffs = tuple(ineq.coeffs[n] for n in difference_index(ineq.d).tolist())
+    return Inequality("behavior", ineq.d, coeffs, ineq.bound)
 
 
 def corr_to_json(c: CorrVector) -> dict:

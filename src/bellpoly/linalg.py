@@ -74,17 +74,26 @@ def integer_rows(rows) -> tuple[np.ndarray, int]:
     """Rational rows as one integer matrix M and a positive common
     denominator den with rows == M / den.
 
-    Rows are vectors of Fractions or ints, objects with .coords, or an
-    integer ndarray (den 1).
+    Rows are vectors of numbers, objects with .coords, or an integer
+    ndarray (den 1).  An entry other than an int or a Fraction (a float, a
+    numpy scalar) enters exactly through Fraction; a NaN or an infinity
+    raises ValueError.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
         return _int_array(rows), 1
-    rows = [tuple(v.coords if hasattr(v, "coords") else v) for v in rows]
-    den = math.lcm(*(x.denominator for row in rows for x in row if isinstance(x, Fraction)))
-    return _int_array([
-        [x.numerator * (den // x.denominator) if isinstance(x, Fraction) else int(x * den) for x in row]
-        for row in rows
-    ]), den
+    rows = [
+        [x if isinstance(x, (int, Fraction)) else _exact(x) for x in (v.coords if hasattr(v, "coords") else v)]
+        for v in rows
+    ]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return _int_array([[x.numerator * (den // x.denominator) for x in row] for row in rows]), den
+
+
+def _exact(x) -> Fraction:
+    try:
+        return Fraction(x)
+    except OverflowError as exc:  # Fraction refuses infinities with OverflowError, NaN with ValueError
+        raise ValueError(f"{x!r} is not a finite number") from exc
 
 
 def slack_matrix(coeffs, bounds, vertices) -> np.ndarray:

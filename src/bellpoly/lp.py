@@ -108,11 +108,6 @@ def _simplex(T: np.ndarray, basis, den: int, nenter: int) -> tuple[str, np.ndarr
         T, den = _pivot(T, basis, den, leave, enter)
 
 
-def _rational(x) -> int | Fraction:
-    """Ints and Fractions as given, anything else through Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
 class _IntegerLP(NamedTuple):
     """The integer problem lp_max solves: max c.z subject to A z = b and
     z >= 0.  It is the input with b multiplied by bscale and c by cscale,
@@ -129,19 +124,16 @@ class _IntegerLP(NamedTuple):
 def _integer_lp(objective, eq_rows, eq_rhs) -> _IntegerLP:
     """Validate lp_max's input and clear the denominators of b and c; the
     rows must already be integers."""
-    obj = [_rational(x) for x in objective]
-    n = len(obj)
+    n = len(objective)
     if len(eq_rows) != len(eq_rhs):
         raise ValueError("constraint rows and right-hand sides disagree")
     if any(len(row) != n for row in eq_rows):
         raise ValueError("dimension mismatch in equality rows")
-    if not (isinstance(eq_rows, np.ndarray) and eq_rows.dtype.kind == "i"):
-        eq_rows = [[_rational(x) for x in row] for row in eq_rows]
     A, den = integer_rows(eq_rows)
     if den != 1:
         raise ValueError("constraint rows must be integer")
-    (b,), bscale = integer_rows([[_rational(x) for x in eq_rhs]])
-    (c,), cscale = integer_rows([obj])
+    (b,), bscale = integer_rows([eq_rhs])
+    (c,), cscale = integer_rows([objective])
     return _IntegerLP(A.reshape(len(eq_rhs), n), b.tolist(), c.tolist(), bscale, cscale)
 
 

@@ -105,20 +105,14 @@ def all_generators(s: Scenario) -> list[Behavior]:
     return [generator(s, lam) for lam in all_strategies(s)]
 
 
-def generator_rows(d: int, strategies: np.ndarray, *, projected: bool = False) -> np.ndarray:
-    """0/1 integer rows of the given strategies, one per column of strategies.
-
-    strategies is a 4 x n integer array holding a1, a2, b1, b2.  Rows are
-    generators in behavior coordinates, or with projected=True their
-    projections onto the 4d outcome-difference coordinates.
-    """
+def generator_rows(d: int, strategies: np.ndarray) -> np.ndarray:
+    """0/1 integer behavior rows of the given strategies, one per column of
+    strategies, a 4 x n integer array holding a1, a2, b1, b2."""
     a1, a2, b1, b2 = strategies
-    width = d if projected else d * d
-    mat = np.zeros((a1.size, 4 * width), dtype=np.int64)
+    mat = np.zeros((a1.size, 4 * d * d), dtype=np.int64)
     rows = np.arange(a1.size)
     for block, (a, b) in enumerate(BLOCKS):
-        ka, kb = (a1, a2)[a - 1], (b1, b2)[b - 1]
-        mat[rows, block * width + ((ka - kb) % d if projected else ka * d + kb)] = 1
+        mat[rows, block * d * d + (a1, a2)[a - 1] * d + (b1, b2)[b - 1]] = 1
     return mat
 
 

@@ -16,7 +16,8 @@ over fraction_rref equations (the library reduces an integer row in one
 product), LP results from a Fraction tableau (the
 library pivots over integers), the CGLMP tightness rank and polytope
 dimension from the full saturating and d^4-row matrices and the CGLMP
-bound from a strategy-by-strategy loop (the library ranks the explicit
+bound from a strategy-by-strategy loop with its own r, s, t, u, f and
+sign/sum case table (the library ranks the explicit
 witness and strategy grid and sweeps the bound with numpy), extreme rays
 from double description one positive/negative pair at a time (the
 library filters and tests whole blocks of pairs in numpy), and the
@@ -524,10 +525,36 @@ def strategy_values(coeffs, d: int):
         )
 
 
+def loop_rstu(lam, d: int) -> tuple[int, int, int, int]:
+    """r = a1 - b1, s = b2 - a1, t = b1 - a2 - 1 and u = a2 - b2 of a
+    strategy, each shifted by a multiple of d into [-floor(d/2), floor((d-1)/2)]."""
+    a1, a2, b1, b2 = lam
+    lo = -(d // 2)
+    return tuple((x - lo) % d + lo for x in (a1 - b1, b2 - a1, b1 - a2 - 1, a2 - b2))
+
+
+def loop_f_scaled(x: int, d: int) -> int:
+    """(d-1) f(x): -2x + d - 1 for x >= 0, -2x - d - 1 below."""
+    return -2 * x + d - 1 if x >= 0 else -2 * x - d - 1
+
+
+def loop_case(v, d: int) -> str:
+    """The sign/sum case of an rstu tuple, from the number of negative
+    entries and the sum, which is d-1, -1 or -d-1."""
+    key = (sum(x < 0 for x in v), sum(v))
+    cases = {
+        (0, d - 1): "case1", (1, d - 1): "case2a", (1, -1): "case2b", (2, -1): "case3",
+        (3, -1): "case4a", (3, -d - 1): "case4b", (4, -d - 1): "case5",
+    }
+    if key not in cases:
+        raise ValueError(f"{v} matches no sign/sum case for d={d}")
+    return cases[key]
+
+
 def loop_verify_condition1(d: int):
-    """verify_condition1 one strategy at a time, in all_strategies order."""
+    """verify_condition1 one strategy at a time, in all_strategies order,
+    with its own rstu, f and case table."""
     from bellpoly import cglmp
-    from bellpoly.scenario import Scenario, all_strategies
 
     ineq = cglmp.cglmp_inequality(d)
     scale = d - 1
@@ -539,9 +566,11 @@ def loop_verify_condition1(d: int):
     hist: dict[int, int] = {}
     cases: dict[str, int] = {}
     best = None
-    for lam, by_coeff in zip(all_strategies(Scenario(d)), strategy_values(cs, d)):
-        v = cglmp.rstu(lam, d)
-        by_f = sum(cglmp._f_scaled(x, d) for x in v)
+    strategies = itertools.product(range(d), repeat=4)
+    for lam, by_coeff in zip(strategies, strategy_values(cs, d)):
+        lam = cglmp.DeterministicStrategy(*lam)
+        v = loop_rstu(lam, d)
+        by_f = sum(loop_f_scaled(x, d) for x in v)
         if by_f != by_coeff:
             raise cglmp.VerificationError(
                 f"coefficient form and f form disagree on {lam}: "
@@ -550,7 +579,7 @@ def loop_verify_condition1(d: int):
         if by_f not in allowed:
             raise cglmp.VerificationError(f"{lam} evaluates to {Fraction(by_f, scale)}, outside the value set")
         hist[by_f] = hist.get(by_f, 0) + 1
-        tag = cglmp.classify_case(v, d).tag
+        tag = loop_case(v, d)
         cases[tag] = cases.get(tag, 0) + 1
         if best is None or by_f > best:
             best = by_f

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import from_witness_frame, to_witness_frame, witness_frame_permutation
+from oracles import from_witness_frame, loop_case, loop_f_scaled, loop_rstu, to_witness_frame, witness_frame_permutation
 
 from bellpoly import cglmp, linalg
 from bellpoly.cglmp import (
@@ -55,6 +55,24 @@ def test_eval_on_generator_examples():
     assert eval_on_generator((0, 0, 0, 0), 3) == 2
     assert eval_on_generator((1, 0, 0, 0), 3) == Fraction(-2, 3 - 1)
     assert max(eval_on_generator(lam, 3) for lam in all_strategies(Scenario(3))) == 2
+
+
+def test_scalar_views_match_the_loop_oracle():
+    # rstu, f_value, eval_on_generator and classify_case are one-column
+    # calls of the sweep's kernels; the oracle writes each out by hand
+    for d in range(2, 6):
+        lo, hi = window_bounds(d)
+        for x in range(lo, hi + 1):
+            assert f_value(x, d) == Fraction(loop_f_scaled(x, d), d - 1)
+        for lam in all_strategies(Scenario(d)):
+            v = rstu(lam, d)
+            assert tuple(v) == loop_rstu(lam, d)
+            value = Fraction(sum(loop_f_scaled(x, d) for x in v), d - 1)
+            assert eval_on_generator(lam, d) == value
+            case = classify_case(v, d)
+            assert (case.tag, case.negatives, case.total, case.value) == (
+                loop_case(v, d), sum(x < 0 for x in v), sum(v), value
+            )
 
 
 def test_coefficient_form_agrees_with_f_form():

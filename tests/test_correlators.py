@@ -1,11 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bellpoly import linalg
-from bellpoly.cglmp import cglmp_inequality, eval_on_generator, evaluate
+from bellpoly.cli import main
+from bellpoly.cglmp import eval_on_generator, evaluate
 from bellpoly.correlators import (
     CorrVector,
     cglmp_corr_inequality,
@@ -13,13 +19,29 @@ from bellpoly.correlators import (
     chsh_inequality,
     corr_affine_dim,
     corr_from_json,
+    corr_index,
     corr_to_json,
+    difference_index,
     is_corr_probability,
     lift,
     project,
     projected_generators,
 )
-from bellpoly.scenario import Behavior, Scenario, all_strategies, generator, uniform_behavior
+from bellpoly.scenario import (
+    BLOCKS,
+    Behavior,
+    Inequality,
+    Scenario,
+    all_strategies,
+    behavior_to_json,
+    coord_index,
+    generator,
+    uniform_behavior,
+)
+
+STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "cglmp_project_stdout_sha256.json").read_text()
+)["stdout"]
 
 
 def test_project_uniform():
@@ -117,31 +139,40 @@ def test_cglmp_corr_on_uniform():
 
 def test_lift_pullback_identity():
     rng = random.Random(47)
-    for d in (2, 3):
-        q = cglmp_corr_inequality(d)
-        lifted = lift(q)
-        assert lifted.bound == q.bound
-        for _ in range(10):
-            raw = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4 * d * d))
-            p = Behavior(d, raw)
-            assert evaluate(lifted, p) == evaluate(q, project(p))
+    for d in range(2, 7):
+        tables = [cglmp_corr_inequality(d)] + [
+            Inequality("correlator", d, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4 * d)),
+                       Fraction(rng.randint(-3, 3)))
+            for _ in range(3)
+        ]
+        for q in tables:
+            lifted = lift(q)
+            assert lifted.bound == q.bound
+            for _ in range(5):
+                raw = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4 * d * d))
+                p = Behavior(d, raw)
+                assert evaluate(lifted, p) == evaluate(q, project(p))
+
+
+def test_difference_index_hits_every_correlator_coordinate_d_times():
+    for d in range(2, 9):
+        idx = difference_index(d)
+        assert idx.shape == (4 * d * d,)
+        assert np.bincount(idx).tolist() == [d] * (4 * d)
+        for a, b in BLOCKS:
+            for k in range(d):
+                for s in range(d):
+                    assert idx[coord_index(d, a, b, k, s)] == corr_index(d, a, b, (k - s) % d)
 
 
 def test_lift_zero_and_bound():
     z = CorrVector(2, tuple([Fraction(0)] * 8))
-    from bellpoly.scenario import Inequality
-
     zq = Inequality("correlator", 2, z.coords, Fraction(7, 3))
     lifted = lift(zq)
     assert all(c == 0 for c in lifted.coeffs)
     assert lifted.bound == Fraction(7, 3)
     with pytest.raises(ValueError):
         lift(lifted)
-
-
-def test_lift_agrees_with_direct_construction():
-    for d in (2, 3, 4, 5, 6):
-        assert lift(cglmp_corr_inequality(d)).coeffs == cglmp_inequality(d).coeffs
 
 
 def test_projection_linearity():
@@ -173,3 +204,58 @@ def test_projected_generator_matrix_is_the_sorted_distinct_projections():
         s = Scenario(d)
         expected = sorted({project(generator(s, lam)).coords for lam in all_strategies(s)})
         assert [tuple(Fraction(int(x)) for x in row) for row in mat] == expected
+
+
+def stdout_digest(argv):
+    """Exit code and stdout sha256 of one command, as in the data file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def project_query(key):
+    """The behavior named "project <d> uniform|generator|mixture|box",
+    seeded by its name: a mixture weighs three seeded generators by seeded
+    integers, and the box has uniform outcome pairs whose difference is
+    (a-1)(b-1) mod d."""
+    _, d, kind = key.split()
+    d = int(d)
+    rng = random.Random(key)
+
+    def strategy():
+        return tuple(rng.randrange(d) for _ in range(4))
+
+    if kind == "uniform":
+        return uniform_behavior(d)
+    if kind == "generator":
+        return generator(Scenario(d), strategy())
+    if kind == "mixture":
+        weights = [rng.randint(1, 9) for _ in range(3)]
+        gens = [generator(Scenario(d), strategy()) for _ in weights]
+        return Behavior(d, tuple(
+            sum(w * g.coords[i] for w, g in zip(weights, gens)) / sum(weights) for i in range(4 * d * d)
+        ))
+    coords = [Fraction(0)] * (4 * d * d)
+    for a, b in BLOCKS:
+        for s in range(d):
+            coords[coord_index(d, a, b, ((a - 1) * (b - 1) + s) % d, s)] = Fraction(1, d)
+    return Behavior(d, tuple(coords))
+
+
+def _unflagged(prefix):
+    return sorted({k.removesuffix(" --pretty") for k in STDOUT if k.startswith(prefix)})
+
+
+@pytest.mark.parametrize("key", _unflagged("cglmp "))
+def test_cglmp_stdout_is_byte_identical(key):
+    for flags in ([], ["--pretty"]):
+        assert stdout_digest([*key.split(), *flags]) == STDOUT[" ".join([key, *flags])]
+
+
+@pytest.mark.parametrize("key", _unflagged("project "))
+def test_project_stdout_is_byte_identical(tmp_path, key):
+    path = tmp_path / "behavior.json"
+    path.write_text(json.dumps(behavior_to_json(project_query(key))))
+    for flags in ([], ["--pretty"]):
+        assert stdout_digest(["project", str(path), *flags]) == STDOUT[" ".join([key, *flags])]

@@ -179,6 +179,13 @@ def test_local_max_values():
     assert local_max(cglmp_corr_inequality(3)) == 2
 
 
+def test_local_max_of_float_coefficients():
+    # CHSH at half scale, with the halves as floats: maximum 1, not 0
+    chsh = chsh_inequality()
+    halved = Inequality("correlator", 2, tuple(float(c) / 2 for c in chsh.coeffs), Fraction(1))
+    assert local_max(halved) == 1
+
+
 def test_nosignaling_max_values():
     assert nosignaling_max(cglmp_inequality(2)) == 4
     assert nosignaling_max(chsh_inequality()) == 4

@@ -133,3 +133,14 @@ def test_integer_rows_accepts_every_vertex_form():
         assert mat.tolist() == as_matrix[0].tolist()
     mat, den = integer_rows([(Fraction(1, 6), 2), (Fraction(-3, 4), 0)])
     assert den == 12 and mat.tolist() == [[2, 24], [-9, 0]]
+
+
+def test_integer_rows_takes_floats_exactly():
+    # a float entry enters through Fraction, never truncated by int()
+    mat, den = integer_rows([[0.5, 1]])
+    assert den == 2 and mat.tolist() == [[1, 2]]
+    mat, den = integer_rows([(np.float64(0.1), np.int64(3), Fraction(1, 3))])
+    assert [Fraction(x, den) for x in mat[0].tolist()] == [Fraction(0.1), 3, Fraction(1, 3)]
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            integer_rows([[1, bad]])
