@@ -44,9 +44,9 @@ from .correlators import (
     project,
     projected_generators,
 )
-from .facets import HRep, VRep, canonicalize, classify_trivial, enumerate_facets, saturation_count
+from .facets import HRep, VRep, canonicalize, classify_trivial, enumerate_facets, nosignaling_max, saturation_count
 from .symmetry import canonical_class, equivalent
-from .membership import corr_local_decompose, local_decompose, local_max, nosignaling_max
+from .membership import corr_local_decompose, local_decompose, local_max
 from .lp import LPResult, lp_max
 
 __all__ = [name for name in dir() if not name.startswith("_")]

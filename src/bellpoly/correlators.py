@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .jsonio import decode_int, decode_rational, encode_rational
-from .scenario import BLOCKS, Behavior, Inequality, generator_rows
+from .jsonio import decode_int
+from .scenario import BLOCKS, Behavior, Inequality, blocks_from_json, blocks_to_json, generator_rows
 
 
 @dataclass(frozen=True)
@@ -148,22 +148,11 @@ def lift(ineq: Inequality) -> Inequality:
 
 
 def corr_to_json(c: CorrVector) -> dict:
-    blocks = {
-        f"a{a}b{b}": [encode_rational(c.coords[corr_index(c.d, a, b, n)]) for n in range(c.d)]
-        for a, b in BLOCKS
-    }
-    return {"d": c.d, "C": blocks}
+    return {"d": c.d, "C": blocks_to_json(c.coords, (c.d,))}
 
 
 def corr_from_json(data: dict) -> CorrVector:
     d = decode_int(data["d"])
     if d < 2:
         raise ValueError("a correlation vector needs d >= 2 outcomes")
-    coords = [Fraction(0)] * (4 * d)
-    for a, b in BLOCKS:
-        block = data["C"][f"a{a}b{b}"]
-        if len(block) != d:
-            raise ValueError(f"block a{a}b{b} must have length {d}")
-        for n in range(d):
-            coords[corr_index(d, a, b, n)] = decode_rational(block[n])
-    return CorrVector(d, tuple(coords))
+    return CorrVector(d, blocks_from_json(data["C"], (d,)))

@@ -21,26 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from .cglmp import cglmp_inequality, evaluate
-from .correlators import (
-    CorrVector,
-    cglmp_corr_inequality,
-    corr_index,
-    is_corr_probability,
-)
-from .facets import canonicalize, nosignaling_max, standard_equations  # noqa: F401 (re-exported)
+from .correlators import CorrVector, cglmp_corr_inequality, is_corr_probability
+from .facets import canonicalize, standard_equations
 from .linalg import integer_rows, slack_matrix
 from .lp import lp_max
-from .scenario import (
-    Behavior,
-    Inequality,
-    Scenario,
-    all_strategies,
-    coord_index,
-    is_normalized,
-    is_nosignaling,
-    uniform_behavior,
-)
-from .symmetry import slack_orbit, slack_rows, space_vertices
+from .scenario import Behavior, Inequality, Scenario, all_strategies, is_normalized, is_nosignaling
+from .symmetry import equivalent, has_group, space_vertices
 
 
 @dataclass(frozen=True)
@@ -62,9 +48,12 @@ def local_max(ineq: Inequality) -> Fraction:
     return Fraction(-int(slack.min()), den)
 
 
-def _decompose(query, vertices: np.ndarray, labels, uniform, space: str, d: int) -> MembershipResult:
-    """Shared core: vertices holds the generator vectors as rows, labels
-    their names."""
+def _decompose(query, labels, space: str, d: int) -> MembershipResult:
+    """Shared core: the vertices of the space, named by labels, are the
+    generator vectors.  The interior ray starts at their centroid, which
+    is the uniform behavior, or 1/d per correlator coordinate."""
+    vertices = space_vertices(space, d)
+    uniform = [Fraction(n, len(vertices)) for n in vertices.sum(axis=0).tolist()]
     ncoords = len(query)
     nverts = len(vertices)
     eq_rows = np.ones((ncoords + 1, nverts), dtype=np.int64)
@@ -119,25 +108,20 @@ def _decompose(query, vertices: np.ndarray, labels, uniform, space: str, d: int)
 
 
 def _catalog_label(cert: Inequality) -> str:
-    """Match a certificate against the known classes where feasible: CGLMP
-    and a nonnegativity facet, whose slacks are looked up in the one slack
-    orbit of the certificate.  The certificate is never constant on the
-    affine hull (canonicalize would have refused it), so its slack exists."""
+    """The class name of a certificate: cglmp when it lies in the orbit of
+    CGLMP, uncataloged otherwise, unclassified where the space has no
+    group table.
+
+    A nonnegativity facet never matches, so it is not looked for: every
+    nonnegative point of the affine hull satisfies it, and the query is
+    such a point that the certificate cuts off.  The certificate is never
+    constant on the affine hull (canonicalize would have refused it), so
+    its slack exists."""
     space, d = cert.space, cert.d
-    if space == "behavior" and d >= 4:
+    if not has_group(space, d):
         return "unclassified"
-    if space == "behavior":
-        reference, nonneg_at = cglmp_inequality(d), coord_index(d, 1, 1, 0, 0)
-    else:
-        reference, nonneg_at = cglmp_corr_inequality(d), corr_index(d, 1, 1, 0)
-    nonneg = [Fraction(0)] * len(cert.coeffs)
-    nonneg[nonneg_at] = Fraction(-1)
-    trivial_rep = Inequality(space, d, tuple(nonneg), Fraction(0))
-    orbit = slack_orbit(cert)
-    for name, row in zip(("cglmp", "nonnegativity"), slack_rows([reference, trivial_rep])):
-        if (orbit == row).all(axis=1).any():
-            return name
-    return "uncataloged"
+    reference = cglmp_inequality(d) if space == "behavior" else cglmp_corr_inequality(d)
+    return "cglmp" if equivalent(reference, cert) else "uncataloged"
 
 
 def local_decompose(p: Behavior) -> MembershipResult:
@@ -149,20 +133,14 @@ def local_decompose(p: Behavior) -> MembershipResult:
         raise ValueError("behavior is not normalized")
     if not is_nosignaling(p):
         raise ValueError("behavior is signaling; locality is not defined for it")
-    d = p.d
-    labels = all_strategies(Scenario(d))  # the order of the vertex rows
-    vertices = space_vertices("behavior", d)
-    return _decompose(p.coords, vertices, labels, uniform_behavior(d).coords, "behavior", d)
+    return _decompose(p.coords, all_strategies(Scenario(p.d)), "behavior", p.d)
 
 
 def corr_local_decompose(c: CorrVector) -> MembershipResult:
     """Same contract over the d^3 projected generators."""
     if not is_corr_probability(c):
         raise ValueError("correlation vector must be nonnegative with unit block sums")
-    d = c.d
-    mat = space_vertices("correlator", d)
     # a projected generator is named by its four outcome differences, the
     # positions of its unit entries within their blocks
-    labels = list(map(tuple, (np.nonzero(mat)[1].reshape(-1, 4) % d).tolist()))
-    uniform = [Fraction(1, d)] * (4 * d)
-    return _decompose(c.coords, mat, labels, uniform, "correlator", d)
+    ones = np.nonzero(space_vertices("correlator", c.d))[1].reshape(-1, 4)
+    return _decompose(c.coords, list(map(tuple, (ones % c.d).tolist())), "correlator", c.d)

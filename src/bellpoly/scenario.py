@@ -212,30 +212,35 @@ def spanning_strategy_grid(d: int) -> list[DeterministicStrategy]:
     ]
 
 
+def blocks_to_json(coords, shape: tuple[int, ...]) -> dict:
+    """The four setting blocks of a coordinate vector, in BLOCKS order, as
+    nested lists of the given shape: (d, d) for a behavior, (d,) for a
+    correlator vector."""
+    blocks = np.array([encode_rational(x) for x in coords], dtype=object).reshape(4, *shape)
+    return {f"a{a}b{b}": block.tolist() for (a, b), block in zip(BLOCKS, blocks)}
+
+
+def blocks_from_json(table: dict, shape: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The coordinate vector of the four blocks of table.  Every block's
+    shape is checked before any entry is decoded, so a ragged or deep
+    block, a string or an object is refused, and a huge d allocates
+    nothing."""
+    blocks = [np.array(table[f"a{a}b{b}"], dtype=object) for a, b in BLOCKS]
+    for (a, b), block in zip(BLOCKS, blocks):
+        if block.shape != shape:
+            raise ValueError(f"block a{a}b{b} must have shape {shape}, not {block.shape}")
+    return tuple(decode_rational(x) for block in blocks for x in block.ravel().tolist())
+
+
 def behavior_to_json(p: Behavior) -> dict:
-    blocks = {}
-    for a, b in BLOCKS:
-        blocks[f"a{a}b{b}"] = [
-            [encode_rational(p.coords[coord_index(p.d, a, b, k, t)]) for t in range(p.d)]
-            for k in range(p.d)
-        ]
-    return {"d": p.d, "P": blocks}
+    return {"d": p.d, "P": blocks_to_json(p.coords, (p.d, p.d))}
 
 
 def behavior_from_json(data: dict) -> Behavior:
     d = decode_int(data["d"])
     if d < 2:
         raise ValueError("a behavior needs d >= 2 outcomes")
-    coords = [Fraction(0)] * (4 * d * d)
-    table = data["P"]
-    for a, b in BLOCKS:
-        block = table[f"a{a}b{b}"]
-        if len(block) != d or any(len(r) != d for r in block):
-            raise ValueError(f"block a{a}b{b} must be {d}x{d}")
-        for k in range(d):
-            for t in range(d):
-                coords[coord_index(d, a, b, k, t)] = decode_rational(block[k][t])
-    return Behavior(d, tuple(coords))
+    return Behavior(d, blocks_from_json(data["P"], (d, d)))
 
 
 def inequality_to_json(ineq: Inequality) -> dict:

@@ -79,14 +79,21 @@ def _correlator_perms(d: int, flips: np.ndarray, shifts: np.ndarray) -> np.ndarr
     return ((2 * aa + bb) * d + nn).reshape(len(shifts), -1)
 
 
+def has_group(space: str, d: int) -> bool:
+    """Whether group_for tabulates the group of a space at d.  This is the
+    one place that says so: behavior space at d >= 4 has 8 (d!)^4 elements
+    and no table, so its inequalities have no class."""
+    return not (space == "behavior" and d >= 4)
+
+
 @lru_cache(maxsize=None)
 def group_for(space: str, d: int) -> np.ndarray:
     """The whole group of a space as one read-only integer table of
     coordinate permutations, one distinct row per element, in lexicographic
     order; built once per (space, d) from all of its generating data."""
+    if not has_group(space, d):
+        raise ValueError(f"behavior-space group for d={d} has 8*(d!)^4 elements; too large")
     if space == "behavior":
-        if d >= 4:
-            raise ValueError(f"behavior-space group for d={d} has 8*(d!)^4 elements; too large")
         perms = np.array(list(itertools.permutations(range(d))))  # the inverses of all relabelings
         data = np.indices((2, 2, 2) + (len(perms),) * 4).reshape(7, -1).T
         table = _behavior_perms(d, data[:, :3], perms[data[:, 3:]])
@@ -123,9 +130,10 @@ def _vertex_perms(space: str, d: int) -> np.ndarray:
     being vertex k's.  Vertices are looked up by a mixed-radix code with one
     digit per block: the position of the block's unit entry.
     """
-    ones = np.nonzero(space_vertices(space, d))[1].reshape(-1, 4)  # unit coordinates per vertex
-    width = d * d if space == "behavior" else d
-    coord = np.arange(4 * width)
+    verts = space_vertices(space, d)
+    ones = np.nonzero(verts)[1].reshape(-1, 4)  # unit coordinates per vertex
+    width = verts.shape[1] // 4
+    coord = np.arange(verts.shape[1])
     digit = ((coord % width) * width ** (coord // width)).astype(np.int32)
     vertex_of = np.zeros(width**4, dtype=np.int32)
     vertex_of[digit[ones].sum(axis=1)] = np.arange(len(ones))
@@ -227,11 +235,11 @@ def trivial_and_classes(
     """Triviality and class label of each inequality.
 
     Triviality is invariant under the group, so it is decided once per
-    class, on the representative.  Behavior space at d >= 4 has no group
-    table: there triviality is decided per inequality and labels are None.
+    class, on the representative.  Where the space has no group table
+    (has_group), triviality is decided per inequality and labels are None.
     """
     items = list(ineqs)
-    if space == "behavior" and d >= 4:
+    if not has_group(space, d):
         return [classify_trivial(q) for q in items], None
     labels, reps = label_classes(items)
     trivial = [classify_trivial(r) for r in reps]

@@ -284,6 +284,17 @@ def test_malformed_behavior_rejected(tmp_path, capsys):
         (("membership", "project"), {"d": 1, "P": d1_behavior}),
         (("membership", "project"), 5),
     ]
+    # blocks of the wrong shape: ragged, a level too deep, a correlator
+    # block of length d - 1 or of nested lists, a string or an object
+    behavior, corr = behavior_to_json(uniform_behavior(3)), corr_to_json(project(uniform_behavior(3)))
+    for block in ([["1/9"] * 3, ["1/9"] * 3, ["1/9"] * 2], [[["1/9"]] * 3] * 3, "1/9", {"k": "1/9"}):
+        cases.append((("membership", "project"), {**behavior, "P": {**behavior["P"], "a2b1": block}}))
+    for block in (["1/3"] * 2, [["1/3"]] * 3, "1/3", {"n": "1/3"}):
+        cases.append((("membership",), {**corr, "C": {**corr["C"], "a2b1": block}}))
+    # a huge d with 1x1 blocks is refused by its block shapes before any
+    # coordinate is allocated
+    cases.append((("membership", "project"), {"d": 10**18, "P": d1_behavior}))
+    cases.append((("membership",), {"d": 10**18, "C": d1_corr}))
     # a zero denominator in any rational field: behavior, correlator, facet
     zero_den = behavior_to_json(uniform_behavior(2))
     zero_den["P"]["a1b1"][0][0] = "1/0"

@@ -28,11 +28,11 @@ from bellpoly.facets import (
     classify_trivial,
     dd_extreme_rays,
     enumerate_facets,
+    nosignaling_max,
     saturation_count,
     standard_equations,
     vrep_of,
 )
-from bellpoly.membership import nosignaling_max
 from bellpoly.lp import lp_max
 from bellpoly.scenario import (
     Inequality,
@@ -43,6 +43,7 @@ from bellpoly.scenario import (
     inequality_from_json,
     polytope_affine_dim,
 )
+from bellpoly.symmetry import space_vertices
 
 from oracles import (
     fraction_canonicalize,
@@ -416,6 +417,28 @@ def test_facets_are_fixed_points_of_canonicalize(name):
     for q in hrep.facets:
         assert canonicalize(q) == q
     assert list(hrep.facets) == sorted(hrep.facets, key=lambda q: (q.coeffs, q.bound))
+
+
+@pytest.mark.parametrize(
+    "space, d, count",
+    [
+        ("correlator", 2, 16),
+        ("correlator", 3, 66),
+        ("correlator", 4, 216),
+        ("behavior", 2, 24),
+        pytest.param("correlator", 5, 1020, marks=pytest.mark.slow),
+        pytest.param("behavior", 3, 1116, marks=pytest.mark.slow),
+    ],
+)
+def test_dd_facets_are_in_the_standard_gauge(space, d, count):
+    # DD's free-coordinate gauge is the one canonicalize fixes with the
+    # standard equations, so a facet found another way is re-expressed in
+    # it by canonicalize alone
+    hrep = enumerate_facets(vrep_of(space_vertices(space, d)), space=space, d=d)
+    assert len(hrep.facets) == count
+    equations = standard_equations(space, d)
+    for q in hrep.facets:
+        assert canonicalize(q, equations=equations) == q
 
 
 def test_zero_coefficient_ray_is_refused(monkeypatch):

@@ -164,7 +164,7 @@ def _assert_optimal_pair(res, obj, rows, rhs):
 def test_nosignaling_dual_keeps_redundant_rows():
     # 4 + 4d no-signaling rows have rank 4d, so phase 2 drops redundant
     # rows; their duals must still come back, or y.b misses the optimum
-    from bellpoly.membership import nosignaling_max
+    from bellpoly.facets import nosignaling_max
 
     chsh = lift(chsh_inequality())
     rows, rhs = constraint_matrix(Scenario(2))

@@ -26,14 +26,10 @@ from bellpoly.correlators import (
     project,
     projected_generators,
 )
+from bellpoly.facets import nosignaling_max
 from bellpoly.linalg import slack_matrix
 from bellpoly.lp import lp_max
-from bellpoly.membership import (
-    corr_local_decompose,
-    local_decompose,
-    local_max,
-    nosignaling_max,
-)
+from bellpoly.membership import corr_local_decompose, local_decompose, local_max
 from bellpoly.scenario import (
     Behavior,
     Inequality,
@@ -46,7 +42,7 @@ from bellpoly.scenario import (
     generator,
     uniform_behavior,
 )
-from bellpoly.symmetry import equivalent
+from bellpoly.symmetry import equivalent, space_vertices
 
 
 def pr_box(flip_block=(2, 1)):
@@ -73,6 +69,32 @@ def _verify_decomposition(res, p):
                 recon[i] += w
     assert total == 1
     assert tuple(recon) == p.coords
+
+
+@pytest.mark.parametrize(
+    "space, d", [("behavior", d) for d in range(2, 6)] + [("correlator", d) for d in range(2, 9)]
+)
+def test_vertex_centroid_is_the_uniform_point(space, d):
+    # the interior ray starts at the centroid of space_vertices
+    verts = space_vertices(space, d)
+    centroid = [Fraction(n, len(verts)) for n in verts.sum(axis=0).tolist()]
+    uniform = uniform_behavior(d).coords if space == "behavior" else (Fraction(1, d),) * (4 * d)
+    assert centroid == list(uniform)
+
+
+def test_interior_ray_starts_at_the_vertex_centroid(monkeypatch):
+    starts = []
+
+    def recording_lp_max(objective, eq_rows, eq_rhs):
+        starts.append(list(eq_rhs))
+        return lp_max(objective, eq_rows, eq_rhs)
+
+    monkeypatch.setattr(membership_mod, "lp_max", recording_lp_max)
+    assert not local_decompose(pr_box()).local
+    assert starts[-1] == [*uniform_behavior(2).coords, 1]
+    box = _box_query(random.Random("ray start"), "correlator", 3)
+    assert not corr_local_decompose(box).local
+    assert starts[-1] == [Fraction(1, 3)] * 12 + [1]
 
 
 def test_uniform_is_local():

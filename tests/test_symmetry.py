@@ -24,6 +24,7 @@ from bellpoly.correlators import (
     projected_generators,
 )
 from bellpoly.facets import classify_trivial, enumerate_facets, saturation_count, vrep_of
+from bellpoly.membership import _catalog_label
 from bellpoly.scenario import (
     Behavior,
     Inequality,
@@ -37,6 +38,7 @@ from bellpoly.symmetry import (
     canonical_class,
     equivalent,
     group_for,
+    has_group,
     label_classes,
     slack,
     slack_orbit,
@@ -96,6 +98,26 @@ def test_group_sizes():
 def test_behavior_group_guard():
     with pytest.raises(ValueError):
         group_for("behavior", 4)
+
+
+@pytest.mark.parametrize(
+    "space, d", [("behavior", d) for d in range(2, 6)] + [("correlator", d) for d in range(2, 9)]
+)
+def test_has_group_is_the_one_group_table_test(space, d):
+    # false exactly where group_for refuses, trivial_and_classes gives no
+    # labels and a certificate class stays unclassified; group_for refuses
+    # before it builds anything, so no behavior table is built at d >= 4
+    reference = cglmp_inequality(d) if space == "behavior" else cglmp_corr_inequality(d)
+    assert has_group(space, d) == (space == "correlator" or d <= 3)
+    if has_group(space, d):
+        assert len(group_for(space, d)) > 0
+        assert trivial_and_classes([], space, d)[1] == []
+        assert _catalog_label(reference) == "cglmp"
+    else:
+        with pytest.raises(ValueError, match="too large"):
+            group_for(space, d)
+        assert trivial_and_classes([], space, d)[1] is None
+        assert _catalog_label(reference) == "unclassified"
 
 
 def test_group_action_law():
