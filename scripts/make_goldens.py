@@ -12,9 +12,9 @@ import pathlib
 
 from bellpoly.cli import facet_list_json
 from bellpoly.correlators import cglmp_corr_inequality
-from bellpoly.facets import canonicalize, enumerate_facets, standard_equations, vrep_of
+from bellpoly.facets import canonicalize, enumerate_facets, space_vertices, standard_equations, vrep_of
 from bellpoly.scenario import inequality_to_json
-from bellpoly.symmetry import canonical_class, space_vertices, trivial_and_classes
+from bellpoly.symmetry import canonical_class, trivial_and_classes
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "src" / "bellpoly" / "golden"
 

@@ -19,7 +19,7 @@ import time
 from . import cglmp as cglmp_mod
 from . import membership as membership_mod
 from .correlators import cglmp_corr_inequality, corr_from_json, corr_to_json, project
-from .facets import HRep, enumerate_facets, saturation_count, vrep_of
+from .facets import HRep, enumerate_facets, saturation_count, space_vertices, vrep_of
 from .jsonio import decode_int, encode_rational
 from .scenario import (
     BLOCKS,
@@ -31,7 +31,7 @@ from .scenario import (
     inequality_to_json,
     polytope_affine_dim,
 )
-from .symmetry import space_vertices, trivial_and_classes
+from .symmetry import trivial_and_classes
 
 
 class UsageError(Exception):
@@ -257,7 +257,7 @@ def cmd_classify(args) -> int:
         space = str(data["space"])
         d = decode_int(data["d"])
         facets = [
-            inequality_from_json({"space": space, "d": d, **f}) for f in data["facets"]
+            inequality_from_json({**f, "space": space, "d": d}) for f in data["facets"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad facet list: {exc}") from exc
@@ -273,14 +273,13 @@ def cmd_classify(args) -> int:
         trivial, labels = trivial_and_classes(facets, space, d)
     except ValueError as exc:  # an equation on the affine hull has no class
         raise UsageError(f"bad facet list: {exc}") from exc
-    verts = space_vertices(space, d)
     keys = range(len(facets)) if labels is None else labels
     checked: dict[int, dict] = {}
     for f, key in zip(facets, keys):
         if key in checked:
             continue
         try:
-            count, rk = saturation_count(f, verts)
+            count, rk = saturation_count(f, space_vertices(space, d))
             checked[key] = {"supporting": True, "saturating": count, "rank": rk}
         except ValueError as exc:
             checked[key] = {"supporting": False, "error": str(exc)}

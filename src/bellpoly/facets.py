@@ -51,7 +51,8 @@ import numpy as np
 from . import linalg
 from .linalg import gcd_reduce
 from .lp import lp_max
-from .scenario import Inequality, _constraint_system
+from .correlators import projected_generator_matrix
+from .scenario import Inequality, _constraint_system, generator_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,21 +107,26 @@ def vrep_of(vectors, ambient_dim: int | None = None) -> VRep:
 
 
 @lru_cache(maxsize=None)
+def space_vertices(space: str, d: int) -> np.ndarray:
+    """The vertices of a space as one read-only 0/1 integer matrix: the
+    generators, or the projected generators."""
+    if space not in ("behavior", "correlator"):
+        raise ValueError(f"no vertices for space {space!r}")
+    mat = generator_matrix(d) if space == "behavior" else projected_generator_matrix(d)
+    mat.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=None)
 def standard_equations(space: str, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Affine-hull equation system of a standard space, in reduced form:
-    (E, pivots), E one read-only integer matrix of rows [w | rhs] over a
-    common denominator D, D at every pivot of its own row and 0 at the
-    other pivots; canonicalize pushes coefficients into the fixed gauge
-    with it."""
-    if space == "behavior":
-        rows, rhs = _constraint_system(d)
-    elif space == "correlator":
-        rows, rhs = np.kron(np.eye(4, dtype=np.int64), np.ones(d, dtype=np.int64)), [1] * 4
-    else:
-        raise ValueError(f"no standard equations for space {space!r}")
-    eqs, pivots, _ = linalg.integer_rref(np.column_stack([rows, rhs]))
-    if pivots[-1] >= rows.shape[1]:
-        raise AssertionError("inconsistent standard equation system")
+    (E, pivots), E one read-only integer matrix of rows [w | c], w.v = c on
+    every vertex v of space_vertices, over a common denominator D, D at
+    every pivot of its own row and 0 at the other pivots; canonicalize
+    pushes coefficients into the fixed gauge with it."""
+    verts = space_vertices(space, d)
+    hull = linalg.integer_nullspace(np.column_stack([verts, -np.ones(len(verts), dtype=verts.dtype)]))[0]
+    eqs, pivots, _ = linalg.integer_rref(hull)
     eqs.flags.writeable = False
     return eqs, tuple(pivots)
 

@@ -22,11 +22,11 @@ import numpy as np
 
 from .cglmp import cglmp_inequality, evaluate
 from .correlators import CorrVector, cglmp_corr_inequality, is_corr_probability
-from .facets import canonicalize, standard_equations
+from .facets import canonicalize, space_vertices, standard_equations
 from .linalg import integer_rows, slack_matrix
 from .lp import lp_max
 from .scenario import Behavior, Inequality, Scenario, all_strategies, is_normalized, is_nosignaling
-from .symmetry import equivalent, has_group, space_vertices
+from .symmetry import equivalent, has_group
 
 
 @dataclass(frozen=True)

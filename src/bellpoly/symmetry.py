@@ -15,11 +15,12 @@ group there is the shift+reflection subgroup.  One offset added to all four
 shifts acts trivially, so the B2 shift is fixed at 0: 16 d^3 elements, and
 64 at d=2, where the reflection is the identity.
 
-Each space has one numpy kernel saying how its generators act on
-coordinates, vectorised over a leading axis of elements.  The group table
-of a space is that kernel applied to all of its generating data at once,
-deduplicated by np.unique into one read-only integer array (one row per
-element).  An element is a row of that table, and it sends a vector x,
+One numpy kernel, vectorised over a leading axis of elements, maps
+behavior coordinates (a, b, k, s) to the behavior index of their images.
+A shift or reflection maps each class {k - s = n} of a block onto one
+class, so the correlator table maps (a, b, n, 0) and reads the images
+through difference_index.  Each table is deduplicated by np.unique into
+one read-only integer array, one row per element, which sends a vector x,
 whether a behavior, a correlator vector or inequality coefficients, to
 x[row].
 
@@ -45,38 +46,24 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .correlators import projected_generator_matrix
-from .facets import canonicalize, classify_trivial, standard_equations
-from .scenario import Inequality, generator_matrix
+from .correlators import difference_index
+from .facets import canonicalize, classify_trivial, space_vertices, standard_equations
+from .scenario import Inequality
 
 
-def _behavior_perms(d: int, flips: np.ndarray, inverse_relabelings: np.ndarray) -> np.ndarray:
-    """Behavior coordinate permutations, one row per element g: flips[g] is
-    (party swap, A swap, B swap), inverse_relabelings[g] the inverse outcome
-    relabelings of (A1, A2, B1, B2).  The party swap reads the transposed
-    table."""
-    a, b, k, s = np.indices((2, 2, d, d))
-    swap, flip_a, flip_b = np.asarray(flips, dtype=np.int64).T[:, :, None, None, None, None]
+def _behavior_perms(d: int, coords, flips: np.ndarray, inverse_relabelings: np.ndarray) -> np.ndarray:
+    """The behavior index of the image of each coordinate (a, b, k, s) in
+    coords, one row per element g: flips[g] is (party swap, A swap, B swap),
+    inverse_relabelings[g] the inverse outcome relabelings of (A1, A2, B1,
+    B2).  The party swap reads the transposed table."""
+    a, b, k, s = (x.ravel() for x in np.broadcast_arrays(*coords))
+    swap, flip_a, flip_b = np.asarray(flips, dtype=np.int64).T[:, :, None]
     aa = np.where(swap, b, a) ^ flip_a
     bb = np.where(swap, a, b) ^ flip_b
     kk, ss = np.where(swap, s, k), np.where(swap, k, s)
     inv = np.asarray(inverse_relabelings)
-    g = np.arange(len(inv))[:, None, None, None, None]
-    return (((2 * aa + bb) * d + inv[g, aa, kk]) * d + inv[g, 2 + bb, ss]).reshape(len(inv), -1)
-
-
-def _correlator_perms(d: int, flips: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Correlator coordinate permutations, one row per element g: flips[g]
-    is (party swap, A swap, B swap, reflection), shifts[g] the outcome shifts
-    of (A1, A2, B1, B2).  The party swap and the reflection each negate n."""
-    a, b, n = np.indices((2, 2, d))
-    swap, flip_a, flip_b, reflect = np.asarray(flips, dtype=np.int64).T[:, :, None, None, None]
-    aa = np.where(swap, b, a) ^ flip_a
-    bb = np.where(swap, a, b) ^ flip_b
-    shifts = np.asarray(shifts)
-    g = np.arange(len(shifts))[:, None, None, None]
-    nn = (np.where(swap ^ reflect, -n, n) - shifts[g, aa] + shifts[g, 2 + bb]) % d
-    return ((2 * aa + bb) * d + nn).reshape(len(shifts), -1)
+    g = np.arange(len(inv))[:, None]
+    return ((2 * aa + bb) * d + inv[g, aa, kk]) * d + inv[g, 2 + bb, ss]
 
 
 def has_group(space: str, d: int) -> bool:
@@ -96,27 +83,22 @@ def group_for(space: str, d: int) -> np.ndarray:
     if space == "behavior":
         perms = np.array(list(itertools.permutations(range(d))))  # the inverses of all relabelings
         data = np.indices((2, 2, 2) + (len(perms),) * 4).reshape(7, -1).T
-        table = _behavior_perms(d, data[:, :3], perms[data[:, 3:]])
+        table = _behavior_perms(d, np.indices((2, 2, d, d)), data[:, :3], perms[data[:, 3:]])
     elif space == "correlator":
-        # the B2 shift stays 0: adding one offset to all four shifts acts trivially
+        # relabelings k -> sign k + shift, with inverses sign (k - shift); the
+        # B2 shift stays 0: adding one offset to all four shifts acts trivially
         data = np.indices((2, 2, 2, 2, d, d, d)).reshape(7, -1).T
-        table = _correlator_perms(d, data[:, :4], np.pad(data[:, 4:], ((0, 0), (0, 1))))
+        shifts = np.pad(data[:, 4:], ((0, 0), (0, 1)))
+        sign = 1 - 2 * data[:, 3, None, None]
+        inverse = sign * (np.arange(d) - shifts[:, :, None]) % d
+        # the image of (k, s) = (n, 0) carries the image of difference n
+        a, b, n = np.indices((2, 2, d))
+        table = difference_index(d)[_behavior_perms(d, (a, b, n, 0), data[:, :3], inverse)]
     else:
         raise ValueError(f"no symmetry group for space {space!r}")
     table = np.unique(table, axis=0)
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=None)
-def space_vertices(space: str, d: int) -> np.ndarray:
-    """The vertices of a space as one read-only 0/1 integer matrix: the
-    generators, or the projected generators."""
-    if space not in ("behavior", "correlator"):
-        raise ValueError(f"no vertices for space {space!r}")
-    mat = generator_matrix(d) if space == "behavior" else projected_generator_matrix(d)
-    mat.flags.writeable = False
-    return mat
 
 
 @lru_cache(maxsize=None)
@@ -236,10 +218,13 @@ def trivial_and_classes(
 
     Triviality is invariant under the group, so it is decided once per
     class, on the representative.  Where the space has no group table
-    (has_group), triviality is decided per inequality and labels are None.
+    (has_group), triviality is decided per inequality and labels are None,
+    but an equation on the affine hull is refused all the same.
     """
     items = list(ineqs)
     if not has_group(space, d):
+        if items:
+            slack_rows(items)
         return [classify_trivial(q) for q in items], None
     labels, reps = label_classes(items)
     trivial = [classify_trivial(r) for r in reps]

@@ -14,10 +14,9 @@ import pytest
 import bellpoly
 from bellpoly.cli import build_parser, main
 from bellpoly.correlators import corr_to_json, project
-from bellpoly.facets import saturation_count
+from bellpoly.facets import saturation_count, space_vertices
 from bellpoly.jsonio import decode_rational, encode_rational
 from bellpoly.scenario import behavior_to_json, inequality_from_json, uniform_behavior
-from bellpoly.symmetry import space_vertices
 
 from test_membership import pr_box
 
@@ -206,6 +205,34 @@ def test_classify_rejects_wrong_coefficient_count(tmp_path, capsys):
 def test_classify_rejects_equations_on_the_hull(tmp_path, capsys, coeffs, bound):
     doc = {"space": "correlator", "d": 2, "facets": [{"coeffs": coeffs, "bound": bound}]}
     assert "constant slack" in _classify_error(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_classify_rejects_hull_equations_with_or_without_a_group(tmp_path, capsys, d):
+    # the block-a1b1 normalization row; behavior d=4 has no group table
+    coeffs = [1] * (d * d) + [0] * (3 * d * d)
+    doc = {"space": "behavior", "d": d, "facets": [{"coeffs": coeffs, "bound": 1}]}
+    assert "constant slack" in _classify_error(tmp_path, capsys, doc)
+
+
+def test_classify_reads_space_and_d_from_the_list_only(tmp_path, capsys):
+    # a facet's own space and d keys are not part of the format and change nothing
+    facet = {"coeffs": [0, 0, 0, 1, -1, -1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0], "bound": 3}
+    outs = []
+    for extra in ({}, {"space": "behavior", "d": 2}):
+        path = tmp_path / "facets.json"
+        path.write_text(json.dumps({"space": "correlator", "d": 4, "facets": [{**facet, **extra}]}))
+        outs.append(run(capsys, "classify", str(path)))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert json.loads(outs[0][1])["facets"][0]["trivial"] is False
+
+
+@pytest.mark.parametrize("space", ["correlator", "behavior"])
+def test_classify_of_no_facets_builds_no_vertices(tmp_path, capsys, space):
+    d = 10**18
+    path = tmp_path / "facets.json"
+    path.write_text(json.dumps({"space": space, "d": d, "facets": []}))
+    assert run_json(capsys, "classify", str(path)) == (0, {"d": d, "facets": [], "ok": True, "space": space})
 
 
 def test_budget_exhaustion_reports_incomplete(capsys):

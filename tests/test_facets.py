@@ -30,6 +30,7 @@ from bellpoly.facets import (
     enumerate_facets,
     nosignaling_max,
     saturation_count,
+    space_vertices,
     standard_equations,
     vrep_of,
 )
@@ -43,7 +44,6 @@ from bellpoly.scenario import (
     inequality_from_json,
     polytope_affine_dim,
 )
-from bellpoly.symmetry import space_vertices
 
 from oracles import (
     fraction_canonicalize,
@@ -149,7 +149,9 @@ def test_canonicalize_matches_fraction_oracle(space, d, n):
             assert _outcome(canonicalize, q, eqs) == _outcome(fraction_canonicalize, q, fraction_eqs)
 
 
-@pytest.mark.parametrize("space, d", [("correlator", 2), ("correlator", 5), ("behavior", 2), ("behavior", 3)])
+@pytest.mark.parametrize(
+    "space, d", [("correlator", 2), ("correlator", 5), ("correlator", 8), ("behavior", 2), ("behavior", 3), ("behavior", 4)]
+)
 def test_standard_equations_are_the_rref_over_one_denominator(space, d):
     eqs, pivots = standard_equations(space, d)
     rows, fraction_pivots = fraction_equations(space, d)

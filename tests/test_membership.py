@@ -26,7 +26,7 @@ from bellpoly.correlators import (
     project,
     projected_generators,
 )
-from bellpoly.facets import nosignaling_max
+from bellpoly.facets import nosignaling_max, space_vertices
 from bellpoly.linalg import slack_matrix
 from bellpoly.lp import lp_max
 from bellpoly.membership import corr_local_decompose, local_decompose, local_max
@@ -42,7 +42,7 @@ from bellpoly.scenario import (
     generator,
     uniform_behavior,
 )
-from bellpoly.symmetry import equivalent, space_vertices
+from bellpoly.symmetry import equivalent
 
 
 def pr_box(flip_block=(2, 1)):

@@ -409,6 +409,7 @@ def test_group_for_is_built_once():
         ("correlator", 5),
         ("behavior", 2),
         pytest.param("correlator", 6, marks=pytest.mark.slow),
+        pytest.param("correlator", 7, marks=pytest.mark.slow),
         pytest.param("correlator", 8, marks=pytest.mark.slow),
         pytest.param("behavior", 3, marks=pytest.mark.slow),
     ],
