@@ -131,21 +131,34 @@ def standard_equations(space: str, d: int) -> tuple[np.ndarray, tuple[int, ...]]
     return eqs, tuple(pivots)
 
 
+def gauge(rows: np.ndarray, equations) -> np.ndarray:
+    """Integer rows x = (coeffs, bound) reduced modulo an equation system
+    (E, pivots) from standard_equations: D x - x[pivots] E, zero at every
+    pivot coordinate.  Two rows differ by an equation and a positive scale
+    exactly when their reduced rows are positive multiples of each other.
+
+    int64 when (D + len(pivots) max|E|) max|x|, a bound on every entry and
+    partial sum, stays under OVERFLOW_LIMIT; Python ints (dtype object)
+    otherwise.  An object input stays object.
+    """
+    eqs, pivots = equations
+    den = int(eqs[0, pivots[0]])
+    if rows.dtype != object:
+        if (den + len(pivots) * linalg._peak(eqs)) * linalg._peak(rows) >= linalg.OVERFLOW_LIMIT:
+            rows = rows.astype(object)
+    return den * rows - rows[..., list(pivots)] @ eqs.astype(rows.dtype, copy=False)
+
+
 def canonicalize(ineq: Inequality, equations=None) -> Inequality:
     """Scale to coprime integers (orientation stays <=); idempotent.
 
     With an equation system (E, pivots) from standard_equations, the
-    coefficients are first reduced modulo the equations: the integer row
-    x = (coeffs, bound) becomes D x - x[pivots] E, zero at every pivot
-    coordinate, which makes representatives comparable across gauge
-    choices.  All of it is integer; the equations step runs over Python
-    ints, so it is exact at any size.
+    coefficients are first reduced modulo the equations (gauge), which
+    makes representatives comparable across gauge choices.
     """
     row = linalg.integer_rows([(*ineq.coeffs, ineq.bound)])[0][0]
     if equations is not None:
-        eqs, pivots = equations
-        row = row.astype(object)
-        row = int(eqs[0, pivots[0]]) * row - row[list(pivots)] @ eqs
+        row = gauge(row, equations)
     if not row[:-1].any():
         raise ValueError("zero coefficient vector cannot be canonicalized")
     *coeffs, bound = map(Fraction, gcd_reduce(row).tolist())

@@ -6,7 +6,10 @@ Rationals serialize as plain integers when the denominator is 1 and as
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_NUM_DEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def encode_rational(q: Fraction | int):
@@ -22,6 +25,10 @@ def decode_rational(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        # only "num" or "num/den" in decimal digits: Fraction would also
+        # read exponents, and "1e99999999" builds a 10^8-digit integer
+        if not _NUM_DEN.fullmatch(v):
+            raise ValueError(f"expected an integer or a 'num/den' string of decimal digits, got {v!r}")
         try:
             return Fraction(v)
         except ZeroDivisionError as exc:

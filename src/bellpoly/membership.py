@@ -116,7 +116,7 @@ def _catalog_label(cert: Inequality) -> str:
     nonnegative point of the affine hull satisfies it, and the query is
     such a point that the certificate cuts off.  The certificate is never
     constant on the affine hull (canonicalize would have refused it), so
-    its slack exists."""
+    its gauge row is a class key."""
     space, d = cert.space, cert.d
     if not has_group(space, d):
         return "unclassified"

@@ -24,22 +24,22 @@ one read-only integer array, one row per element, which sends a vector x,
 whether a behavior, a correlator vector or inequality coefficients, to
 x[row].
 
-Inequalities are compared by their slack over the vertices of their space
-(the generators, or the projected generators): bound - coeffs.v for every
-vertex v, divided by its gcd.  A batch of inequalities gets its slack rows
-from one integer matrix over a common denominator and one slack_matrix
-product, then each row is divided by its own gcd.  The vertices
-span the affine hull, so two inequalities have the same slack exactly when
-they agree up to the hull's equations and a positive scale.  Every group
-element permutes the vertices, hence the entries of a slack vector; the
-group table is turned once per space into vertex index permutations, and an
-orbit is one fancy index into that table.  Two inequalities are
-equivalent when the slack of one lies in the other's orbit.
+Inequalities are keyed by their row in the standard gauge: the integer
+row (coeffs, bound) reduced modulo the space's affine-hull equations by
+facets.gauge and divided by its gcd, the integer row of canonicalize with
+standard_equations.  Two inequalities have the same key exactly when they
+agree up to the hull's equations and a positive scale, which is exactly
+when their slacks over the vertices agree up to a positive scale.  A
+group element maps the hull onto itself, so the orbit of a key is the
+gauge of its images: the coefficients indexed by every table row at once,
+with the bound kept, one gauge product and one gcd_reduce.  Two
+inequalities are equivalent when the key of one lies in the other's orbit.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from .correlators import difference_index
-from .facets import canonicalize, classify_trivial, space_vertices, standard_equations
+from .facets import classify_trivial, gauge, space_vertices, standard_equations
 from .scenario import Inequality
 
 
@@ -101,103 +101,81 @@ def group_for(space: str, d: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _vertex_perms(space: str, d: int) -> np.ndarray:
-    """Vertex index permutations of group_for(space, d), one row per
-    element g, such that slack(q)[row g] is the slack of q's image under
-    table row g: q.coeffs indexed by that row, with q's bound.
+def gauge_rows(ineqs: Sequence[Inequality]) -> np.ndarray:
+    """The key of each inequality, all of one space: its integer row in the
+    standard gauge, divided by its gcd.
 
-    The image reads coefficient perm[i] at coordinate i, so at vertex k it
-    takes q's value at the vertex whose unit coordinates are perm[J], J
-    being vertex k's.  Vertices are looked up by a mixed-radix code with one
-    digit per block: the position of the block's unit entry.
-    """
-    verts = space_vertices(space, d)
-    ones = np.nonzero(verts)[1].reshape(-1, 4)  # unit coordinates per vertex
-    width = verts.shape[1] // 4
-    coord = np.arange(verts.shape[1])
-    digit = ((coord % width) * width ** (coord // width)).astype(np.int32)
-    vertex_of = np.zeros(width**4, dtype=np.int32)
-    vertex_of[digit[ones].sum(axis=1)] = np.arange(len(ones))
-    perms = digit[group_for(space, d)]
-    # take keeps the table row-major, and so every orbit row[table], whose
-    # rows label_classes keys by their bytes
-    codes = perms.take(ones[:, 0], axis=1)
-    for col in ones.T[1:]:
-        codes += perms.take(col, axis=1)
-    return vertex_of[codes]
-
-
-def slack_rows(ineqs: Sequence[Inequality]) -> np.ndarray:
-    """bound - coeffs.v over the vertices of the space, one row of coprime
-    integers per inequality, all of one space.
-
-    One integer_rows, one linalg.slack_matrix product and one gcd_reduce:
-    int64 when every entry fits, Python ints (dtype object) otherwise.  A
-    constant slack means the inequality is an equation on the affine hull,
-    which has no class: ValueError.
+    One integer_rows, one gauge product and one gcd_reduce: int64 when
+    every entry fits, Python ints (dtype object) otherwise.  A zero
+    coefficient part means the inequality is an equation on the affine
+    hull, whose slack is constant and which has no class: ValueError.
     """
     space, d = ineqs[0].space, ineqs[0].d
     if any((q.space, q.d) != (space, d) for q in ineqs):
         raise ValueError("inequalities of different spaces in one batch")
     rows = linalg.integer_rows([(*q.coeffs, q.bound) for q in ineqs])[0]
-    s = linalg.slack_matrix(rows[:, :-1], rows[:, -1], space_vertices(space, d))
-    if (s == s[:, :1]).all(axis=1).any():
+    rows = gauge(rows, standard_equations(space, d))
+    if not rows[:, :-1].any(axis=1).all():
         raise ValueError("constant slack: the inequality is an equation on the affine hull")
-    return linalg.gcd_reduce(s)
+    return linalg.gcd_reduce(rows)
 
 
-def slack(ineq: Inequality) -> np.ndarray:
-    """The slack row of one inequality."""
-    return slack_rows([ineq])[0]
-
-
-def slack_orbit(ineq: Inequality) -> np.ndarray:
-    """Row g is the slack of the image under group_for row g: the
-    coefficients indexed by that row, with the same bound."""
-    return slack(ineq)[_vertex_perms(ineq.space, ineq.d)]
+def _orbit(key: np.ndarray, space: str, d: int) -> np.ndarray:
+    """Row g is the key of the image of a key row under group_for row g:
+    its coefficients indexed by that row, with the same bound."""
+    table = group_for(space, d)
+    images = np.empty((len(table), len(key)), dtype=key.dtype)
+    images[:, :-1] = key[:-1][table]
+    images[:, -1] = key[-1]
+    return linalg.gcd_reduce(gauge(images, standard_equations(space, d)))
 
 
 def canonical_class(ineq: Inequality) -> Inequality:
-    """Deterministic orbit representative: the image whose slack is the
-    lexicographic minimum over the group, in the fixed gauge of
-    facets.canonicalize (coefficients reduced modulo the space's equations)."""
-    rows = slack_orbit(ineq).tolist()
-    least = min(range(len(rows)), key=rows.__getitem__)
-    perm = group_for(ineq.space, ineq.d)[least].tolist()
-    image = Inequality(ineq.space, ineq.d, tuple(ineq.coeffs[i] for i in perm), ineq.bound)
-    return canonicalize(image, equations=standard_equations(ineq.space, ineq.d))
+    """Deterministic orbit representative: the image whose gcd-reduced
+    slack over the vertices is the lexicographic minimum over the group, in
+    the fixed gauge of facets.canonicalize (coefficients reduced modulo the
+    space's equations)."""
+    space, d = ineq.space, ineq.d
+    orbit = _orbit(gauge_rows([ineq])[0], space, d)
+    slack = linalg.slack_matrix(orbit[:, :-1], orbit[:, -1], space_vertices(space, d))
+    rows = linalg.gcd_reduce(slack).tolist()
+    *coeffs, bound = map(Fraction, orbit[min(range(len(rows)), key=rows.__getitem__)].tolist())
+    return Inequality(space, d, tuple(coeffs), bound)
 
 
 def equivalent(i1: Inequality, i2: Inequality) -> bool:
-    """Whether the orbit of i1 contains i2, compared by slack."""
-    s1, s2 = slack_rows([i1, i2])
-    return bool((s1[_vertex_perms(i1.space, i1.d)] == s2).all(axis=1).any())
+    """Whether the orbit of i1 contains i2, compared by key."""
+    k1, k2 = gauge_rows([i1, i2])
+    return bool((_orbit(k1, i1.space, i1.d) == k2).all(axis=1).any())
 
 
 def _row_keys(rows: np.ndarray) -> list:
-    """One hashable key per row of a slack array: the row's bytes for int64,
-    a tuple of Python ints for dtype object."""
-    if rows.dtype == object:
-        return list(map(tuple, rows.tolist()))
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    """One hashable key per row of a key array, read off the row's values
+    alone, so an int64 row and the same row over Python ints share it: the
+    bytes of the row as int64, or a tuple of Python ints past int64."""
+    if rows.dtype != object:
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    return [
+        np.array(row, dtype=np.int64).tobytes() if low <= min(row) and max(row) <= high else tuple(row)
+        for row in rows.tolist()
+    ]
 
 
 def label_classes(ineqs: Iterable[Inequality]) -> tuple[list[int], list[Inequality]]:
     """Group inequalities into symmetry classes, labels by first appearance.
 
-    The representative of a class is its first input, as given.  All slack
-    rows come from one slack_rows batch; when a new class shows up its
-    whole slack orbit goes into a lookup for the rest.  The lookup is keyed
-    by the bytes of each int64 row (one bytes object per row, not one
-    Python int per entry), or by tuples when the slack needs Python ints.
+    The representative of a class is its first input, as given.  All keys
+    come from one gauge_rows batch; when a new class shows up its whole
+    orbit goes into a lookup for the rest, keyed by the bytes of each row
+    (one bytes object per row, not one Python int per entry).
     """
     items = list(ineqs)
     if not items:
         return [], []
-    rows = slack_rows(items)
-    perms = _vertex_perms(items[0].space, items[0].d)
+    rows = gauge_rows(items)
+    space, d = items[0].space, items[0].d
     labels: list[int] = []
     reps: list[Inequality] = []
     lookup: dict = {}
@@ -206,7 +184,7 @@ def label_classes(ineqs: Iterable[Inequality]) -> tuple[list[int], list[Inequali
         if label is None:
             label = len(reps)
             reps.append(ineq)
-            lookup.update(dict.fromkeys(_row_keys(row[perms]), label))
+            lookup.update(dict.fromkeys(_row_keys(_orbit(row, space, d)), label))
         labels.append(label)
     return labels, reps
 
@@ -224,7 +202,7 @@ def trivial_and_classes(
     items = list(ineqs)
     if not has_group(space, d):
         if items:
-            slack_rows(items)
+            gauge_rows(items)
         return [classify_trivial(q) for q in items], None
     labels, reps = label_classes(items)
     trivial = [classify_trivial(r) for r in reps]

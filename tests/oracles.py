@@ -9,8 +9,8 @@ subset oracle below checks on its own), slack values come from one
 Fraction dot product per vertex, facets of the d=2 correlator polytope
 from hyperplanes through vertex subsets, symmetry
 classes from Fraction orbits in a fixed gauge over a group built one
-element at a time (the library compares integer slack vectors, under a
-group table broadcast in numpy) and from slack orbits keyed by tuples of
+element at a time (the library compares integer gauge rows, under a
+group table broadcast in numpy) and from orbits keyed by tuples of
 Python ints (the library keys them by row bytes), the fixed gauge from a Fraction loop
 over fraction_rref equations (the library reduces an integer row in one
 product), LP results from a Fraction tableau (the
@@ -243,16 +243,16 @@ def gauge_labels(ineqs):
     return labels
 
 
-def tuple_labels(rows, perms):
-    """Class labels by first appearance of the slack rows of a 2-D integer
-    array under vertex index permutations (one row per group element), each
-    new orbit looked up as tuples of Python ints: the loop that
+def tuple_labels(rows, orbit):
+    """Class labels by first appearance of the key rows of a 2-D integer
+    array, orbit(row) giving the key rows of a row's orbit, each new orbit
+    looked up as tuples of Python ints: the loop that
     symmetry.label_classes keys by row bytes."""
     lookup = {}
     labels = []
     for row, key in zip(rows, map(tuple, rows.tolist())):
         if key not in lookup:
-            lookup.update(dict.fromkeys(map(tuple, row[perms].tolist()), len(set(labels))))
+            lookup.update(dict.fromkeys(map(tuple, orbit(row).tolist()), len(set(labels))))
         labels.append(lookup[key])
     return labels
 

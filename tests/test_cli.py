@@ -471,3 +471,23 @@ def test_non_integer_d_is_refused(tmp_path, capsys, d):
     facet = {"coeffs": doc["facets"][0]["coeffs"], "bound": 2}
     with pytest.raises(ValueError, match="expected an integer"):
         inequality_from_json({"space": "correlator", "d": d, **facet})
+
+
+@pytest.mark.parametrize("entry", ["1e999", "0.5", "1/2e3", " 1/2", "+1/2", "٣/4", "1_000"])
+def test_rationals_are_read_only_as_integers_or_num_den(tmp_path, capsys, entry):
+    # Fraction would read exponents: "1e99999999" builds a 10^8-digit integer
+    with pytest.raises(ValueError, match="num/den"):
+        decode_rational(entry)
+    behavior = behavior_to_json(uniform_behavior(2))
+    behavior["P"]["a1b1"][0][0] = entry
+    corr = corr_to_json(project(uniform_behavior(2)))
+    corr["C"]["a1b1"][0] = entry
+    doc = json.loads((GOLDEN / "corr_facets_d2.json").read_text())
+    doc["facets"][0]["bound"] = entry
+    path = tmp_path / "input.json"
+    for command, data in (("membership", behavior), ("project", behavior), ("membership", corr), ("classify", doc)):
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) == 2, (command, entry)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    assert decode_rational("-12/8") == Fraction(-3, 2) and decode_rational("-3") == decode_rational(-3) == -3

@@ -26,7 +26,7 @@ from bellpoly.correlators import (
     project,
     projected_generators,
 )
-from bellpoly.facets import nosignaling_max, space_vertices
+from bellpoly.facets import nosignaling_max, saturation_count, space_vertices
 from bellpoly.linalg import slack_matrix
 from bellpoly.lp import lp_max
 from bellpoly.membership import corr_local_decompose, local_decompose, local_max
@@ -416,3 +416,16 @@ def test_membership_stdout_is_byte_identical(tmp_path, key):
             code = main(["membership", str(path), *flags])
         got = {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
         assert got == MEMBERSHIP_STDOUT[" ".join([key, *flags])]
+
+
+@pytest.mark.parametrize(
+    "key", [key for key in dict.fromkeys(k.removesuffix(" --pretty") for k in MEMBERSHIP_STDOUT) if key.endswith(" box")]
+)
+def test_pinned_certificates_are_facets(key):
+    # the certificate of each pinned box query is a facet: its tight
+    # vertices have the rank of the polytope's dimension
+    space, d, _ = key.split()
+    vertices = space_vertices(space, int(d))
+    res = _decompose(_box_query(random.Random(key), space, int(d)))
+    assert not res.local
+    assert saturation_count(res.certificate, vertices)[1] == linalg.affine_dim(vertices)

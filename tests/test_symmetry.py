@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,14 @@ from bellpoly.correlators import (
     project,
     projected_generators,
 )
-from bellpoly.facets import classify_trivial, enumerate_facets, saturation_count, vrep_of
+from bellpoly.facets import (
+    classify_trivial,
+    enumerate_facets,
+    saturation_count,
+    space_vertices,
+    standard_equations,
+    vrep_of,
+)
 from bellpoly.membership import _catalog_label
 from bellpoly.scenario import (
     Behavior,
@@ -34,15 +42,14 @@ from bellpoly.scenario import (
     generator,
 )
 from bellpoly.symmetry import (
-    _vertex_perms,
+    _orbit,
+    _row_keys,
     canonical_class,
     equivalent,
+    gauge_rows,
     group_for,
     has_group,
     label_classes,
-    slack,
-    slack_orbit,
-    slack_rows,
     trivial_and_classes,
 )
 
@@ -346,22 +353,21 @@ def test_label_classes_match_tuple_oracle(space, d):
     # plus valid non-facets and inequalities some vertex violates
     rng = random.Random(f"tuples{space}{d}")
     verts, group, facets = _space(space, d)
-    perms = _vertex_perms(space, d)
-    assert perms.flags.c_contiguous  # so every orbit row is contiguous bytes
     for _ in range(3):
         coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(len(verts[0].coords)))
         bound = max(evaluate(Inequality(space, d, coeffs, 0), v) for v in verts) - rng.randrange(2)
         facets.append(Inequality(space, d, coeffs, bound))
     for _ in range(3):
         items = [_regauged(apply_row(rng.choice(group), q), rng) for q in rng.choices(facets, k=40)]
-        rows = slack_rows(items)
+        rows = gauge_rows(items)
         assert rows.dtype == np.int64
-        assert label_classes(items)[0] == tuple_labels(rows, perms)
+        assert label_classes(items)[0] == tuple_labels(rows, lambda row: _orbit(row, space, d))
 
 
 def test_python_int_slack_gets_tuple_keys():
-    # f1 + 2^70 f2 has slack past int64; it and its image form one class,
-    # apart from f1 and f2
+    # f1 + 2^70 f2 has a key past int64; it and its image form one class,
+    # apart from f1 and f2, whose keys in the same Python-int batch are the
+    # bytes they have in an int64 batch
     _, _, facets = _space("correlator", 3)
     labels = label_classes(facets)[0]
     f1, f2 = facets[labels.index(0)], facets[labels.index(1)]
@@ -369,21 +375,41 @@ def test_python_int_slack_gets_tuple_keys():
                        f1.bound + 2**70 * f2.bound)
     image = apply_row(_loop_correlator_perm(3, True, False, False, (1, 2, 0, 1), True), combo)
     items = [f1, combo, f2, image]
-    rows = slack_rows(items)
-    assert rows.dtype == object and max(rows[1]) > 2**63
-    assert slack(image).tolist() != slack(combo).tolist()
+    rows = gauge_rows(items)
+    assert rows.dtype == object and max(map(abs, rows[1])) > 2**63
+    assert rows[3].tolist() != rows[1].tolist()
+    assert list(map(type, _row_keys(rows))) == [bytes, tuple, bytes, tuple]
+    assert _row_keys(rows[[0, 2]]) == _row_keys(gauge_rows([f1, f2]))
     got = label_classes(items)[0]
-    assert got == tuple_labels(rows, _vertex_perms("correlator", 3)) == gauge_labels(items) == [0, 1, 2, 1]
+    orbit = lambda row: _orbit(row, "correlator", 3)
+    assert got == tuple_labels(rows, orbit) == gauge_labels(items) == [0, 1, 2, 1]
+
+
+def test_keys_are_read_off_values_not_dtype():
+    # a key near 2^60 fits int64, but the gauge step of its orbit runs over
+    # Python ints: its image still finds the class by the same bytes
+    q = cglmp_corr_inequality(3)
+    coeffs = list(q.coeffs)
+    coeffs[corr_index(3, 1, 1, 0)] -= 2**59
+    coeffs[corr_index(3, 1, 1, 1)] += 2**59
+    big = Inequality("correlator", 3, tuple(coeffs), q.bound)
+    key = gauge_rows([big])[0]
+    assert key.dtype == np.int64 and _orbit(key, "correlator", 3).dtype == object
+    items = [big, apply_row(group_for("correlator", 3)[7], big), q]
+    assert label_classes(items)[0] == gauge_labels(items) == [0, 0, 1]
 
 
 @pytest.mark.parametrize("space,d", [("correlator", 3), ("behavior", 2)])
 def test_slack_orbit_rows_are_image_slacks(space, d):
+    # orbit row g is the fixed-gauge key of the image under table row g
     verts, group, facets = _space(space, d)
     q = facets[-1]
-    rows = slack_orbit(q)
-    assert rows.shape == (len(group), len(verts))
+    rows = _orbit(gauge_rows([q])[0], space, d)
+    assert rows.shape == (len(group), len(verts[0].coords) + 1)
     for g, op in enumerate(group):
-        assert rows[g].tolist() == slack(apply_row(op, q)).tolist()
+        image = apply_row(op, q)
+        assert rows[g].tolist() == gauge_rows([image])[0].tolist()
+        assert tuple(map(Fraction, rows[g].tolist())) == (*gauge_key(image)[0], gauge_key(image)[1])
 
 
 def test_canonical_class_is_a_gauge_fixed_image():
@@ -429,14 +455,14 @@ def test_huge_slack_falls_back_to_python_ints():
     q = cglmp_corr_inequality(3)
     scale = Fraction(2**70)
     scaled = Inequality(q.space, q.d, tuple(c * scale for c in q.coeffs), q.bound * scale)
-    assert slack(scaled).tolist() == slack(q).tolist()
+    assert gauge_rows([scaled])[0].tolist() == gauge_rows([q])[0].tolist()
     assert equivalent(scaled, q) and equivalent(q, scaled)
     assert canonical_class(scaled) == canonical_class(q)
-    # cglmp plus 2^70 + 1 times a nonnegativity facet: a reduced slack past 2^63
+    # cglmp plus 2^70 + 1 times a nonnegativity facet: a reduced key past 2^63
     coeffs = list(q.coeffs)
     coeffs[corr_index(3, 1, 1, 0)] -= 2**70 + 1
     big = Inequality(q.space, q.d, tuple(coeffs), q.bound)
-    s = slack(big)
+    s = gauge_rows([big])[0]
     assert s.dtype == object and max(s) > 2**63
     image = apply_row(_loop_correlator_perm(3, False, True, False, (1, 0, 2, 0), False), big)
     assert equivalent(big, image) and not equivalent(big, q)
@@ -454,16 +480,17 @@ def test_slack_rows_match_per_row_slack(space, d):
     ]
     huge = batch[0]
     batch.append(Inequality(space, d, tuple(c * 2**70 for c in huge.coeffs), huge.bound * 2**70 + 1))
-    rows = slack_rows(batch)
-    assert slack(batch[1]).dtype == np.int64 and rows.dtype == object
-    assert rows.tolist() == [slack(q).tolist() for q in batch]
-    assert slack_rows(batch[1:3]).tolist() == rows[1:3].tolist()
+    rows = gauge_rows(batch)
+    assert gauge_rows([batch[1]]).dtype == np.int64 and rows.dtype == object
+    assert rows.tolist() == [gauge_rows([q])[0].tolist() for q in batch]
+    assert gauge_rows(batch[1:3]).tolist() == rows[1:3].tolist()
+    assert [tuple(map(Fraction, row)) for row in rows.tolist()] == [(*c, b) for c, b in map(gauge_key, batch)]
 
 
 def test_batches_refuse_constant_rows_and_mixed_spaces():
     q = cglmp_corr_inequality(3)
     block_sum = Inequality("correlator", 3, (Fraction(1),) * 3 + (Fraction(0),) * 9, Fraction(2))
-    for call in (slack_rows, label_classes):
+    for call in (gauge_rows, label_classes):
         with pytest.raises(ValueError, match="constant slack"):
             call([q, block_sum, q])
         # correlator d=4 and behavior d=2 both have 16 coordinates
@@ -480,8 +507,25 @@ def test_constant_slack_is_refused():
         Inequality("correlator", 3, tuple(block_sum), Fraction(5)),
         Inequality("correlator", 3, (Fraction(0),) * 12, Fraction(0)),
     ):
-        for call in (slack, canonical_class, lambda x: label_classes([x])):
+        for call in (lambda x: gauge_rows([x]), canonical_class, lambda x: label_classes([x])):
             with pytest.raises(ValueError):
                 call(q)
         with pytest.raises(ValueError):
             equivalent(cglmp_corr_inequality(3), q)
+
+
+def test_equivalent_builds_no_vertex_table():
+    # at correlator d=10 a |G| x |V| int32 table of vertex images alone is
+    # 64 MB; an orbit of keys is |G| x 41 entries
+    d = 10
+    group, verts = group_for("correlator", d), space_vertices("correlator", d)
+    standard_equations("correlator", d)
+    q = cglmp_corr_inequality(d)
+    moved = apply_row(group[len(group) // 2], q)
+    tracemalloc.start()
+    try:
+        assert equivalent(q, moved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(group) * len(verts) * 4 // 2
