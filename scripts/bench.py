@@ -1,15 +1,16 @@
 """Record the benchmark as BENCH_<n>.json at the root of the repository.
 
     python scripts/bench.py 21
-    python scripts/bench.py 21 --seconds 3     # shorter than BENCHMARK.json's run_seconds
 
-Runs ``perfbench/run.py --workload all`` twice: with --trace 0 for the
-end-to-end metrics of BENCHMARK.json and with --trace 1 for the per-layer
-metrics.  The file holds both results as the runner prints them (per
-workload: correct, attempted, failed and every metric with its unit),
-the host facts the runner logs on stderr (interpreter, numpy, nproc,
-platform and the hash of the bellpoly package) and the HEAD commit.
-Nothing is written unless both runs exit 0, which the runner does only
+Runs ``perfbench/run.py --workload all --seed 1`` for BENCHMARK.json's
+``run_seconds`` twice: with --trace 0 for the end-to-end metrics and with
+--trace 1 for the per-layer metrics.  The file holds both results as the
+runner prints them (per workload: correct, attempted, failed and every
+metric with its unit), the host facts the runner logs on stderr
+(interpreter, numpy, nproc, platform and the hash of the bellpoly
+package) and the HEAD commit.
+The working tree must be clean, so that the commit is the code that ran,
+and nothing is written unless both runs exit 0, which the runner does only
 when every answer of every workload checks.
 """
 
@@ -23,12 +24,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 HOST_PREFIX = "  environment: "
+SEED = 1
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
-def run_all(trace: int, seed: int, seconds: float) -> tuple[dict, set[str]]:
+def run_all(trace: int) -> tuple[dict, set[str]]:
     """The runner's result for every workload, and the host lines it logged."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
@@ -40,21 +43,23 @@ def run_all(trace: int, seed: int, seconds: float) -> tuple[dict, set[str]]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("n", type=int, help="the number in the file name BENCH_<n>.json")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     args = parser.parse_args()
+    dirty = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True, text=True,
+                           check=True).stdout
+    if dirty:
+        raise SystemExit(f"the working tree differs from HEAD; commit or stash first, nothing written\n{dirty}")
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True,
                             check=True).stdout.strip()
-    end_to_end, hosts = run_all(0, args.seed, args.seconds)
-    per_layer, traced_hosts = run_all(1, args.seed, args.seconds)
+    end_to_end, hosts = run_all(0)
+    per_layer, traced_hosts = run_all(1)
     hosts |= traced_hosts
     if len(hosts) != 1:
         raise SystemExit(f"expected one host line from the runner, got {len(hosts)}; nothing written")
     record = {
         "commit": commit,
         "host": json.loads(hosts.pop()),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "end_to_end": end_to_end,
         "per_layer": per_layer,
     }
