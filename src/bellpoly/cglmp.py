@@ -230,11 +230,25 @@ def verify_condition1(d: int) -> Condition1Report:
     )
 
 
+SATURATING_CODES = (CASE_TAGS.index("case1"), CASE_TAGS.index("case2b"))
+
+
 def _saturating_mask(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sweep's strategies and rstu arrays, and the mask of the
     saturating strategies (case1 and case2b)."""
     grid, v, codes = _sweep(d)
-    return grid, v, np.isin(codes, (CASE_TAGS.index("case1"), CASE_TAGS.index("case2b")))
+    return grid, v, np.isin(codes, SATURATING_CODES)
+
+
+def _saturating_count(d: int) -> int:
+    """The number of saturating strategies, from the d^3 with a1 = 0.
+
+    r, s, t and u read only outcome differences, so shifting every outcome
+    by 1 mod d permutes the saturating strategies; each orbit of the shift
+    holds d strategies, one of them with a1 = 0.
+    """
+    v = _rstu_arrays(np.indices((1, d, d, d)).reshape(4, -1), d)
+    return d * int(np.isin(_case_codes(v, d), SATURATING_CODES).sum())
 
 
 def saturating_generators(d: int) -> list[DeterministicStrategy]:
@@ -275,16 +289,19 @@ def tightness_rank(d: int) -> TightnessReport:
     I_d = 2, which cuts that space since not every generator saturates.
     So their linear rank is at most h, and constructive_witness, whose
     vectors are checked saturating generators, reaching rank h proves the
-    rank is h.  The whole saturating matrix is ranked only when the witness
-    fails, so a report that is not tight still carries the true rank.
+    rank is h; it reads that rank off fresh coordinates, and eliminates
+    only when some vector has none.  The saturating generators are counted
+    on the d^3 strategies with a1 = 0 (``_saturating_count``).  The whole
+    d^4 sweep runs and the saturating matrix is ranked only when the
+    witness fails, so a report that is not tight still carries the true
+    rank.
     """
     h = 4 * d * (d - 1)
-    mask = _saturating_mask(d)[2]
     try:
         batches, error, rank = constructive_witness(d), None, h
     except WitnessError as exc:
         batches, error, rank = None, exc, linalg.int_rank(_saturating_matrix(d))
-    return TightnessReport(d, h, int(mask.sum()), rank, batches, error)
+    return TightnessReport(d, h, _saturating_count(d), rank, batches, error)
 
 
 # --- staged witness -------------------------------------------------------
@@ -453,9 +470,14 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
     ending at 4d(d-1).  Raises WitnessError naming the first failing step
     otherwise.
 
-    One elimination serves every prefix: with the vectors as the columns
-    of one matrix, the pivot columns below the end of a batch count the
-    rank of the batches up to it.
+    With the vectors as the columns of one matrix, the pivot columns below
+    the end of a batch count the rank of the batches up to it.  When every
+    vector has a coordinate that no earlier vector touches
+    (``linalg.has_fresh_coordinate``), every column is a pivot and no
+    matrix is built.  That holds for every d from 2 to 128 but d = 1 mod 4,
+    where d vectors of the example2-variant step have none; then the 0/1
+    matrix is built and one elimination (``linalg.pivot_columns``) serves
+    every prefix.
     """
     if d < 2:
         raise ValueError("need d >= 2")
@@ -466,10 +488,13 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
             steps.append(step)
     except WitnessError as exc:  # raised after the steps before it are ranked
         error = exc
-    supports = [sup for *_, step_supports in steps for sup in step_supports]
-    stack = np.zeros((4 * d * d, len(supports)), dtype=np.int8)
-    stack[np.array(supports, dtype=np.int64).reshape(-1, 4).T, np.arange(len(supports))] = 1
-    pivots = np.array(linalg.pivot_columns(stack), dtype=np.int64)
+    supports = np.array([sup for *_, step_supports in steps for sup in step_supports], dtype=np.int64).reshape(-1, 4)
+    if linalg.has_fresh_coordinate(supports, 4 * d * d).all():
+        pivots = np.arange(len(supports))
+    else:
+        stack = np.zeros((4 * d * d, len(supports)), dtype=np.int8)
+        stack[supports.T, np.arange(len(supports))] = 1
+        pivots = np.array(linalg.pivot_columns(stack), dtype=np.int64)
     rank = 0
     end = 0
     batches: list[WitnessBatch] = []

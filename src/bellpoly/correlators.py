@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .jsonio import decode_int
-from .scenario import BLOCKS, Behavior, Inequality, blocks_from_json, blocks_to_json, generator_rows
+from .scenario import BLOCKS, Behavior, Inequality, blocks_from_json, blocks_to_json, generator_supports
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,9 @@ def projected_generator_matrix(d: int) -> np.ndarray:
     with a1 = 0 already reach every projected generator exactly once; the
     four ones of each generator row move through difference_index.
     """
-    a2, b1, b2 = np.indices((d, d, d)).reshape(3, -1)
-    rows, cols = generator_rows(d, np.stack([np.zeros_like(a2), a2, b1, b2])).nonzero()
-    mat = np.zeros((a2.size, 4 * d), dtype=np.int64)
-    np.add.at(mat, (rows, difference_index(d)[cols]), 1)
+    sup = generator_supports(d, np.indices((1, d, d, d)).reshape(4, -1))
+    mat = np.zeros((len(sup), 4 * d), dtype=np.int64)
+    np.add.at(mat, (np.arange(len(sup))[:, None], difference_index(d)[sup]), 1)
     return np.unique(mat, axis=0)
 
 

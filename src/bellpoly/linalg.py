@@ -20,6 +20,14 @@ common denominator, and ``integer_nullspace`` reads its basis off them;
 ``slack_matrix`` is the one check of inequalities against vertices,
 ``bound - coeffs.v`` for every pair, behind the same guard.
 
+Ranks of 0/1 vectors given by their supports need no elimination when
+each vector has a fresh coordinate, one that no earlier vector touches:
+``has_fresh_coordinate`` finds those vectors in one pass, and each of
+them is a pivot column.  The CGLMP witness and the strategy grid of
+``dims`` are ranked this way; only when some vector has no fresh
+coordinate do they build the matrix and call ``pivot_columns`` or
+``int_rank``.
+
 Rationals enter the integers in one place, ``integer_rows`` (a batch of
 rows over one common denominator), and rows leave them divided by their
 gcd in one place, ``gcd_reduce``.
@@ -194,6 +202,25 @@ def pivot_columns(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
 def int_rank(rows: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact rank of an integer matrix: its number of pivot columns."""
     return len(pivot_columns(rows))
+
+
+def has_fresh_coordinate(supports: np.ndarray, n: int) -> np.ndarray:
+    """For k 0/1 vectors of length n in order, given as a k x w integer
+    array of the coordinates of their ones, whether each has a fresh
+    coordinate: one that no earlier vector touches.
+
+    The vectors before such a vector are all zero at its fresh coordinate,
+    so it is outside their span: with the vectors as the columns of one
+    matrix it is a pivot column, as ``pivot_columns`` would find it.  When
+    every vector has one, the rank of each prefix is its length.  A vector
+    without one may still be independent; that is left to elimination.
+    One ``np.minimum.at`` pass finds the first vector at each coordinate.
+    """
+    sup = np.asarray(supports, dtype=np.int64)
+    k, w = sup.shape
+    first = np.full(n, k, dtype=np.int64)
+    np.minimum.at(first, sup.ravel(), np.repeat(np.arange(k), w))
+    return (first[sup] == np.arange(k)[:, None]).any(axis=1)
 
 
 def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:

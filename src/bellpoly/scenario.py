@@ -105,14 +105,23 @@ def all_generators(s: Scenario) -> list[Behavior]:
     return [generator(s, lam) for lam in all_strategies(s)]
 
 
+def generator_supports(d: int, strategies: np.ndarray) -> np.ndarray:
+    """The coordinates of the four ones of each generator, an n x 4 integer
+    array in BLOCKS order, for the strategies as the columns of a 4 x n
+    integer array holding a1, a2, b1, b2."""
+    a1, a2, b1, b2 = strategies
+    alice, bob = (a1, a2), (b1, b2)
+    return np.stack(
+        [block * d * d + alice[a - 1] * d + bob[b - 1] for block, (a, b) in enumerate(BLOCKS)], axis=-1
+    )
+
+
 def generator_rows(d: int, strategies: np.ndarray) -> np.ndarray:
     """0/1 integer behavior rows of the given strategies, one per column of
     strategies, a 4 x n integer array holding a1, a2, b1, b2."""
-    a1, a2, b1, b2 = strategies
-    mat = np.zeros((a1.size, 4 * d * d), dtype=np.int64)
-    rows = np.arange(a1.size)
-    for block, (a, b) in enumerate(BLOCKS):
-        mat[rows, block * d * d + (a1, a2)[a - 1] * d + (b1, b2)[b - 1]] = 1
+    sup = generator_supports(d, strategies)
+    mat = np.zeros((len(sup), 4 * d * d), dtype=np.int64)
+    mat[np.arange(len(sup))[:, None], sup] = 1
     return mat
 
 
@@ -186,14 +195,22 @@ def polytope_affine_dim(s: Scenario) -> int:
     the dimension is at most 4d^2 minus its rank.  The spanning strategy
     grid is a subset of the generators, and the rank of its rows less one
     is at most the rank of their differences, so at most the dimension.
-    When the two bounds meet that is the answer; otherwise the differences
-    of all d^4 generators are ranked.
+    The grid is taken last strategy first.  When each of its generators
+    then has a coordinate that no earlier one touches
+    (``linalg.has_fresh_coordinate``), as for every d from 2 to 128, its
+    rank is its size with no elimination; otherwise its rows are built and
+    ranked, in that order for less fill-in.  When the two bounds meet that
+    is the answer; otherwise the differences of all d^4 generators are
+    ranked.
     """
     d = s.d
     upper = 4 * d * d - constraint_rank(s)
-    grid = np.array(spanning_strategy_grid(d), dtype=np.int64).reshape(-1, 4).T
-    # ranked last row first: the same rank with less fill-in
-    if linalg.int_rank(generator_rows(d, grid)[::-1]) - 1 == upper:
+    grid = np.array(spanning_strategy_grid(d), dtype=np.int64).reshape(-1, 4)[::-1].T
+    if linalg.has_fresh_coordinate(generator_supports(d, grid), 4 * d * d).all():
+        lower = grid.shape[1] - 1
+    else:
+        lower = linalg.int_rank(generator_rows(d, grid)) - 1
+    if lower == upper:
         return upper
     return linalg.affine_dim(generator_matrix(d))
 

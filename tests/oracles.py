@@ -18,7 +18,9 @@ library pivots over integers), the CGLMP tightness rank and polytope
 dimension from the full saturating and d^4-row matrices and the CGLMP
 bound from a strategy-by-strategy loop with its own r, s, t, u, f and
 sign/sum case table (the library ranks the explicit
-witness and strategy grid and sweeps the bound with numpy), extreme rays
+witness and strategy grid, by fresh coordinates where it can, and sweeps
+the bound with numpy), pivot columns of 0/1 vectors by elimination (the
+library reads them off fresh coordinates where it can), extreme rays
 from double description one positive/negative pair at a time (the
 library filters and tests whole blocks of pairs in numpy), and the
 reductions are hardcoded rather than borrowed from the library.
@@ -508,6 +510,20 @@ def full_polytope_affine_dim(d: int) -> int:
 
     mat = generator_matrix(d)
     return linalg.int_rank(mat[1:] - mat[0])
+
+
+def support_pivot_columns(supports, n: int) -> list[int]:
+    """Pivot columns, by elimination, of the 0/1 vectors of length n whose
+    ones sit at the rows of a k x w support array, as the columns of one
+    matrix."""
+    import numpy as np
+
+    from bellpoly import linalg
+
+    sup = np.asarray(supports, dtype=np.int64)
+    mat = np.zeros((n, len(sup)), dtype=np.int64)
+    mat[sup.T, np.arange(len(sup))] = 1
+    return linalg.pivot_columns(mat)
 
 
 def strategy_values(coeffs, d: int):

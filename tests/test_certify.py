@@ -10,13 +10,19 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bellpoly import cglmp, scenario
+from bellpoly import cglmp, linalg, scenario
 from bellpoly.cli import main
 from bellpoly.scenario import Scenario, polytope_affine_dim
 
-from oracles import full_polytope_affine_dim, full_tightness_rank, loop_verify_condition1
+from oracles import (
+    full_polytope_affine_dim,
+    full_tightness_rank,
+    loop_verify_condition1,
+    support_pivot_columns,
+)
 
 STDOUT = json.loads((Path(__file__).parent / "data" / "certify_stdout_sha256.json").read_text())["stdout"]
 
@@ -63,14 +69,67 @@ def test_certify_stdout_is_byte_identical(argv):
     assert digest(argv) == STDOUT[argv]
 
 
-def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
-    def refuse(d):
-        raise AssertionError("full matrix built")
+def witness_supports(d):
+    """The supports of the checked witness vectors, in witness order, and
+    the step of each."""
+    steps = list(cglmp._checked_steps(d))
+    sup = np.array([s for *_, step_supports in steps for s in step_supports]).reshape(-1, 4)
+    return sup, np.repeat([scheme for _, scheme, *_ in steps], 4 * d)
 
+
+def reversed_grid_supports(d):
+    """The supports of the spanning grid's generators, last strategy first."""
+    grid = np.array(scenario.spanning_strategy_grid(d)).reshape(-1, 4)[::-1].T
+    return scenario.generator_supports(d, grid)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_fresh_coordinates_match_pivot_columns(d):
+    n = 4 * d * d
+    sup, schemes = witness_supports(d)
+    fresh = linalg.has_fresh_coordinate(sup, n)
+    assert support_pivot_columns(sup, n) == list(range(len(sup)))
+    if d % 4 == 1:
+        assert (~fresh).sum() == d and set(schemes[~fresh]) == {cglmp.SCHEME_EXAMPLE2_VARIANT}
+    else:
+        assert fresh.all()
+    sup = reversed_grid_supports(d)
+    assert linalg.has_fresh_coordinate(sup, n).all()
+    assert support_pivot_columns(sup, n) == list(range(len(sup)))
+
+
+@pytest.mark.parametrize("d", [5, 9, pytest.param(13, marks=pytest.mark.slow)])
+def test_witness_at_d_1_mod_4_falls_back_to_one_elimination(monkeypatch, d):
+    shapes = []
+    full = linalg.pivot_columns
+    monkeypatch.setattr(linalg, "pivot_columns", lambda rows: shapes.append(np.shape(rows)) or full(rows))
+    batches = cglmp.constructive_witness(d)
+    # besides the two 4 x 4 key minors, the whole stack is eliminated once
+    assert sorted(shapes) == [(4, 4), (4, 4), (4 * d * d, 4 * d * (d - 1))]
+    assert batches[-1].rank_after == 4 * d * (d - 1)
+
+
+def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix built or eliminated")
+
+    def minor_rank(rows):
+        # the 4 x 4 key minors of the example-2 steps are the only rank taken
+        assert len(rows) == 4, "matrix eliminated"
+        return len(pivot_columns(rows))
+
+    pivot_columns = linalg.pivot_columns
+    for d in range(2, 13):
+        scenario.constraint_rank(Scenario(d))  # ranked once per d, before the guard
     monkeypatch.setattr(cglmp, "_saturating_matrix", refuse)
+    monkeypatch.setattr(cglmp, "_saturating_mask", refuse)
     monkeypatch.setattr(scenario, "generator_matrix", refuse)
-    for d in range(2, 11):
-        assert cglmp.tightness_rank(d).tight
+    monkeypatch.setattr(scenario, "generator_rows", refuse)
+    monkeypatch.setattr(linalg, "pivot_columns", refuse)
+    monkeypatch.setattr(linalg, "int_rank", minor_rank)
+    for d in range(2, 13):
+        if d % 4 != 1:
+            assert cglmp.tightness_rank(d).tight
         assert polytope_affine_dim(Scenario(d)) == 4 * d * (d - 1)
 
 
@@ -122,6 +181,14 @@ def test_perturbed_coefficient_fails_like_the_loop(monkeypatch, d, index, delta)
 @pytest.mark.slow
 def test_certify_commands_at_d32():
     for argv in ("tightness 32 --witness", "dims 32", "verify-cglmp 32"):
+        code, out = run(*argv.split())
+        got = json.loads(out)
+        assert code == 0 and got["ok"] is True and got.get("tight", True) is True
+
+
+@pytest.mark.slow
+def test_certify_commands_at_d64_d128():
+    for argv in ("tightness 64 --witness", "tightness 128 --witness", "dims 64", "dims 128"):
         code, out = run(*argv.split())
         got = json.loads(out)
         assert code == 0 and got["ok"] is True and got.get("tight", True) is True
