@@ -198,19 +198,14 @@ def polytope_affine_dim(s: Scenario) -> int:
     The grid is taken last strategy first.  When each of its generators
     then has a coordinate that no earlier one touches
     (``linalg.has_fresh_coordinate``), as for every d from 2 to 128, its
-    rank is its size with no elimination; otherwise its rows are built and
-    ranked, in that order for less fill-in.  When the two bounds meet that
-    is the answer; otherwise the differences of all d^4 generators are
-    ranked.
+    rank is its size with no elimination.  When that rank less one meets
+    the upper bound it is the answer; otherwise the differences of all d^4
+    generators are ranked.
     """
     d = s.d
     upper = 4 * d * d - constraint_rank(s)
     grid = np.array(spanning_strategy_grid(d), dtype=np.int64).reshape(-1, 4)[::-1].T
-    if linalg.has_fresh_coordinate(generator_supports(d, grid), 4 * d * d).all():
-        lower = grid.shape[1] - 1
-    else:
-        lower = linalg.int_rank(generator_rows(d, grid)) - 1
-    if lower == upper:
+    if linalg.has_fresh_coordinate(generator_supports(d, grid), 4 * d * d).all() and grid.shape[1] - 1 == upper:
         return upper
     return linalg.affine_dim(generator_matrix(d))
 

@@ -118,6 +118,12 @@ def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
         assert len(rows) == 4, "matrix eliminated"
         return len(pivot_columns(rows))
 
+    def witness_stack(rows):
+        # at d = 1 mod 4 the witness stack is the only matrix eliminated
+        assert np.shape(rows) == stack, "matrix eliminated"
+        eliminated.append(stack)
+        return pivot_columns(rows)
+
     pivot_columns = linalg.pivot_columns
     for d in range(2, 13):
         scenario.constraint_rank(Scenario(d))  # ranked once per d, before the guard
@@ -125,12 +131,14 @@ def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
     monkeypatch.setattr(cglmp, "_saturating_mask", refuse)
     monkeypatch.setattr(scenario, "generator_matrix", refuse)
     monkeypatch.setattr(scenario, "generator_rows", refuse)
-    monkeypatch.setattr(linalg, "pivot_columns", refuse)
+    monkeypatch.setattr(linalg, "pivot_columns", witness_stack)
     monkeypatch.setattr(linalg, "int_rank", minor_rank)
+    eliminated = []
     for d in range(2, 13):
-        if d % 4 != 1:
-            assert cglmp.tightness_rank(d).tight
+        stack = (4 * d * d, 4 * d * (d - 1)) if d % 4 == 1 else None
+        assert cglmp.tightness_rank(d).tight
         assert polytope_affine_dim(Scenario(d)) == 4 * d * (d - 1)
+    assert eliminated == [(4 * d * d, 4 * d * (d - 1)) for d in (5, 9)]
 
 
 def test_tightness_falls_back_to_full_rank_when_witness_fails(monkeypatch):

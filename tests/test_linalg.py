@@ -9,7 +9,7 @@ from bellpoly import linalg
 from bellpoly.linalg import affine_dim, int_rank, nullspace, rank, rref
 from bellpoly.scenario import Scenario, all_generators, constraint_matrix
 
-from oracles import fraction_rref
+from oracles import fraction_rref, support_pivot_columns
 
 
 def test_rank_identity():
@@ -233,20 +233,13 @@ def test_gcd_reduce_rows(dtype):
     assert linalg.gcd_reduce(a[2]).tolist() == [-1, 0, 0] and linalg.gcd_reduce(a[2, :1]).tolist() == [-1]
 
 
-def _columns(supports, n):
-    """The 0/1 vectors of a k x w support array as the columns of an n x k matrix."""
-    mat = np.zeros((n, len(supports)), dtype=np.int64)
-    mat[supports.T, np.arange(len(supports))] = 1
-    return mat
-
-
 def test_fresh_coordinates_are_pivot_columns():
     rng = np.random.default_rng(3)
     for _ in range(40):
         n, k = int(rng.integers(4, 12)), int(rng.integers(1, 16))
         sup = np.array([rng.choice(n, 4, replace=False) for _ in range(k)])
         fresh = linalg.has_fresh_coordinate(sup, n)
-        pivots = linalg.pivot_columns(_columns(sup, n))
+        pivots = support_pivot_columns(sup, n)
         assert set(np.nonzero(fresh)[0].tolist()) <= set(pivots)
         if fresh.all():
             assert pivots == list(range(k))
@@ -263,7 +256,7 @@ def test_independent_vector_without_a_fresh_coordinate_is_left_to_elimination():
     # the last vector touches only coordinates used before, yet all four are independent
     sup = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 8], [2, 3, 5, 8]])
     assert linalg.has_fresh_coordinate(sup, 9).tolist() == [True, True, True, False]
-    assert linalg.pivot_columns(_columns(sup, 9)) == [0, 1, 2, 3]
+    assert support_pivot_columns(sup, 9) == [0, 1, 2, 3]
 
 
 def test_no_vectors_have_no_fresh_coordinates():
