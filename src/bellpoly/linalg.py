@@ -7,12 +7,15 @@ of equal-length rows of Fractions or ints.
 
 There is one fraction-free row update, ``_fraction_free``, for
 elimination here and for the simplex of ``lp``: the chosen rows become
-(a_i p - a_ic a_r) // den, vectorized in numpy, in int64 behind a certified
-overflow guard and, the first time the guard would trip, over Python
-integers from that update on, so every answer is exact for any input.
-There is one elimination loop on it, over the integers: denominators are
-cleared first, den is 1 and updated rows are divided by their gcd so
-entries stay small.
+(a_i p - a_ic a_r) // den, as whole-array numpy operations on a block
+that holds them and the pivot row.  The simplex updates its whole tableau
+in place; elimination gathers the rows it selects and scatters them back.
+One peak P of the block certifies every intermediate below (|p| + P) P:
+the update runs in int64 while that is under the overflow guard and, the
+first time it is not, over Python integers from that update on, so every
+answer is exact for any input.  There is one elimination loop on it,
+over the integers: denominators are cleared first, den is 1 and updated
+rows are divided by their gcd so entries stay small.
 ``pivot_columns`` and ``int_rank`` clear only the rows below each pivot;
 ``integer_rref`` clears every other row and scales the pivot rows to one
 common denominator, and ``integer_nullspace`` reads its basis off them;
@@ -55,15 +58,20 @@ def gcd_reduce(a: np.ndarray) -> np.ndarray:
 
 
 def _peak(a: np.ndarray) -> int:
-    """Largest absolute entry (0 for an empty array)."""
-    return max(int(a.max()), -int(a.min())) if a.size else 0
+    """Largest absolute entry (0 for an empty array): two reductions, called
+    as ufuncs, which skips ndarray.max's Python wrapper."""
+    if not a.size:
+        return 0
+    return max(int(np.maximum.reduce(a, axis=None)), -int(np.minimum.reduce(a, axis=None)))
 
 
-def _int_array(rows, ndim: int = 2) -> np.ndarray:
-    """A fresh integer array: int64 when every entry is below OVERFLOW_LIMIT,
-    Python ints (dtype object) otherwise."""
+def _entered(rows, ndim: int = 2) -> tuple[np.ndarray, int]:
+    """An integer array and its largest absolute entry: int64 when every
+    entry is below OVERFLOW_LIMIT, the input itself when it already is an
+    int64 array; Python ints (dtype object) otherwise, with OVERFLOW_LIMIT
+    for the peak."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
-        src = rows.astype(np.int64)
+        src = rows
     else:
         # through object first, so entries in [2^63, 2^64) never become uint64
         src = np.asarray(rows, dtype=object)
@@ -73,9 +81,17 @@ def _int_array(rows, ndim: int = 2) -> np.ndarray:
         a = src.astype(np.int64, copy=False)
     except OverflowError:
         a = None
-    if a is not None and _peak(a) < OVERFLOW_LIMIT:
-        return a
-    return np.frompyfunc(int, 1, 1)(src)  # numpy scalars among the entries would overflow
+    if a is not None:
+        peak = _peak(a)
+        if peak < OVERFLOW_LIMIT:
+            return a, peak
+    return np.frompyfunc(int, 1, 1)(src), OVERFLOW_LIMIT  # numpy scalars among the entries would overflow
+
+
+def _int_array(rows, ndim: int = 2) -> np.ndarray:
+    """A fresh integer array: ``_entered``'s, copied when that is the input."""
+    a = _entered(rows, ndim)[0]
+    return a.copy() if a is rows else a
 
 
 def integer_rows(rows) -> tuple[np.ndarray, int]:
@@ -110,36 +126,53 @@ def slack_matrix(coeffs, bounds, vertices) -> np.ndarray:
 
     int64 when max|b| + width * max|a| * max|v|, a bound on every partial
     sum, stays under OVERFLOW_LIMIT; Python ints (dtype object) otherwise.
+    Integer array arguments are read in place, not copied.
     """
-    v = _int_array(vertices)
-    b = _int_array(bounds, ndim=1)
-    a = _int_array(coeffs).reshape(len(b), v.shape[1])
-    if _peak(b) + v.shape[1] * _peak(a) * _peak(v) >= OVERFLOW_LIMIT:
+    v, pv = _entered(vertices)
+    b, pb = _entered(bounds, ndim=1)
+    a, pa = _entered(coeffs)
+    a = a.reshape(len(b), v.shape[1])
+    if pb + v.shape[1] * pa * pv >= OVERFLOW_LIMIT:
         a, b, v = (x.astype(object) for x in (a, b, v))
     return b[:, None] - a @ v.T
 
 
-def _fraction_free(a: np.ndarray, idx: np.ndarray, r: int, c: int, den: int = 1) -> np.ndarray:
+def _fraction_free(a: np.ndarray, r: int, c: int, den: int = 1, idx: np.ndarray | None = None) -> np.ndarray:
     """The one fraction-free row update (Edmonds 1967; Bareiss 1968): rows
-    idx of a become (a_i * p - a_ic * a_r) // den, p = a[r, c]; the caller
-    vouches that den divides them.  In int64 while |p| max|rows| +
-    max|col| max|a_r| stays under OVERFLOW_LIMIT; otherwise a is first
-    switched to Python ints (dtype object).  Returns a, or its switched copy.
+    idx of a, every row but r when idx is None, become
+    (a_i * p - a_ic * a_r) // den, p = a[r, c]; the caller vouches that den
+    divides them.
+
+    The update runs on a block holding those rows and row r: a itself,
+    in place, when idx is None, else a gathered copy of rows idx and r,
+    scattered back.  The block is multiplied by p, the outer product of
+    its column c and a copy of row r is subtracted, it is divided by den,
+    and row r is put back.  With P the largest absolute entry of the block,
+    every intermediate is at most (|p| + P) P; the update stays in int64
+    while that stays under OVERFLOW_LIMIT, and otherwise a is first
+    switched to Python ints (dtype object).  Returns a, or its switched
+    copy.
     """
     piv = int(a[r, c])
-    sub = a[idx]
-    colv = sub[:, c].copy()
+    if idx is None:
+        block, at = a, r
+    else:
+        rows = np.append(idx, r)
+        block, at = a[rows], -1
     if a.dtype != object:
-        bound = abs(piv) * _peak(sub) + _peak(colv) * _peak(a[r])
-        if bound >= OVERFLOW_LIMIT:
+        peak = _peak(block)
+        if (abs(piv) + peak) * peak >= OVERFLOW_LIMIT:
             a = a.astype(object)
-            sub = a[idx]
-            colv = sub[:, c].copy()
-    sub *= piv
-    sub -= colv[:, None] * a[r]
+            block = a if idx is None else block.astype(object)
+    row = block[at].copy()
+    col = block[:, c].copy()
+    block *= piv
+    block -= col[:, None] * row
     if den != 1:
-        sub //= den
-    a[idx] = sub
+        block //= den
+    block[at] = row
+    if idx is not None:
+        a[rows] = block
     return a
 
 
@@ -178,7 +211,7 @@ def _eliminate(rows, reduced: bool) -> tuple[np.ndarray, list[int]]:
         if reduced:
             idx = idx[idx != r]
         if idx.size:
-            a = _fraction_free(a, idx, r, c)
+            a = _fraction_free(a, r, c, idx=idx)
             sub = a[idx]
             if a.dtype == object or _peak(sub) > 2**31:
                 a[idx] = gcd_reduce(sub)

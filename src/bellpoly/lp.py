@@ -22,33 +22,38 @@ Degenerate ties resolve to the lowest index, so runs are deterministic.
 The tableau is one integer numpy array, constraint rows first and cost
 rows last, and is integer-preserving (Edmonds 1967).  The right-hand side
 is multiplied by the lcm of its denominators and the objective by the lcm
-of its own; every stored row is then den times the true row, for one
-common den = |det B| of the current basis B, so each pivot
-T_i <- (T_i * p - T_ic * T_r) // den,  den <- p  divides exactly.
-That update is ``linalg._fraction_free``, the same guarded kernel as the
-package's elimination: int64 until an intermediate could reach the
-overflow guard, Python ints from that pivot on.  The cost row carries its
-own positive scale, cscale * den.  A positive scale of b multiplies every
-ratio of the ratio test by the same factor and one of c changes no sign,
-so Bland's rule makes the same pivots as a Fraction tableau of the
-unscaled problem, and primal, dual and certificate come back as the same
-Fractions.
+of its own.  Every stored row is then +-adj(B) times the input row, that
+is den times the true row of the current basis B for one common
+den = |det B|, up to sign.  A pivot on T[r, c] = p is one in-place
+update of the whole tableau,
+T <- (T * p - outer(T[:, c], T[r])) // den,  row r put back,  den <- p,
+and every division is exact.  That update is ``linalg._fraction_free``,
+the same kernel as the package's elimination, behind one guard: with P the
+largest absolute entry of T, every intermediate is at most (|p| + P) P,
+so the tableau stays int64 while that is under the overflow guard and
+holds Python ints from the first pivot where it is not.  The cost row
+carries its own positive scale, cscale * den.  A positive scale of b
+multiplies every ratio of the ratio test by the same factor and one of c
+changes no sign, so Bland's rule makes the same pivots as a Fraction
+tableau of the unscaled problem, and primal, dual and certificate come
+back as the same Fractions.
 
 Fractions appear only at the two edges.  Rows given as an integer ndarray
 (as membership and the no-signalling LP pass them) are taken as they
-are, with no work per entry; rows of ints pass through
+are, neither copied nor converted; rows of ints pass through
 ``linalg.integer_rows``, and an entry with a denominator is refused with
 ValueError, never truncated.  The checks never leave the integers: the
 primal, the dual and the certificate are integer vectors over the common
 den, and every condition above is an exact integer product with A,
 ``linalg.slack_matrix`` (int64 when no partial sum can reach the guard,
 Python ints otherwise).  Only the returned LPResult is built from
-Fractions.
+Fractions; an optimal one also carries its primal as those integers over
+their denominator, for a caller that checks it in the integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -56,7 +61,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import _fraction_free, _peak, integer_rows, slack_matrix
+from .linalg import _entered, _fraction_free, integer_rows, slack_matrix
 
 
 @dataclass(frozen=True)
@@ -68,22 +73,23 @@ class LPResult:
     primal: tuple[Fraction, ...] | None = None
     dual: tuple[Fraction, ...] | None = None
     certificate: tuple[Fraction, ...] | None = None
+    # the primal as integers over one positive denominator, primal == x / den
+    scaled_primal: tuple[tuple[int, ...], int] | None = field(default=None, compare=False, repr=False)
 
 
 def _pivot(T: np.ndarray, basis, den: int, pr: int, pc: int) -> tuple[np.ndarray, int]:
-    """Integer pivot on T[pr, pc]: every other row, the cost rows included,
-    gets Edmonds' update, exact because every stored row is +-adj(B) [A | b]
-    before and after.  Returns the tableau (Python ints once the guard
-    trips) and the new common denominator p.  Row pr then stays as it is:
+    """Integer pivot on T[pr, pc], in place: every other row, the cost rows
+    included, gets Edmonds' update from one ``_fraction_free`` call on the
+    whole tableau, exact because every stored row is +-adj(B) [A | b]
+    before and after.  Returns the tableau (a Python-int copy once the
+    guard trips) and the new common denominator p.  Row pr stays as it is:
     it already is p times its new true row.  The entry is negative only when
     evicting an artificial at level 0, and negating that row first keeps p,
     and so every later den, positive."""
     if T[pr, pc] < 0:
         T[pr] = -T[pr]
     basis[pr] = pc
-    others = np.arange(len(T) - 1)
-    others[pr:] += 1
-    return _fraction_free(T, others, pr, pc, den), int(T[pr, pc])
+    return _fraction_free(T, pr, pc, den), int(T[pr, pc])
 
 
 def _simplex(T: np.ndarray, basis, den: int, nenter: int) -> tuple[str, np.ndarray, int]:
@@ -115,6 +121,7 @@ class _IntegerLP(NamedTuple):
     over cscale."""
 
     A: np.ndarray
+    peak: int  # largest absolute entry of A
     b: list[int]
     c: list[int]
     bscale: int
@@ -123,18 +130,24 @@ class _IntegerLP(NamedTuple):
 
 def _integer_lp(objective, eq_rows, eq_rhs) -> _IntegerLP:
     """Validate lp_max's input and clear the denominators of b and c; the
-    rows must already be integers."""
+    rows must already be integers.  An int64 row array is taken as it is,
+    not copied."""
     n = len(objective)
     if len(eq_rows) != len(eq_rhs):
         raise ValueError("constraint rows and right-hand sides disagree")
-    if any(len(row) != n for row in eq_rows):
-        raise ValueError("dimension mismatch in equality rows")
-    A, den = integer_rows(eq_rows)
-    if den != 1:
-        raise ValueError("constraint rows must be integer")
+    if isinstance(eq_rows, np.ndarray) and eq_rows.dtype.kind == "i":
+        if eq_rows.ndim != 2 or eq_rows.shape[1] != n:
+            raise ValueError("dimension mismatch in equality rows")
+    else:
+        if any(len(row) != n for row in eq_rows):
+            raise ValueError("dimension mismatch in equality rows")
+        eq_rows, den = integer_rows(eq_rows)
+        if den != 1:
+            raise ValueError("constraint rows must be integer")
+    A, peak = _entered(eq_rows.reshape(len(eq_rhs), n))
     (b,), bscale = integer_rows([eq_rhs])
     (c,), cscale = integer_rows([objective])
-    return _IntegerLP(A.reshape(len(eq_rhs), n), b.tolist(), c.tolist(), bscale, cscale)
+    return _IntegerLP(A, peak, b.tolist(), c.tolist(), bscale, cscale)
 
 
 def lp_max(
@@ -149,7 +162,7 @@ def lp_max(
     ncols = n + m
     # every entry, the phase-1 column sums included, is at most m + 1 times
     # the largest input entry
-    peak = max(1, _peak(p.A), *map(abs, p.b), *map(abs, p.c))
+    peak = max(1, p.peak, *map(abs, p.b), *map(abs, p.c))
     wide = (m + 1) * peak >= linalg.OVERFLOW_LIMIT
 
     # rows 0..m-1 are the constraints, one artificial column each, which
@@ -204,11 +217,13 @@ def lp_max(
             x[b] = rhs
     _check_optimal(p, x, y, opt, den)
     zero = Fraction(0)
+    scale = den * p.bscale
     return LPResult(
         status="optimal",
-        optimum=Fraction(opt, p.cscale * den * p.bscale),
-        primal=tuple(Fraction(v, den * p.bscale) if v else zero for v in x),
+        optimum=Fraction(opt, p.cscale * scale),
+        primal=tuple(Fraction(v, scale) if v else zero for v in x),
         dual=tuple(Fraction(v, p.cscale * den) for v in y),
+        scaled_primal=(tuple(x), scale),
     )
 
 

@@ -25,7 +25,7 @@ from .correlators import CorrVector, cglmp_corr_inequality, is_corr_probability
 from .facets import canonicalize, space_vertices, standard_equations
 from .linalg import integer_rows, slack_matrix
 from .lp import lp_max
-from .scenario import Behavior, Inequality, Scenario, all_strategies, is_normalized, is_nosignaling
+from .scenario import Behavior, Inequality, Scenario, all_strategies, constraint_verdicts
 from .symmetry import equivalent, has_group
 
 
@@ -53,7 +53,6 @@ def _decompose(query, labels, space: str, d: int) -> MembershipResult:
     generator vectors.  The interior ray starts at their centroid, which
     is the uniform behavior, or 1/d per correlator coordinate."""
     vertices = space_vertices(space, d)
-    uniform = [Fraction(n, len(vertices)) for n in vertices.sum(axis=0).tolist()]
     ncoords = len(query)
     nverts = len(vertices)
     eq_rows = np.ones((ncoords + 1, nverts), dtype=np.int64)
@@ -62,11 +61,11 @@ def _decompose(query, labels, space: str, d: int) -> MembershipResult:
     feas = lp_max([0] * nverts, eq_rows=eq_rows, eq_rhs=eq_rhs)
     if feas.status == "optimal":
         # the weights w / wden sum to 1 and rebuild the query: rows w / wden == b / bden
-        w, wden = integer_rows([feas.primal])
-        if (w < 0).any():
+        w, wden = feas.scaled_primal
+        if any(v < 0 for v in w):
             raise AssertionError("negative weight from the feasibility LP")
         b, bden = integer_rows([eq_rhs])
-        rebuilt = -slack_matrix(eq_rows, np.zeros(ncoords + 1, dtype=np.int64), w)[:, 0]  # rows w
+        rebuilt = -slack_matrix(eq_rows, np.zeros(ncoords + 1, dtype=np.int64), [w])[:, 0]  # rows w
         if [bden * v for v in rebuilt.tolist()] != [wden * v for v in b[0].tolist()]:
             raise AssertionError("decomposition does not reconstruct the query exactly")
         weights = {lab: x for lab, x in zip(labels, feas.primal) if x}
@@ -77,6 +76,7 @@ def _decompose(query, labels, space: str, d: int) -> MembershipResult:
     # interior ray: max t with  sum_w w G = u + t (p - u),  sum w = 1, w >= 0,
     # t >= 0 (the uniform point u is local, so t = 0 is feasible); with
     # p - u = delta / D the column of t is -delta and its objective D
+    uniform = [Fraction(n, nverts) for n in vertices.sum(axis=0).tolist()]
     delta, D = integer_rows([[q - u for q, u in zip(query, uniform)]])
     ray_rows = np.zeros((ncoords + 1, nverts + 1), dtype=delta.dtype)
     ray_rows[:, :nverts] = eq_rows
@@ -129,9 +129,10 @@ def local_decompose(p: Behavior) -> MembershipResult:
     Bell inequality the behavior strictly violates."""
     if any(x < 0 for x in p.coords):
         raise ValueError("behavior has negative entries; not a probability table")
-    if not is_normalized(p):
+    normalized, nosignaling = constraint_verdicts(p)
+    if not normalized:
         raise ValueError("behavior is not normalized")
-    if not is_nosignaling(p):
+    if not nosignaling:
         raise ValueError("behavior is signaling; locality is not defined for it")
     return _decompose(p.coords, all_strategies(Scenario(p.d)), "behavior", p.d)
 

@@ -168,24 +168,27 @@ def constraint_rank(s: Scenario) -> int:
     return linalg.int_rank(_constraint_system(s.d)[0])
 
 
-def _constraint_residual(p: Behavior, rows: slice) -> np.ndarray:
-    """rhs - rows . p for the given rows of constraint_matrix, scaled by the
-    common denominator of p: zero exactly where p satisfies them."""
+def constraint_verdicts(p: Behavior) -> tuple[bool, bool]:
+    """(is_normalized(p), is_nosignaling(p)), read off one residual
+    rhs - M.p of the whole ``_constraint_system``, scaled by the common
+    denominator of p: its first four rows are normalization, the rest
+    no-signaling, and each is zero exactly where p satisfies it."""
     mat, rhs = _constraint_system(p.d)
     num, den = linalg.integer_rows([p.coords])
-    return linalg.slack_matrix(mat[rows], [den * b for b in rhs[rows]], num)[:, 0]
+    residual = linalg.slack_matrix(mat, [den * b for b in rhs], num)[:, 0]
+    return not residual[:4].any(), not residual[4:].any()
 
 
 def is_normalized(p: Behavior) -> bool:
-    return not _constraint_residual(p, slice(4)).any()
+    return constraint_verdicts(p)[0]
 
 
 def is_nosignaling(p: Behavior) -> bool:
-    return not _constraint_residual(p, slice(4, None)).any()
+    return constraint_verdicts(p)[1]
 
 
 def is_probability(p: Behavior) -> bool:
-    return all(x >= 0 for x in p.coords) and is_normalized(p) and is_nosignaling(p)
+    return all(x >= 0 for x in p.coords) and all(constraint_verdicts(p))
 
 
 def polytope_affine_dim(s: Scenario) -> int:

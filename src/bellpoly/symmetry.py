@@ -138,9 +138,21 @@ def canonical_class(ineq: Inequality) -> Inequality:
     space, d = ineq.space, ineq.d
     orbit = _orbit(gauge_rows([ineq])[0], space, d)
     slack = linalg.slack_matrix(orbit[:, :-1], orbit[:, -1], space_vertices(space, d))
-    rows = linalg.gcd_reduce(slack).tolist()
-    *coeffs, bound = map(Fraction, orbit[min(range(len(rows)), key=rows.__getitem__)].tolist())
+    *coeffs, bound = map(Fraction, orbit[_least_row(linalg.gcd_reduce(slack))].tolist())
     return Inequality(space, d, tuple(coeffs), bound)
+
+
+def _least_row(rows: np.ndarray) -> int:
+    """Index of the lexicographically least row of an integer array (int64
+    or Python ints), the first of equal ones: the candidates start as every
+    row and keep, column by column, those at the column's minimum."""
+    candidates = np.arange(len(rows))
+    for column in rows.T:
+        if len(candidates) == 1:
+            break
+        values = column[candidates]
+        candidates = candidates[values == values.min()]
+    return int(candidates[0])
 
 
 def equivalent(i1: Inequality, i2: Inequality) -> bool:

@@ -14,7 +14,9 @@ group table broadcast in numpy) and from orbits keyed by tuples of
 Python ints (the library keys them by row bytes), the fixed gauge from a Fraction loop
 over fraction_rref equations (the library reduces an integer row in one
 product), LP results from a Fraction tableau (the
-library pivots over integers), the CGLMP tightness rank and polytope
+library pivots over integers) and each integer pivot from rows gathered
+and scattered back over Python ints (the library updates the whole
+tableau in place, in int64 behind its guard), the CGLMP tightness rank and polytope
 dimension from the full saturating and d^4-row matrices and the CGLMP
 bound from a strategy-by-strategy loop with its own r, s, t, u, f and
 sign/sum case table (the library ranks the explicit
@@ -284,6 +286,29 @@ def _fraction_pivot(rows, rhs, basis, costrow, pr: int, pc: int) -> Fraction:
         delta = f * pb
     basis[pr] = pc
     return delta
+
+
+def gather_scatter_pivot(tableau, basis, den: int, pr: int, pc: int):
+    """Edmonds' integer pivot on tableau[pr][pc] as the library made it
+    before it pivoted in place: the pivot row negated first when its entry
+    is negative, then every other row gathered, updated to
+    (t_i p - t_ic t_r) // den over Python ints and scattered back.
+    Returns (rows, basis, new den) and leaves its arguments alone; a
+    division that is not exact raises AssertionError."""
+    rows = [[int(x) for x in row] for row in tableau]
+    if rows[pr][pc] < 0:
+        rows[pr] = [-x for x in rows[pr]]
+    prow = rows[pr]
+    piv = prow[pc]
+    others = [i for i in range(len(rows)) if i != pr]
+    gathered = [[x * piv - row[pc] * y for x, y in zip(row, prow)] for row in (rows[i] for i in others)]
+    if any(x % den for row in gathered for x in row):
+        raise AssertionError("den does not divide the update")
+    for i, row in zip(others, gathered):
+        rows[i] = [x // den for x in row]
+    basis = list(basis)
+    basis[pr] = pc
+    return rows, basis, piv
 
 
 def _fraction_simplex(rows, rhs, basis, costrow, allowed) -> tuple[str, Fraction]:

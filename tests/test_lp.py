@@ -13,7 +13,7 @@ from bellpoly.lp import lp_max
 from bellpoly.scenario import Scenario, constraint_matrix
 from bellpoly.correlators import chsh_inequality, lift
 
-from oracles import fraction_lp_max, nosignaling_vertices
+from oracles import fraction_lp_max, gather_scatter_pivot, nosignaling_vertices
 
 
 def test_segment():
@@ -295,6 +295,34 @@ def test_eviction_pivots_on_a_negative_entry(negative_pivots):
     assert (res.optimum, res.primal, res.dual) == (
         Fraction(1, 2), (0, Fraction(1, 2)), (0, Fraction(-1, 2))
     )
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_pivot_matches_gather_scatter_update(dtype):
+    # chains of pivots on seeded tableaux, each compared with the row
+    # gather/scatter update it replaced: same rows, basis and den, from den
+    # 1 and from the den of the previous pivot, on positive and negative
+    # pivot entries
+    rng = random.Random(f"pivots {np.dtype(dtype)}")
+    scale = 2**70 if dtype is object else 1
+    seen = Counter()
+    for _ in range(40):
+        m, ncols = rng.randint(1, 5), rng.randint(2, 8)
+        rows = [[rng.randint(-9, 9) * scale for _ in range(ncols)] for _ in range(m + 2)]
+        T, basis, den = np.array(rows, dtype=dtype), list(range(m)), 1
+        for _ in range(rng.randint(1, 6)):
+            pr = rng.randrange(m)
+            nz = [j for j in range(ncols - 1) if T[pr, j]]
+            if not nz:
+                break
+            pc = rng.choice(nz)
+            seen["den > 1" if den > 1 else "den 1"] += 1
+            seen["negative" if T[pr, pc] < 0 else "positive"] += 1
+            want, want_basis, want_den = gather_scatter_pivot(T, basis, den, pr, pc)
+            T, den = lp_mod._pivot(T, basis, den, pr, pc)
+            assert T.dtype == dtype
+            assert (T.tolist(), basis, den) == (want, want_basis, want_den)
+    assert min(seen[k] for k in ("den 1", "den > 1", "negative", "positive")) >= 10
 
 
 @pytest.mark.parametrize("limit", [2**12, 2**20])

@@ -386,6 +386,46 @@ def test_lp_on_membership_shaped_input(monkeypatch, space, d, limit):
     assert {a.dtype for a in products} == {np.dtype(object) if limit else np.dtype(np.int64)}
 
 
+def _generalized_pr_box(space, d, v=Fraction(3, 4)):
+    """v*PR + (1-v)*uniform, the PR box demanding outcome difference 0 on
+    blocks a1b1, a1b2, a2b1 and d-1 on a2b2."""
+    coords = []
+    for target in (0, 0, 0, d - 1):
+        if space == "behavior":
+            coords += [v * Fraction(int((k - s) % d == target), d) + (1 - v) / (d * d)
+                       for k in range(d) for s in range(d)]
+        else:
+            coords += [v * int(n == target) + (1 - v) / d for n in range(d)]
+    return Behavior(d, tuple(coords)) if space == "behavior" else CorrVector(d, tuple(coords))
+
+
+@pytest.mark.parametrize(
+    "space,d,pivots",
+    [
+        ("correlator", 3, 55),
+        ("correlator", 4, 194),
+        ("correlator", 6, 791),
+        ("behavior", 2, 25),
+        ("behavior", 3, 143),
+        pytest.param("correlator", 8, 3071, marks=pytest.mark.slow),
+        pytest.param("correlator", 10, 7450, marks=pytest.mark.slow),
+    ],
+)
+def test_membership_pivot_counts(monkeypatch, space, d, pivots):
+    # Bland's rule fixes every pivot, so the count over both LPs of a box
+    # query pins the path the integer simplex takes
+    count = [0]
+    pivot = lp_mod._pivot
+
+    def counting(*args):
+        count[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(lp_mod, "_pivot", counting)
+    assert not _decompose(_generalized_pr_box(space, d)).local
+    assert count[0] == pivots
+
+
 MEMBERSHIP_STDOUT = json.loads(
     (Path(__file__).parent / "data" / "membership_stdout_sha256.json").read_text()
 )["stdout"]
