@@ -16,8 +16,8 @@ over fraction_rref equations (the library reduces an integer row in one
 product), LP results from a Fraction tableau (the
 library pivots over integers) and each integer pivot from rows gathered
 and scattered back over Python ints (the library updates the whole
-tableau in place, in int64 behind its guard), the CGLMP tightness rank and polytope
-dimension from the full saturating and d^4-row matrices and the CGLMP
+tableau in place, in int64 behind its guard), the CGLMP tightness rank
+and polytope dimension from the full saturating and d^4-row matrices and the CGLMP
 bound from a strategy-by-strategy loop with its own r, s, t, u, f and
 sign/sum case table (the library ranks the explicit
 witness and strategy grid, by fresh coordinates where it can, and sweeps

@@ -96,29 +96,28 @@ def test_pivot_columns_are_the_rref_pivots(monkeypatch, limit):
         assert linalg.pivot_columns(np.array(m, dtype=np.int64)) == fraction_rref(m)[1]
 
 
-@pytest.mark.parametrize("explicit", [False, True])
+# (rows, r, c, den, (|p| + P) P, rows after the update)
+GUARD_CASES = [
+    # pivot 3 on a block whose peak is 7: (3 + 7) * 7
+    ([[3, 5, -4], [2, 7, 1], [-6, 1, 2]], 0, 0, 1, 70, [[3, 5, -4], [0, 11, 11], [0, 33, -18]]),
+    # the next pivot, 11 over den 3, with peak 33: (11 + 33) * 33
+    ([[3, 5, -4], [0, 11, 11], [0, 33, -18]], 1, 1, 3, 1452, [[11, 0, -33], [0, 11, 11], [0, 0, -187]]),
+    # the pivot row holds the peak, 9; the other rows alone peak at 2
+    ([[3, 9, 1], [2, 1, 1], [1, -2, 0]], 0, 0, 1, 108, [[3, 9, 1], [0, -15, 1], [0, -15, -1]]),
+]
+
+
 @pytest.mark.parametrize("slack,dtype", [(1, np.int64), (0, object)])
-@pytest.mark.parametrize(
-    "rows,r,c,den,bound,want",
-    [
-        # pivot 3 on a block whose peak is 7: (|p| + P) P = (3 + 7) * 7
-        ([[3, 5, -4], [2, 7, 1], [-6, 1, 2]], 0, 0, 1, 70, [[3, 5, -4], [0, 11, 11], [0, 33, -18]]),
-        # the next pivot, 11 over den 3, with peak 33: (11 + 33) * 33
-        ([[3, 5, -4], [0, 11, 11], [0, 33, -18]], 1, 1, 3, 1452, [[11, 0, -33], [0, 11, 11], [0, 0, -187]]),
-        # the pivot row holds the peak, 9; the other rows alone peak at 2
-        ([[3, 9, 1], [2, 1, 1], [1, -2, 0]], 0, 0, 1, 108, [[3, 9, 1], [0, -15, 1], [0, -15, -1]]),
-    ],
-)
-def test_fraction_free_switches_at_the_guard(monkeypatch, rows, r, c, den, bound, want, slack, dtype, explicit):
+def test_fraction_free_switches_at_the_guard(monkeypatch, slack, dtype):
     # every row but r against the pivot a[r, c], in place or through an
     # explicit row selection: a limit equal to the bound switches to
     # Python ints, one above it keeps int64, and the rows come out the same
-    monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", bound + slack)
-    a = np.array(rows, dtype=np.int64)
-    idx = np.array([i for i in range(len(a)) if i != r]) if explicit else None
-    out = linalg._fraction_free(a, r, c, den, idx=idx)
-    assert out.dtype == dtype
-    assert out.tolist() == want
+    for rows, r, c, den, bound, want in GUARD_CASES:
+        monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", bound + slack)
+        for idx in (None, np.array([i for i in range(len(rows)) if i != r])):
+            out = linalg._fraction_free(np.array(rows, dtype=np.int64), r, c, den, idx=idx)
+            assert out.dtype == dtype
+            assert out.tolist() == want
 
 
 def test_int_rank_list_entries_past_int64():
