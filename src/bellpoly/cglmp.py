@@ -11,6 +11,18 @@ f(r)+f(s)+f(t)+f(u) with f(x) = -2x/(d-1)+1 for x >= 0 and
 f(x) = -2x/(d-1)-(d+1)/(d-1) for x < 0, giving exactly three possible
 outcomes: 2, -2/(d-1) and -2(d+1)/(d-1).
 
+Each variable reads one outcome of each party: r reads (A1, B1), s reads
+(A1, B2), t reads (A2, B1) and u reads (A2, B2), the blocks of BLOCKS in
+order.  So every per-strategy quantity of the certificates is the sum of
+four entries of d x d pair tables, one table per variable: the centered
+value, (d-1) f, its part of the (negatives, r+s+t+u) case key, and the
+coefficient of its block.  The sweep adds the four tables by broadcasting
+over (a1, a2, b1, b2), in blocks of consecutive a1 values in
+all_strategies order of about 2^16 strategies (a single a1 value, d^3
+strategies, from d = 33 on), and counts the case keys of each block with
+np.bincount.  No array holds more than one block, so every sweep runs in
+O(d^3) memory.
+
 Two independent certificates are computed exhaustively:
 
 * the bound: every one of the d^4 generators evaluates to at most 2, with
@@ -36,7 +48,6 @@ import numpy as np
 from . import linalg
 from .correlators import cglmp_corr_inequality, lift
 from .scenario import (
-    BLOCKS,
     DeterministicStrategy,
     Inequality,
     check_strategy,
@@ -87,9 +98,21 @@ def _rstu_arrays(grid: np.ndarray, d: int) -> np.ndarray:
     ])
 
 
+def _pair_tables(d: int) -> np.ndarray:
+    """r, s, t and u as a 4 x d x d array over the two outcomes each reads,
+    Alice's first: r[a1, b1], s[a1, b2], t[a2, b1] and u[a2, b2]."""
+    alice, bob = np.indices((d, d))
+    return _rstu_arrays(np.stack([alice, alice, bob, bob]), d)
+
+
+def _f_scaled(v: np.ndarray, d: int) -> np.ndarray:
+    """(d-1) f of every entry of an rstu array."""
+    return np.where(v >= 0, -2 * v + (d - 1), -2 * v - (d + 1))
+
+
 def _f_sums(v: np.ndarray, d: int) -> np.ndarray:
     """(d-1) times I_d of every column of a 4 x n rstu array, by the f form."""
-    return np.where(v >= 0, -2 * v + (d - 1), -2 * v - (d + 1)).sum(axis=0)
+    return _f_scaled(v, d).sum(axis=0)
 
 
 CASE_TAGS = ("case1", "case2a", "case2b", "case3", "case4a", "case4b", "case5")
@@ -100,29 +123,58 @@ def _case_keys(d: int) -> tuple[tuple[int, int], ...]:
     return (0, d - 1), (1, d - 1), (1, -1), (2, -1), (3, -1), (3, -d - 1), (4, -d - 1)
 
 
-def _case_codes(v: np.ndarray, d: int) -> np.ndarray:
-    """Case of every column of a 4 x n rstu array, as its position in
-    CASE_TAGS; -1 where no sign/sum case matches (classify_case would
-    refuse it)."""
-    neg = (v < 0).sum(axis=0)
-    total = v.sum(axis=0)
-    codes = np.full(total.shape, -1)
+def _case_key(v: np.ndarray, d: int) -> np.ndarray:
+    """Each entry's part of the case key of an rstu array.  Summed over r,
+    s, t and u it is 4d times the number of negatives plus r+s+t+u - 4 lo,
+    where lo is the bottom of the window: one integer in [0, 20d) for each
+    (negatives, r+s+t+u)."""
+    lo, _ = window_bounds(d)
+    return (v < 0) * (4 * d) + (v - lo)
+
+
+def _key_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The case of every case key, as its position in CASE_TAGS (-1 where
+    no sign/sum case matches, which classify_case would refuse), and its
+    (d-1) I_d.  (d-1) f(x) is -2x + d - 1 for x >= 0 and -2x - d - 1 below,
+    so the f form of a strategy depends on its key alone."""
+    lo, _ = window_bounds(d)
+    neg, total = np.divmod(np.arange(20 * d), 4 * d)
+    total += 4 * lo
+    codes = np.full(20 * d, -1)
     for code, (n, t) in enumerate(_case_keys(d)):
-        codes[(neg == n) & (total == t)] = code
-    return codes
+        codes[4 * d * n + t - 4 * lo] = code
+    return codes, -2 * total + (4 - neg) * (d - 1) - neg * (d + 1)
 
 
-def _sweep(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one pass over all d^4 strategies: the 4 x d^4 array (a1, a2, b1,
-    b2) in all_strategies order, its rstu array and its case codes."""
-    grid = np.indices((d,) * 4).reshape(4, -1)
-    v = _rstu_arrays(grid, d)
-    return grid, v, _case_codes(v, d)
+def _case_codes(v: np.ndarray, d: int) -> np.ndarray:
+    """Case of every column of a 4 x n rstu array, as in _key_table."""
+    return _key_table(d)[0][_case_key(v, d).sum(axis=0)]
+
+
+# strategies in one block of the sweep, rounded down to whole a1 values (at least one)
+_SWEEP_BLOCK = 1 << 16
+
+
+def _sweep_sums(d: int, tables, a1_stop: int | None = None):
+    """The sweep over the strategies with a1 below a1_stop (all d^4 by
+    default), in blocks of consecutive a1 values in all_strategies order.
+
+    tables holds 4 x d x d stacks of pair tables, indexed like
+    _pair_tables.  For each block this yields its first a1 and, for each
+    stack, the sum of the four entries every strategy of the block reads,
+    an array over (a1, a2, b1, b2).
+    """
+    stop = d if a1_stop is None else a1_stop
+    step = max(1, _SWEEP_BLOCK // d**3)
+    tu = [t[:, :, None] + u[:, None, :] for _, _, t, u in tables]  # over (a2, b1, b2), the same in every block
+    for start in range(0, stop, step):
+        a1 = slice(start, min(start + step, stop))
+        yield start, [r[a1, None, :, None] + s[a1, None, None, :] + rest for (r, s, _, _), rest in zip(tables, tu)]
 
 
 def rstu(lam: DeterministicStrategy, d: int) -> RSTU:
     """rstu of one strategy; this and the scalar views below are one-column
-    calls of the sweep's kernels."""
+    calls of the kernels the pair tables are built from."""
     lam = DeterministicStrategy(*lam)
     check_strategy(d, lam)
     return RSTU(*_rstu_arrays(np.array(lam)[:, None], d)[:, 0].tolist())
@@ -181,63 +233,83 @@ def verify_condition1(d: int) -> Condition1Report:
     """Evaluate I_d on every generator by both forms and check everything.
 
     The coefficient form reads cglmp_inequality(d), the lifted correlator
-    table, and the f form the sweep, both in integers scaled by d-1 over
-    all d^4 strategies in all_strategies order.  A lifted inequality takes
-    on a generator the value the correlator one takes on its projection, so
-    agreement also certifies the correlator table.  Any disagreement
-    between the forms, any value outside {2, -2/(d-1), -2(d+1)/(d-1)}, or a
-    maximum different from 2 raises VerificationError naming the first
-    offending strategy, read off the sweep arrays.
+    table, and the f form the pair tables, both in integers scaled by d-1
+    over all d^4 strategies in all_strategies order.  A lifted inequality
+    takes on a generator the value the correlator one takes on its
+    projection, so agreement also certifies the correlator table.  The
+    sweep adds, block by block, the tables of coefficient minus f (zero
+    on every strategy where the forms agree) and of the case key, and
+    counts the keys; the value histogram is read off the key counts.  Any
+    disagreement between the forms, any value outside {2, -2/(d-1),
+    -2(d+1)/(d-1)}, a strategy matching no sign/sum case, or a maximum
+    different from 2 raises VerificationError naming the first offending
+    strategy: the first in the first block that has one.
     """
     ineq = cglmp_inequality(d)
     scale = d - 1
-    coeffs_scaled = [c * scale for c in ineq.coeffs]
-    if any(c.denominator != 1 for c in coeffs_scaled):
+    (num,), den = linalg.integer_rows([ineq.coeffs])
+    if scale % den:
         raise AssertionError("scaled coefficients must be integers")
-    cs = [int(c) for c in coeffs_scaled]
-    cs = np.array(cs, dtype=np.int64 if max(map(abs, cs)) < linalg.OVERFLOW_LIMIT // 4 else object)
-    grid, v, cases = _sweep(d)
-    a1, a2, b1, b2 = grid
-    o11, o12, o21, o22 = (coord_index(d, a, b, 0, 0) for a, b in BLOCKS)
-    by_coeff = cs[o11 + a1 * d + b1] + cs[o12 + a1 * d + b2] + cs[o21 + a2 * d + b1] + cs[o22 + a2 * d + b2]
-    by_f = _f_sums(v, d)
-    disagree = by_f != by_coeff
-    stray = ~np.isin(by_f, (2 * scale, -2, -2 * (d + 1)))
-    bad = disagree | stray | (cases < 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        lam = DeterministicStrategy(*grid[:, i].tolist())
-        value = Fraction(int(by_f[i]), scale)
-        if disagree[i]:
-            raise VerificationError(
-                f"coefficient form and f form disagree on {lam}: {Fraction(int(by_coeff[i]), scale)} vs {value}"
-            )
-        if stray[i]:
-            raise VerificationError(f"{lam} evaluates to {value}, outside the value set")
-        classify_case(RSTU(*v[:, i].tolist()), d)  # raises: no sign/sum case matches
-    best = int(by_f.max())
+    # the four-term sums stay exact in int64 below this peak (the f terms are at most d-1)
+    if linalg._peak(num) * (scale // den) >= linalg.OVERFLOW_LIMIT // 4:
+        num = num.astype(object)
+    v = _pair_tables(d)
+    # the coefficients come in BLOCKS order, which is the order of r, s, t, u
+    diff = num.reshape(4, d, d) * (scale // den) - _f_scaled(v, d)
+    codes, values = _key_table(d)
+    allowed = np.isin(values, (2 * scale, -2, -2 * (d + 1)))
+    refused = (codes < 0) | ~allowed
+    counts = np.zeros(len(codes), dtype=np.int64)
+    for start, (gap, keys) in _sweep_sums(d, (diff, _case_key(v, d))):
+        block = np.bincount(keys.ravel(), minlength=len(codes))
+        if np.count_nonzero(gap) or block[refused].any():
+            i = np.unravel_index(int(np.argmax((gap != 0) | refused[keys])), keys.shape)
+            lam = DeterministicStrategy(start + int(i[0]), *map(int, i[1:]))
+            by_f = int(values[keys[i]])
+            value = Fraction(by_f, scale)
+            if gap[i]:
+                raise VerificationError(
+                    f"coefficient form and f form disagree on {lam}: {Fraction(by_f + int(gap[i]), scale)} vs {value}"
+                )
+            if not allowed[keys[i]]:
+                raise VerificationError(f"{lam} evaluates to {value}, outside the value set")
+            classify_case(rstu(lam, d), d)  # raises: no sign/sum case matches
+        counts += block
+    present = np.flatnonzero(counts)
+    best = int(values[present].max())
     if best != 2 * scale:
         raise VerificationError(f"maximum over generators is {Fraction(best, scale)}, not 2")
-    values, counts = np.unique(by_f, return_counts=True)
-    histogram = {Fraction(int(k), scale): int(n) for k, n in sorted(zip(values, counts), reverse=True)}
-    codes, code_counts = np.unique(cases, return_counts=True)
+    histogram: dict[Fraction, int] = {}
+    case_histogram: dict[str, int] = {}
+    for key in present:
+        value, tag, n = Fraction(int(values[key]), scale), CASE_TAGS[codes[key]], int(counts[key])
+        histogram[value] = histogram.get(value, 0) + n
+        case_histogram[tag] = case_histogram.get(tag, 0) + n
     return Condition1Report(
         d=d,
         total=d**4,
         max_value=Fraction(2),
-        histogram=histogram,
-        case_histogram=dict(sorted((CASE_TAGS[c], int(n)) for c, n in zip(codes, code_counts))),
+        histogram=dict(sorted(histogram.items(), reverse=True)),
+        case_histogram=dict(sorted(case_histogram.items())),
     )
 
 
 SATURATING_CODES = (CASE_TAGS.index("case1"), CASE_TAGS.index("case2b"))
 
 
-def _saturating_mask(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sweep's strategies and rstu arrays, and the mask of the
-    saturating strategies (case1 and case2b)."""
-    grid, v, codes = _sweep(d)
-    return grid, v, np.isin(codes, SATURATING_CODES)
+def _saturating_strategies(d: int) -> np.ndarray:
+    """The saturating strategies (case1 and case2b) as the rows of an n x 4
+    array (a1, a2, b1, b2) in all_strategies order, checked block by block
+    to be exactly those whose f form gives I_d = 2."""
+    v = _pair_tables(d)
+    saturating = np.isin(_key_table(d)[0], SATURATING_CODES)
+    found = []
+    for start, (by_f, keys) in _sweep_sums(d, (_f_scaled(v, d), _case_key(v, d))):
+        mask = saturating[keys]
+        if not np.array_equal(by_f == 2 * (d - 1), mask):
+            raise VerificationError("value-saturating set differs from the case-pattern set")
+        found.append(np.argwhere(mask) + [start, 0, 0, 0])
+    return np.concatenate(found)
 
 
 def _saturating_count(d: int) -> int:
@@ -247,22 +319,19 @@ def _saturating_count(d: int) -> int:
     by 1 mod d permutes the saturating strategies; each orbit of the shift
     holds d strategies, one of them with a1 = 0.
     """
-    v = _rstu_arrays(np.indices((1, d, d, d)).reshape(4, -1), d)
-    return d * int(np.isin(_case_codes(v, d), SATURATING_CODES).sum())
+    codes, _ = _key_table(d)
+    ((_, (keys,)),) = _sweep_sums(d, (_case_key(_pair_tables(d), d),), a1_stop=1)
+    return d * int(np.bincount(keys.ravel(), minlength=len(codes))[np.isin(codes, SATURATING_CODES)].sum())
 
 
 def saturating_generators(d: int) -> list[DeterministicStrategy]:
     """All strategies with I_d = 2; equals case1 plus case2b exactly."""
-    grid, v, mask = _saturating_mask(d)
-    if not np.array_equal(_f_sums(v, d) == 2 * (d - 1), mask):
-        raise VerificationError("value-saturating set differs from the case-pattern set")
-    return [DeterministicStrategy(*lam) for lam in grid[:, mask].T.tolist()]
+    return [DeterministicStrategy(*lam) for lam in _saturating_strategies(d).tolist()]
 
 
 def _saturating_matrix(d: int) -> np.ndarray:
     """0/1 behavior rows of all saturating generators, vectorized."""
-    grid, _, mask = _saturating_mask(d)
-    return generator_rows(d, grid[:, mask])
+    return generator_rows(d, _saturating_strategies(d).T)
 
 
 @dataclass(frozen=True)
@@ -318,8 +387,8 @@ class WitnessBatch:
     step_index: int
     scheme: str
     params: tuple[int, ...]
-    strategies: tuple[DeterministicStrategy, ...]  # d per pattern
-    supports: tuple[tuple[int, ...], ...]  # the ones of each permuted-frame vector
+    strategies: np.ndarray = field(compare=False)  # n x 4, a1 a2 b1 b2 of each vector; d per pattern
+    supports: np.ndarray = field(compare=False)  # n x 4, the ones of each permuted-frame vector
     rank_after: int
 
 
@@ -421,7 +490,8 @@ def _checked_steps(d: int):
     """The witness steps in order, every vector checked to be a saturating
     generator and every example-2 style step to have a nonsingular 4x4 key
     minor; raises WitnessError at the first step that fails a check.  Each
-    step comes as the WitnessBatch fields before rank_after.
+    step comes as the WitnessBatch fields before rank_after, its strategies
+    and supports as n x 4 integer arrays.
 
     A step's 4d vectors, pattern by pattern and first outcome A1 = 0..d-1
     within each, are checked by one _rstu_arrays call; the first vector in
@@ -456,9 +526,7 @@ def _checked_steps(d: int):
             minor = _example2_minor(scheme, params, d)
             if linalg.int_rank(minor) != 4:
                 raise WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
-        strategies = tuple(DeterministicStrategy(*lam) for lam in grid.T.tolist())
-        supports = tuple(map(tuple, np.stack(_witness_support(pattern, a1, d)).T.tolist()))
-        yield step_index, scheme, tuple(params), strategies, supports
+        yield step_index, scheme, tuple(params), grid.T, np.stack(_witness_support(pattern, a1, d), axis=-1)
 
 
 def constructive_witness(d: int) -> list[WitnessBatch]:
@@ -488,7 +556,7 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
             steps.append(step)
     except WitnessError as exc:  # raised after the steps before it are ranked
         error = exc
-    supports = np.array([sup for *_, step_supports in steps for sup in step_supports], dtype=np.int64).reshape(-1, 4)
+    supports = np.concatenate([np.empty((0, 4), dtype=np.int64), *(step_supports for *_, step_supports in steps)])
     if linalg.has_fresh_coordinate(supports, 4 * d * d).all():
         pivots = np.arange(len(supports))
     else:

@@ -99,18 +99,21 @@ def integer_rows(rows) -> tuple[np.ndarray, int]:
     denominator den with rows == M / den.
 
     Rows are vectors of numbers, objects with .coords, or an integer
-    ndarray (den 1).  An entry other than an int or a Fraction (a float, a
-    numpy scalar) enters exactly through Fraction; a NaN or an infinity
-    raises ValueError.
+    ndarray (den 1).  Every entry enters exactly, through its
+    as_integer_ratio, or through Fraction when some entry has none (a numpy
+    integer); a NaN or an infinity raises ValueError.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
         return _int_array(rows), 1
-    rows = [
-        [x if isinstance(x, (int, Fraction)) else _exact(x) for x in (v.coords if hasattr(v, "coords") else v)]
-        for v in rows
-    ]
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return _int_array([[x.numerator * (den // x.denominator) for x in row] for row in rows]), den
+    rows = [v.coords if hasattr(v, "coords") else v for v in rows]
+    try:
+        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        ratios = [[_exact(x).as_integer_ratio() for x in row] for row in rows]
+    den = math.lcm(*{q for row in ratios for _, q in row})
+    if den == 1:
+        return _int_array([[p for p, _ in row] for row in ratios]), 1
+    return _int_array([[p * (den // q) for p, q in row] for row in ratios]), den
 
 
 def _exact(x) -> Fraction:

@@ -1,11 +1,12 @@
-"""The CGLMP certificates from the witness, the strategy grid and the numpy
-sweep, against the full-matrix and per-strategy oracles, the recorded
+"""The CGLMP certificates from the witness, the strategy grid and the
+blocked sweep, against the full-matrix and per-strategy oracles, the recorded
 stdout of the certify commands, and their fallbacks."""
 
 import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,8 @@ from bellpoly.scenario import Scenario, polytope_affine_dim
 from oracles import (
     full_polytope_affine_dim,
     full_tightness_rank,
+    loop_f_scaled,
+    loop_rstu,
     loop_verify_condition1,
     support_pivot_columns,
 )
@@ -59,6 +62,21 @@ def test_verify_condition1_matches_strategy_loop(d):
     assert rep == want
     assert list(rep.histogram.items()) == list(want.histogram.items())
     assert list(rep.case_histogram.items()) == list(want.case_histogram.items())
+
+
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_sweep_in_one_a1_blocks_matches_strategy_loop(monkeypatch, d):
+    # every block boundary of the sweep falls between two a1 values
+    monkeypatch.setattr(cglmp, "_SWEEP_BLOCK", 1)
+    rep = cglmp.verify_condition1(d)
+    want = loop_verify_condition1(d)
+    assert rep == want
+    assert list(rep.histogram.items()) == list(want.histogram.items())
+    assert list(rep.case_histogram.items()) == list(want.case_histogram.items())
+    saturating = [lam for lam in itertools.product(range(d), repeat=4)
+                  if sum(loop_f_scaled(x, d) for x in loop_rstu(lam, d)) == 2 * (d - 1)]
+    assert [tuple(lam) for lam in cglmp.saturating_generators(d)] == saturating
+    assert cglmp._saturating_count(d) == len(saturating)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +146,7 @@ def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
     for d in range(2, 13):
         scenario.constraint_rank(Scenario(d))  # ranked once per d, before the guard
     monkeypatch.setattr(cglmp, "_saturating_matrix", refuse)
-    monkeypatch.setattr(cglmp, "_saturating_mask", refuse)
+    monkeypatch.setattr(cglmp, "_saturating_strategies", refuse)
     monkeypatch.setattr(scenario, "generator_matrix", refuse)
     monkeypatch.setattr(scenario, "generator_rows", refuse)
     monkeypatch.setattr(linalg, "pivot_columns", witness_stack)
@@ -173,7 +191,12 @@ def test_dims_falls_back_to_full_matrix(monkeypatch):
     assert built == [4, 4]
 
 
-@pytest.mark.parametrize("d,index,delta", [(3, 0, 1), (4, 37, -2), (5, 99, 2**70), (6, 143, Fraction(1, 5))])
+@pytest.mark.parametrize(
+    "d,index,delta",
+    # the last case perturbs the a1b1 coefficient at (k, s) = (2, 3): its first
+    # offender has a1 = 2, in the third block when each block holds one a1
+    [(3, 0, 1), (4, 37, -2), (5, 99, 2**70), (6, 143, Fraction(1, 5)), (5, 2 * 5 + 3, 1)],
+)
 def test_perturbed_coefficient_fails_like_the_loop(monkeypatch, d, index, delta):
     ineq = cglmp.cglmp_inequality(d)
     coeffs = list(ineq.coeffs)
@@ -181,9 +204,11 @@ def test_perturbed_coefficient_fails_like_the_loop(monkeypatch, d, index, delta)
     monkeypatch.setattr(cglmp, "cglmp_inequality", lambda d: dataclasses.replace(ineq, coeffs=tuple(coeffs)))
     with pytest.raises(cglmp.VerificationError) as want:
         loop_verify_condition1(d)
-    with pytest.raises(cglmp.VerificationError) as got:
-        cglmp.verify_condition1(d)
-    assert str(got.value) == str(want.value)
+    for block in (cglmp._SWEEP_BLOCK, 1):
+        monkeypatch.setattr(cglmp, "_SWEEP_BLOCK", block)
+        with pytest.raises(cglmp.VerificationError) as got:
+            cglmp.verify_condition1(d)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.slow
@@ -196,7 +221,11 @@ def test_certify_commands_at_d32():
 
 @pytest.mark.slow
 def test_certify_commands_at_d64_d128():
-    for argv in ("tightness 64 --witness", "tightness 128 --witness", "dims 64", "dims 128"):
+    got = {}
+    for argv in ("tightness 64 --witness", "tightness 128 --witness", "dims 64", "dims 128", "verify-cglmp 64"):
         code, out = run(*argv.split())
-        got = json.loads(out)
-        assert code == 0 and got["ok"] is True and got.get("tight", True) is True
+        got[argv] = json.loads(out)
+        assert code == 0 and got[argv]["ok"] is True and got[argv].get("tight", True) is True
+    bound = got["verify-cglmp 64"]
+    assert bound["total"] == 64**4
+    assert bound["cases"]["case1"] + bound["cases"]["case2b"] == got["tightness 64 --witness"]["saturating"]
