@@ -111,8 +111,6 @@ def integer_rows(rows) -> tuple[np.ndarray, int]:
     except (AttributeError, TypeError, ValueError, OverflowError):
         ratios = [[_exact(x).as_integer_ratio() for x in row] for row in rows]
     den = math.lcm(*{q for row in ratios for _, q in row})
-    if den == 1:
-        return _int_array([[p for p, _ in row] for row in ratios]), 1
     return _int_array([[p * (den // q) for p, q in row] for row in ratios]), den
 
 
