@@ -30,7 +30,10 @@ Two independent certificates are computed exhaustively:
 * tightness: the generators on the hyperplane I_d = 2 contain 4d(d-1)
   linearly independent vectors, exhibited constructively in d-1 staged
   batches of 4d vectors whose rank is checked to grow by exactly 4d at
-  every step.
+  every step.  The 4d(d-1) vectors of all batches are checked to be
+  saturating generators in one pass of array calls; the batches are then
+  walked in order, so the first batch that holds a failing vector is the
+  one named.
 
 The staged batches live in permuted coordinates in which a generator reads
 |A,r> + |A,s> + |A-r,t> + |A+s,u> blockwise; the permutation is orthogonal
@@ -493,27 +496,36 @@ def _checked_steps(d: int):
     step comes as the WitnessBatch fields before rank_after, its strategies
     and supports as n x 4 integer arrays.
 
-    A step's 4d vectors, pattern by pattern and first outcome A1 = 0..d-1
-    within each, are checked by one _rstu_arrays call; the first vector in
-    that order that fails a check names the failure.
+    The vectors of all steps, step by step, pattern by pattern and first
+    outcome A1 = 0..d-1 within each, are checked in one pass of array calls
+    (one _rstu_arrays, one _witness_support).  The steps are then walked in
+    order: a step that holds a failing vector raises for the first one in
+    that order, an example-2 style step has its key minor checked at its
+    turn, and every other step yields its slice of the arrays.
     """
     lo, hi = window_bounds(d)
-    for step_index, (scheme, params) in enumerate(witness_steps(d)):
-        patterns = scheme_patterns(scheme, params)
-        pattern = np.repeat(np.array(patterns, dtype=np.int64).T, d, axis=1)  # one column per vector
-        r, s, t, u = pattern
-        a1 = np.tile(np.arange(d), len(patterns))
-        b1, b2 = (a1 - r) % d, (a1 + s) % d
-        a2 = (b1 - t - 1) % d
-        grid = np.stack([a1, a2, b1, b2])
-        v = _rstu_arrays(grid, d)
-        outside = ((pattern < lo) | (pattern > hi)).any(axis=0)
-        incongruent = a2 != (b2 + u) % d
-        moved = (v != pattern).any(axis=0)
-        bad = outside | incongruent | moved | (_f_sums(v, d) != 2 * (d - 1))
-        if bad.any():
-            i = int(np.argmax(bad))
-            p = patterns[i // d]
+    steps = witness_steps(d)
+    step_patterns = [scheme_patterns(scheme, params) for scheme, params in steps]
+    ends = d * np.cumsum([len(patterns) for patterns in step_patterns], dtype=np.int64)
+    flat = [p for patterns in step_patterns for p in patterns]
+    pattern = np.repeat(np.array(flat, dtype=np.int64).reshape(-1, 4).T, d, axis=1)  # one column per vector
+    r, s, t, u = pattern
+    a1 = np.tile(np.arange(d), len(flat))
+    b1, b2 = (a1 - r) % d, (a1 + s) % d
+    a2 = (b1 - t - 1) % d
+    grid = np.stack([a1, a2, b1, b2])
+    v = _rstu_arrays(grid, d)
+    outside = ((pattern < lo) | (pattern > hi)).any(axis=0)
+    incongruent = a2 != (b2 + u) % d
+    moved = (v != pattern).any(axis=0)
+    bad = outside | incongruent | moved | (_f_sums(v, d) != 2 * (d - 1))
+    first_bad = int(np.argmax(bad)) if bad.any() else len(bad)
+    supports = np.stack(_witness_support(pattern, a1, d), axis=-1)
+    start = 0
+    for step_index, ((scheme, params), patterns, end) in enumerate(zip(steps, step_patterns, ends.tolist())):
+        if first_bad < end:
+            i = first_bad
+            p = patterns[(i - start) // d]
             if outside[i]:
                 raise WitnessError(f"step {step_index}: pattern {p} leaves the window for d={d}")
             if incongruent[i]:
@@ -526,7 +538,30 @@ def _checked_steps(d: int):
             minor = _example2_minor(scheme, params, d)
             if linalg.int_rank(minor) != 4:
                 raise WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
-        yield step_index, scheme, tuple(params), grid.T, np.stack(_witness_support(pattern, a1, d), axis=-1)
+        yield step_index, scheme, tuple(params), grid.T[start:end], supports[start:end]
+        start = end
+
+
+def _witness_pivots(supports: np.ndarray, d: int) -> np.ndarray:
+    """The pivot columns of the witness vectors, given by their supports in
+    witness order, as the columns of one 4d^2-row 0/1 matrix.
+
+    A vector with a fresh coordinate (``linalg.has_fresh_coordinate``) is a
+    pivot.  Only the vectors up to the last one without a fresh coordinate
+    are eliminated (``linalg.pivot_columns``), as an int8 matrix of the
+    rows they touch: whether a column is a pivot depends only on the
+    columns before it, and the rows they do not touch are zero in all of
+    them.  Every vector after that prefix is a pivot.
+    """
+    pivots = np.arange(len(supports))
+    stale = np.flatnonzero(~linalg.has_fresh_coordinate(supports, 4 * d * d))
+    if len(stale):
+        end = int(stale[-1]) + 1
+        rows, at = np.unique(supports[:end].ravel(), return_inverse=True)
+        stack = np.zeros((len(rows), end), dtype=np.int8)
+        stack[at.reshape(end, -1).T, np.arange(end)] = 1
+        pivots = np.concatenate([np.array(linalg.pivot_columns(stack), dtype=np.int64), pivots[end:]])
+    return pivots
 
 
 def constructive_witness(d: int) -> list[WitnessBatch]:
@@ -539,13 +574,13 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
     otherwise.
 
     With the vectors as the columns of one matrix, the pivot columns below
-    the end of a batch count the rank of the batches up to it.  When every
-    vector has a coordinate that no earlier vector touches
-    (``linalg.has_fresh_coordinate``), every column is a pivot and no
-    matrix is built.  That holds for every d from 2 to 128 but d = 1 mod 4,
-    where d vectors of the example2-variant step have none; then the 0/1
-    matrix is built and one elimination (``linalg.pivot_columns``) serves
-    every prefix.
+    the end of a batch count the rank of the batches up to it
+    (``_witness_pivots``).  When every vector has a coordinate that no
+    earlier vector touches (``linalg.has_fresh_coordinate``), every column
+    is a pivot and no matrix is built.  That holds for every d from 2 to
+    129 but d = 1 mod 4, where d vectors of the example2-variant step, the
+    second one, have none; then only the first two steps are eliminated,
+    on the about 12d rows they touch.
     """
     if d < 2:
         raise ValueError("need d >= 2")
@@ -557,12 +592,7 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
     except WitnessError as exc:  # raised after the steps before it are ranked
         error = exc
     supports = np.concatenate([np.empty((0, 4), dtype=np.int64), *(step_supports for *_, step_supports in steps)])
-    if linalg.has_fresh_coordinate(supports, 4 * d * d).all():
-        pivots = np.arange(len(supports))
-    else:
-        stack = np.zeros((4 * d * d, len(supports)), dtype=np.int8)
-        stack[supports.T, np.arange(len(supports))] = 1
-        pivots = np.array(linalg.pivot_columns(stack), dtype=np.int64)
+    pivots = _witness_pivots(supports, d)
     rank = 0
     end = 0
     batches: list[WitnessBatch] = []

@@ -119,17 +119,19 @@ def cglmp_corr_inequality(d: int) -> Inequality:
     Summing k from 0 to floor(d/2)-1 with weight 1 - 2k/(d-1), the eight
     probability terms per k, a plus and a minus outcome difference per
     block, contribute signed weight to the coordinate carrying their
-    difference.  This is the one CGLMP table: cglmp_inequality is its lift.
+    difference.  The weights are added up as the integers d-1-2k and
+    divided by d-1 once per coordinate.  This is the one CGLMP table:
+    cglmp_inequality is its lift.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    w = [Fraction(0)] * (4 * d)
+    w = [0] * (4 * d)
     for k in range(d // 2):
-        c = 1 - Fraction(2 * k, d - 1)
+        c = d - 1 - 2 * k
         for (a, b), plus, minus in (((1, 1), k, -k - 1), ((1, 2), -k, k + 1), ((2, 1), -k - 1, k), ((2, 2), k, -k - 1)):
             w[corr_index(d, a, b, plus % d)] += c
             w[corr_index(d, a, b, minus % d)] -= c
-    return Inequality("correlator", d, tuple(w), Fraction(2))
+    return Inequality("correlator", d, tuple(Fraction(x, d - 1) for x in w), Fraction(2))
 
 
 def lift(ineq: Inequality) -> Inequality:

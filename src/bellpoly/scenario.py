@@ -207,24 +207,24 @@ def polytope_affine_dim(s: Scenario) -> int:
     """
     d = s.d
     upper = 4 * d * d - constraint_rank(s)
-    grid = np.array(spanning_strategy_grid(d), dtype=np.int64).reshape(-1, 4)[::-1].T
+    grid = spanning_strategy_grid(d)[::-1].T
     if linalg.has_fresh_coordinate(generator_supports(d, grid), 4 * d * d).all() and grid.shape[1] - 1 == upper:
         return upper
     return linalg.affine_dim(generator_matrix(d))
 
 
-def spanning_strategy_grid(d: int) -> list[DeterministicStrategy]:
-    """A (2d-1)^2 family of strategies whose generators are independent.
+def spanning_strategy_grid(d: int) -> np.ndarray:
+    """A (2d-1)^2 family of strategies whose generators are independent,
+    as the rows (a1, a2, b1, b2) of a (2d-1)^2 x 4 int64 array.
 
     Per-party setting pairs run through (0,0), (0,1), ..., (0,d-1),
-    (1,d-1), ..., (d-1,d-1); the grid of all combinations gives the
-    explicit independent family whose size pins the polytope dimension
-    from below.
+    (1,d-1), ..., (d-1,d-1); the grid of all combinations, Alice's pair
+    outer, gives the explicit independent family whose size pins the
+    polytope dimension from below.
     """
-    pairs = [(0, j) for j in range(d)] + [(i, d - 1) for i in range(1, d)]
-    return [
-        DeterministicStrategy(x1, x2, y1, y2) for (x1, x2) in pairs for (y1, y2) in pairs
-    ]
+    steps = np.arange(2 * d - 1, dtype=np.int64)
+    pairs = np.stack([np.maximum(steps - (d - 1), 0), np.minimum(steps, d - 1)], axis=1)
+    return np.concatenate([np.repeat(pairs, len(pairs), axis=0), np.tile(pairs, (len(pairs), 1))], axis=1)
 
 
 def blocks_to_json(coords, shape: tuple[int, ...]) -> dict:

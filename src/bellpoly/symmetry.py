@@ -130,15 +130,33 @@ def _orbit(key: np.ndarray, space: str, d: int) -> np.ndarray:
     return linalg.gcd_reduce(gauge(images, standard_equations(space, d)))
 
 
+# slack entries taken at once by canonical_class, rounded down to whole orbit rows (at least one)
+_SLACK_CHUNK = 1 << 20
+
+
 def canonical_class(ineq: Inequality) -> Inequality:
     """Deterministic orbit representative: the image whose gcd-reduced
     slack over the vertices is the lexicographic minimum over the group, in
     the fixed gauge of facets.canonicalize (coefficients reduced modulo the
-    space's equations)."""
+    space's equations).
+
+    The slack is taken in chunks of orbit rows of about _SLACK_CHUNK
+    entries; each chunk keeps its least gcd-reduced row, the first of
+    equal ones, and one _least_row over the kept rows picks the first
+    least row of the whole orbit.
+    """
     space, d = ineq.space, ineq.d
     orbit = _orbit(gauge_rows([ineq])[0], space, d)
-    slack = linalg.slack_matrix(orbit[:, :-1], orbit[:, -1], space_vertices(space, d))
-    *coeffs, bound = map(Fraction, orbit[_least_row(linalg.gcd_reduce(slack))].tolist())
+    vertices = space_vertices(space, d)
+    step = max(1, _SLACK_CHUNK // len(vertices))
+    kept, least = [], []
+    for start in range(0, len(orbit), step):
+        chunk = orbit[start : start + step]
+        slack = linalg.gcd_reduce(linalg.slack_matrix(chunk[:, :-1], chunk[:, -1], vertices))
+        i = _least_row(slack)
+        kept.append(start + i)
+        least.append(slack[i].copy())  # not a view, which would keep the chunk alive
+    *coeffs, bound = map(Fraction, orbit[kept[_least_row(np.array(least))]].tolist())
     return Inequality(space, d, tuple(coeffs), bound)
 
 

@@ -21,7 +21,8 @@ and polytope dimension from the full saturating and d^4-row matrices and the CGL
 bound from a strategy-by-strategy loop with its own r, s, t, u, f and
 sign/sum case table (the library ranks the explicit
 witness and strategy grid, by fresh coordinates where it can, and sweeps
-the bound with numpy), pivot columns of 0/1 vectors by elimination (the
+the bound with numpy), the witness checks one step at a time (the library
+checks every step's vectors in one pass), pivot columns of 0/1 vectors by elimination (the
 library reads them off fresh coordinates where it can), extreme rays
 from double description one positive/negative pair at a time (the
 library filters and tests whole blocks of pairs in numpy), and the
@@ -634,6 +635,46 @@ def loop_verify_condition1(d: int):
         histogram=histogram,
         case_histogram=dict(sorted(cases.items())),
     )
+
+
+def loop_checked_steps(d: int):
+    """cglmp._checked_steps one step at a time: each step's vectors are
+    checked by their own array calls, and a failing step raises before the
+    steps after it are built."""
+    import numpy as np
+
+    from bellpoly import cglmp, linalg
+
+    lo, hi = cglmp.window_bounds(d)
+    for step_index, (scheme, params) in enumerate(cglmp.witness_steps(d)):
+        patterns = cglmp.scheme_patterns(scheme, params)
+        pattern = np.repeat(np.array(patterns, dtype=np.int64).T, d, axis=1)  # one column per vector
+        r, s, t, u = pattern
+        a1 = np.tile(np.arange(d), len(patterns))
+        b1, b2 = (a1 - r) % d, (a1 + s) % d
+        a2 = (b1 - t - 1) % d
+        grid = np.stack([a1, a2, b1, b2])
+        v = cglmp._rstu_arrays(grid, d)
+        outside = ((pattern < lo) | (pattern > hi)).any(axis=0)
+        incongruent = a2 != (b2 + u) % d
+        moved = (v != pattern).any(axis=0)
+        bad = outside | incongruent | moved | (cglmp._f_sums(v, d) != 2 * (d - 1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            p = patterns[i // d]
+            if outside[i]:
+                raise cglmp.WitnessError(f"step {step_index}: pattern {p} leaves the window for d={d}")
+            if incongruent[i]:
+                raise AssertionError(f"pattern {p} is not congruent to -1 mod {d}")
+            if moved[i]:
+                lam = cglmp.DeterministicStrategy(*grid[:, i].tolist())
+                raise cglmp.WitnessError(f"step {step_index}: {p} does not reproduce itself from {lam}")
+            raise cglmp.WitnessError(f"step {step_index}: pattern {p} is not saturating")
+        if scheme in (cglmp.SCHEME_EXAMPLE2, cglmp.SCHEME_EXAMPLE2_VARIANT):
+            minor = cglmp._example2_minor(scheme, params, d)
+            if linalg.int_rank(minor) != 4:
+                raise cglmp.WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
+        yield step_index, scheme, tuple(params), grid.T, np.stack(cglmp._witness_support(pattern, a1, d), axis=-1)
 
 
 # --- double description one pair at a time ------------------------------------

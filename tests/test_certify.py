@@ -21,6 +21,7 @@ from bellpoly.scenario import Scenario, polytope_affine_dim
 from oracles import (
     full_polytope_affine_dim,
     full_tightness_rank,
+    loop_checked_steps,
     loop_f_scaled,
     loop_rstu,
     loop_verify_condition1,
@@ -116,15 +117,42 @@ def test_fresh_coordinates_match_pivot_columns(d):
     assert support_pivot_columns(sup, n) == list(range(len(sup)))
 
 
+@pytest.mark.parametrize("d", range(2, 41))
+def test_batched_witness_checks_match_the_step_loop(monkeypatch, d):
+    got, want = list(cglmp._checked_steps(d)), list(loop_checked_steps(d))
+    assert len(got) == len(want) == d - 1
+    for step, loop_step in zip(got, want):
+        assert step[:3] == loop_step[:3]  # step index, scheme, params
+        for array, loop_array in zip(step[3:], loop_step[3:]):  # strategies, supports
+            assert array.dtype == loop_array.dtype and np.array_equal(array, loop_array)
+    ranks = [batch.rank_after for batch in cglmp.constructive_witness(d)]
+    monkeypatch.setattr(cglmp, "_checked_steps", loop_checked_steps)
+    assert [batch.rank_after for batch in cglmp.constructive_witness(d)] == ranks
+
+
 @pytest.mark.parametrize("d", [5, 9, pytest.param(13, marks=pytest.mark.slow)])
 def test_witness_at_d_1_mod_4_falls_back_to_one_elimination(monkeypatch, d):
     shapes = []
     full = linalg.pivot_columns
     monkeypatch.setattr(linalg, "pivot_columns", lambda rows: shapes.append(np.shape(rows)) or full(rows))
     batches = cglmp.constructive_witness(d)
-    # besides the two 4 x 4 key minors, the whole stack is eliminated once
-    assert sorted(shapes) == [(4, 4), (4, 4), (4 * d * d, 4 * d * (d - 1))]
+    # besides the two 4 x 4 key minors, only the first two steps are
+    # eliminated, on the 12d rows they touch
+    assert sorted(shapes) == [(4, 4), (4, 4), (12 * d, 8 * d)]
     assert batches[-1].rank_after == 4 * d * (d - 1)
+
+
+@pytest.mark.parametrize("d", [5, 9, 13])
+def test_witness_prefix_pivots_match_the_full_stack(d):
+    sup, _ = witness_supports(d)
+    n = 4 * d * d
+    full = support_pivot_columns(sup, n)
+    assert cglmp._witness_pivots(sup, d).tolist() == full
+    stack = np.zeros((n, len(sup)), dtype=np.int64)
+    stack[sup.T, np.arange(len(sup))] = 1
+    assert linalg.int_rank(stack) == len(full) == 4 * d * (d - 1)
+    ends = 4 * d * np.arange(1, d)
+    assert [batch.rank_after for batch in cglmp.constructive_witness(d)] == np.searchsorted(full, ends).tolist()
 
 
 def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
@@ -137,7 +165,8 @@ def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
         return len(pivot_columns(rows))
 
     def witness_stack(rows):
-        # at d = 1 mod 4 the witness stack is the only matrix eliminated
+        # at d = 1 mod 4 the first two witness steps, on the rows they
+        # touch, are the only matrix eliminated
         assert np.shape(rows) == stack, "matrix eliminated"
         eliminated.append(stack)
         return pivot_columns(rows)
@@ -153,10 +182,10 @@ def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
     monkeypatch.setattr(linalg, "int_rank", minor_rank)
     eliminated = []
     for d in range(2, 13):
-        stack = (4 * d * d, 4 * d * (d - 1)) if d % 4 == 1 else None
+        stack = (12 * d, 8 * d) if d % 4 == 1 else None
         assert cglmp.tightness_rank(d).tight
         assert polytope_affine_dim(Scenario(d)) == 4 * d * (d - 1)
-    assert eliminated == [(4 * d * d, 4 * d * (d - 1)) for d in (5, 9)]
+    assert eliminated == [(12 * d, 8 * d) for d in (5, 9)]
 
 
 def test_tightness_falls_back_to_full_rank_when_witness_fails(monkeypatch):
@@ -229,3 +258,15 @@ def test_certify_commands_at_d64_d128():
     bound = got["verify-cglmp 64"]
     assert bound["total"] == 64**4
     assert bound["cases"]["case1"] + bound["cases"]["case2b"] == got["tightness 64 --witness"]["saturating"]
+
+
+@pytest.mark.slow
+def test_witness_at_d_1_mod_4_past_128():
+    # the d = 1 mod 4 witness eliminates a 12d x 8d prefix, so d = 129 no
+    # longer builds its 4d^2 x 4d(d-1) stack (4.4 GB of int8)
+    for d in (65, 129):
+        code, out = run("tightness", str(d), "--witness")
+        got = json.loads(out)
+        assert code == 0 and got["ok"] is True and got["tight"] is True
+        assert got["rank"] == 4 * d * (d - 1) and got["witness_steps"][-1]["rank_after"] == got["rank"]
+    assert got["rank"] == 66048

@@ -41,6 +41,7 @@ from bellpoly.scenario import (
     all_strategies,
     generator,
 )
+from bellpoly import symmetry
 from bellpoly.symmetry import (
     _orbit,
     _row_keys,
@@ -529,3 +530,40 @@ def test_equivalent_builds_no_vertex_table():
     finally:
         tracemalloc.stop()
     assert peak < len(group) * len(verts) * 4 // 2
+
+
+@pytest.mark.parametrize(
+    "space,d,rows",
+    [
+        ("correlator", 2, 5),
+        ("correlator", 3, 37),
+        ("correlator", 4, 37),
+        ("behavior", 2, 37),
+        # three chunks of the 2000-row orbit, the last one shorter
+        pytest.param("correlator", 5, 667, marks=pytest.mark.slow),
+    ],
+)
+def test_canonical_class_in_chunks_matches_one_shot(monkeypatch, space, d, rows):
+    # a chunk of a few orbit rows gives the representative of the whole
+    # orbit at once, the first of equal least slack rows included
+    _, _, facets = _space(space, d)
+    monkeypatch.setattr(symmetry, "_SLACK_CHUNK", len(space_vertices(space, d)) * len(group_for(space, d)))
+    whole = [canonical_class(q) for q in facets]
+    monkeypatch.setattr(symmetry, "_SLACK_CHUNK", len(space_vertices(space, d)) * rows)
+    assert [canonical_class(q) for q in facets] == whole
+
+
+def test_canonical_class_takes_the_slack_in_chunks():
+    # at correlator d=10 the whole 16000 x 1000 slack is 128 MB of int64
+    d = 10
+    group, verts = group_for("correlator", d), space_vertices("correlator", d)
+    standard_equations("correlator", d)
+    q = cglmp_corr_inequality(d)
+    tracemalloc.start()
+    try:
+        rep = canonical_class(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert equivalent(rep, q)
+    assert peak < len(group) * len(verts) * 8 // 2
