@@ -31,13 +31,9 @@ Two independent certificates are computed exhaustively:
   linearly independent vectors, exhibited constructively in d-1 staged
   batches of 4d vectors whose rank is checked to grow by exactly 4d at
   every step.  The 4d(d-1) vectors of all batches are checked to be
-  saturating generators in one pass of array calls; the batches are then
-  walked in order, so the first batch that holds a failing vector is the
-  one named.
-
-The staged batches live in permuted coordinates in which a generator reads
-|A,r> + |A,s> + |A-r,t> + |A+s,u> blockwise; the permutation is orthogonal
-(a relabeling of coordinates), so ranks agree with the behavior frame.
+  saturating generators, and ranked, in one pass of array calls; the
+  batches are then walked in order, so the first batch that fails a check
+  is the one named.
 """
 
 from __future__ import annotations
@@ -56,6 +52,7 @@ from .scenario import (
     check_strategy,
     coord_index,
     generator_rows,
+    generator_supports,
 )
 
 
@@ -276,7 +273,8 @@ def verify_condition1(d: int) -> Condition1Report:
                 )
             if not allowed[keys[i]]:
                 raise VerificationError(f"{lam} evaluates to {value}, outside the value set")
-            classify_case(rstu(lam, d), d)  # raises: no sign/sum case matches
+            if codes[keys[i]] < 0:
+                raise VerificationError(f"{lam} with {rstu(lam, d)} matches no sign/sum case for d={d}")
         counts += block
     present = np.flatnonzero(counts)
     best = int(values[present].max())
@@ -391,7 +389,7 @@ class WitnessBatch:
     scheme: str
     params: tuple[int, ...]
     strategies: np.ndarray = field(compare=False)  # n x 4, a1 a2 b1 b2 of each vector; d per pattern
-    supports: np.ndarray = field(compare=False)  # n x 4, the ones of each permuted-frame vector
+    supports: np.ndarray = field(compare=False)  # n x 4, generator_supports of the strategies
     rank_after: int
 
 
@@ -456,90 +454,32 @@ def scheme_patterns(scheme: str, params: tuple[int, ...]) -> list[tuple[int, int
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _witness_support(pattern, first, d: int) -> tuple:
-    """The four coordinates at which a witness vector is 1; elementwise
-    over arrays of patterns (r, s, t, u) and first outcomes."""
-    r, s, t, u = pattern
-    a1 = first % d
-    return (
-        coord_index(d, 1, 1, a1, r % d),
-        coord_index(d, 1, 2, a1, s % d),
-        coord_index(d, 2, 1, (a1 - r) % d, t % d),
-        coord_index(d, 2, 2, (a1 + s) % d, u % d),
-    )
+def _pattern_strategies(pattern: np.ndarray, a1, d: int) -> np.ndarray:
+    """The strategy (a1, a2, b1, b2) that reads each pattern (r, s, t, u)
+    from its first outcome a1: b1 = a1 - r, b2 = a1 + s and a2 = b1 - t - 1
+    mod d; columnwise over a 4 x n pattern array and the n first outcomes."""
+    r, s, t, _ = pattern
+    b1, b2 = (a1 - r) % d, (a1 + s) % d
+    return np.stack(np.broadcast_arrays(a1, (b1 - t - 1) % d, b1, b2))
 
 
 def _example2_minor(scheme: str, params: tuple[int, ...], d: int) -> list[list[int]]:
-    """Projection of a step's four rows (at A=0) onto its four key coordinates."""
+    """Projection of a step's four rows (at a1 = 0) onto its four key
+    coordinates.  The paper writes a generator as |A,r> + |A,s> + |A-r,t>
+    + |A+s,u> blockwise and takes the keys |0,a>, |0,a>, |c,a> and |e,a>,
+    (c, e) = (-a, b1) in example 2 and (-b1, b2) in its variant; in
+    behavior coordinates they are (0, -a), (0, a), (c - a - 1, c) and
+    (e + a, e)."""
     a, b1, b2 = params
-    if scheme == SCHEME_EXAMPLE2:
-        cols = [
-            coord_index(d, 1, 1, 0, a % d),
-            coord_index(d, 1, 2, 0, a % d),
-            coord_index(d, 2, 1, (-a) % d, a % d),
-            coord_index(d, 2, 2, b1 % d, a % d),
-        ]
-    else:
-        cols = [
-            coord_index(d, 1, 1, 0, a % d),
-            coord_index(d, 1, 2, 0, a % d),
-            coord_index(d, 2, 1, (-b1) % d, a % d),
-            coord_index(d, 2, 2, b2 % d, a % d),
-        ]
-    return [[int(c in _witness_support(p, 0, d)) for c in cols] for p in scheme_patterns(scheme, params)]
-
-
-def _checked_steps(d: int):
-    """The witness steps in order, every vector checked to be a saturating
-    generator and every example-2 style step to have a nonsingular 4x4 key
-    minor; raises WitnessError at the first step that fails a check.  Each
-    step comes as the WitnessBatch fields before rank_after, its strategies
-    and supports as n x 4 integer arrays.
-
-    The vectors of all steps, step by step, pattern by pattern and first
-    outcome A1 = 0..d-1 within each, are checked in one pass of array calls
-    (one _rstu_arrays, one _witness_support).  The steps are then walked in
-    order: a step that holds a failing vector raises for the first one in
-    that order, an example-2 style step has its key minor checked at its
-    turn, and every other step yields its slice of the arrays.
-    """
-    lo, hi = window_bounds(d)
-    steps = witness_steps(d)
-    step_patterns = [scheme_patterns(scheme, params) for scheme, params in steps]
-    ends = d * np.cumsum([len(patterns) for patterns in step_patterns], dtype=np.int64)
-    flat = [p for patterns in step_patterns for p in patterns]
-    pattern = np.repeat(np.array(flat, dtype=np.int64).reshape(-1, 4).T, d, axis=1)  # one column per vector
-    r, s, t, u = pattern
-    a1 = np.tile(np.arange(d), len(flat))
-    b1, b2 = (a1 - r) % d, (a1 + s) % d
-    a2 = (b1 - t - 1) % d
-    grid = np.stack([a1, a2, b1, b2])
-    v = _rstu_arrays(grid, d)
-    outside = ((pattern < lo) | (pattern > hi)).any(axis=0)
-    incongruent = a2 != (b2 + u) % d
-    moved = (v != pattern).any(axis=0)
-    bad = outside | incongruent | moved | (_f_sums(v, d) != 2 * (d - 1))
-    first_bad = int(np.argmax(bad)) if bad.any() else len(bad)
-    supports = np.stack(_witness_support(pattern, a1, d), axis=-1)
-    start = 0
-    for step_index, ((scheme, params), patterns, end) in enumerate(zip(steps, step_patterns, ends.tolist())):
-        if first_bad < end:
-            i = first_bad
-            p = patterns[(i - start) // d]
-            if outside[i]:
-                raise WitnessError(f"step {step_index}: pattern {p} leaves the window for d={d}")
-            if incongruent[i]:
-                raise AssertionError(f"pattern {p} is not congruent to -1 mod {d}")
-            if moved[i]:
-                lam = DeterministicStrategy(*grid[:, i].tolist())
-                raise WitnessError(f"step {step_index}: {p} does not reproduce itself from {lam}")
-            raise WitnessError(f"step {step_index}: pattern {p} is not saturating")
-        if scheme in (SCHEME_EXAMPLE2, SCHEME_EXAMPLE2_VARIANT):
-            minor = _example2_minor(scheme, params, d)
-            if linalg.int_rank(minor) != 4:
-                raise WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
-        yield step_index, scheme, tuple(params), grid.T[start:end], supports[start:end]
-        start = end
+    c, e = (-a, b1) if scheme == SCHEME_EXAMPLE2 else (-b1, b2)
+    cols = [
+        coord_index(d, 1, 1, 0, -a % d),
+        coord_index(d, 1, 2, 0, a % d),
+        coord_index(d, 2, 1, (c - a - 1) % d, c % d),
+        coord_index(d, 2, 2, (e + a) % d, e % d),
+    ]
+    rows = generator_supports(d, _pattern_strategies(np.array(scheme_patterns(scheme, params)).T, 0, d))
+    return [[int(col in row) for col in cols] for row in rows.tolist()]
 
 
 def _witness_pivots(supports: np.ndarray, d: int) -> np.ndarray:
@@ -573,41 +513,60 @@ def constructive_witness(d: int) -> list[WitnessBatch]:
     ending at 4d(d-1).  Raises WitnessError naming the first failing step
     otherwise.
 
-    With the vectors as the columns of one matrix, the pivot columns below
-    the end of a batch count the rank of the batches up to it
-    (``_witness_pivots``).  When every vector has a coordinate that no
-    earlier vector touches (``linalg.has_fresh_coordinate``), every column
-    is a pivot and no matrix is built.  That holds for every d from 2 to
-    129 but d = 1 mod 4, where d vectors of the example2-variant step, the
-    second one, have none; then only the first two steps are eliminated,
-    on the about 12d rows they touch.
+    The vectors of all steps, step by step, pattern by pattern and first
+    outcome a1 = 0..d-1 within each, are checked in one pass of array
+    calls.  Their supports (``generator_supports``), as the columns of one
+    matrix, are ranked up to the first step holding a failing vector: the
+    pivot columns below the end of a batch count the rank of the batches
+    up to it (``_witness_pivots``).  When every vector has a coordinate
+    that no earlier vector touches (``linalg.has_fresh_coordinate``), as
+    for every d from 2 to 129 but d = 1 mod 4, no matrix is built; at d = 1
+    mod 4 only the first two steps are eliminated, on the about 12d rows
+    they touch.  The steps are then walked in order, each raising for its
+    first failing vector, then for a singular key minor, then for a rank
+    gain other than 4d.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    steps: list[tuple] = []
-    error = None
-    try:
-        for step in _checked_steps(d):
-            steps.append(step)
-    except WitnessError as exc:  # raised after the steps before it are ranked
-        error = exc
-    supports = np.concatenate([np.empty((0, 4), dtype=np.int64), *(step_supports for *_, step_supports in steps)])
-    pivots = _witness_pivots(supports, d)
-    rank = 0
-    end = 0
+    lo, hi = window_bounds(d)
+    steps = witness_steps(d)
+    step_patterns = [scheme_patterns(scheme, params) for scheme, params in steps]
+    ends = d * np.cumsum([len(patterns) for patterns in step_patterns], dtype=np.int64)
+    flat = [p for patterns in step_patterns for p in patterns]
+    pattern = np.repeat(np.array(flat, dtype=np.int64).reshape(-1, 4).T, d, axis=1)  # one column per vector
+    grid = _pattern_strategies(pattern, np.tile(np.arange(d), len(flat)), d)
+    v = _rstu_arrays(grid, d)
+    outside = ((pattern < lo) | (pattern > hi)).any(axis=0)
+    incongruent = grid[1] != (grid[3] + pattern[3]) % d
+    moved = (v != pattern).any(axis=0)
+    bad = outside | incongruent | moved | (_f_sums(v, d) != 2 * (d - 1))
+    first_bad = int(np.argmax(bad)) if bad.any() else len(bad)
+    supports = generator_supports(d, grid)
+    pivots = _witness_pivots(supports[: ends[ends <= first_bad].max(initial=0)], d)
+    rank = start = 0
     batches: list[WitnessBatch] = []
-    for step in steps:
-        step_index, scheme, params, _, step_supports = step
-        end += len(step_supports)
+    for step_index, ((scheme, params), patterns, end) in enumerate(zip(steps, step_patterns, ends.tolist())):
+        if first_bad < end:
+            i, p = first_bad, patterns[(first_bad - start) // d]
+            if outside[i]:
+                raise WitnessError(f"step {step_index}: pattern {p} leaves the window for d={d}")
+            if incongruent[i]:
+                raise AssertionError(f"pattern {p} is not congruent to -1 mod {d}")
+            if moved[i]:
+                lam = DeterministicStrategy(*grid[:, i].tolist())
+                raise WitnessError(f"step {step_index}: {p} does not reproduce itself from {lam}")
+            raise WitnessError(f"step {step_index}: pattern {p} is not saturating")
+        if scheme in (SCHEME_EXAMPLE2, SCHEME_EXAMPLE2_VARIANT):
+            if linalg.int_rank(_example2_minor(scheme, params, d)) != 4:
+                raise WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
         before, rank = rank, int(np.searchsorted(pivots, end))
         if rank != before + 4 * d:
             raise WitnessError(
-                f"step {step_index} ({scheme} {params}) raised the rank by "
+                f"step {step_index} ({scheme} {tuple(params)}) raised the rank by "
                 f"{rank - before}, expected {4 * d}"
             )
-        batches.append(WitnessBatch(*step, rank_after=rank))
-    if error is not None:
-        raise error
+        batches.append(WitnessBatch(step_index, scheme, tuple(params), grid.T[start:end], supports[start:end], rank))
+        start = end
     if rank != 4 * d * (d - 1):
         raise WitnessError(f"witness ends at rank {rank}, expected {4 * d * (d - 1)}")
     return batches

@@ -496,39 +496,6 @@ def full_tightness_rank(d: int):
     return cglmp.TightnessReport(d=d, h=4 * d * (d - 1), saturating=mat.shape[0], rank=linalg.int_rank(mat))
 
 
-def witness_frame_permutation(d: int) -> tuple[int, ...]:
-    """perm with permuted_vector[j] = behavior_vector[perm[j]].
-
-    Blockwise bijection sending the joint-outcome coordinate to the
-    (first outcome, outcome difference) coordinate, so a generator becomes
-    |A,r> + |A,s> + |A-r,t> + |A+s,u> across the four blocks.
-    """
-    from bellpoly.scenario import coord_index
-
-    size = 4 * d * d
-    perm = [0] * size
-    for k in range(d):
-        for s in range(d):
-            perm[coord_index(d, 1, 1, k, (k - s) % d)] = coord_index(d, 1, 1, k, s)
-            perm[coord_index(d, 1, 2, k, (s - k) % d)] = coord_index(d, 1, 2, k, s)
-            perm[coord_index(d, 2, 1, s, (s - k - 1) % d)] = coord_index(d, 2, 1, k, s)
-            perm[coord_index(d, 2, 2, s, (k - s) % d)] = coord_index(d, 2, 2, k, s)
-    return tuple(perm)
-
-
-def to_witness_frame(coords: Sequence, d: int) -> tuple:
-    perm = witness_frame_permutation(d)
-    return tuple(coords[perm[j]] for j in range(4 * d * d))
-
-
-def from_witness_frame(coords: Sequence, d: int) -> tuple:
-    perm = witness_frame_permutation(d)
-    out = [None] * (4 * d * d)
-    for j in range(4 * d * d):
-        out[perm[j]] = coords[j]
-    return tuple(out)
-
-
 def full_polytope_affine_dim(d: int) -> int:
     """Rank of the differences of all d^4 generators."""
     from bellpoly import linalg
@@ -638,12 +605,15 @@ def loop_verify_condition1(d: int):
 
 
 def loop_checked_steps(d: int):
-    """cglmp._checked_steps one step at a time: each step's vectors are
-    checked by their own array calls, and a failing step raises before the
-    steps after it are built."""
+    """The checks of cglmp.constructive_witness before its rank, one step
+    at a time: each step's vectors are checked by their own array calls, a
+    failing step raises before the steps after it are built, and every
+    other step yields its index, scheme, parameters, strategies and
+    supports, as in a WitnessBatch."""
     import numpy as np
 
     from bellpoly import cglmp, linalg
+    from bellpoly.scenario import generator_supports
 
     lo, hi = cglmp.window_bounds(d)
     for step_index, (scheme, params) in enumerate(cglmp.witness_steps(d)):
@@ -674,7 +644,7 @@ def loop_checked_steps(d: int):
             minor = cglmp._example2_minor(scheme, params, d)
             if linalg.int_rank(minor) != 4:
                 raise cglmp.WitnessError(f"step {step_index}: singular key minor for {scheme} {params}")
-        yield step_index, scheme, tuple(params), grid.T, np.stack(cglmp._witness_support(pattern, a1, d), axis=-1)
+        yield step_index, scheme, tuple(params), grid.T, generator_supports(d, grid)
 
 
 # --- double description one pair at a time ------------------------------------

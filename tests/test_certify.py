@@ -91,9 +91,9 @@ def test_certify_stdout_is_byte_identical(argv):
 def witness_supports(d):
     """The supports of the checked witness vectors, in witness order, and
     the step of each."""
-    steps = list(cglmp._checked_steps(d))
-    sup = np.array([s for *_, step_supports in steps for s in step_supports]).reshape(-1, 4)
-    return sup, np.repeat([scheme for _, scheme, *_ in steps], 4 * d)
+    batches = cglmp.constructive_witness(d)
+    sup = np.concatenate([batch.supports for batch in batches])
+    return sup, np.repeat([batch.scheme for batch in batches], 4 * d)
 
 
 def reversed_grid_supports(d):
@@ -118,16 +118,15 @@ def test_fresh_coordinates_match_pivot_columns(d):
 
 
 @pytest.mark.parametrize("d", range(2, 41))
-def test_batched_witness_checks_match_the_step_loop(monkeypatch, d):
-    got, want = list(cglmp._checked_steps(d)), list(loop_checked_steps(d))
+def test_batched_witness_checks_match_the_step_loop(d):
+    got, want = cglmp.constructive_witness(d), list(loop_checked_steps(d))
     assert len(got) == len(want) == d - 1
-    for step, loop_step in zip(got, want):
-        assert step[:3] == loop_step[:3]  # step index, scheme, params
-        for array, loop_array in zip(step[3:], loop_step[3:]):  # strategies, supports
+    for batch, loop_step in zip(got, want):
+        assert (batch.step_index, batch.scheme, batch.params) == loop_step[:3]
+        for array, loop_array in zip((batch.strategies, batch.supports), loop_step[3:]):
             assert array.dtype == loop_array.dtype and np.array_equal(array, loop_array)
-    ranks = [batch.rank_after for batch in cglmp.constructive_witness(d)]
-    monkeypatch.setattr(cglmp, "_checked_steps", loop_checked_steps)
-    assert [batch.rank_after for batch in cglmp.constructive_witness(d)] == ranks
+        assert np.array_equal(batch.supports, scenario.generator_supports(d, batch.strategies.T))
+    assert [batch.rank_after for batch in got] == (4 * d * np.arange(1, d)).tolist()
 
 
 @pytest.mark.parametrize("d", [5, 9, pytest.param(13, marks=pytest.mark.slow)])
@@ -205,7 +204,7 @@ def test_tightness_reports_true_rank_when_witness_construction_fails(monkeypatch
     def broken(d):
         raise cglmp.WitnessError("step 0: broken on purpose")
 
-    monkeypatch.setattr(cglmp, "_checked_steps", broken)
+    monkeypatch.setattr(cglmp, "witness_steps", broken)
     assert cglmp.tightness_rank(6) == full_tightness_rank(6)
 
 
@@ -238,6 +237,19 @@ def test_perturbed_coefficient_fails_like_the_loop(monkeypatch, d, index, delta)
         with pytest.raises(cglmp.VerificationError) as got:
             cglmp.verify_condition1(d)
         assert str(got.value) == str(want.value)
+
+
+def test_strategy_matching_no_case_is_a_verification_error(monkeypatch):
+    # case5 given the key of case4b: the all-negative strategies match no case
+    keys = cglmp._case_keys
+    monkeypatch.setattr(cglmp, "_case_keys", lambda d: (*keys(d)[:6], keys(d)[5]))
+    lam = next(lam for lam in itertools.product(range(3), repeat=4) if all(x < 0 for x in loop_rstu(lam, 3)))
+    code, out = run("verify-cglmp", "3")
+    got = json.loads(out)
+    assert code == 1 and got["ok"] is False
+    assert got["error"] == (
+        f"{cglmp.DeterministicStrategy(*lam)} with {cglmp.rstu(lam, 3)} matches no sign/sum case for d=3"
+    )
 
 
 @pytest.mark.slow

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import from_witness_frame, loop_case, loop_f_scaled, loop_rstu, to_witness_frame, witness_frame_permutation
+from oracles import loop_case, loop_f_scaled, loop_rstu
 
 from bellpoly import cglmp, linalg
 from bellpoly.cglmp import (
@@ -223,30 +223,14 @@ def test_witness_d3_shape():
     assert batches[-1].rank_after == 24
 
 
-def test_witness_vectors_are_permuted_saturating_generators():
+def test_witness_vectors_are_saturating_generators():
     for d in (2, 3, 5):
         q = cglmp_inequality(d)
         for batch in constructive_witness(d):
             for lam, support in zip(batch.strategies, batch.supports):
                 assert evaluate(q, generator(Scenario(d), lam)) == 2
-                back = from_witness_frame([int(j in support) for j in range(4 * d * d)], d)
-                assert back == tuple(int(x) for x in generator(Scenario(d), lam).coords)
-
-
-def test_witness_frame_is_permutation():
-    import random
-
-    rng = random.Random(61)
-    for d in (2, 3, 4, 5):
-        perm = witness_frame_permutation(d)
-        assert sorted(perm) == list(range(4 * d * d))
-        coords = tuple(range(4 * d * d))
-        assert from_witness_frame(to_witness_frame(coords, d), d) == coords
-        # orthogonality: pairwise inner products survive the relabeling
-        u = [rng.randint(-3, 3) for _ in range(4 * d * d)]
-        v = [rng.randint(-3, 3) for _ in range(4 * d * d)]
-        pu, pv = to_witness_frame(u, d), to_witness_frame(v, d)
-        assert sum(a * b for a, b in zip(u, v)) == sum(a * b for a, b in zip(pu, pv))
+                ones = tuple(int(j in support) for j in range(4 * d * d))
+                assert ones == tuple(int(x) for x in generator(Scenario(d), lam).coords)
 
 
 def test_witness_rank_agrees_with_tightness_rank():
@@ -334,3 +318,22 @@ def test_witness_names_the_first_vector_that_does_not_reproduce(monkeypatch):
     assert str(exc.value) == (
         "step 1: (-1, 0, 0, 0) does not reproduce itself from DeterministicStrategy(a1=2, a2=2, b1=0, b2=2)"
     )
+
+
+def test_witness_rank_error_comes_before_a_later_vector_error(monkeypatch):
+    # step 2 repeats step 1, so it raises the rank by 0; the unsaturated
+    # pattern of step 3 comes later in the walk
+    steps = witness_steps(5)
+    _patch_steps(monkeypatch, [steps[0], steps[1], steps[1], ("custom", ())], [(1, -1, -1, 0)])
+    with pytest.raises(cglmp.WitnessError) as exc:
+        constructive_witness(5)
+    assert str(exc.value) == f"step 2 ({steps[1][0]} {steps[1][1]}) raised the rank by 0, expected 20"
+
+
+def test_witness_vector_error_comes_before_its_steps_rank_check(monkeypatch):
+    # the custom step's 5 vectors cannot raise the rank by 20 either
+    steps = witness_steps(5)
+    _patch_steps(monkeypatch, [steps[0], steps[1], ("custom", ())], [(1, -1, -1, 0)])
+    with pytest.raises(cglmp.WitnessError) as exc:
+        constructive_witness(5)
+    assert str(exc.value) == "step 2: pattern (1, -1, -1, 0) is not saturating"
