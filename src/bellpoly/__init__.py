@@ -16,9 +16,6 @@ from .scenario import (
     all_generators,
     constraint_matrix,
     generator,
-    is_normalized,
-    is_nosignaling,
-    is_probability,
     polytope_affine_dim,
     uniform_behavior,
 )
@@ -26,18 +23,14 @@ from .cglmp import (
     cglmp_inequality,
     classify_case,
     constructive_witness,
-    eval_on_generator,
     evaluate,
-    f_value,
     rstu,
-    saturating_generators,
     tightness_rank,
     verify_condition1,
 )
 from .correlators import (
     CorrVector,
     cglmp_corr_inequality,
-    chsh_correlators,
     chsh_inequality,
     corr_affine_dim,
     lift,

@@ -146,11 +146,6 @@ def _key_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     return codes, -2 * total + (4 - neg) * (d - 1) - neg * (d + 1)
 
 
-def _case_codes(v: np.ndarray, d: int) -> np.ndarray:
-    """Case of every column of a 4 x n rstu array, as in _key_table."""
-    return _key_table(d)[0][_case_key(v, d).sum(axis=0)]
-
-
 # strategies in one block of the sweep, rounded down to whole a1 values (at least one)
 _SWEEP_BLOCK = 1 << 16
 
@@ -173,29 +168,21 @@ def _sweep_sums(d: int, tables, a1_stop: int | None = None):
 
 
 def rstu(lam: DeterministicStrategy, d: int) -> RSTU:
-    """rstu of one strategy; this and the scalar views below are one-column
-    calls of the kernels the pair tables are built from."""
+    """rstu of one strategy; this and classify_case are one-column calls of
+    the kernels the pair tables are built from."""
     lam = DeterministicStrategy(*lam)
     check_strategy(d, lam)
     return RSTU(*_rstu_arrays(np.array(lam)[:, None], d)[:, 0].tolist())
 
 
-def f_value(x: int, d: int) -> Fraction:
-    """The per-variable weight; exact rational."""
-    return Fraction(int(_f_sums(np.array([[x]]), d)[0]), d - 1)
-
-
-def eval_on_generator(lam: DeterministicStrategy, d: int) -> Fraction:
-    """I_d of a generator through the f form."""
-    return Fraction(int(_f_sums(np.array(rstu(lam, d))[:, None], d)[0]), d - 1)
-
-
 def classify_case(v: RSTU, d: int) -> CaseClass:
+    """The sign/sum case of v and I_d of a strategy with that rstu, by the
+    f form."""
     lo, hi = window_bounds(d)
     if not all(lo <= x <= hi for x in v):
         raise ValueError(f"{v} violates the window for d={d}")
     col = np.array(v)[:, None]
-    code = int(_case_codes(col, d)[0])
+    code = int(_key_table(d)[0][_case_key(col, d).sum()])
     if code < 0:
         raise ValueError(f"{v} matches no sign/sum case for d={d}")
     neg, total = _case_keys(d)[code]
@@ -325,16 +312,6 @@ def _saturating_count(d: int) -> int:
     return d * int(np.bincount(keys.ravel(), minlength=len(codes))[np.isin(codes, SATURATING_CODES)].sum())
 
 
-def saturating_generators(d: int) -> list[DeterministicStrategy]:
-    """All strategies with I_d = 2; equals case1 plus case2b exactly."""
-    return [DeterministicStrategy(*lam) for lam in _saturating_strategies(d).tolist()]
-
-
-def _saturating_matrix(d: int) -> np.ndarray:
-    """0/1 behavior rows of all saturating generators, vectorized."""
-    return generator_rows(d, _saturating_strategies(d).T)
-
-
 @dataclass(frozen=True)
 class TightnessReport:
     d: int
@@ -370,7 +347,7 @@ def tightness_rank(d: int) -> TightnessReport:
     try:
         batches, error, rank = constructive_witness(d), None, h
     except WitnessError as exc:
-        batches, error, rank = None, exc, linalg.int_rank(_saturating_matrix(d))
+        batches, error, rank = None, exc, linalg.int_rank(generator_rows(d, _saturating_strategies(d).T))
     return TightnessReport(d, h, _saturating_count(d), rank, batches, error)
 
 

@@ -47,7 +47,7 @@ def _emit(payload: dict, pretty_lines: list[str] | None, pretty: bool) -> None:
 
 def _parse_d(value: str) -> int:
     try:
-        d = int(value)
+        d = decode_int(value)
     except ValueError as exc:
         raise UsageError(f"d must be an integer, got {value!r}") from exc
     if d < 2:
@@ -61,7 +61,9 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise UsageError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or no permission to read
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer past int()'s digit limit
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -96,14 +96,6 @@ def corr_affine_dim(d: int) -> int:
     return linalg.affine_dim(projected_generator_matrix(d))
 
 
-def chsh_correlators(p: Behavior) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """The four two-outcome correlation functions of a d=2 behavior."""
-    if p.d != 2:
-        raise ValueError("two-outcome correlators need d=2")
-    c = project(p)
-    return tuple(c[(a, b, 0)] - c[(a, b, 1)] for a, b in BLOCKS)
-
-
 def chsh_inequality() -> Inequality:
     """<A1B1> + <A1B2> + <A2B1> - <A2B2> <= 2, in correlator coordinates."""
     coeffs = [Fraction(0)] * 8

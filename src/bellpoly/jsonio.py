@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+_INT = re.compile(r"-?[0-9]+")
 _NUM_DEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -39,8 +40,10 @@ def decode_rational(v) -> Fraction:
 
 
 def decode_int(v) -> int:
-    """An integer field such as d: an int or a decimal string; booleans and
-    floats are refused rather than truncated."""
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return int(v)
+    """An integer field such as d: an int or a string of decimal digits with
+    an optional minus sign.  Booleans and floats are refused rather than
+    truncated, and so are the other strings int() reads: "1_0", " 2 ",
+    "+2" and non-ASCII digits."""
+    if isinstance(v, int) and not isinstance(v, bool) or isinstance(v, str) and _INT.fullmatch(v):
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")

@@ -13,7 +13,8 @@ generate everything a local-realistic model can produce.
 
 Behaviors are not forced to be normalized or nonnegative at construction:
 facet normals, LP intermediates and hyperplane probes reuse the same
-vector plumbing, so the physical conditions are separate predicates.
+vector plumbing, so the physical conditions are checked separately
+(``constraint_verdicts``).
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def constraint_rank(s: Scenario) -> int:
 
 
 def constraint_verdicts(p: Behavior) -> tuple[bool, bool]:
-    """(is_normalized(p), is_nosignaling(p)), read off one residual
+    """Whether p is (normalized, no-signalling), read off one residual
     rhs - M.p of the whole ``_constraint_system``, scaled by the common
     denominator of p: its first four rows are normalization, the rest
     no-signaling, and each is zero exactly where p satisfies it."""
@@ -177,18 +178,6 @@ def constraint_verdicts(p: Behavior) -> tuple[bool, bool]:
     num, den = linalg.integer_rows([p.coords])
     residual = linalg.slack_matrix(mat, [den * b for b in rhs], num)[:, 0]
     return not residual[:4].any(), not residual[4:].any()
-
-
-def is_normalized(p: Behavior) -> bool:
-    return constraint_verdicts(p)[0]
-
-
-def is_nosignaling(p: Behavior) -> bool:
-    return constraint_verdicts(p)[1]
-
-
-def is_probability(p: Behavior) -> bool:
-    return all(x >= 0 for x in p.coords) and all(constraint_verdicts(p))
 
 
 def polytope_affine_dim(s: Scenario) -> int:

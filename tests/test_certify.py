@@ -76,7 +76,7 @@ def test_sweep_in_one_a1_blocks_matches_strategy_loop(monkeypatch, d):
     assert list(rep.case_histogram.items()) == list(want.case_histogram.items())
     saturating = [lam for lam in itertools.product(range(d), repeat=4)
                   if sum(loop_f_scaled(x, d) for x in loop_rstu(lam, d)) == 2 * (d - 1)]
-    assert [tuple(lam) for lam in cglmp.saturating_generators(d)] == saturating
+    assert [tuple(lam) for lam in cglmp._saturating_strategies(d).tolist()] == saturating
     assert cglmp._saturating_count(d) == len(saturating)
 
 
@@ -173,7 +173,6 @@ def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
     pivot_columns = linalg.pivot_columns
     for d in range(2, 13):
         scenario.constraint_rank(Scenario(d))  # ranked once per d, before the guard
-    monkeypatch.setattr(cglmp, "_saturating_matrix", refuse)
     monkeypatch.setattr(cglmp, "_saturating_strategies", refuse)
     monkeypatch.setattr(scenario, "generator_matrix", refuse)
     monkeypatch.setattr(scenario, "generator_rows", refuse)
@@ -191,8 +190,8 @@ def test_tightness_falls_back_to_full_rank_when_witness_fails(monkeypatch):
     steps = cglmp.witness_steps(5)
     monkeypatch.setattr(cglmp, "witness_steps", lambda d: [steps[0], steps[1], steps[1], steps[3]])
     ranked = []
-    full = cglmp._saturating_matrix
-    monkeypatch.setattr(cglmp, "_saturating_matrix", lambda d: ranked.append(d) or full(d))
+    full = cglmp._saturating_strategies
+    monkeypatch.setattr(cglmp, "_saturating_strategies", lambda d: ranked.append(d) or full(d))
     code, out = run("tightness", "5", "--witness")
     got = json.loads(out)
     assert code == 1 and ranked == [5]

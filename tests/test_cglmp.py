@@ -6,24 +6,23 @@ from oracles import loop_case, loop_f_scaled, loop_rstu
 from bellpoly import cglmp, linalg
 from bellpoly.cglmp import (
     RSTU,
+    _f_scaled,
+    _saturating_strategies,
     SCHEME_EXAMPLE1,
     SCHEME_EXAMPLE2,
     SCHEME_EXAMPLE2_VARIANT,
     cglmp_inequality,
     classify_case,
     constructive_witness,
-    eval_on_generator,
     evaluate,
-    f_value,
     rstu,
-    saturating_generators,
     scheme_patterns,
     tightness_rank,
     verify_condition1,
     window_bounds,
     witness_steps,
 )
-from bellpoly.scenario import Scenario, all_strategies, generator, uniform_behavior
+from bellpoly.scenario import Scenario, all_strategies, generator, generator_rows, uniform_behavior
 
 
 def test_rstu_spec_examples():
@@ -43,32 +42,36 @@ def test_rstu_window_and_congruence_exhaustive():
 
 
 def test_f_values():
+    # (d-1) f, the per-variable weight the pair tables are built from
     for d in range(2, 9):
-        assert f_value(0, d) == 1
-    assert f_value(-1, 2) == -1
-    assert f_value(-1, 3) == -1
-    assert f_value(1, 3) == 0
-    assert f_value(2, 5) == 0
+        assert _f_scaled(0, d) == d - 1
+    assert _f_scaled(-1, 2) == -1
+    assert _f_scaled(-1, 3) == -2
+    assert _f_scaled(1, 3) == 0
+    assert _f_scaled(2, 5) == 0
 
 
 def test_eval_on_generator_examples():
-    assert eval_on_generator((0, 0, 0, 0), 3) == 2
-    assert eval_on_generator((1, 0, 0, 0), 3) == Fraction(-2, 3 - 1)
-    assert max(eval_on_generator(lam, 3) for lam in all_strategies(Scenario(3))) == 2
+    # I_d of a generator by the f form is the value of its case
+    def value(lam, d):
+        return classify_case(rstu(lam, d), d).value
+
+    assert value((0, 0, 0, 0), 3) == 2
+    assert value((1, 0, 0, 0), 3) == Fraction(-2, 3 - 1)
+    assert max(value(lam, 3) for lam in all_strategies(Scenario(3))) == 2
 
 
 def test_scalar_views_match_the_loop_oracle():
-    # rstu, f_value, eval_on_generator and classify_case are one-column
-    # calls of the sweep's kernels; the oracle writes each out by hand
+    # rstu, (d-1) f and classify_case are one-column calls of the sweep's
+    # kernels; the oracle writes each out by hand
     for d in range(2, 6):
         lo, hi = window_bounds(d)
         for x in range(lo, hi + 1):
-            assert f_value(x, d) == Fraction(loop_f_scaled(x, d), d - 1)
+            assert _f_scaled(x, d) == loop_f_scaled(x, d)
         for lam in all_strategies(Scenario(d)):
             v = rstu(lam, d)
             assert tuple(v) == loop_rstu(lam, d)
             value = Fraction(sum(loop_f_scaled(x, d) for x in v), d - 1)
-            assert eval_on_generator(lam, d) == value
             case = classify_case(v, d)
             assert (case.tag, case.negatives, case.total, case.value) == (
                 loop_case(v, d), sum(x < 0 for x in v), sum(v), value
@@ -79,7 +82,7 @@ def test_coefficient_form_agrees_with_f_form():
     for d in (2, 3, 4):
         q = cglmp_inequality(d)
         for lam in all_strategies(Scenario(d)):
-            assert evaluate(q, generator(Scenario(d), lam)) == eval_on_generator(lam, d)
+            assert evaluate(q, generator(Scenario(d), lam)) == classify_case(rstu(lam, d), d).value
 
 
 def test_cglmp_on_uniform_is_zero():
@@ -142,9 +145,9 @@ def test_classify_case_examples():
 
 
 def test_saturating_generators():
-    sat2 = saturating_generators(2)
+    sat2 = _saturating_strategies(2)
     assert len(sat2) == 8
-    sat3 = saturating_generators(3)
+    sat3 = _saturating_strategies(3).tolist()
     assert len(sat3) == 30
     q3 = cglmp_inequality(3)
     for lam in sat3:
@@ -260,11 +263,11 @@ def test_example2_minor_is_the_documented_one():
 
 
 def test_saturating_matrix_rows_are_the_saturating_generators():
-    from bellpoly.cglmp import _saturating_matrix
-
+    # the matrix tightness_rank ranks when the witness fails
     for d in range(2, 6):
-        mat = _saturating_matrix(d)
-        expected = [generator(Scenario(d), lam).coords for lam in saturating_generators(d)]
+        sat = _saturating_strategies(d)
+        mat = generator_rows(d, sat.T)
+        expected = [generator(Scenario(d), lam).coords for lam in sat.tolist()]
         assert [tuple(Fraction(int(x)) for x in row) for row in mat] == expected
 
 

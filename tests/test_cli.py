@@ -278,6 +278,12 @@ def test_pretty_mode(capsys):
 
 def test_usage_errors(capsys, tmp_path):
     assert main(["dims", "1"]) == 2
+    # d is read as decimal digits only, not as everything int() accepts
+    capsys.readouterr()
+    for d in ("1_0", " 2 ", "+2", "\u0662", "2.0"):
+        assert main(["dims", d]) == 2, d
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: d must be an integer"), d
     assert main(["membership", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -337,6 +343,17 @@ def test_malformed_behavior_rejected(tmp_path, capsys):
         path.write_text(json.dumps(bad))
         for command in commands:
             assert main([command, str(path)]) == 2, (command, bad)
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+    # files that cannot be read as JSON text: an integer literal past int()'s
+    # digit limit (where the Python has one), bytes that are not UTF-8, and
+    # a directory
+    huge, latin1 = tmp_path / "huge.json", tmp_path / "latin1.json"
+    huge.write_text('{"d": 2, "P": ' + "9" * 5000 + "}")
+    latin1.write_bytes(b'{"d": "\xe9"}')
+    for unreadable in (huge, latin1, tmp_path):
+        for command in ("membership", "project", "classify"):
+            assert main([command, str(unreadable)]) == 2, (command, unreadable)
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: ")
 
@@ -454,7 +471,7 @@ def test_class_entries_match_per_facet_saturation(tmp_path, name):
         assert got == want
 
 
-@pytest.mark.parametrize("d", [2.9, True, 2.0, [2]])
+@pytest.mark.parametrize("d", [2.9, True, 2.0, [2], "1_0", " 2 ", "+2", "\u0662"])
 def test_non_integer_d_is_refused(tmp_path, capsys, d):
     doc = json.loads((GOLDEN / "corr_facets_d2.json").read_text())
     corr = corr_to_json(project(uniform_behavior(2)))

@@ -11,11 +11,10 @@ import pytest
 
 from bellpoly import linalg
 from bellpoly.cli import main
-from bellpoly.cglmp import eval_on_generator, evaluate
+from bellpoly.cglmp import classify_case, evaluate, rstu
 from bellpoly.correlators import (
     CorrVector,
     cglmp_corr_inequality,
-    chsh_correlators,
     chsh_inequality,
     corr_affine_dim,
     corr_from_json,
@@ -95,32 +94,31 @@ def test_corr_affine_dim_against_fraction_path():
 
 
 def test_chsh_correlators():
+    # the two-outcome correlators of a d=2 behavior, read off its projection
+    def correlators(p):
+        c = project(p)
+        return tuple(c[(a, b, 0)] - c[(a, b, 1)] for a, b in BLOCKS)
+
     u = uniform_behavior(2)
-    assert chsh_correlators(u) == (0, 0, 0, 0)
+    assert correlators(u) == (0, 0, 0, 0)
     g = generator(Scenario(2), (0, 0, 0, 0))
-    assert chsh_correlators(g) == (1, 1, 1, 1)
+    assert correlators(g) == (1, 1, 1, 1)
     q = chsh_inequality()
     assert evaluate(q, project(g)) == 2
-    with pytest.raises(ValueError):
-        chsh_correlators(uniform_behavior(3))
 
 
 def test_chsh_identity_with_difference_probabilities():
-    # <A_a B_b> = P(diff=0) - P(diff=1) under the sign convention 0 -> +1
+    # <A_a B_b> = sum over (k, s) of (-1)^(k+s) P(k, s) under the sign
+    # convention 0 -> +1, which is P(diff=0) - P(diff=1) of the projection
+    def signed_sums(p):
+        return tuple(sum((-1) ** (k + s) * p[(a, b, k, s)] for k in range(2) for s in range(2)) for a, b in BLOCKS)
+
     rng = random.Random(31)
-    for _ in range(10):
-        raw = [Fraction(rng.randint(0, 6), 7) for _ in range(16)]
-        p = Behavior(2, tuple(raw))
+    points = [Behavior(2, tuple(Fraction(rng.randint(0, 6), 7) for _ in range(16))) for _ in range(10)]
+    points += [generator(Scenario(2), lam) for lam in all_strategies(Scenario(2))]
+    for p in points:
         c = project(p)
-        corr = chsh_correlators(p)
-        for i, (a, b) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
-            assert corr[i] == c[(a, b, 0)] - c[(a, b, 1)]
-    for lam in all_strategies(Scenario(2)):
-        g = generator(Scenario(2), lam)
-        c = project(g)
-        corr = chsh_correlators(g)
-        for i, (a, b) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
-            assert corr[i] == c[(a, b, 0)] - c[(a, b, 1)]
+        assert tuple(c[(a, b, 0)] - c[(a, b, 1)] for a, b in BLOCKS) == signed_sums(p)
 
 
 def test_cglmp_corr_matches_behavior_form_on_generators():
@@ -128,7 +126,7 @@ def test_cglmp_corr_matches_behavior_form_on_generators():
         q = cglmp_corr_inequality(d)
         for lam in all_strategies(Scenario(d)):
             g = generator(Scenario(d), lam)
-            assert evaluate(q, project(g)) == eval_on_generator(lam, d)
+            assert evaluate(q, project(g)) == classify_case(rstu(lam, d), d).value
 
 
 def test_cglmp_corr_on_uniform():

@@ -15,13 +15,11 @@ from bellpoly.scenario import (
     behavior_from_json,
     behavior_to_json,
     constraint_matrix,
+    constraint_verdicts,
     coord_index,
     generator,
     inequality_from_json,
     inequality_to_json,
-    is_normalized,
-    is_nosignaling,
-    is_probability,
     polytope_affine_dim,
     spanning_strategy_grid,
     uniform_behavior,
@@ -67,9 +65,8 @@ def test_generator_counts_distinct():
 def test_generators_satisfy_all_predicates():
     for d in (2, 3):
         for g in all_generators(Scenario(d)):
-            assert is_normalized(g)
-            assert is_nosignaling(g)
-            assert is_probability(g)
+            assert constraint_verdicts(g) == (True, True)
+            assert all(x >= 0 for x in g.coords)
 
 
 def test_constraint_matrix_shapes_and_ranks():
@@ -88,7 +85,8 @@ def test_uniform_behavior_satisfies_constraints():
         rows, rhs = constraint_matrix(Scenario(d))
         for row, b in zip(rows, rhs):
             assert sum(r * x for r, x in zip(row, u.coords)) == b
-        assert is_probability(u)
+        assert constraint_verdicts(u) == (True, True)
+        assert all(x >= 0 for x in u.coords)
 
 
 def test_nosignaling_detects_marginal_shift():
@@ -100,9 +98,7 @@ def test_nosignaling_detects_marginal_shift():
     coords[coord_index(d, 1, 2, 0, 0)] += eps
     coords[coord_index(d, 1, 2, 1, 0)] -= eps
     p = Behavior(d, tuple(coords))
-    assert is_normalized(p)
-    assert not is_nosignaling(p)
-    assert not is_probability(p)
+    assert constraint_verdicts(p) == (True, False)  # so p is no probability table
 
 
 def test_nosignaling_detects_bob_only_signalling():
@@ -114,19 +110,70 @@ def test_nosignaling_detects_bob_only_signalling():
         for k in range(d):
             coords[coord_index(d, a, b, k, a - 1)] = Fraction(1, d)
     p = Behavior(d, tuple(coords))
-    assert is_normalized(p)
-    assert not is_nosignaling(p)
+    assert constraint_verdicts(p) == (True, False)
 
 
 def test_normalization_is_separate_from_nosignaling():
     d = 3
     p = Behavior(d, tuple(2 * x for x in uniform_behavior(d).coords))  # blocks sum to 2
-    assert is_nosignaling(p)
-    assert not is_normalized(p)
-    assert not is_probability(p)
+    assert constraint_verdicts(p) == (False, True)  # so p is no probability table
     u = uniform_behavior(d).coords
     last_block_halved = u[: 3 * d * d] + tuple(x / 2 for x in u[3 * d * d :])
-    assert not is_normalized(Behavior(d, last_block_halved))
+    assert not constraint_verdicts(Behavior(d, last_block_halved))[0]
+
+
+def test_constraint_verdicts_match_block_and_marginal_sums():
+    # the definition written out: every block sums to one, Alice's marginal
+    # for (a, k) is the same under b = 1 and 2, and Bob's for (b, s) the
+    # same under a = 1 and 2, each a Fraction sum over the table
+    def definition(p):
+        d = p.d
+        normalized = all(sum(p[(a, b, k, s)] for k in range(d) for s in range(d)) == 1
+                         for a in (1, 2) for b in (1, 2))
+        alice = all(sum(p[(a, 1, k, s)] for s in range(d)) == sum(p[(a, 2, k, s)] for s in range(d))
+                    for a in (1, 2) for k in range(d))
+        bob = all(sum(p[(1, b, k, s)] for k in range(d)) == sum(p[(2, b, k, s)] for k in range(d))
+                  for b in (1, 2) for s in range(d))
+        return normalized, alice and bob
+
+    def distribution(rng, d):
+        weights = [rng.randint(1, 9) for _ in range(d)]
+        return [Fraction(w, sum(weights)) for w in weights]
+
+    def table(d, alice, bob, scale=1):
+        # P(k, s | a, b) = scale * alice(a, b)[k] * bob(a, b)[s]
+        coords = [Fraction(0)] * (4 * d * d)
+        for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for k in range(d):
+                for s in range(d):
+                    coords[coord_index(d, a, b, k, s)] = scale * alice(a, b)[k] * bob(a, b)[s]
+        return Behavior(d, tuple(coords))
+
+    rng = random.Random(2027)
+    for d in (2, 3, 4):
+        for _ in range(5):
+            # pa[(a, 1)] and pb[(1, b)] are the marginals of a no-signalling
+            # table; a signalling one switches to pa[(a, 2)] or pb[(2, b)]
+            pa = {(a, b): distribution(rng, d) for a in (1, 2) for b in (1, 2)}
+            pb = {(a, b): distribution(rng, d) for a in (1, 2) for b in (1, 2)}
+            while pa[(2, 1)] == pa[(2, 2)] or pb[(1, 2)] == pb[(2, 2)]:
+                pa[(2, 2)], pb[(2, 2)] = distribution(rng, d), distribution(rng, d)
+            own_a, own_b = (lambda a, b: pa[(a, 1)]), (lambda a, b: pb[(1, b)])
+            cases = [
+                (table(d, own_a, own_b), (True, True)),
+                (table(d, lambda a, b: pa[(a, b)], own_b), (True, False)),  # Alice's marginal sees b
+                (table(d, own_a, lambda a, b: pb[(a, b)]), (True, False)),  # Bob's marginal sees a
+                (table(d, own_a, own_b, scale=Fraction(rng.randint(2, 5), rng.randint(6, 9))), (False, True)),
+            ]
+            # one block rescaled: unnormalized, and its marginals no longer match
+            coords = list(table(d, own_a, own_b).coords)
+            start = rng.randrange(4) * d * d
+            block = slice(start, start + d * d)
+            coords[block] = [2 * x for x in coords[block]]
+            cases.append((Behavior(d, tuple(coords)), (False, False)))
+            for p, want in cases:
+                assert definition(p) == want
+                assert constraint_verdicts(p) == want
 
 
 def test_polytope_affine_dim():
