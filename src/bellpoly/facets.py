@@ -16,11 +16,14 @@ trips; their zero sets (the inserted constraints each ray meets with
 equality) are packed uint64 words, one row per ray.  New rays come only
 from adjacent positive/negative pairs.  A pair is kept only if its two
 zero sets share dim - 2 constraints, which is tested for whole blocks of
-pairs by a table popcount of the ANDed words.  The survivors get the
+pairs by a popcount of the ANDed words (np.bitwise_count on numpy >= 2.0,
+a byte table before that), summed in int64.  The survivors get the
 combinatorial adjacency test transposed: row j of an incidence table is
 the packed set of rays whose zero set holds constraint j, and the AND of
 those rows over a pair's common zero set, one reduceat for all pairs, is
 the rays containing it; the pair is adjacent iff those are the pair alone.
+Only the survivors' common zero sets are unpacked, and one flatnonzero
+lists their (pair, constraint) entries in pair order.
 
 Everything runs in reduced full-dimensional coordinates obtained from the
 affine hull of the input vertices, so equations never masquerade as pairs
@@ -174,12 +177,18 @@ _PAIR_BLOCK = 1 << 15
 _ADJ_WORDS = 1 << 18
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each word of a C-contiguous uint64 array."""
+def _table_popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each word of a C-contiguous uint64 array, as int64, by
+    a 256-entry table of byte counts."""
     out = _POPCOUNT.take(words.view(np.uint8)).view(np.uint64)
     out *= _BYTE_SUM
     out >>= _TOP_BYTE
-    return out
+    return out.view(np.int64)
+
+
+# set bits of each word of a uint64 array: the hardware count of numpy >= 2.0
+# (uint8, so sums of it are taken in int64), the table before that
+_popcount = getattr(np, "bitwise_count", _table_popcount)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -199,41 +208,48 @@ def _adjacent_pairs(zsets: np.ndarray, pos: np.ndarray, neg: np.ndarray, needed:
     """The positive/negative pairs of rays that are adjacent.
 
     A pair can be adjacent only if its zero sets share needed bits; that
-    filter runs over blocks of pairs, with a deadline check between
-    blocks.  The survivors get the combinatorial adjacency test: no ray
-    but the two has a zero set containing their common zero set.  Row j
-    of the transposed incidence is the packed set of rays whose zero set
-    holds bit j; the AND of those rows over a pair's common set is the rays
-    containing it, and the pair is adjacent iff that is the pair alone.
+    filter popcounts the ANDed words of blocks of pairs, with a deadline
+    check between blocks.  The survivors get the combinatorial adjacency
+    test: no ray but the two has a zero set containing their common zero
+    set.  Only the survivors' common sets are unpacked, into one list of
+    (pair, bit) entries.  Row j of the transposed incidence is the packed
+    set of rays whose zero set holds bit j; the AND of those rows over a
+    pair's common set is the rays containing it, and the pair is adjacent
+    iff that is the pair alone.
     """
     if not neg.size:
         return neg, neg
     found = []
     # row w: word w of the zero set of every positive (negative) ray
     zpos, zneg = zsets[pos].T, zsets[neg].T
-    bits = incidence = None
+    incidence = None
     step = max(1, _PAIR_BLOCK // len(neg))
     for start in range(0, len(pos), step):
         if start and expired():
             raise BudgetExpired
-        counts = sum(_popcount(zp[start:start + step, None] & zn) for zp, zn in zip(zpos, zneg))
-        ip, jn = (counts >= needed).nonzero()
+        block = pos[start:start + step]
+        counts = np.zeros((len(block), len(neg)), dtype=np.int64)
+        for zp, zn in zip(zpos, zneg):
+            counts += _popcount(zp[start:start + step, None] & zn)
+        ip, jn = np.divmod(np.flatnonzero(counts >= needed), len(neg))
         if not ip.size:
             continue
         if incidence is None:
-            bits = _unpack(zsets)
-            incidence = _pack(bits.T)
-        ip, jn = pos[ip + start], neg[jn]
+            incidence = _pack(np.ascontiguousarray(_unpack(zsets).T))
+        ip, jn = block[ip], neg[jn]
+        # as bool, which flatnonzero scans several times faster than uint8
+        common = _unpack(zsets[ip] & zsets[jn]).view(bool)
+        pair, con = np.divmod(np.flatnonzero(common), common.shape[1])
         # every common set holds the sentinel bit, so no segment is empty
-        pair, con = (bits[ip] & bits[jn]).nonzero()
-        starts = pair.searchsorted(np.arange(len(ip) + 1))
+        starts = np.zeros(len(ip) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(pair, minlength=len(ip)), out=starts[1:])
         adjacent = np.empty(len(ip), dtype=bool)
         chunk = max(1, _ADJ_WORDS // incidence.shape[1] * len(ip) // len(con))
         for c in range(0, len(ip), chunk):
             end = min(c + chunk, len(ip))
             lo, hi = starts[c], starts[end]
             containing = np.bitwise_and.reduceat(incidence[con[lo:hi]], starts[c:end] - lo, axis=0)
-            adjacent[c:end] = np.add.reduce(_popcount(containing), axis=1) == 2
+            adjacent[c:end] = np.add.reduce(_popcount(containing), axis=1, dtype=np.int64) == 2
         found.append((ip[adjacent], jn[adjacent]))
     if not found:
         return neg[:0], neg[:0]

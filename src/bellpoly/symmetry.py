@@ -32,8 +32,13 @@ agree up to the hull's equations and a positive scale, which is exactly
 when their slacks over the vertices agree up to a positive scale.  A
 group element maps the hull onto itself, so the orbit of a key is the
 gauge of its images: the coefficients indexed by every table row at once,
-with the bound kept, one gauge product and one gcd_reduce.  Two
-inequalities are equivalent when the key of one lies in the other's orbit.
+with the bound kept, in one gauge product.  No gcd_reduce is needed: the
+standard equations of every tabulated space have D = 1 (the correlator
+ones are the four block sums, and behavior d = 2, 3 has D = 1 too), so
+the gauge of an image is x - x[pivots] E, an integer map whose inverse,
+the gauge of the inverse image, is integer too; it keeps a primitive key
+primitive.  Two inequalities are equivalent when the key of one lies in
+the other's orbit.
 """
 
 from __future__ import annotations
@@ -122,12 +127,13 @@ def gauge_rows(ineqs: Sequence[Inequality]) -> np.ndarray:
 
 def _orbit(key: np.ndarray, space: str, d: int) -> np.ndarray:
     """Row g is the key of the image of a key row under group_for row g:
-    its coefficients indexed by that row, with the same bound."""
+    its coefficients indexed by that row, with the same bound, in the
+    standard gauge (already primitive, since D = 1)."""
     table = group_for(space, d)
     images = np.empty((len(table), len(key)), dtype=key.dtype)
     images[:, :-1] = key[:-1][table]
     images[:, -1] = key[-1]
-    return linalg.gcd_reduce(gauge(images, standard_equations(space, d)))
+    return gauge(images, standard_equations(space, d))
 
 
 # slack entries taken at once by canonical_class, rounded down to whole orbit rows (at least one)

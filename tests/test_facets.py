@@ -543,3 +543,38 @@ def test_dd_leaves_int64_mid_run(monkeypatch, limit, scale):
     assert complete
     assert set(rays) == expected
     assert dtypes[0] == np.int64 and dtypes[-1] == object
+
+
+@pytest.mark.parametrize("popcount", [facets_module._table_popcount, facets_module._popcount])
+def test_popcount_matches_int_bit_count(popcount):
+    # the table is what numpy < 2 runs; on numpy >= 2 _popcount is np.bitwise_count
+    assert facets_module._popcount is getattr(np, "bitwise_count", facets_module._table_popcount)
+    rng = np.random.default_rng(28)
+    top = np.iinfo(np.uint64).max
+    edges = np.array([0, 1, 2**63, top], dtype=np.uint64)
+    words = np.concatenate([edges, rng.integers(0, top, size=2000, dtype=np.uint64, endpoint=True)])
+    words = words.reshape(4, -1)
+    assert popcount(words).tolist() == [[int(w).bit_count() for w in row] for row in words.tolist()]
+
+
+def test_adjacent_pairs_sums_popcounts_past_255():
+    # six-word zero sets: rays 0 (positive) and 1 (negative) share bits
+    # 0..299 and no other ray holds those, so they are adjacent; ray 2
+    # shares 299 of them with ray 0.  A uint8 sum of the per-word counts
+    # would read 300 as 44 and drop the pair.
+    bits = np.zeros((3, 384), dtype=np.uint8)
+    bits[0, :300] = bits[1, :300] = bits[2, 1:300] = 1
+    bits[[0, 1, 2], [300, 301, 302]] = 1
+    zsets = facets_module._pack(bits)
+    assert zsets.shape == (3, 6)
+    pp, nn = facets_module._adjacent_pairs(zsets, np.array([0]), np.array([1, 2]), 300, lambda: False)
+    assert pp.tolist() == [0] and nn.tolist() == [1]
+
+
+@pytest.mark.parametrize("name", ["corr-3", "cyclic-130"])
+def test_dd_with_table_popcount_matches(monkeypatch, name):
+    # the numpy < 2 popcount, run through the whole insertion loop
+    rows, dim = _dd_input(_dd_case(name))
+    expected = dd_extreme_rays(rows, dim)
+    monkeypatch.setattr(facets_module, "_popcount", facets_module._table_popcount)
+    assert dd_extreme_rays(rows, dim) == expected

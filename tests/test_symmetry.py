@@ -41,7 +41,7 @@ from bellpoly.scenario import (
     all_strategies,
     generator,
 )
-from bellpoly import symmetry
+from bellpoly import linalg, symmetry
 from bellpoly.symmetry import (
     _orbit,
     _row_keys,
@@ -411,6 +411,26 @@ def test_slack_orbit_rows_are_image_slacks(space, d):
         image = apply_row(op, q)
         assert rows[g].tolist() == gauge_rows([image])[0].tolist()
         assert tuple(map(Fraction, rows[g].tolist())) == (*gauge_key(image)[0], gauge_key(image)[1])
+
+
+@pytest.mark.parametrize("space,d", [*(("correlator", d) for d in range(2, 13)), ("behavior", 2), ("behavior", 3)])
+def test_standard_equations_of_tabulated_spaces_have_unit_denominator(space, d):
+    # D = 1 is why _orbit needs no gcd_reduce; the correlator equations
+    # are the four block sums
+    assert has_group(space, d)
+    eqs, pivots = standard_equations(space, d)
+    assert eqs[:, list(pivots)].tolist() == np.eye(len(pivots), dtype=int).tolist()
+    if space == "correlator":
+        assert eqs.tolist() == [[int(j // d == b) for j in range(4 * d)] + [1] for b in range(4)]
+
+
+@pytest.mark.parametrize("space,d", [("correlator", 3), ("correlator", 4), ("behavior", 2)])
+def test_orbits_of_class_representatives_are_primitive(space, d):
+    # gcd_reduce would leave every orbit row as _orbit gives it
+    _, _, facets = _space(space, d)
+    for rep in label_classes(facets)[1]:
+        orbit = _orbit(gauge_rows([rep])[0], space, d)
+        assert (linalg.gcd_reduce(orbit) == orbit).all()
 
 
 def test_canonical_class_is_a_gauge_fixed_image():
