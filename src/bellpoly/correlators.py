@@ -25,16 +25,18 @@ from .scenario import BLOCKS, Behavior, Inequality, blocks_from_json, blocks_to_
 
 @dataclass(frozen=True)
 class CorrVector:
-    """The 4d generalized correlation probabilities as one vector."""
+    """The 4d generalized correlation probabilities as one vector:
+    Fractions, or Python ints where a value is integral (a projected
+    generator's 0/1 entries, a JSON integer)."""
 
     d: int
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.coords) != 4 * self.d:
             raise ValueError("correlation vector needs 4*d coordinates")
 
-    def __getitem__(self, abn) -> Fraction:
+    def __getitem__(self, abn) -> int | Fraction:
         a, b, n = abn
         return self.coords[corr_index(self.d, a, b, n)]
 
@@ -82,13 +84,14 @@ def projected_generator_matrix(d: int) -> np.ndarray:
 
 
 def projected_generators(d: int) -> list[CorrVector]:
-    """The d^3 distinct projections of the d^4 generators, sorted."""
+    """The d^3 distinct projections of the d^4 generators, sorted, with
+    Python int 0/1 coordinates."""
     if d < 2:
         raise ValueError("need d >= 2")
     mat = projected_generator_matrix(d)
     if mat.shape[0] != d**3:
         raise AssertionError(f"expected {d**3} projected generators, got {mat.shape[0]}")
-    return [CorrVector(d, tuple(Fraction(int(x)) for x in row)) for row in mat]
+    return [CorrVector(d, tuple(row)) for row in mat.tolist()]
 
 
 def corr_affine_dim(d: int) -> int:
@@ -98,11 +101,11 @@ def corr_affine_dim(d: int) -> int:
 
 def chsh_inequality() -> Inequality:
     """<A1B1> + <A1B2> + <A2B1> - <A2B2> <= 2, in correlator coordinates."""
-    coeffs = [Fraction(0)] * 8
+    coeffs = [0] * 8
     for (a, b), sign in (((1, 1), 1), ((1, 2), 1), ((2, 1), 1), ((2, 2), -1)):
-        coeffs[corr_index(2, a, b, 0)] = Fraction(sign)
-        coeffs[corr_index(2, a, b, 1)] = Fraction(-sign)
-    return Inequality("correlator", 2, tuple(coeffs), Fraction(2))
+        coeffs[corr_index(2, a, b, 0)] = sign
+        coeffs[corr_index(2, a, b, 1)] = -sign
+    return Inequality("correlator", 2, tuple(coeffs), 2)
 
 
 def cglmp_corr_inequality(d: int) -> Inequality:

@@ -13,7 +13,8 @@ maintaining the extreme rays of the intermediate cone.
 Each insertion is a few numpy operations over all rays.  The rays are one
 integer array, int64 behind an overflow guard and Python ints once it
 trips; their zero sets (the inserted constraints each ray meets with
-equality) are packed uint64 words, one row per ray.  New rays come only
+equality) are packed uint64 words, ceil(m / 64) of them for m
+constraints, one row per ray.  New rays come only
 from adjacent positive/negative pairs.  A pair is kept only if its two
 zero sets share dim - 2 constraints, which is tested for whole blocks of
 pairs by a popcount of the ANDed words (np.bitwise_count on numpy >= 2.0,
@@ -23,14 +24,16 @@ the packed set of rays whose zero set holds constraint j, and the AND of
 those rows over a pair's common zero set, one reduceat for all pairs, is
 the rays containing it; the pair is adjacent iff those are the pair alone.
 Only the survivors' common zero sets are unpacked, and one flatnonzero
-lists their (pair, constraint) entries in pair order.
+lists their (pair, constraint) entries in pair order.  At dim 2 a pair
+may share no constraint; every ray contains that empty set, so such a
+pair is adjacent iff the cone has exactly two rays.
 
 Everything runs in reduced full-dimensional coordinates obtained from the
 affine hull of the input vertices, so equations never masquerade as pairs
 of facets.  All arithmetic is integer, from the affine hull to the facets:
 rays are kept gcd-reduced, so each facet is emitted as its ray, already in
-canonical form.  Results are deterministic: the facet list is emitted in
-lexicographic order.
+canonical form, with Python int coefficients and bound.  Results are
+deterministic: the facet list is emitted in lexicographic order.
 
 A deadline can be supplied (the d=4 correlator polytope is the intended
 user); it is checked before each insertion and between blocks of pairs.
@@ -153,7 +156,8 @@ def gauge(rows: np.ndarray, equations) -> np.ndarray:
 
 
 def canonicalize(ineq: Inequality, equations=None) -> Inequality:
-    """Scale to coprime integers (orientation stays <=); idempotent.
+    """Scale to coprime integers, returned as Python ints (orientation
+    stays <=); idempotent.
 
     With an equation system (E, pivots) from standard_equations, the
     coefficients are first reduced modulo the equations (gauge), which
@@ -164,7 +168,7 @@ def canonicalize(ineq: Inequality, equations=None) -> Inequality:
         row = gauge(row, equations)
     if not row[:-1].any():
         raise ValueError("zero coefficient vector cannot be canonicalized")
-    *coeffs, bound = map(Fraction, gcd_reduce(row).tolist())
+    *coeffs, bound = gcd_reduce(row).tolist()
     return Inequality(ineq.space, ineq.d, tuple(coeffs), bound)
 
 
@@ -240,16 +244,19 @@ def _adjacent_pairs(zsets: np.ndarray, pos: np.ndarray, neg: np.ndarray, needed:
         # as bool, which flatnonzero scans several times faster than uint8
         common = _unpack(zsets[ip] & zsets[jn]).view(bool)
         pair, con = np.divmod(np.flatnonzero(common), common.shape[1])
-        # every common set holds the sentinel bit, so no segment is empty
-        starts = np.zeros(len(ip) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(pair, minlength=len(ip)), out=starts[1:])
-        adjacent = np.empty(len(ip), dtype=bool)
-        chunk = max(1, _ADJ_WORDS // incidence.shape[1] * len(ip) // len(con))
-        for c in range(0, len(ip), chunk):
-            end = min(c + chunk, len(ip))
+        sizes = np.bincount(pair, minlength=len(ip))
+        # an empty common set (dim 2 only) lies in every ray's zero set, so
+        # its pair is adjacent iff the cone has two rays; reduceat takes the rest
+        adjacent = np.full(len(ip), len(zsets) == 2)
+        held = np.flatnonzero(sizes)
+        starts = np.zeros(len(held) + 1, dtype=np.intp)
+        np.cumsum(sizes[held], out=starts[1:])
+        chunk = max(1, _ADJ_WORDS // incidence.shape[1] * len(held) // max(1, len(con)))
+        for c in range(0, len(held), chunk):
+            end = min(c + chunk, len(held))
             lo, hi = starts[c], starts[end]
             containing = np.bitwise_and.reduceat(incidence[con[lo:hi]], starts[c:end] - lo, axis=0)
-            adjacent[c:end] = np.add.reduce(_popcount(containing), axis=1, dtype=np.int64) == 2
+            adjacent[held[c:end]] = np.add.reduce(_popcount(containing), axis=1, dtype=np.int64) == 2
         found.append((ip[adjacent], jn[adjacent]))
     if not found:
         return neg[:0], neg[:0]
@@ -287,13 +294,12 @@ def dd_extreme_rays(
     peak = int(np.abs(rays).max())
     cons_peak = np.abs(cons).max(axis=1).tolist()
     # zero set of each ray: bit i for each inserted constraint i the ray
-    # meets with equality, and the sentinel bit m, which every ray has
-    bits = np.zeros((dim, m + 1), dtype=np.uint8)
+    # meets with equality, in ceil(m / 64) words
+    bits = np.zeros((dim, m), dtype=np.uint8)
     bits[:, basis] = 1 - np.eye(dim, dtype=np.uint8)
-    bits[:, m] = 1
     zsets = _pack(bits)
-    # adjacent rays share dim - 2 constraints, and the sentinel
-    needed = dim - 1
+    # adjacent rays share dim - 2 constraints
+    needed = dim - 2
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() > deadline
@@ -367,13 +373,10 @@ def enumerate_facets(
     coeffs, bounds = coeffs[valid], bounds[valid]
     if not coeffs.any(axis=1).all():
         raise ValueError("zero coefficient vector cannot be canonicalized")
-    # the rays are gcd-reduced and distinct, so each already is its canonical form
+    # the rays are gcd-reduced and distinct, so each already is its canonical
+    # form, with Python int coefficients and bound
     kept = sorted(zip(map(tuple, coeffs.tolist()), bounds.tolist()))
-    # one Fraction per distinct value; the facets share a few small integers
-    frac = {x: Fraction(x) for x in {x for row, bound in kept for x in (*row, bound)}}
-    facets = tuple(
-        Inequality(space, d, tuple(map(frac.__getitem__, row)), frac[bound]) for row, bound in kept
-    )
+    facets = tuple(Inequality(space, d, row, bound) for row, bound in kept)
     return HRep(ambient, equations, facets, reduced_dim, complete)
 
 

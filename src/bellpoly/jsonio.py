@@ -1,7 +1,9 @@
 """Rational-preserving JSON encoding shared by the file formats and the CLI.
 
 Rationals serialize as plain integers when the denominator is 1 and as
-"num/den" strings otherwise, so exactness survives a round trip.
+"num/den" strings otherwise, so exactness survives a round trip.  A
+Python int is written as it is and a JSON integer is read back as one;
+a "num" or "num/den" string is read as a Fraction.
 """
 
 from __future__ import annotations
@@ -14,17 +16,20 @@ _NUM_DEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def encode_rational(q: Fraction | int):
+    if type(q) is int:
+        return q
     q = Fraction(q)
     if q.denominator == 1:
         return int(q)
     return f"{q.numerator}/{q.denominator}"
 
 
-def decode_rational(v) -> Fraction:
+def decode_rational(v) -> Fraction | int:
+    """A JSON integer as an int; a "num" or "num/den" string as a Fraction."""
     if isinstance(v, bool):
         raise ValueError("expected a rational, got a boolean")
     if isinstance(v, int):
-        return Fraction(v)
+        return v
     if isinstance(v, str):
         # only "num" or "num/den" in decimal digits: Fraction would also
         # read exponents, and "1e99999999" builds a 10^8-digit integer

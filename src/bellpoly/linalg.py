@@ -99,13 +99,31 @@ def integer_rows(rows) -> tuple[np.ndarray, int]:
     denominator den with rows == M / den.
 
     Rows are vectors of numbers, objects with .coords, or an integer
-    ndarray (den 1).  Every entry enters exactly, through its
-    as_integer_ratio, or through Fraction when some entry has none (a numpy
-    integer); a NaN or an infinity raises ValueError.
+    ndarray (den 1).  The package keeps every integral value a Python int
+    (vertices, facets, class representatives), so rows whose entries are
+    all Python ints are read by one np.array to int64, den 1, when each row
+    has the same length and every entry is below OVERFLOW_LIMIT.  Any
+    other batch (Fractions, bools, numpy scalars, larger ints, ragged rows)
+    enters entry by entry, exactly, through its as_integer_ratio, or
+    through Fraction when some entry has none (a numpy integer); a NaN or
+    an infinity raises ValueError.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
         return _int_array(rows), 1
     rows = [v.coords if hasattr(v, "coords") else v for v in rows]
+    try:
+        # stops at the first entry that is not a Python int, so a batch of
+        # Fractions costs one look
+        ints = all(type(x) is int for row in rows for x in row)
+    except TypeError:  # a row that is not a sequence; the path below raises for it
+        ints = False
+    if ints and rows:
+        try:
+            a = np.array(rows, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):  # an entry past int64, ragged or unordered rows
+            a = None
+        if a is not None and _peak(a) < OVERFLOW_LIMIT:
+            return a, 1
     try:
         ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     except (AttributeError, TypeError, ValueError, OverflowError):

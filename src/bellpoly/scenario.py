@@ -55,28 +55,33 @@ class DeterministicStrategy(NamedTuple):
 
 @dataclass(frozen=True)
 class Behavior:
-    """Joint probability table as one coordinate vector of length 4d^2."""
+    """Joint probability table as one coordinate vector of length 4d^2:
+    Fractions, or Python ints where a value is integral (a generator's
+    0/1 entries, a JSON integer)."""
 
     d: int
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.coords) != 4 * self.d * self.d:
             raise ValueError("behavior needs 4*d^2 coordinates")
 
-    def __getitem__(self, absk) -> Fraction:
+    def __getitem__(self, absk) -> int | Fraction:
         a, b, k, s = absk
         return self.coords[coord_index(self.d, a, b, k, s)]
 
 
 @dataclass(frozen=True)
 class Inequality:
-    """Linear functional with an upper bound: coeffs . x <= bound."""
+    """Linear functional with an upper bound: coeffs . x <= bound.  An
+    integral coefficient or bound is a Python int where the package makes
+    it (enumerated facets, canonical forms, class representatives, JSON
+    integers); a Fraction only where it has a denominator."""
 
     space: str  # "behavior" | "correlator"
     d: int
-    coeffs: tuple[Fraction, ...]
-    bound: Fraction
+    coeffs: tuple[int | Fraction, ...]
+    bound: int | Fraction
 
 
 def coord_index(d: int, a: int, b: int, k: int, s: int) -> int:
@@ -90,11 +95,12 @@ def check_strategy(d: int, lam: DeterministicStrategy) -> None:
 
 
 def generator(s: Scenario, lam: DeterministicStrategy) -> Behavior:
-    """0/1 behavior of a deterministic strategy; exactly four ones."""
+    """0/1 behavior of a deterministic strategy, as Python ints; exactly
+    four ones."""
     lam = DeterministicStrategy(*lam)
     check_strategy(s.d, lam)
     row = generator_rows(s.d, np.array(lam)[:, None])[0]
-    return Behavior(s.d, tuple(map(Fraction, row.tolist())))
+    return Behavior(s.d, tuple(row.tolist()))
 
 
 def all_strategies(s: Scenario) -> list[DeterministicStrategy]:
@@ -138,14 +144,15 @@ def uniform_behavior(d: int) -> Behavior:
 
 @lru_cache(maxsize=None)
 def _constraint_system(d: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Normalization plus no-signaling as one read-only int64 matrix and
-    its right-hand side, built once per d: four normalization rows
+    """Normalization plus no-signaling as one read-only int8 matrix (its
+    entries are 0 and +-1; the kernels that read it work on an int64 copy)
+    and its right-hand side, built once per d: four normalization rows
     (right-hand side 1, blocks in order a1b1, a1b2, a2b1, a2b2), then 4d
     no-signaling rows (right-hand side 0), for each observable and outcome
     the marginal against the partner's first setting minus the one against
     the second.  Only a subset of the 4d is independent; the rank of the
     system is computed, never assumed."""
-    table = np.zeros((4 + 4 * d, 2, 2, d, d), dtype=np.int64)  # row, a, b, k, s
+    table = np.zeros((4 + 4 * d, 2, 2, d, d), dtype=np.int8)  # row, a, b, k, s
     table[np.arange(4), [0, 0, 1, 1], [0, 1, 0, 1]] = 1
     setting, outcome = np.divmod(np.arange(2 * d), d)
     # Alice's marginals must not see Bob's setting, and symmetrically for Bob
@@ -224,7 +231,7 @@ def blocks_to_json(coords, shape: tuple[int, ...]) -> dict:
     return {f"a{a}b{b}": block.tolist() for (a, b), block in zip(BLOCKS, blocks)}
 
 
-def blocks_from_json(table: dict, shape: tuple[int, ...]) -> tuple[Fraction, ...]:
+def blocks_from_json(table: dict, shape: tuple[int, ...]) -> tuple[int | Fraction, ...]:
     """The coordinate vector of the four blocks of table.  Every block's
     shape is checked before any entry is decoded, so a ragged or deep
     block, a string or an object is refused, and a huge d allocates

@@ -44,7 +44,6 @@ the other's orbit.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -162,7 +161,7 @@ def canonical_class(ineq: Inequality) -> Inequality:
         i = _least_row(slack)
         kept.append(start + i)
         least.append(slack[i].copy())  # not a view, which would keep the chunk alive
-    *coeffs, bound = map(Fraction, orbit[kept[_least_row(np.array(least))]].tolist())
+    *coeffs, bound = orbit[kept[_least_row(np.array(least))]].tolist()
     return Inequality(space, d, tuple(coeffs), bound)
 
 

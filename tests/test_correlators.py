@@ -232,7 +232,7 @@ def project_query(key):
         weights = [rng.randint(1, 9) for _ in range(3)]
         gens = [generator(Scenario(d), strategy()) for _ in weights]
         return Behavior(d, tuple(
-            sum(w * g.coords[i] for w, g in zip(weights, gens)) / sum(weights) for i in range(4 * d * d)
+            Fraction(sum(w * g.coords[i] for w, g in zip(weights, gens)), sum(weights)) for i in range(4 * d * d)
         ))
     coords = [Fraction(0)] * (4 * d * d)
     for a, b in BLOCKS:

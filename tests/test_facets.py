@@ -578,3 +578,85 @@ def test_dd_with_table_popcount_matches(monkeypatch, name):
     expected = dd_extreme_rays(rows, dim)
     monkeypatch.setattr(facets_module, "_popcount", facets_module._table_popcount)
     assert dd_extreme_rays(rows, dim) == expected
+
+
+def _as_facets(rays):
+    """Rays (w, -beta) of the polar cone as facets (w, beta)."""
+    return {(r[:-1], -r[-1]) for r in rays}
+
+
+def _subset_facets(rows, dim):
+    """The brute-force facets of the vertices behind DD's constraint rows,
+    whose last entry, the common denominator, is 1 for integer vertices."""
+    assert {row[-1] for row in rows} == {1}
+    return square_subset_facets([row[:-1] for row in rows], dim - 1)
+
+
+def _pair_tests(monkeypatch):
+    """(needed, words) of every _adjacent_pairs call from now on."""
+    seen = []
+    real = facets_module._adjacent_pairs
+
+    def spy(zsets, pos, neg, needed, expired):
+        seen.append((needed, zsets.shape[1]))
+        return real(zsets, pos, neg, needed, expired)
+
+    monkeypatch.setattr(facets_module, "_adjacent_pairs", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "points,ends",
+    [
+        ([(0,), (1,), (2,)], [(0,), (2,)]),
+        ([(0,), (2,), (1,), (5,), (3,)], [(0,), (5,)]),
+        ([(0, 0), (1, 1), (2, 2)], [(0, 0), (2, 2)]),
+        ([(3, 1), (1, 3), (2, 2), (0, 4), (4, 0)], [(0, 4), (4, 0)]),
+    ],
+)
+def test_dd_at_dim_2_keeps_both_ends_of_a_segment(monkeypatch, points, ends):
+    # reduced_dim 1: the DD cone has dim 2, where the two rays of a pair
+    # share no constraint, so the pair test must take an empty common set
+    seen = _pair_tests(monkeypatch)
+    rows, dim = _dd_input(points)
+    assert dim == 2 and (0, 1) in seen
+    rays, complete = dd_extreme_rays(rows, dim)
+    assert complete and len(rays) == 2
+    assert set(rays) == set(loop_dd_extreme_rays(rows, dim))
+    assert _as_facets(rays) == _subset_facets(rows, dim)
+    hrep = enumerate_facets(vrep_of(points))
+    assert hrep.complete and hrep.reduced_dim == 1
+    tight = [{p for p in points if sum(c * x for c, x in zip(q.coeffs, p)) == q.bound} for q in hrep.facets]
+    assert sorted(map(sorted, tight)) == [[e] for e in sorted(ends)]
+    if len(points[0]) == 1:
+        assert [(q.coeffs, q.bound) for q in hrep.facets] == [((-1,), 0), ((1,), max(points)[0])]
+
+
+def _square_boundary(n):
+    """The 4n lattice points on the boundary of [0, n]^2."""
+    return sorted({(x, y) for x in range(n + 1) for y in range(n + 1) if x in (0, n) or y in (0, n)})
+
+
+@pytest.mark.parametrize(
+    "points,count",
+    [
+        ([(t, t * t) for t in range(63)], 63),
+        ([(t, t * t) for t in range(64)], 64),
+        ([(t, t * t) for t in range(65)], 65),
+        ([p for p in _square_boundary(16) if p != (1, 0)], 4),
+        (_square_boundary(16), 4),
+        (_square_boundary(16) + [(8, 8)], 4),
+    ],
+    ids=["parabola-63", "parabola-64", "parabola-65", "square-63", "square-64", "square-65"],
+)
+def test_dd_zero_sets_around_the_word_boundary(monkeypatch, points, count):
+    # m = 63, 64, 65 constraints, so zero sets of ceil(m / 64) words; the
+    # square has many constraints on each facet and one never tight
+    m = len(points)
+    seen = _pair_tests(monkeypatch)
+    rows, dim = _dd_input(points)
+    assert (len(rows), dim) == (m, 3)
+    assert {words for _, words in seen} == {-(-m // 64)}
+    rays, complete = dd_extreme_rays(rows, dim)
+    assert complete and len(set(rays)) == len(rays) == count
+    assert _as_facets(rays) == _subset_facets(rows, dim)

@@ -135,6 +135,47 @@ def test_integer_rows_accepts_every_vertex_form():
     assert den == 12 and mat.tolist() == [[2, 24], [-9, 0]]
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1, -2], [3, 4, 5]],
+        [[True, 2], [0, False]],  # bools are ints, but not Python ints
+        [[np.int64(3), 4], [5, np.int8(-6)]],  # numpy integers
+        [[2**62, 1], [0, -(2**62)]],  # fits int64, past the guard: Python ints
+        [[2**63, 1], [0, -(2**63) - 1]],  # past int64
+        [[2**100, -1]],
+        [(1, 2), (3, 4)],
+    ],
+)
+def test_integer_rows_fast_path_matches_fractions(rows):
+    # rows of Python ints take one np.array to int64; every other batch, and
+    # the same rows written as Fractions, the entry-by-entry path
+    mat, den = integer_rows(rows)
+    fmat, fden = integer_rows([[Fraction(x) for x in row] for row in rows])
+    assert den == fden == 1
+    assert mat.dtype == fmat.dtype and mat.tolist() == fmat.tolist()
+    assert mat.dtype == (np.int64 if max(abs(int(x)) for row in rows for x in row) < 2**62 else object)
+
+
+def test_integer_rows_reads_python_ints_in_one_array(monkeypatch):
+    # the entry-by-entry path ends in _int_array; rows of Python ints skip it
+    calls = []
+    real = linalg._int_array
+    monkeypatch.setattr(linalg, "_int_array", lambda *args: calls.append(args) or real(*args))
+    assert integer_rows([[0, 1], [2, -3]])[0].tolist() == [[0, 1], [2, -3]]
+    assert not calls
+    assert integer_rows([[0, 1], [2, Fraction(-3)]])[0].tolist() == [[0, 1], [2, -3]]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[2**63, 2], [3]]])
+def test_integer_rows_refuses_ragged_int_rows(rows):
+    with pytest.raises(ValueError):
+        integer_rows(rows)
+    with pytest.raises(ValueError):
+        integer_rows([[Fraction(x) for x in row] for row in rows])
+
+
 def test_integer_rows_takes_floats_exactly():
     # a float entry enters through Fraction, never truncated by int()
     mat, den = integer_rows([[0.5, 1]])

@@ -587,3 +587,27 @@ def test_canonical_class_takes_the_slack_in_chunks():
         tracemalloc.stop()
     assert equivalent(rep, q)
     assert peak < len(group) * len(verts) * 8 // 2
+
+
+def _as_fractions(q):
+    return Inequality(q.space, q.d, tuple(map(Fraction, q.coeffs)), Fraction(q.bound))
+
+
+@pytest.mark.parametrize("space,d", [("correlator", 3), ("correlator", 4), ("behavior", 2)])
+def test_int_and_fraction_rows_agree(space, d):
+    # the facets come with Python int entries, which integer_rows reads in
+    # one np.array; the same rows written as Fractions enter entry by entry
+    # and must give the same keys, labels and class representatives
+    rng = random.Random(f"ints{space}{d}")
+    _, group, facets = _space(space, d)
+    assert {type(x) for q in facets for x in (*q.coeffs, q.bound)} == {int}
+    items = facets + [apply_row(rng.choice(group), q) for q in rng.sample(facets, 12)]
+    fracs = [_as_fractions(q) for q in items]
+    rows, frows = gauge_rows(items), gauge_rows(fracs)
+    assert rows.dtype == frows.dtype == np.int64 and rows.tolist() == frows.tolist()
+    labels, reps = label_classes(items)
+    assert label_classes(fracs) == (labels, reps)
+    for q, f in zip(items[::7], fracs[::7]):
+        got = canonical_class(q)
+        assert {type(x) for x in (*got.coeffs, got.bound)} == {int}
+        assert canonical_class(f) == got
