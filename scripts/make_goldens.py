@@ -1,8 +1,12 @@
 """Regenerate the golden facet catalogs shipped with the package.
 
-Runs the complete d=2 and d=3 correlator-polytope enumerations plus the
-canonical CGLMP forms and freezes the results under src/bellpoly/golden/.
-Deterministic: reruns must be byte-identical.
+Freezes under src/bellpoly/golden/ the documents of `bellpoly enumerate 2
+--space corr` and `bellpoly enumerate 3 --space corr`, taken from the
+command itself, so each catalog is that command's output by construction,
+plus the canonical CGLMP forms.  Deterministic: reruns must be
+byte-identical.  Run from the repository root:
+
+    python scripts/make_goldens.py
 """
 
 from __future__ import annotations
@@ -10,19 +14,19 @@ from __future__ import annotations
 import json
 import pathlib
 
-from bellpoly.cli import facet_list_json
+from bellpoly.cli import build_parser
 from bellpoly.correlators import cglmp_corr_inequality
-from bellpoly.facets import canonicalize, enumerate_facets, space_vertices, standard_equations, vrep_of
+from bellpoly.facets import canonicalize, standard_equations
 from bellpoly.scenario import inequality_to_json
-from bellpoly.symmetry import canonical_class, trivial_and_classes
+from bellpoly.symmetry import canonical_class
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "src" / "bellpoly" / "golden"
 
 
 def facet_catalog(d: int) -> dict:
-    hrep = enumerate_facets(vrep_of(space_vertices("correlator", d)), space="correlator", d=d)
-    trivial, labels = trivial_and_classes(hrep.facets, "correlator", d)
-    return facet_list_json("correlator", d, hrep, trivial, labels)
+    """The document that `bellpoly enumerate d --space corr` prints."""
+    args = build_parser().parse_args(["enumerate", str(d), "--space", "corr"])
+    return args.func(args)[0]
 
 
 def main() -> None:

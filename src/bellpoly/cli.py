@@ -1,11 +1,14 @@
 """Command-line surface: every capability, machine-readable by default.
 
-Results go to stdout as one JSON document; progress and notes go to
-stderr.  --pretty switches to a human-readable summary.  Exit codes:
-0 when every claim checked out (or a partial result was produced under an
-explicit budget), 1 when a verification failed, 2 for usage errors or
-malformed input.  There is no randomness anywhere: the same invocation
-produces byte-identical output.
+Each ``cmd_*`` returns its result as one JSON document and the lines of
+its human-readable summary; progress and notes go to stderr.  ``main`` is
+the one printer: it writes the document to stdout, or the summary with
+--pretty, and sets the exit code by one rule: 1 exactly when the document
+says "ok": false (a verification failed), 0 otherwise (a partial result
+under an explicit budget included), 2 for usage errors or malformed input.
+A cglmp.VerificationError that a command does not turn into its document
+prints no document and exits 1.  There is no randomness anywhere: the same
+invocation produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import time
 from . import cglmp as cglmp_mod
 from . import membership as membership_mod
 from .correlators import cglmp_corr_inequality, corr_from_json, corr_to_json, project
-from .facets import HRep, enumerate_facets, saturation_count, space_vertices, vrep_of
+from .facets import classify_trivial, enumerate_facets, saturation_count, space_vertices, vrep_of
 from .jsonio import decode_int, encode_rational
 from .scenario import (
     BLOCKS,
@@ -31,18 +34,14 @@ from .scenario import (
     inequality_to_json,
     polytope_affine_dim,
 )
-from .symmetry import trivial_and_classes
+from .symmetry import by_class
+
+# what a command returns: its JSON document and its --pretty lines
+Output = tuple[dict, list[str]]
 
 
 class UsageError(Exception):
     pass
-
-
-def _emit(payload: dict, pretty_lines: list[str] | None, pretty: bool) -> None:
-    if pretty and pretty_lines is not None:
-        print("\n".join(pretty_lines))
-    else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def _parse_d(value: str) -> int:
@@ -67,7 +66,7 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args) -> Output:
     d = _parse_d(args.d)
     s = Scenario(d)
     nrows = len(_constraint_system(d)[0])
@@ -83,26 +82,20 @@ def cmd_dims(args) -> int:
         "expected_affine_dim": 4 * d * (d - 1),
         "ok": ok,
     }
-    _emit(
-        payload,
-        [
-            f"scenario d={d}",
-            f"  constraint system: {nrows} rows, rank {got_rank} (expected {4*d})",
-            f"  affine dimension of the generator hull: {got_dim} (expected {4*d*(d-1)})",
-            f"  {'OK' if ok else 'FAILED'}",
-        ],
-        args.pretty,
-    )
-    return 0 if ok else 1
+    return payload, [
+        f"scenario d={d}",
+        f"  constraint system: {nrows} rows, rank {got_rank} (expected {4*d})",
+        f"  affine dimension of the generator hull: {got_dim} (expected {4*d*(d-1)})",
+        f"  {'OK' if ok else 'FAILED'}",
+    ]
 
 
-def cmd_verify_cglmp(args) -> int:
+def cmd_verify_cglmp(args) -> Output:
     d = _parse_d(args.d)
     try:
         rep = cglmp_mod.verify_condition1(d)
     except cglmp_mod.VerificationError as exc:
-        _emit({"d": d, "ok": False, "error": str(exc)}, [f"FAILED: {exc}"], args.pretty)
-        return 1
+        return {"d": d, "ok": False, "error": str(exc)}, [f"FAILED: {exc}"]
     payload = {
         "d": d,
         "total": rep.total,
@@ -115,11 +108,10 @@ def cmd_verify_cglmp(args) -> int:
     for value, count in rep.histogram.items():
         lines.append(f"  value {value}: {count} generators")
     lines.append("  coefficient form and f form agree everywhere; OK")
-    _emit(payload, lines, args.pretty)
-    return 0
+    return payload, lines
 
 
-def cmd_tightness(args) -> int:
+def cmd_tightness(args) -> Output:
     d = _parse_d(args.d)
     rep = cglmp_mod.tightness_rank(d)
     payload = {
@@ -152,11 +144,10 @@ def cmd_tightness(args) -> int:
         lines.append(f"  witness FAILED: {rep.witness_error}")
         ok = False
     payload["ok"] = ok
-    _emit(payload, lines, args.pretty)
-    return 0 if ok else 1
+    return payload, lines
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> Output:
     data = _load_json(args.file)
     try:
         if "P" not in data:
@@ -170,56 +161,27 @@ def cmd_project(args) -> int:
     for a, b in BLOCKS:
         row = [str(c[(a, b, n)]) for n in range(c.d)]
         lines.append(f"  A{a}B{b}: {row}")
-    _emit(payload, lines, args.pretty)
-    return 0
+    return payload, lines
 
 
-def cmd_cglmp(args) -> int:
+def cmd_cglmp(args) -> Output:
     d = _parse_d(args.d)
     ineq = cglmp_corr_inequality(d) if args.space == "corr" else cglmp_mod.cglmp_inequality(d)
-    payload = inequality_to_json(ineq)
-    _emit(
-        payload,
-        [
-            f"CGLMP inequality at d={d} in {ineq.space} coordinates",
-            f"  coefficients: {[str(c) for c in ineq.coeffs]}",
-            f"  bound: {ineq.bound}",
-        ],
-        args.pretty,
-    )
-    return 0
-
-
-def _facets_json(facets, trivial, labels) -> list[dict]:
-    """One entry per facet; labels None leaves every class null."""
-    return [
-        {
-            "coeffs": [encode_rational(c) for c in f.coeffs],
-            "bound": encode_rational(f.bound),
-            "trivial": trivial[i],
-            "class": None if labels is None else labels[i],
-        }
-        for i, f in enumerate(facets)
+    return inequality_to_json(ineq), [
+        f"CGLMP inequality at d={d} in {ineq.space} coordinates",
+        f"  coefficients: {[str(c) for c in ineq.coeffs]}",
+        f"  bound: {ineq.bound}",
     ]
 
 
-def facet_list_json(space: str, d: int, hrep: HRep, trivial, labels) -> dict:
-    """The facet-list document printed by `enumerate` and frozen in the
-    golden catalogs."""
-    return {
-        "space": space,
-        "d": d,
-        "complete": hrep.complete,
-        "reduced_dim": hrep.reduced_dim,
-        "equations": [
-            {"coeffs": [encode_rational(c) for c in row], "rhs": encode_rational(rhs)}
-            for row, rhs in hrep.equations
-        ],
-        "facets": _facets_json(hrep.facets, trivial, labels),
-    }
+def _facet_json(f, label, **fields) -> dict:
+    """The entry of one inequality in the enumerate and classify documents;
+    a label of None (no group table) leaves its class null."""
+    coeffs = [encode_rational(c) for c in f.coeffs]
+    return {"coeffs": coeffs, "bound": encode_rational(f.bound), "class": label, **fields}
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> Output:
     d = _parse_d(args.d)
     space = "correlator" if args.space == "corr" else "behavior"
     if args.budget is not None and not args.budget >= 0:  # refuses nan too
@@ -233,27 +195,39 @@ def cmd_enumerate(args) -> int:
         f"(dim {hrep.reduced_dim}) in {time.monotonic()-t0:.2f}s",
         file=sys.stderr,
     )
-    trivial, labels = trivial_and_classes(hrep.facets, space, d)
+    trivial, labels = by_class(hrep.facets, space, d, classify_trivial)
     if labels is None:
         print("note: the behavior-space symmetry group is too large for d >= 4; "
               "facets emitted without class labels", file=sys.stderr)
-    payload = facet_list_json(space, d, hrep, trivial, labels)
-    nclasses = len(set(l for l in labels)) if labels is not None else None
+    payload = {
+        "space": space,
+        "d": d,
+        "complete": hrep.complete,
+        "reduced_dim": hrep.reduced_dim,
+        "equations": [
+            {"coeffs": [encode_rational(c) for c in row], "rhs": encode_rational(rhs)}
+            for row, rhs in hrep.equations
+        ],
+        "facets": [
+            _facet_json(f, label, trivial=t)
+            for f, t, label in zip(hrep.facets, trivial, labels or [None] * len(trivial))
+        ],
+    }
     lines = [
         f"{space} polytope at d={d}: {len(hrep.facets)} facets"
         + ("" if hrep.complete else " (INCOMPLETE: budget exhausted)"),
         f"  trivial {sum(trivial)}, non-trivial {len(trivial) - sum(trivial)}"
-        + (f", symmetry classes {nclasses}" if nclasses is not None else ""),
+        + (f", symmetry classes {len(set(labels))}" if labels is not None else ""),
     ]
-    _emit(payload, lines, args.pretty)
-    return 0
+    return payload, lines
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Output:
     """Support, saturation count and rank, triviality and class of each
-    listed inequality.  The group permutes the vertices, so saturation is
-    checked once per class, on its first member, and copied to the rest;
-    behavior space at d >= 4 has no classes and checks every inequality."""
+    listed inequality.  The group permutes the vertices and keeps the
+    no-signaling polytope, so both checks run once per class, on its first
+    member (symmetry.by_class); behavior space at d >= 4 has no classes and
+    checks every inequality."""
     data = _load_json(args.file)
     try:
         space = str(data["space"])
@@ -271,39 +245,34 @@ def cmd_classify(args) -> int:
     for i, f in enumerate(facets):
         if len(f.coeffs) != width:
             raise UsageError(f"bad facet list: facet {i} has {len(f.coeffs)} coefficients, not {width}")
+
+    def check(q) -> dict:
+        try:
+            count, rk = saturation_count(q, space_vertices(space, d))
+            saturation = {"supporting": True, "saturating": count, "rank": rk}
+        except ValueError as exc:
+            saturation = {"supporting": False, "error": str(exc)}
+        return {"trivial": classify_trivial(q), **saturation}
+
     try:
-        trivial, labels = trivial_and_classes(facets, space, d)
+        checked, labels = by_class(facets, space, d, check)
     except ValueError as exc:  # an equation on the affine hull has no class
         raise UsageError(f"bad facet list: {exc}") from exc
-    keys = range(len(facets)) if labels is None else labels
-    checked: dict[int, dict] = {}
-    for f, key in zip(facets, keys):
-        if key in checked:
-            continue
-        try:
-            count, rk = saturation_count(f, space_vertices(space, d))
-            checked[key] = {"supporting": True, "saturating": count, "rank": rk}
-        except ValueError as exc:
-            checked[key] = {"supporting": False, "error": str(exc)}
-    ok = all(c["supporting"] for c in checked.values())
-    payload = {
-        "space": space,
-        "d": d,
-        "facets": [{**e, **checked[key]} for e, key in zip(_facets_json(facets, trivial, labels), keys)],
-        "ok": ok,
-    }
+    entries = [
+        _facet_json(f, label, **c) for f, c, label in zip(facets, checked, labels or [None] * len(facets))
+    ]
+    ok = all(c["supporting"] for c in checked)
     lines = [f"classified {len(facets)} inequalities ({space}, d={d}); ok={ok}"]
-    for i, entry in enumerate(payload["facets"]):
+    for i, entry in enumerate(entries):
         lines.append(
             f"  #{i}: trivial={entry['trivial']} class={entry['class']} "
             + (f"saturating={entry.get('saturating')} rank={entry.get('rank')}"
                if entry["supporting"] else f"NOT SUPPORTING: {entry.get('error')}")
         )
-    _emit(payload, lines, args.pretty)
-    return 0 if ok else 1
+    return {"space": space, "d": d, "facets": entries, "ok": ok}, lines
 
 
-def cmd_membership(args) -> int:
+def cmd_membership(args) -> Output:
     data = _load_json(args.file)
     try:
         if "P" in data:
@@ -338,8 +307,7 @@ def cmd_membership(args) -> int:
             f"  class: {res.certificate_class}",
             f"  violation above the local bound: {res.violation}",
         ]
-    _emit(payload, lines, args.pretty)
-    return 0
+    return payload, lines
 
 
 @functools.cache
@@ -395,13 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, lines = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except cglmp_mod.VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    print("\n".join(lines) if args.pretty else json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return 0 if doc.get("ok", True) else 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,9 @@ coordinate do they build the matrix and call ``pivot_columns`` or
 
 Rationals enter the integers in one place, ``integer_rows`` (a batch of
 rows over one common denominator), and rows leave them divided by their
-gcd in one place, ``gcd_reduce``.
+gcd in one place, ``gcd_reduce``.  The integer kernels read their input
+through ``_entered``, which refuses an entry that is not an integer with
+ValueError instead of truncating it.
 """
 
 from __future__ import annotations
@@ -65,27 +67,48 @@ def _peak(a: np.ndarray) -> int:
     return max(int(np.maximum.reduce(a, axis=None)), -int(np.minimum.reduce(a, axis=None)))
 
 
+def _exact_int(x) -> int:
+    """x as a Python int; ValueError when x is not an integer, which int()
+    would truncate."""
+    try:
+        n = int(x)
+    except OverflowError:  # an infinity
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 def _entered(rows, ndim: int = 2) -> tuple[np.ndarray, int]:
     """An integer array and its largest absolute entry: int64 when every
     entry is below OVERFLOW_LIMIT, the input itself when it already is an
     int64 array; Python ints (dtype object) otherwise, with OVERFLOW_LIMIT
-    for the peak."""
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
-        src = rows
-    else:
-        # through object first, so entries in [2^63, 2^64) never become uint64
-        src = np.asarray(rows, dtype=object)
+    for the peak.
+
+    Entries that numpy reads as integers or bools take one np.asarray.
+    Any other batch (Fractions, floats, ints past int64) is read from the
+    input through object, so that no entry passes through uint64 or
+    float64, cast to int64 and compared with the entries it came from, or
+    read entry by entry when some entry is past int64; an entry that is
+    not an integer raises ValueError, never truncated.
+    """
+    src = np.asarray(rows)
     if src.size and src.ndim != ndim:
         raise ValueError("ragged matrix")
-    try:
-        a = src.astype(np.int64, copy=False)
-    except OverflowError:
-        a = None
-    if a is not None:
-        peak = _peak(a)
-        if peak < OVERFLOW_LIMIT:
-            return a, peak
-    return np.frompyfunc(int, 1, 1)(src), OVERFLOW_LIMIT  # numpy scalars among the entries would overflow
+    if not np.can_cast(src.dtype, np.int64):  # anything but ints, bools and unsigned ints below 64 bits
+        obj = np.asarray(rows, dtype=object)
+        try:
+            src = obj.astype(np.int64)  # int() of each entry, which truncates
+        except OverflowError:  # an int past int64, or an infinity
+            return np.frompyfunc(_exact_int, 1, 1)(obj), OVERFLOW_LIMIT
+        truncated = src != obj
+        if truncated.any():
+            raise ValueError(f"{obj[truncated][0]!r} is not an integer")
+    a = src.astype(np.int64, copy=False)
+    peak = _peak(a)
+    if peak < OVERFLOW_LIMIT:
+        return a, peak
+    return a.astype(object), OVERFLOW_LIMIT
 
 
 def _int_array(rows, ndim: int = 2) -> np.ndarray:

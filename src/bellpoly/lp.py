@@ -40,8 +40,8 @@ back as the same Fractions.
 
 Fractions appear only at the two edges.  Rows given as an integer ndarray
 (as membership and the no-signalling LP pass them) are taken as they
-are, neither copied nor converted; rows of ints pass through
-``linalg.integer_rows``, and an entry with a denominator is refused with
+are, neither copied nor converted; other rows enter through
+``linalg._entered``, which refuses an entry that is not an integer with
 ValueError, never truncated.  The checks never leave the integers: the
 primal, the dual and the certificate are integer vectors over the common
 den, and every condition above is an exact integer product with A,
@@ -130,21 +130,15 @@ class _IntegerLP(NamedTuple):
 
 def _integer_lp(objective, eq_rows, eq_rhs) -> _IntegerLP:
     """Validate lp_max's input and clear the denominators of b and c; the
-    rows must already be integers.  An int64 row array is taken as it is,
-    not copied."""
+    rows must already be integers, and ``linalg._entered`` refuses any that
+    is not.  An int64 row array is taken as it is, not copied."""
     n = len(objective)
     if len(eq_rows) != len(eq_rhs):
         raise ValueError("constraint rows and right-hand sides disagree")
-    if isinstance(eq_rows, np.ndarray) and eq_rows.dtype.kind == "i":
-        if eq_rows.ndim != 2 or eq_rows.shape[1] != n:
-            raise ValueError("dimension mismatch in equality rows")
-    else:
-        if any(len(row) != n for row in eq_rows):
-            raise ValueError("dimension mismatch in equality rows")
-        eq_rows, den = integer_rows(eq_rows)
-        if den != 1:
-            raise ValueError("constraint rows must be integer")
-    A, peak = _entered(eq_rows.reshape(len(eq_rhs), n))
+    A, peak = _entered(eq_rows)
+    if A.size and A.shape[1] != n:
+        raise ValueError("dimension mismatch in equality rows")
+    A = A.reshape(len(eq_rhs), n)
     (b,), bscale = integer_rows([eq_rhs])
     (c,), cscale = integer_rows([objective])
     return _IntegerLP(A, peak, b.tolist(), c.tolist(), bscale, cscale)

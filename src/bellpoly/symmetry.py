@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .correlators import difference_index
-from .facets import classify_trivial, gauge, space_vertices, standard_equations
+from .facets import gauge, space_vertices, standard_equations
 from .scenario import Inequality
 
 
@@ -224,21 +224,22 @@ def label_classes(ineqs: Iterable[Inequality]) -> tuple[list[int], list[Inequali
     return labels, reps
 
 
-def trivial_and_classes(
-    ineqs: Iterable[Inequality], space: str, d: int
-) -> tuple[list[bool], list[int] | None]:
-    """Triviality and class label of each inequality.
+def by_class(
+    ineqs: Iterable[Inequality], space: str, d: int, check: Callable[[Inequality], object]
+) -> tuple[list, list[int] | None]:
+    """check of each inequality and its class label.
 
-    Triviality is invariant under the group, so it is decided once per
-    class, on the representative.  Where the space has no group table
-    (has_group), triviality is decided per inequality and labels are None,
-    but an equation on the affine hull is refused all the same.
+    check must be invariant under the group (triviality, saturation): it
+    runs once per class, on the representative, and its result is copied
+    to the other members.  Where the space has no group table (has_group)
+    it runs on every inequality and labels are None, but an equation on
+    the affine hull is refused all the same.
     """
     items = list(ineqs)
     if not has_group(space, d):
         if items:
             gauge_rows(items)
-        return [classify_trivial(q) for q in items], None
+        return [check(q) for q in items], None
     labels, reps = label_classes(items)
-    trivial = [classify_trivial(r) for r in reps]
-    return [trivial[label] for label in labels], labels
+    results = [check(r) for r in reps]
+    return [results[label] for label in labels], labels

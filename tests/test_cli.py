@@ -152,6 +152,44 @@ def test_enumerate_matches_golden_d2(capsys):
     assert data["complete"] is True
 
 
+@pytest.mark.parametrize("d, argv", [(2, ["enumerate", "2"]), (3, ["enumerate", "3", "--space", "corr"])])
+def test_enumerate_prints_the_golden_catalog(capsys, d, argv):
+    # make_goldens.py writes the document this command returns
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert data == json.loads((GOLDEN / f"corr_facets_d{d}.json").read_text())
+
+
+def test_exit_code_follows_the_document(tmp_path, capsys):
+    # main prints every document and exits 1 exactly when it says "ok":
+    # false, 0 otherwise, with --pretty or without
+    behavior = tmp_path / "uniform.json"
+    behavior.write_text(json.dumps(behavior_to_json(uniform_behavior(2))))
+    supported = tmp_path / "supported.json"
+    supported.write_text((GOLDEN / "corr_facets_d2.json").read_text())
+    aloof = tmp_path / "aloof.json"  # touches no vertex
+    aloof.write_text(json.dumps({"space": "correlator", "d": 2, "facets": [{"coeffs": [1] + [0] * 7, "bound": 5}]}))
+    codes = {}
+    for argv in (
+        ["dims", "3"],
+        ["verify-cglmp", "3"],
+        ["tightness", "3", "--witness"],
+        ["project", str(behavior)],
+        ["cglmp", "3"],
+        ["enumerate", "2"],
+        ["classify", str(supported)],
+        ["classify", str(aloof)],
+        ["membership", str(behavior)],
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == (0 if doc.get("ok", True) else 1), argv
+        pretty_code, pretty = run(capsys, *argv, "--pretty")
+        assert pretty_code == code and pretty.strip() and not pretty.startswith("{"), argv
+        codes[" ".join(argv[:1] + [Path(a).name for a in argv[1:]])] = code
+    assert codes["classify aloof.json"] == 1
+    assert sum(codes.values()) == 1
+
+
 def test_classify_roundtrip(tmp_path, capsys):
     code, out = run(capsys, "enumerate", "2", "--space", "corr")
     path = tmp_path / "facets.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellpoly import linalg
+from bellpoly.facets import dd_extreme_rays
 from bellpoly.linalg import affine_dim, int_rank, nullspace, rank, rref
 from bellpoly.scenario import Scenario, all_generators, constraint_matrix
 
@@ -273,3 +274,30 @@ def test_independent_vector_without_a_fresh_coordinate_is_left_to_elimination():
 
 def test_no_vectors_have_no_fresh_coordinates():
     assert linalg.has_fresh_coordinate(np.zeros((0, 4), dtype=np.int64), 8).tolist() == []
+
+
+@pytest.mark.parametrize(
+    "kernel, args",
+    [
+        pytest.param(int_rank, ([[Fraction(1, 2)]],), id="int_rank-fraction"),
+        pytest.param(int_rank, ([[0.5, 0.25]],), id="int_rank-float"),
+        pytest.param(linalg.pivot_columns, ([[Fraction(1, 3), 1], [Fraction(2, 3), 2]],), id="pivot_columns"),
+        pytest.param(linalg.slack_matrix, ([[1]], [Fraction(1, 2)], [[0]]), id="slack_matrix-bound"),
+        pytest.param(linalg.slack_matrix, ([[Fraction(2**70 + 1, 2)]], [0], [[1]]), id="slack_matrix-past-int64"),
+        pytest.param(dd_extreme_rays, ([[Fraction(1, 2), 0], [0, 1]], 2), id="dd_extreme_rays-fraction"),
+        pytest.param(dd_extreme_rays, ([[float("inf"), 0], [0, 1]], 2), id="dd_extreme_rays-infinity"),
+    ],
+)
+def test_integer_kernels_refuse_non_integer_entries(kernel, args):
+    # int() would truncate these entries: 1/2 to 0, which gave rank 0 and
+    # pivot [1] instead of rank 1 and pivot [0]
+    with pytest.raises(ValueError, match="is not an integer"):
+        kernel(*args)
+
+
+def test_integer_kernels_take_every_kind_of_integer():
+    # bools, numpy ints, integral Fractions and floats, ints from 2^63 up
+    assert int_rank([[True, np.int64(2)], [Fraction(3), 4.0]]) == 2
+    assert linalg.pivot_columns([[2**63, 1], [2**64, 2]]) == [0]
+    assert int_rank(np.array([[1, 0], [0, 1]], dtype=np.uint8)) == 2
+    assert linalg.slack_matrix([[2**63]], [2**64], [[1]]).tolist() == [[2**63]]

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import random
 import tracemalloc
@@ -40,18 +43,19 @@ from bellpoly.scenario import (
     all_generators,
     all_strategies,
     generator,
+    inequality_from_json,
 )
 from bellpoly import linalg, symmetry
 from bellpoly.symmetry import (
     _orbit,
     _row_keys,
+    by_class,
     canonical_class,
     equivalent,
     gauge_rows,
     group_for,
     has_group,
     label_classes,
-    trivial_and_classes,
 )
 
 
@@ -112,19 +116,19 @@ def test_behavior_group_guard():
     "space, d", [("behavior", d) for d in range(2, 6)] + [("correlator", d) for d in range(2, 9)]
 )
 def test_has_group_is_the_one_group_table_test(space, d):
-    # false exactly where group_for refuses, trivial_and_classes gives no
+    # false exactly where group_for refuses, by_class gives no
     # labels and a certificate class stays unclassified; group_for refuses
     # before it builds anything, so no behavior table is built at d >= 4
     reference = cglmp_inequality(d) if space == "behavior" else cglmp_corr_inequality(d)
     assert has_group(space, d) == (space == "correlator" or d <= 3)
     if has_group(space, d):
         assert len(group_for(space, d)) > 0
-        assert trivial_and_classes([], space, d)[1] == []
+        assert by_class([], space, d, classify_trivial)[1] == []
         assert _catalog_label(reference) == "cglmp"
     else:
         with pytest.raises(ValueError, match="too large"):
             group_for(space, d)
-        assert trivial_and_classes([], space, d)[1] is None
+        assert by_class([], space, d, classify_trivial)[1] is None
         assert _catalog_label(reference) == "unclassified"
 
 
@@ -243,18 +247,22 @@ def test_trivial_status_is_orbit_invariant():
 
 @pytest.mark.parametrize("d", [2, pytest.param(3, marks=pytest.mark.slow)])
 def test_triviality_decided_once_per_class(monkeypatch, d):
-    # behavior space, where triviality is an LP: one per class, and the
-    # same flags as one LP per facet
-    import bellpoly.symmetry as symmetry_mod
+    # behavior space, where triviality is an LP: enumerate decides it once
+    # per class through by_class, with the same flags as one LP per facet
+    import bellpoly.cli as cli_mod
 
-    hrep = enumerate_facets(vrep_of(all_generators(Scenario(d))), space="behavior", d=d)
-    per_facet = [classify_trivial(f) for f in hrep.facets]
     calls = []
-    monkeypatch.setattr(symmetry_mod, "classify_trivial", lambda q: calls.append(q) or classify_trivial(q))
-    trivial, labels = trivial_and_classes(hrep.facets, "behavior", d)
-    assert trivial == per_facet
-    assert labels == label_classes(hrep.facets)[0]
+    monkeypatch.setattr(cli_mod, "classify_trivial", lambda q: calls.append(q) or classify_trivial(q))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_mod.main(["enumerate", str(d), "--space", "behavior"]) == 0
+    doc = json.loads(out.getvalue())
+    facets = [inequality_from_json({"space": "behavior", "d": d, **f}) for f in doc["facets"]]
+    labels = [f["class"] for f in doc["facets"]]
+    assert [f["trivial"] for f in doc["facets"]] == [classify_trivial(f) for f in facets]
+    assert labels == label_classes(facets)[0]
     assert len(calls) == len(set(labels))
+    assert by_class(facets, "behavior", d, classify_trivial) == ([f["trivial"] for f in doc["facets"]], labels)
 
 
 def test_facet_images_are_facets():
