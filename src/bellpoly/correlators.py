@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .jsonio import decode_int
-from .scenario import BLOCKS, Behavior, Inequality, blocks_from_json, blocks_to_json, generator_supports
+from .scenario import Behavior, Inequality, blocks_from_json, blocks_to_json, generator_supports
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,13 @@ def project(p: Behavior) -> CorrVector:
     return CorrVector(p.d, tuple(coords.tolist()))
 
 
-def is_corr_probability(c: CorrVector) -> bool:
-    """Entries nonnegative and each setting block summing to one."""
-    d = c.d
-    if any(x < 0 for x in c.coords):
-        return False
-    return all(
-        sum(c.coords[corr_index(d, a, b, n)] for n in range(d)) == 1 for a, b in BLOCKS
-    )
+def is_corr_probability(c: CorrVector, scaled: tuple[np.ndarray, int] | None = None) -> bool:
+    """Entries nonnegative and each setting block summing to one, read off
+    the coordinates as one integer row over their common denominator; a
+    caller that already holds integer_rows([c.coords]) passes it as scaled."""
+    (num,), den = linalg.integer_rows([c.coords]) if scaled is None else scaled
+    num = num.tolist()
+    return min(num) >= 0 and all(sum(num[i : i + c.d]) == den for i in range(0, 4 * c.d, c.d))
 
 
 def projected_generator_matrix(d: int) -> np.ndarray:

@@ -35,8 +35,9 @@ def decode_rational(v) -> Fraction | int:
         # read exponents, and "1e99999999" builds a 10^8-digit integer
         if not _NUM_DEN.fullmatch(v):
             raise ValueError(f"expected an integer or a 'num/den' string of decimal digits, got {v!r}")
+        num, _, den = v.partition("/")
         try:
-            return Fraction(v)
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in {v!r}") from exc
     if isinstance(v, float):

@@ -208,7 +208,8 @@ def _fraction_free(a: np.ndarray, r: int, c: int, den: int = 1, idx: np.ndarray 
             block = a if idx is None else block.astype(object)
     row = block[at].copy()
     col = block[:, c].copy()
-    block *= piv
+    if piv != 1:
+        block *= piv
     block -= col[:, None] * row
     if den != 1:
         block //= den

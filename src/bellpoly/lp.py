@@ -42,26 +42,30 @@ Fractions appear only at the two edges.  Rows given as an integer ndarray
 (as membership and the no-signalling LP pass them) are taken as they
 are, neither copied nor converted; other rows enter through
 ``linalg._entered``, which refuses an entry that is not an integer with
-ValueError, never truncated.  The checks never leave the integers: the
-primal, the dual and the certificate are integer vectors over the common
-den, and every condition above is an exact integer product with A,
-``linalg.slack_matrix`` (int64 when no partial sum can reach the guard,
-Python ints otherwise).  Only the returned LPResult is built from
-Fractions; an optimal one also carries its primal as those integers over
-their denominator, for a caller that checks it in the integers.
+ValueError, never truncated, and which also gives A's peak.  A
+right-hand side or objective of Python ints (membership passes both so)
+takes the one-array path of ``linalg.integer_rows``, scale 1.  The
+checks never leave the integers: the primal, the dual and the
+certificate are integer vectors over the common den, and every condition
+above is an exact integer product with A, ``_times``, guarded by that
+peak (int64 when no partial sum can reach the guard, Python ints
+otherwise).  Only the returned LPResult is built from Fractions, one
+shared zero for every zero entry; an optimal one also carries its primal
+as those integers over their denominator, for a caller that checks it in
+the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import gt, mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
-from .linalg import _entered, _fraction_free, integer_rows, slack_matrix
+from .linalg import _entered, _fraction_free, integer_rows
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,9 @@ def lp_max(
     T[m, :n] = p.c
     T[:m, -1] = p.b
     flips = [-1 if b < 0 else 1 for b in p.b]
-    T[[i for i, f in enumerate(flips) if f < 0]] *= -1
+    flipped = [i for i, f in enumerate(flips) if f < 0]
+    if flipped:
+        T[flipped] *= -1
     T[np.arange(m), n + np.arange(m)] = 1
     # phase 1: drive the artificials to zero; over the artificial basis the
     # reduced costs of -sum(art) are the column sums, 0 on the artificials,
@@ -216,21 +222,32 @@ def lp_max(
         status="optimal",
         optimum=Fraction(opt, p.cscale * scale),
         primal=tuple(Fraction(v, scale) if v else zero for v in x),
-        dual=tuple(Fraction(v, p.cscale * den) for v in y),
+        dual=tuple(Fraction(v, p.cscale * den) if v else zero for v in y),
         scaled_primal=(tuple(x), scale),
     )
+
+
+def _times(p: _IntegerLP, v: list[int], transpose: bool = False) -> np.ndarray:
+    """A v, or v A with transpose, exactly: int64 when width * peak * max|v|,
+    a bound on every partial sum, stays under the overflow guard, with peak
+    the largest absolute entry of A that _integer_lp already took; Python
+    ints (dtype object) otherwise."""
+    a = p.A.T if transpose else p.A
+    if a.dtype != object and a.shape[1] * max(1, p.peak) * max(map(abs, v), default=0) < linalg.OVERFLOW_LIMIT:
+        return a @ np.array(v, dtype=np.int64)
+    return a.astype(object) @ np.array(v, dtype=object)
 
 
 def _check_optimal(p: _IntegerLP, x: list[int], y: list[int], opt: int, den: int) -> None:
     """Exact verification of an optimal pair of p, z = x / den with dual
     y / den (cheap, always on): z is feasible, y A >= c, and
-    c.x = y.b = opt.  The matrix products are ``slack_matrix``'s, in int64
+    c.x = y.b = opt.  The matrix products are ``_times``'s, in int64
     when no sum can overflow, over Python ints otherwise."""
-    if slack_matrix(p.A, [den * b for b in p.b], [x]).any():  # den b - A x
+    if _times(p, x).tolist() != [den * b for b in p.b]:
         raise AssertionError("optimal primal violates a constraint row")
     if any(v < 0 for v in x):
         raise AssertionError("optimal primal negative on a column")
-    if (slack_matrix(p.A.T, [den * c for c in p.c], [y]) > 0).any():  # den c - y A
+    if any(map(gt, [den * c for c in p.c], _times(p, y, transpose=True).tolist())):
         raise AssertionError("optimal dual infeasible on a column")
     if sum(map(mul, p.c, x)) != opt:
         raise AssertionError("primal objective differs from the reported optimum")
@@ -241,7 +258,7 @@ def _check_optimal(p: _IntegerLP, x: list[int], y: list[int], opt: int, den: int
 def _check_farkas(p: _IntegerLP, y: list[int]) -> None:
     """Exact verification of the infeasibility certificate y of p (cheap,
     always on), by the same guarded product as ``_check_optimal``."""
-    if (slack_matrix(p.A.T, np.zeros(len(p.c), dtype=np.int64), [y]) > 0).any():  # -y A
+    if (_times(p, y, transpose=True) < 0).any():
         raise AssertionError("Farkas combination negative on a column")
     if sum(map(mul, y, p.b)) >= 0:
         raise AssertionError("Farkas certificate does not contradict the right-hand side")

@@ -11,22 +11,32 @@ supporting hyperplane of the exit face off the exact dual.  The resulting
 functional is valid on every generator by construction, is normalized so
 its bound equals its exact maximum over the generators, and strictly cuts
 off the query.
+
+A query enters the integers once, as one integer row over its common
+denominator (``linalg.integer_rows``); the precondition checks, both LPs,
+the reconstruction check and the violation all read that row.  What
+depends only on (space, d) is built once per process, on first use: the
+LP's generator rows, the vertex column sums behind the uniform point,
+the vertex names, and the row keys of the orbit of CGLMP that name a
+certificate's class.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .cglmp import cglmp_inequality, evaluate
+from .cglmp import cglmp_inequality
 from .correlators import CorrVector, cglmp_corr_inequality, is_corr_probability
 from .facets import canonicalize, space_vertices, standard_equations
 from .linalg import integer_rows, slack_matrix
 from .lp import lp_max
 from .scenario import Behavior, Inequality, Scenario, all_strategies, constraint_verdicts
-from .symmetry import equivalent, has_group
+from .symmetry import _orbit, _row_keys, gauge_rows, has_group
 
 
 @dataclass(frozen=True)
@@ -48,43 +58,85 @@ def local_max(ineq: Inequality) -> Fraction:
     return Fraction(-int(slack.min()), den)
 
 
-def _decompose(query, labels, space: str, d: int) -> MembershipResult:
-    """Shared core: the vertices of the space, named by labels, are the
-    generator vectors.  The interior ray starts at their centroid, which
-    is the uniform behavior, or 1/d per correlator coordinate."""
+@lru_cache(maxsize=None)
+def _system(space: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generator rows of a space, built once per (space, d): the
+    read-only integer matrix [V^T; 1], one column per vertex, whose last
+    row makes the weights sum to one, and the read-only column sums of V,
+    whose centroid sums / nverts is the uniform point."""
     vertices = space_vertices(space, d)
-    ncoords = len(query)
-    nverts = len(vertices)
-    eq_rows = np.ones((ncoords + 1, nverts), dtype=np.int64)
-    eq_rows[:ncoords] = vertices.T
-    eq_rhs = [*query, 1]
+    rows = np.ones((vertices.shape[1] + 1, len(vertices)), dtype=np.int64)
+    rows[:-1] = vertices.T
+    sums = vertices.sum(axis=0)
+    rows.flags.writeable = sums.flags.writeable = False
+    return rows, sums
+
+
+@lru_cache(maxsize=None)
+def _labels(space: str, d: int) -> tuple:
+    """The names of the vertices of a space, in space_vertices order: a
+    strategy, or for a projected generator its four outcome differences,
+    the positions of its unit entries within their blocks."""
+    if space == "behavior":
+        return tuple(all_strategies(Scenario(d)))
+    ones = np.nonzero(space_vertices(space, d))[1].reshape(-1, 4)
+    return tuple(map(tuple, (ones % d).tolist()))
+
+
+@lru_cache(maxsize=None)
+def _cglmp_keys(space: str, d: int) -> frozenset:
+    """The row keys of the orbit of CGLMP in a space with a group table,
+    built once per (space, d) by symmetry's own _orbit and _row_keys."""
+    reference = cglmp_inequality(d) if space == "behavior" else cglmp_corr_inequality(d)
+    return frozenset(_row_keys(_orbit(gauge_rows([reference])[0], space, d)))
+
+
+def _decompose(q: list[int], qden: int, space: str, d: int) -> MembershipResult:
+    """Shared core, on the query as the Python ints q over their common
+    denominator qden: the vertices of the space are the generator vectors.
+    The interior ray starts at their centroid, which is the uniform
+    behavior, or 1/d per correlator coordinate.  Both LPs take integer
+    right-hand sides, the query [*q, qden] and the centroid [*sums, nverts]
+    divided by their gcd; they are the integer problems a rational
+    right-hand side clears its denominators to."""
+    eq_rows, sums = _system(space, d)
+    ncoords, nverts = eq_rows.shape[0] - 1, eq_rows.shape[1]
+    eq_rhs = [*q, qden]
     feas = lp_max([0] * nverts, eq_rows=eq_rows, eq_rhs=eq_rhs)
     if feas.status == "optimal":
-        # the weights w / wden sum to 1 and rebuild the query: rows w / wden == b / bden
+        # the weights are w / (wden qden): rows w == wden [*q, qden] says
+        # that they sum to 1 and rebuild the query
         w, wden = feas.scaled_primal
         if any(v < 0 for v in w):
             raise AssertionError("negative weight from the feasibility LP")
-        b, bden = integer_rows([eq_rhs])
         rebuilt = -slack_matrix(eq_rows, np.zeros(ncoords + 1, dtype=np.int64), [w])[:, 0]  # rows w
-        if [bden * v for v in rebuilt.tolist()] != [wden * v for v in b[0].tolist()]:
+        if rebuilt.tolist() != [wden * v for v in eq_rhs]:
             raise AssertionError("decomposition does not reconstruct the query exactly")
-        weights = {lab: x for lab, x in zip(labels, feas.primal) if x}
+        scale = wden * qden
+        weights = {lab: Fraction(x, scale) for lab, x in zip(_labels(space, d), w) if x}
         return MembershipResult(local=True, weights=weights)
     if feas.status != "infeasible":
         raise AssertionError(f"feasibility LP came back {feas.status}")
 
     # interior ray: max t with  sum_w w G = u + t (p - u),  sum w = 1, w >= 0,
-    # t >= 0 (the uniform point u is local, so t = 0 is feasible); with
-    # p - u = delta / D the column of t is -delta and its objective D
-    uniform = [Fraction(n, nverts) for n in vertices.sum(axis=0).tolist()]
-    delta, D = integer_rows([[q - u for q, u in zip(query, uniform)]])
+    # t >= 0 (the uniform point u = sums / nverts is local, so t = 0 is
+    # feasible); with p - u = delta / D the column of t is -delta and its
+    # objective D.  Over the integer right-hand side uden [u, 1] the optimum
+    # is uden t*.
+    sums = sums.tolist()
+    g = math.gcd(nverts, *sums)
+    uden = nverts // g
+    diff = [x * nverts - s * qden for x, s in zip(q, sums)]  # qden nverts (p - u)
+    h = math.gcd(qden * nverts, *diff)
+    (delta,), _ = integer_rows([[x // h for x in diff]])
+    D = qden * nverts // h
     ray_rows = np.zeros((ncoords + 1, nverts + 1), dtype=delta.dtype)
     ray_rows[:, :nverts] = eq_rows
-    ray_rows[:ncoords, nverts] = -delta[0]
-    res = lp_max([0] * nverts + [D], eq_rows=ray_rows, eq_rhs=[*uniform, 1])
+    ray_rows[:ncoords, nverts] = -delta
+    res = lp_max([0] * nverts + [D], eq_rows=ray_rows, eq_rhs=[*(s // g for s in sums), uden])
     if res.status != "optimal":
         raise AssertionError(f"interior-ray LP came back {res.status}")
-    t_star = res.optimum
+    t_star = res.optimum / uden
     if t_star >= 1:
         raise AssertionError("interior ray exits beyond the query on an infeasible instance")
     y = res.dual
@@ -94,7 +146,7 @@ def _decompose(query, labels, space: str, d: int) -> MembershipResult:
     cert = canonicalize(
         Inequality(space, d, coeffs, bound), equations=standard_equations(space, d)
     )
-    violation = evaluate(cert, query) - cert.bound
+    violation = Fraction(sum(c * x for c, x in zip(cert.coeffs, q) if c), qden) - cert.bound
     if violation <= 0:
         raise AssertionError("separating certificate fails to cut off the query")
     if local_max(cert) != cert.bound:
@@ -108,9 +160,9 @@ def _decompose(query, labels, space: str, d: int) -> MembershipResult:
 
 
 def _catalog_label(cert: Inequality) -> str:
-    """The class name of a certificate: cglmp when it lies in the orbit of
-    CGLMP, uncataloged otherwise, unclassified where the space has no
-    group table.
+    """The class name of a certificate: cglmp when its key lies in the
+    orbit of CGLMP, uncataloged otherwise, unclassified where the space has
+    no group table.
 
     A nonnegativity facet never matches, so it is not looked for: every
     nonnegative point of the affine hull satisfies it, and the query is
@@ -120,28 +172,29 @@ def _catalog_label(cert: Inequality) -> str:
     space, d = cert.space, cert.d
     if not has_group(space, d):
         return "unclassified"
-    reference = cglmp_inequality(d) if space == "behavior" else cglmp_corr_inequality(d)
-    return "cglmp" if equivalent(reference, cert) else "uncataloged"
+    key = _row_keys(gauge_rows([cert]))[0]
+    return "cglmp" if key in _cglmp_keys(space, d) else "uncataloged"
 
 
 def local_decompose(p: Behavior) -> MembershipResult:
     """Exact convex decomposition over the d^4 strategies, or a separating
     Bell inequality the behavior strictly violates."""
-    if any(x < 0 for x in p.coords):
+    scaled = integer_rows([p.coords])
+    (q,), qden = scaled
+    if (q < 0).any():
         raise ValueError("behavior has negative entries; not a probability table")
-    normalized, nosignaling = constraint_verdicts(p)
+    normalized, nosignaling = constraint_verdicts(p, scaled)
     if not normalized:
         raise ValueError("behavior is not normalized")
     if not nosignaling:
         raise ValueError("behavior is signaling; locality is not defined for it")
-    return _decompose(p.coords, all_strategies(Scenario(p.d)), "behavior", p.d)
+    return _decompose(q.tolist(), qden, "behavior", p.d)
 
 
 def corr_local_decompose(c: CorrVector) -> MembershipResult:
     """Same contract over the d^3 projected generators."""
-    if not is_corr_probability(c):
+    scaled = integer_rows([c.coords])
+    if not is_corr_probability(c, scaled):
         raise ValueError("correlation vector must be nonnegative with unit block sums")
-    # a projected generator is named by its four outcome differences, the
-    # positions of its unit entries within their blocks
-    ones = np.nonzero(space_vertices("correlator", c.d))[1].reshape(-1, 4)
-    return _decompose(c.coords, list(map(tuple, (ones % c.d).tolist())), "correlator", c.d)
+    (q,), qden = scaled
+    return _decompose(q.tolist(), qden, "correlator", c.d)

@@ -176,13 +176,14 @@ def constraint_rank(s: Scenario) -> int:
     return linalg.int_rank(_constraint_system(s.d)[0])
 
 
-def constraint_verdicts(p: Behavior) -> tuple[bool, bool]:
+def constraint_verdicts(p: Behavior, scaled: tuple[np.ndarray, int] | None = None) -> tuple[bool, bool]:
     """Whether p is (normalized, no-signalling), read off one residual
     rhs - M.p of the whole ``_constraint_system``, scaled by the common
     denominator of p: its first four rows are normalization, the rest
-    no-signaling, and each is zero exactly where p satisfies it."""
+    no-signaling, and each is zero exactly where p satisfies it.  A caller
+    that already holds integer_rows([p.coords]) passes it as scaled."""
     mat, rhs = _constraint_system(p.d)
-    num, den = linalg.integer_rows([p.coords])
+    num, den = linalg.integer_rows([p.coords]) if scaled is None else scaled
     residual = linalg.slack_matrix(mat, [den * b for b in rhs], num)[:, 0]
     return not residual[:4].any(), not residual[4:].any()
 

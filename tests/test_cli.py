@@ -546,3 +546,15 @@ def test_rationals_are_read_only_as_integers_or_num_den(tmp_path, capsys, entry)
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
     assert decode_rational("-12/8") == Fraction(-3, 2) and decode_rational("-3") == decode_rational(-3) == -3
+
+
+@pytest.mark.parametrize("text, want", [("-0/7", 0), ("007/010", Fraction(7, 10)), ("-12/8", Fraction(-3, 2)), ("5", 5)])
+def test_decode_rational_reads_the_matched_digits(text, want):
+    got = decode_rational(text)
+    assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("text", ["1/0", "+1", "1e5", " 1", "1_0", "1/-2", "١", "1/٢", "１"])
+def test_decode_rational_refuses_what_the_pattern_does_not_match(text):
+    with pytest.raises(ValueError):
+        decode_rational(text)

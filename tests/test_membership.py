@@ -27,7 +27,6 @@ from bellpoly.correlators import (
     projected_generators,
 )
 from bellpoly.facets import nosignaling_max, saturation_count, space_vertices
-from bellpoly.linalg import slack_matrix
 from bellpoly.lp import lp_max
 from bellpoly.membership import corr_local_decompose, local_decompose, local_max
 from bellpoly.scenario import (
@@ -90,11 +89,13 @@ def test_interior_ray_starts_at_the_vertex_centroid(monkeypatch):
         return lp_max(objective, eq_rows, eq_rhs)
 
     monkeypatch.setattr(membership_mod, "lp_max", recording_lp_max)
+    # the right-hand side is integer, the centroid over its last entry
     assert not local_decompose(pr_box()).local
-    assert starts[-1] == [*uniform_behavior(2).coords, 1]
+    assert all(type(x) is int for x in starts[-1])
+    assert [Fraction(x, starts[-1][-1]) for x in starts[-1]] == [*uniform_behavior(2).coords, 1]
     box = _box_query(random.Random("ray start"), "correlator", 3)
     assert not corr_local_decompose(box).local
-    assert starts[-1] == [Fraction(1, 3)] * 12 + [1]
+    assert [Fraction(x, starts[-1][-1]) for x in starts[-1]] == [Fraction(1, 3)] * 12 + [1]
 
 
 def test_uniform_is_local():
@@ -311,6 +312,47 @@ def test_certificate_class_matches_gauge_oracle(space, d, boxes):
         assert seen == {"cglmp", "uncataloged"}
 
 
+@pytest.mark.parametrize(
+    "space,d", [("correlator", 3), ("correlator", 4), ("correlator", 5), ("behavior", 2), ("behavior", 3)]
+)
+def test_cached_orbit_keys_name_box_certificates_as_equivalent_does(space, d):
+    # the class lookup in CGLMP's orbit keys, built once per (space, d),
+    # agrees with symmetry.equivalent, which builds the orbit per call
+    reference = cglmp_inequality(d) if space == "behavior" else cglmp_corr_inequality(d)
+    rng = random.Random(f"orbit keys {space} {d}")
+    for _ in range(4):
+        res = _seeded_box(rng, space, d)
+        assert res.certificate_class == ("cglmp" if equivalent(reference, res.certificate) else "uncataloged")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        Path(membership_mod.__file__).parent / "golden" / "corr_facets_d3.json",
+        Path(__file__).parents[1] / "perfbench" / "data" / "corr_facets_d4.json",
+    ],
+)
+def test_cached_orbit_keys_name_catalog_facets_as_equivalent_does(path):
+    doc = json.loads(path.read_text())
+    d = doc["d"]
+    reference = cglmp_corr_inequality(d)
+    names = set()
+    for facet in doc["facets"]:
+        ineq = Inequality("correlator", d, tuple(facet["coeffs"]), facet["bound"])
+        name = membership_mod._catalog_label(ineq)
+        assert name == ("cglmp" if equivalent(reference, ineq) else "uncataloged")
+        names.add(name)
+    assert names == {"cglmp", "uncataloged"}
+
+
+@pytest.mark.parametrize("space,d", [("behavior", 2), ("correlator", 3)])
+def test_cached_membership_arrays_are_read_only(space, d):
+    rows, sums = membership_mod._system(space, d)
+    assert not rows.flags.writeable and not sums.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 2
+
+
 def _mixture_query(rng, space, d):
     """A seeded convex mixture of three to six generators, so local."""
     if space == "behavior":
@@ -357,28 +399,29 @@ def test_membership_lps_match_fraction_simplex(monkeypatch, space, d):
 @pytest.mark.parametrize("space,d", [("behavior", 2), ("correlator", 3)])
 def test_lp_on_membership_shaped_input(monkeypatch, space, d, limit):
     # a box query's two LPs, as membership builds them: integer ndarray rows
-    # and a rational right-hand side; with the guard lowered, the checks'
-    # matrix products run over Python ints
+    # and an integer right-hand side over a last entry above 1; with the
+    # guard lowered, the checks' matrix products run over Python ints
     calls, products = [], []
 
     def record(*args, **kwargs):
         calls.append((args, kwargs))
         return lp_max(*args, **kwargs)
 
-    def spy(*args):
-        products.append(slack_matrix(*args))
+    def spy(*args, **kwargs):
+        products.append(times(*args, **kwargs))
         return products[-1]
 
+    times = lp_mod._times
     monkeypatch.setattr(membership_mod, "lp_max", record)
     assert not _decompose(_box_query(random.Random(f"shaped {space} {d}"), space, d)).local
-    monkeypatch.setattr(lp_mod, "slack_matrix", spy)
+    monkeypatch.setattr(lp_mod, "_times", spy)
     if limit:
         monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", limit)
     statuses = []
     for args, kwargs in calls:
         rows, rhs = kwargs["eq_rows"], kwargs["eq_rhs"]
         assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
-        assert any(isinstance(b, Fraction) and b.denominator > 1 for b in rhs)
+        assert all(type(b) is int for b in rhs) and rhs[-1] > 1
         res = lp_max(*args, **kwargs)
         assert res == fraction_lp_max(*args, **kwargs)
         statuses.append(res.status)
