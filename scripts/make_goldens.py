@@ -3,8 +3,10 @@
 Freezes under src/bellpoly/golden/ the documents of `bellpoly enumerate 2
 --space corr` and `bellpoly enumerate 3 --space corr`, taken from the
 command itself, so each catalog is that command's output by construction,
-plus the canonical CGLMP forms.  Deterministic: reruns must be
-byte-identical.  Run from the repository root:
+plus the canonical CGLMP forms: scaled to coprime integers, in the
+standard gauge of symmetry.gauge_rows, and its class representative.
+Deterministic: reruns must be byte-identical.  Run from the repository
+root:
 
     python scripts/make_goldens.py
 """
@@ -16,9 +18,9 @@ import pathlib
 
 from bellpoly.cli import build_parser
 from bellpoly.correlators import cglmp_corr_inequality
-from bellpoly.facets import canonicalize, standard_equations
-from bellpoly.scenario import inequality_to_json
-from bellpoly.symmetry import canonical_class
+from bellpoly.facets import canonicalize
+from bellpoly.scenario import Inequality, inequality_to_json
+from bellpoly.symmetry import canonical_class, gauge_rows
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "src" / "bellpoly" / "golden"
 
@@ -36,11 +38,10 @@ def main() -> None:
         path.write_text(json.dumps(facet_catalog(d), indent=1, sort_keys=True) + "\n")
         print("wrote", path)
     cg3 = cglmp_corr_inequality(3)
+    *gauged, bound = gauge_rows([cg3])[0].tolist()
     blob = {
         "canonical": inequality_to_json(canonicalize(cg3)),
-        "canonical_gauged": inequality_to_json(
-            canonicalize(cg3, equations=standard_equations("correlator", 3))
-        ),
+        "canonical_gauged": inequality_to_json(Inequality("correlator", 3, tuple(gauged), bound)),
         "class_representative": inequality_to_json(canonical_class(cg3)),
     }
     path = GOLDEN / "cglmp_corr_d3_canonical.json"

@@ -232,6 +232,8 @@ def cmd_classify(args) -> Output:
     try:
         space = str(data["space"])
         d = decode_int(data["d"])
+        if not isinstance(data["facets"], list):
+            raise TypeError("'facets' must be a JSON array")
         facets = [
             inequality_from_json({**f, "space": space, "d": d}) for f in data["facets"]
         ]

@@ -12,11 +12,11 @@ maintaining the extreme rays of the intermediate cone.
 
 Each insertion is a few numpy operations over all rays.  The rays are one
 integer array, int64 behind an overflow guard and Python ints once it
-trips; their zero sets (the inserted constraints each ray meets with
-equality) are packed uint64 words, ceil(m / 64) of them for m
-constraints, one row per ray.  New rays come only
-from adjacent positive/negative pairs.  A pair is kept only if its two
-zero sets share dim - 2 constraints, which is tested for whole blocks of
+trips, and that array is what dd_extreme_rays returns; their zero sets
+(the inserted constraints each ray meets with equality) are packed uint64
+words, ceil(m / 64) of them for m constraints, one row per ray.  New rays
+come only from adjacent positive/negative pairs.  A pair is kept only if
+its two zero sets share dim - 2 constraints, which is tested for blocks of
 pairs by a popcount of the ANDed words (np.bitwise_count on numpy >= 2.0,
 a byte table before that), summed in int64.  The survivors get the
 combinatorial adjacency test transposed: row j of an incidence table is
@@ -47,7 +47,7 @@ them.
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -63,35 +63,17 @@ from .scenario import Inequality, _constraint_system, generator_matrix
 
 @dataclass(frozen=True, eq=False)
 class VRep:
-    """A polytope given by its vertices: vectors of Fractions or ints,
-    objects with .coords, or an integer ndarray, held as one read-only
-    integer matrix over a positive common denominator (vertices / den).
-    """
+    """A polytope given by its vertices: one read-only integer matrix over
+    a positive common denominator (vertices / den), made by vrep_of."""
 
-    ambient_dim: int
-    vertices: InitVar[object]
-    matrix: np.ndarray = field(init=False, repr=False)
-    den: int = field(init=False)
-
-    def __post_init__(self, vertices):
-        try:
-            mat, den = linalg.integer_rows(vertices)
-        except ValueError as exc:  # ragged rows
-            raise ValueError("vertex length does not match ambient dimension") from exc
-        if not len(mat):
-            raise ValueError("a vertex representation needs at least one vertex")
-        if mat.shape[1] != self.ambient_dim:
-            raise ValueError("vertex length does not match ambient dimension")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "den", den)
+    matrix: np.ndarray
+    den: int
 
 
 @dataclass(frozen=True)
 class HRep:
     """Irredundant facet description plus the affine-hull equations."""
 
-    ambient_dim: int
     equations: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     facets: tuple[Inequality, ...]
     reduced_dim: int
@@ -102,14 +84,18 @@ class BudgetExpired(Exception):
     pass
 
 
-def vrep_of(vectors, ambient_dim: int | None = None) -> VRep:
-    """Wrap coordinate vectors, objects with .coords or an integer ndarray
-    as a VRep; the ambient dimension defaults to the first vector's."""
-    if not isinstance(vectors, np.ndarray):
-        vectors = list(vectors)
-    if ambient_dim is None:
-        ambient_dim = len(getattr(vectors[0], "coords", vectors[0]))
-    return VRep(ambient_dim, vectors)
+def vrep_of(vectors) -> VRep:
+    """Coordinate vectors of Fractions or ints, objects with .coords, or an
+    integer ndarray as a VRep; the first vector's length is the ambient
+    dimension, and every other vector must have it."""
+    try:
+        mat, den = linalg.integer_rows(vectors if isinstance(vectors, np.ndarray) else list(vectors))
+    except ValueError as exc:  # ragged rows
+        raise ValueError("vertex length does not match ambient dimension") from exc
+    if not len(mat):
+        raise ValueError("a vertex representation needs at least one vertex")
+    mat.flags.writeable = False
+    return VRep(mat, den)
 
 
 @lru_cache(maxsize=None)
@@ -123,49 +109,11 @@ def space_vertices(space: str, d: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def standard_equations(space: str, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Affine-hull equation system of a standard space, in reduced form:
-    (E, pivots), E one read-only integer matrix of rows [w | c], w.v = c on
-    every vertex v of space_vertices, over a common denominator D, D at
-    every pivot of its own row and 0 at the other pivots; canonicalize
-    pushes coefficients into the fixed gauge with it."""
-    verts = space_vertices(space, d)
-    hull = linalg.integer_nullspace(np.column_stack([verts, -np.ones(len(verts), dtype=verts.dtype)]))[0]
-    eqs, pivots, _ = linalg.integer_rref(hull)
-    eqs.flags.writeable = False
-    return eqs, tuple(pivots)
-
-
-def gauge(rows: np.ndarray, equations) -> np.ndarray:
-    """Integer rows x = (coeffs, bound) reduced modulo an equation system
-    (E, pivots) from standard_equations: D x - x[pivots] E, zero at every
-    pivot coordinate.  Two rows differ by an equation and a positive scale
-    exactly when their reduced rows are positive multiples of each other.
-
-    int64 when (D + len(pivots) max|E|) max|x|, a bound on every entry and
-    partial sum, stays under OVERFLOW_LIMIT; Python ints (dtype object)
-    otherwise.  An object input stays object.
-    """
-    eqs, pivots = equations
-    den = int(eqs[0, pivots[0]])
-    if rows.dtype != object:
-        if (den + len(pivots) * linalg._peak(eqs)) * linalg._peak(rows) >= linalg.OVERFLOW_LIMIT:
-            rows = rows.astype(object)
-    return den * rows - rows[..., list(pivots)] @ eqs.astype(rows.dtype, copy=False)
-
-
-def canonicalize(ineq: Inequality, equations=None) -> Inequality:
+def canonicalize(ineq: Inequality) -> Inequality:
     """Scale to coprime integers, returned as Python ints (orientation
-    stays <=); idempotent.
-
-    With an equation system (E, pivots) from standard_equations, the
-    coefficients are first reduced modulo the equations (gauge), which
-    makes representatives comparable across gauge choices.
-    """
+    stays <=); idempotent.  The class key of symmetry.gauge_rows is this
+    row reduced modulo the space's affine-hull equations first."""
     row = linalg.integer_rows([(*ineq.coeffs, ineq.bound)])[0][0]
-    if equations is not None:
-        row = gauge(row, equations)
     if not row[:-1].any():
         raise ValueError("zero coefficient vector cannot be canonicalized")
     *coeffs, bound = gcd_reduce(row).tolist()
@@ -272,14 +220,15 @@ def _new_rays(rays: np.ndarray, vals: np.ndarray, pp: np.ndarray, nn: np.ndarray
 
 def dd_extreme_rays(
     constraints: Sequence[Sequence[int]], dim: int, *, deadline: float | None = None
-) -> tuple[list[tuple[int, ...]], bool]:
+) -> tuple[np.ndarray, bool]:
     """Extreme rays of {y : a.y <= 0 for each constraint a}.
 
     The constraints must span (the cone is then pointed), which holds for
     homogenized vertex sets of full-dimensional polytopes.  Returns the
-    rays and a completeness flag; with a deadline the rays of the last
-    intermediate cone are returned, to be filtered for global validity by
-    the caller.
+    rays, one gcd-reduced row each of an integer array (int64, or Python
+    ints once the overflow guard trips), and a completeness flag; with a
+    deadline the rays of the last intermediate cone are returned, to be
+    filtered for global validity by the caller.
     """
     cons = linalg._int_array(constraints).reshape(-1, dim)
     m = len(cons)
@@ -326,8 +275,8 @@ def dd_extreme_rays(
             rays, zsets = np.concatenate([rays[keep], new]), np.concatenate([zsets[keep], znew])
     except BudgetExpired:
         # rays is replaced only once an insertion is complete
-        return [tuple(r) for r in rays.tolist()], False
-    return [tuple(r) for r in rays.tolist()], True
+        return rays, False
+    return rays, True
 
 
 def enumerate_facets(
@@ -341,12 +290,13 @@ def enumerate_facets(
     (every vertex satisfies every facet) is asserted before returning.
     """
     mat, den = vrep.matrix, vrep.den
-    ambient = vrep.ambient_dim
+    ambient = mat.shape[1]
     if d is None:
         d = ambient
     # affine hull: all (w, c) with w.v = c on every vertex v = row / den,
     # the nullspace (w, -c) of the rows [den v | den], over one denominator
-    hull, hden = linalg.integer_nullspace(np.column_stack([mat, np.full(len(mat), den, dtype=object)]))
+    dens = np.full(len(mat), den, dtype=mat.dtype if den < linalg.OVERFLOW_LIMIT else object)
+    hull, hden = linalg.integer_nullspace(np.column_stack([mat, dens]))
     equations = tuple(
         (tuple(Fraction(x, hden) for x in w), Fraction(-c, hden)) for *w, c in hull.tolist()
     )
@@ -356,14 +306,13 @@ def enumerate_facets(
     if len(mat) < reduced_dim + 1:
         raise ValueError("degenerate input: fewer vertices than dimension plus one")
     if reduced_dim == 0:
-        return HRep(ambient, equations, (), 0, True)
+        return HRep(equations, (), 0, True)
 
     rows = sorted({(*row, den) for row in mat[:, free].tolist()})
     rays, complete = dd_extreme_rays(rows, reduced_dim + 1, deadline=deadline)
 
     # soundness: every ray, as an ambient inequality, is valid on every vertex;
     # a run cut short keeps only the rays that are
-    rays = linalg._int_array(rays).reshape(len(rays), reduced_dim + 1)
     coeffs = np.zeros((len(rays), ambient), dtype=rays.dtype)
     coeffs[:, free] = rays[:, :-1]
     bounds = -rays[:, -1]
@@ -377,7 +326,7 @@ def enumerate_facets(
     # form, with Python int coefficients and bound
     kept = sorted(zip(map(tuple, coeffs.tolist()), bounds.tolist()))
     facets = tuple(Inequality(space, d, row, bound) for row, bound in kept)
-    return HRep(ambient, equations, facets, reduced_dim, complete)
+    return HRep(equations, facets, reduced_dim, complete)
 
 
 def saturation_count(ineq: Inequality, vertices) -> tuple[int, int]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cglmp import cglmp_inequality
 from .correlators import CorrVector, cglmp_corr_inequality, is_corr_probability
-from .facets import canonicalize, space_vertices, standard_equations
+from .facets import space_vertices
 from .linalg import integer_rows, slack_matrix
 from .lp import lp_max
 from .scenario import Behavior, Inequality, Scenario, all_strategies, constraint_verdicts
@@ -141,11 +141,10 @@ def _decompose(q: list[int], qden: int, space: str, d: int) -> MembershipResult:
         raise AssertionError("interior ray exits beyond the query on an infeasible instance")
     y = res.dual
     coeffs = tuple(-y[i] for i in range(ncoords))
-    raw = Inequality(space, d, coeffs, y[ncoords])
-    bound = local_max(raw)
-    cert = canonicalize(
-        Inequality(space, d, coeffs, bound), equations=standard_equations(space, d)
-    )
+    bound = local_max(Inequality(space, d, coeffs, y[ncoords]))
+    # the certificate in the standard gauge, whose row is also its class key
+    (key,) = gauge_rows([Inequality(space, d, coeffs, bound)])
+    cert = Inequality(space, d, tuple(key[:-1].tolist()), int(key[-1]))
     violation = Fraction(sum(c * x for c, x in zip(cert.coeffs, q) if c), qden) - cert.bound
     if violation <= 0:
         raise AssertionError("separating certificate fails to cut off the query")
@@ -155,25 +154,21 @@ def _decompose(q: list[int], qden: int, space: str, d: int) -> MembershipResult:
         local=False,
         certificate=cert,
         violation=violation,
-        certificate_class=_catalog_label(cert),
+        certificate_class=_catalog_label(key, space, d),
     )
 
 
-def _catalog_label(cert: Inequality) -> str:
-    """The class name of a certificate: cglmp when its key lies in the
-    orbit of CGLMP, uncataloged otherwise, unclassified where the space has
-    no group table.
+def _catalog_label(key: np.ndarray, space: str, d: int) -> str:
+    """The class name of a certificate, given its key row from gauge_rows:
+    cglmp when the key lies in the orbit of CGLMP, uncataloged otherwise,
+    unclassified where the space has no group table.
 
     A nonnegativity facet never matches, so it is not looked for: every
     nonnegative point of the affine hull satisfies it, and the query is
-    such a point that the certificate cuts off.  The certificate is never
-    constant on the affine hull (canonicalize would have refused it), so
-    its gauge row is a class key."""
-    space, d = cert.space, cert.d
+    such a point that the certificate cuts off."""
     if not has_group(space, d):
         return "unclassified"
-    key = _row_keys(gauge_rows([cert]))[0]
-    return "cglmp" if key in _cglmp_keys(space, d) else "uncataloged"
+    return "cglmp" if _row_keys(key[None])[0] in _cglmp_keys(space, d) else "uncataloged"
 
 
 def local_decompose(p: Behavior) -> MembershipResult:

@@ -25,11 +25,12 @@ whether a behavior, a correlator vector or inequality coefficients, to
 x[row].
 
 Inequalities are keyed by their row in the standard gauge: the integer
-row (coeffs, bound) reduced modulo the space's affine-hull equations by
-facets.gauge and divided by its gcd, the integer row of canonicalize with
-standard_equations.  Two inequalities have the same key exactly when they
-agree up to the hull's equations and a positive scale, which is exactly
-when their slacks over the vertices agree up to a positive scale.  A
+row (coeffs, bound) reduced modulo the space's affine-hull equations
+(standard_equations, read off space_vertices) by gauge and divided by its
+gcd.  This module is the one home of that gauged form; membership prints
+its certificates in it.  Two inequalities have the same key exactly when
+they agree up to the hull's equations and a positive scale, which is
+exactly when their slacks over the vertices agree up to a positive scale.  A
 group element maps the hull onto itself, so the orbit of a key is the
 gauge of its images: the coefficients indexed by every table row at once,
 with the bound kept, in one gauge product.  No gcd_reduce is needed: the
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .correlators import difference_index
-from .facets import gauge, space_vertices, standard_equations
+from .facets import space_vertices
 from .scenario import Inequality
 
 
@@ -105,6 +106,38 @@ def group_for(space: str, d: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def standard_equations(space: str, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Affine-hull equation system of a standard space, in reduced form:
+    (E, pivots), E one read-only integer matrix of rows [w | c], w.v = c on
+    every vertex v of space_vertices, over a common denominator D, D at
+    every pivot of its own row and 0 at the other pivots."""
+    verts = space_vertices(space, d)
+    hull = linalg.integer_nullspace(np.column_stack([verts, -np.ones(len(verts), dtype=verts.dtype)]))[0]
+    eqs, pivots, _ = linalg.integer_rref(hull)
+    eqs.flags.writeable = False
+    return eqs, tuple(pivots)
+
+
+def gauge(rows: np.ndarray, equations) -> np.ndarray:
+    """Integer rows x = (coeffs, bound) reduced modulo an equation system
+    (E, pivots) in the form of standard_equations: D x - x[pivots] E, zero
+    at every pivot coordinate.  Two rows differ by an equation and a
+    positive scale exactly when their reduced rows are positive multiples
+    of each other.
+
+    int64 when (D + len(pivots) max|E|) max|x|, a bound on every entry and
+    partial sum, stays under OVERFLOW_LIMIT; Python ints (dtype object)
+    otherwise.  An object input stays object.
+    """
+    eqs, pivots = equations
+    den = int(eqs[0, pivots[0]])
+    if rows.dtype != object:
+        if (den + len(pivots) * linalg._peak(eqs)) * linalg._peak(rows) >= linalg.OVERFLOW_LIMIT:
+            rows = rows.astype(object)
+    return den * rows - rows[..., list(pivots)] @ eqs.astype(rows.dtype, copy=False)
+
+
 def gauge_rows(ineqs: Sequence[Inequality]) -> np.ndarray:
     """The key of each inequality, all of one space: its integer row in the
     standard gauge, divided by its gcd.
@@ -142,7 +175,7 @@ _SLACK_CHUNK = 1 << 20
 def canonical_class(ineq: Inequality) -> Inequality:
     """Deterministic orbit representative: the image whose gcd-reduced
     slack over the vertices is the lexicographic minimum over the group, in
-    the fixed gauge of facets.canonicalize (coefficients reduced modulo the
+    the standard gauge of gauge_rows (coefficients reduced modulo the
     space's equations).
 
     The slack is taken in chunks of orbit rows of about _SLACK_CHUNK

@@ -92,7 +92,7 @@ def nosignaling_vertices(d: int) -> tuple:
     the points are distinct, and the list is complete, because the facets
     of their hull are exactly the 16 positivity constraints.
     """
-    from bellpoly.facets import VRep, enumerate_facets
+    from bellpoly.facets import enumerate_facets, vrep_of
     from bellpoly.scenario import Scenario, constraint_matrix
 
     if d != 2:
@@ -113,7 +113,7 @@ def nosignaling_vertices(d: int) -> tuple:
         tight = [[int(i == j) for j in range(16)] for i in range(16) if p[i] == 0]
         assert len(fraction_rref(rows + tight)[1]) == 16
     assert len(set(points)) == 24
-    hull = enumerate_facets(VRep(16, tuple(points)))
+    hull = enumerate_facets(vrep_of(points))
     zero_sets = {frozenset(p for p in points if p[i] == 0) for i in range(16)}
     facet_sets = {
         frozenset(p for p in points if sum(c * x for c, x in zip(q.coeffs, p)) == q.bound)
@@ -190,9 +190,10 @@ def fraction_equations(space: str, d: int):
 
 
 def fraction_canonicalize(ineq, equations=None):
-    """canonicalize as a Fraction loop: coefficients reduced modulo the
-    equations one pivot row at a time, then scaled to coprime integers; the
-    loop that the integer row update replaced in facets.canonicalize."""
+    """canonicalize, or with equations the key of symmetry.gauge_rows, as
+    a Fraction loop: coefficients reduced modulo the equations one pivot
+    row at a time, then scaled to coprime integers; the loop that the
+    integer row update of symmetry.gauge replaced."""
     from bellpoly.scenario import Inequality
 
     coeffs = list(ineq.coeffs)

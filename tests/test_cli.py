@@ -239,6 +239,16 @@ def test_classify_rejects_wrong_coefficient_count(tmp_path, capsys):
     assert "6 coefficients, not 8" in _classify_error(tmp_path, capsys, doc)
 
 
+@pytest.mark.parametrize(
+    "facets", [{}, {"coeffs": [1] * 8, "bound": 1}, "", None, 0], ids=["empty-object", "object", "string", "null", "number"]
+)
+def test_classify_rejects_a_facet_list_that_is_not_an_array(tmp_path, capsys, facets):
+    # iterating an object, an empty string or a string of facets would read
+    # as a list; "facets": [] is the empty list (no_facets_builds_no_vertices)
+    doc = {"space": "correlator", "d": 2, "facets": facets}
+    assert "'facets' must be a JSON array" in _classify_error(tmp_path, capsys, doc)
+
+
 @pytest.mark.parametrize("coeffs,bound", [([1, 1, 0, 0, 0, 0, 0, 0], 1), ([0] * 8, 0)])
 def test_classify_rejects_equations_on_the_hull(tmp_path, capsys, coeffs, bound):
     doc = {"space": "correlator", "d": 2, "facets": [{"coeffs": coeffs, "bound": bound}]}

@@ -23,7 +23,6 @@ from bellpoly.correlators import (
     projected_generators,
 )
 from bellpoly.facets import (
-    VRep,
     canonicalize,
     classify_trivial,
     dd_extreme_rays,
@@ -31,7 +30,6 @@ from bellpoly.facets import (
     nosignaling_max,
     saturation_count,
     space_vertices,
-    standard_equations,
     vrep_of,
 )
 from bellpoly.lp import lp_max
@@ -44,6 +42,7 @@ from bellpoly.scenario import (
     inequality_from_json,
     polytope_affine_dim,
 )
+from bellpoly.symmetry import gauge, gauge_rows, standard_equations
 
 from oracles import (
     fraction_canonicalize,
@@ -59,7 +58,7 @@ def _fr(*xs):
 
 
 def test_unit_square():
-    vrep = VRep(2, tuple(_fr(x, y) for x in (0, 1) for y in (0, 1)))
+    vrep = vrep_of(_fr(x, y) for x in (0, 1) for y in (0, 1))
     hrep = enumerate_facets(vrep)
     assert len(hrep.facets) == 4
     assert hrep.reduced_dim == 2
@@ -70,10 +69,10 @@ def test_unit_square():
 
 
 def test_segment_and_point():
-    seg = enumerate_facets(VRep(3, (_fr(0, 0, 0), _fr(2, 2, 0))))
+    seg = enumerate_facets(vrep_of([_fr(0, 0, 0), _fr(2, 2, 0)]))
     assert seg.reduced_dim == 1
     assert len(seg.facets) == 2
-    point = enumerate_facets(VRep(2, (_fr(1, 1),)))
+    point = enumerate_facets(vrep_of([_fr(1, 1)]))
     assert point.reduced_dim == 0
     assert point.facets == ()
 
@@ -105,14 +104,28 @@ def test_canonicalize_zero_raises():
 
 def test_canonicalize_with_equations_gauge():
     # two forms of the same functional on the hull must meet in one gauge
-    eqs = standard_equations("correlator", 2)
     q1 = chsh_inequality()
     shift = list(q1.coeffs)
     # add the block-sum equation of block a1b1 (which equals 1 on the hull)
     shift[corr_index(2, 1, 1, 0)] += Fraction(3)
     shift[corr_index(2, 1, 1, 1)] += Fraction(3)
     q2 = Inequality("correlator", 2, tuple(shift), q1.bound + 3)
-    assert canonicalize(q1, equations=eqs) == canonicalize(q2, equations=eqs)
+    assert gauge_rows([q1]).tolist() == gauge_rows([q2]).tolist()
+
+
+def _gauged(q, equations):
+    """q's integer row reduced modulo an equation system and divided by its
+    gcd, as an Inequality: the key of gauge_rows for a standard space, one
+    gauge product by hand for any other system."""
+    if q.space in ("correlator", "behavior"):
+        row = gauge_rows([q])[0]
+    else:
+        row = gauge(linalg.integer_rows([(*q.coeffs, q.bound)])[0][0], equations)
+        if not row[:-1].any():
+            raise ValueError("zero coefficient vector")
+        row = linalg.gcd_reduce(row)
+    *coeffs, bound = row.tolist()
+    return Inequality(q.space, q.d, tuple(coeffs), bound)
 
 
 def _outcome(canon, *args):
@@ -135,9 +148,9 @@ def test_canonicalize_matches_fraction_oracle(space, d, n):
                                       for _ in range(2)])
         eqs = linalg.integer_rows(rows)[0]
         assert eqs[0, pivots[0]] > 1
-        gauges = [(None, None), ((eqs, tuple(pivots)), (rows, pivots))]
+        gauged = (eqs, tuple(pivots)), (rows, pivots)
     else:
-        gauges = [(None, None), (standard_equations(space, d), fraction_equations(space, d))]
+        gauged = standard_equations(space, d), fraction_equations(space, d)
     for i in range(40):
         # 2^70-scaled numerators, and int64 entries whose reduction leaves int64
         scale, den = (2**70, 6) if i % 5 == 0 else (2**58, 1) if i % 5 == 1 else (1, 6)
@@ -145,8 +158,8 @@ def test_canonicalize_matches_fraction_oracle(space, d, n):
         if i == 2:
             coeffs = [Fraction(0)] * n
         q = Inequality(space, d, tuple(coeffs), Fraction(scale * rng.randint(-9, 9), rng.randint(1, den)))
-        for eqs, fraction_eqs in gauges:
-            assert _outcome(canonicalize, q, eqs) == _outcome(fraction_canonicalize, q, fraction_eqs)
+        assert _outcome(canonicalize, q) == _outcome(fraction_canonicalize, q)
+        assert _outcome(_gauged, q, gauged[0]) == _outcome(fraction_canonicalize, q, gauged[1])
 
 
 @pytest.mark.parametrize(
@@ -289,7 +302,7 @@ def _with_extra_ray(monkeypatch, complete):
 
     def dd(*args, **kwargs):
         rays, _ = real(*args, **kwargs)
-        return rays + [tuple(-x for x in rays[0])], complete
+        return np.vstack([rays, -rays[:1]]), complete
 
     monkeypatch.setattr(facets_module, "dd_extreme_rays", dd)
 
@@ -355,10 +368,10 @@ def test_vrep_inputs_give_one_hrep():
     mat = projected_generator_matrix(3)
     hreps = [
         enumerate_facets(vrep, space="correlator", d=3)
-        for vrep in (vrep_of(gens), VRep(12, tuple(g.coords for g in gens)), vrep_of(mat), VRep(12, mat))
+        for vrep in (vrep_of(gens), vrep_of(g.coords for g in gens), vrep_of(mat), vrep_of(mat.tolist()))
     ]
     assert all(h == hreps[0] for h in hreps) and len(hreps[0].facets) == 66
-    halves = VRep(12, tuple(tuple(x / 2 for x in g.coords) for g in gens))
+    halves = vrep_of(tuple(x / 2 for x in g.coords) for g in gens)
     assert halves.den == 2 and halves.matrix.tolist() == mat.tolist()
 
 
@@ -366,21 +379,65 @@ def test_vrep_inputs_give_one_hrep():
     "vertices, message",
     [
         ((_fr(1, 2), _fr(3)), "vertex length does not match ambient dimension"),
-        ((_fr(1, 2, 3), _fr(4, 5, 6)), "vertex length does not match ambient dimension"),
-        (np.zeros((3, 3), dtype=np.int64), "vertex length does not match ambient dimension"),
+        ((_fr(1, 2, 3), _fr(4, 5)), "vertex length does not match ambient dimension"),
+        (([1, 2], [3, 4], [5, 6, 7]), "vertex length does not match ambient dimension"),
         (np.zeros(2, dtype=np.int64), "vertex length does not match ambient dimension"),
         ((), "a vertex representation needs at least one vertex"),
         (np.zeros((0, 2), dtype=np.int64), "a vertex representation needs at least one vertex"),
     ],
 )
 def test_vrep_refuses_ragged_wrong_width_and_empty_vertices(vertices, message):
+    # the first vertex fixes the ambient dimension: a later vertex of
+    # another width is refused, as are a 1-D array and no vertex at all
     with pytest.raises(ValueError, match=message):
-        VRep(2, vertices)
+        vrep_of(vertices)
 
 
 def test_vrep_of_refuses_ragged_vertices():
     with pytest.raises(ValueError, match="vertex length does not match ambient dimension"):
         vrep_of([_fr(1, 2), _fr(3, 4, 5)])
+
+
+@pytest.mark.parametrize(
+    "vertices, dtype",
+    [
+        (projected_generator_matrix(2), np.int64),
+        (generator_matrix(2), np.int64),
+        ([(Fraction(1, 2**70), 0), (0, Fraction(1, 2**70)), (0, 0)], object),
+    ],
+    ids=["corr-2", "behavior-2", "den-2^70"],
+)
+def test_affine_hull_stack_stays_in_the_vertex_dtype(monkeypatch, vertices, dtype):
+    # [den v | den] reaches integer_nullspace as int64 for 0/1 vertices and
+    # as Python ints only when den is past the overflow guard
+    seen = []
+    real = linalg.integer_nullspace
+
+    def spy(rows):
+        seen.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "integer_nullspace", spy)
+    vrep = vrep_of(vertices)
+    enumerate_facets(vrep)
+    (rows,) = seen
+    assert rows.dtype == dtype and rows[:, -1].tolist() == [vrep.den] * len(rows)
+
+
+@pytest.mark.parametrize(
+    "vertices, facets",
+    [
+        ([(Fraction(1, 2**70), 0), (0, Fraction(1, 2**70)), (0, 0)],
+         [((-1, 0), 0), ((0, -1), 0), ((2**70, 2**70), 1)]),
+        ([(2**70, 0), (0, 2**70), (0, 0)], [((-1, 0), 0), ((0, -1), 0), ((1, 1), 2**70)]),
+    ],
+    ids=["den-2^70", "entries-2^70"],
+)
+def test_facets_of_vertices_past_the_overflow_guard(vertices, facets):
+    hrep = enumerate_facets(vrep_of(vertices))
+    assert hrep.complete and hrep.reduced_dim == 2 and hrep.equations == ()
+    assert [(q.coeffs, q.bound) for q in hrep.facets] == facets
+    assert all(type(x) is int for q in hrep.facets for x in (*q.coeffs, q.bound))
 
 
 def test_facet_pipeline_runs_without_fraction_elimination(monkeypatch):
@@ -397,7 +454,7 @@ def test_facet_pipeline_runs_without_fraction_elimination(monkeypatch):
         assert got_pivots == pivots and got.tolist() == eqs.tolist()
     assert len(enumerate_facets(vrep_of(projected_generators(3)), space="correlator", d=3).facets) == 66
     square = tuple((Fraction(x, 3), Fraction(y, 5), Fraction(x + y, 7)) for x in (0, 1) for y in (0, 1))
-    hrep = enumerate_facets(VRep(3, square))
+    hrep = enumerate_facets(vrep_of(square))
     assert hrep.reduced_dim == 2 and len(hrep.equations) == 1 and len(hrep.facets) == 4
     assert [constraint_rank.__wrapped__(Scenario(d)) for d in (2, 3, 5)] == [8, 12, 20]
     assert [corr_affine_dim(d) for d in (2, 3, 4)] == [4, 8, 12]
@@ -411,7 +468,7 @@ def test_facets_are_fixed_points_of_canonicalize(name):
     # are the golden catalogs
     if name == "square/3":
         square = ((Fraction(x, 3) + Fraction(1, 2), Fraction(y, 3)) for x in (0, 1) for y in (0, 1))
-        hrep = enumerate_facets(VRep(2, tuple(square)))
+        hrep = enumerate_facets(vrep_of(square))
     else:
         d = int(name[-1])
         hrep = enumerate_facets(vrep_of(projected_generators(d)), space="correlator", d=d)
@@ -433,14 +490,12 @@ def test_facets_are_fixed_points_of_canonicalize(name):
     ],
 )
 def test_dd_facets_are_in_the_standard_gauge(space, d, count):
-    # DD's free-coordinate gauge is the one canonicalize fixes with the
+    # DD's free-coordinate gauge is the one gauge_rows fixes with the
     # standard equations, so a facet found another way is re-expressed in
-    # it by canonicalize alone
+    # it by its key alone
     hrep = enumerate_facets(vrep_of(space_vertices(space, d)), space=space, d=d)
     assert len(hrep.facets) == count
-    equations = standard_equations(space, d)
-    for q in hrep.facets:
-        assert canonicalize(q, equations=equations) == q
+    assert gauge_rows(hrep.facets).tolist() == [[*q.coeffs, q.bound] for q in hrep.facets]
 
 
 def test_zero_coefficient_ray_is_refused(monkeypatch):
@@ -449,7 +504,9 @@ def test_zero_coefficient_ray_is_refused(monkeypatch):
 
     def dd(*args, **kwargs):
         rays, complete = real(*args, **kwargs)
-        return rays + [(0,) * (len(rays[0]) - 1) + (-1,)], complete
+        zero = np.zeros((1, rays.shape[1]), dtype=rays.dtype)
+        zero[0, -1] = -1
+        return np.vstack([rays, zero]), complete
 
     monkeypatch.setattr(facets_module, "dd_extreme_rays", dd)
     with pytest.raises(ValueError, match="zero coefficient vector"):
@@ -464,7 +521,7 @@ def test_rational_square_on_a_tilted_plane():
         for x in (0, 1)
         for y in (0, 1)
     )
-    hrep = enumerate_facets(VRep(3, square))
+    hrep = enumerate_facets(vrep_of(square))
     assert hrep.reduced_dim == 2
     assert hrep.equations == ((_fr(-2, Fraction(-10, 7), Fraction(10, 3)), Fraction(-1)),)
     assert [(q.coeffs, q.bound) for q in hrep.facets] == [
@@ -473,6 +530,11 @@ def test_rational_square_on_a_tilted_plane():
         (_fr(0, 3, -7), Fraction(0)),
         (_fr(0, 3, 0), Fraction(1)),
     ]
+
+
+def _ray_set(rays):
+    """The rows of DD's ray array as a set of tuples of Python ints."""
+    return set(map(tuple, rays.tolist()))
 
 
 def _dd_input(vectors):
@@ -517,8 +579,8 @@ def test_dd_matches_loop_oracle(name):
     rows, dim = _dd_input(_dd_case(name))
     rays, complete = dd_extreme_rays(rows, dim)
     assert complete
-    assert len(set(rays)) == len(rays)
-    assert set(rays) == set(loop_dd_extreme_rays(rows, dim))
+    assert len(_ray_set(rays)) == len(rays)
+    assert _ray_set(rays) == set(loop_dd_extreme_rays(rows, dim))
     if name == "cyclic-130":
         assert len(rays) == 2 * 130 - 4
 
@@ -530,6 +592,10 @@ def test_dd_leaves_int64_mid_run(monkeypatch, limit, scale):
     # Python ints; scaling every constraint leaves the cone as it is
     rows = [[scale * x for x in p] + [scale] for p in sorted(set(_random_points(6, -1, 1)))]
     expected = set(loop_dd_extreme_rays(rows, 7))
+    # behind the real guard the same rays come back as one int64 array
+    rays, complete = dd_extreme_rays(rows, 7)
+    assert complete and isinstance(rays, np.ndarray) and rays.dtype == np.int64
+    assert _ray_set(rays) == expected
     dtypes = []
     real = facets_module._new_rays
 
@@ -540,8 +606,8 @@ def test_dd_leaves_int64_mid_run(monkeypatch, limit, scale):
     monkeypatch.setattr(facets_module, "_new_rays", spy)
     monkeypatch.setattr(linalg, "OVERFLOW_LIMIT", limit)
     rays, complete = dd_extreme_rays(rows, 7)
-    assert complete
-    assert set(rays) == expected
+    assert complete and isinstance(rays, np.ndarray) and rays.dtype == object
+    assert _ray_set(rays) == expected
     assert dtypes[0] == np.int64 and dtypes[-1] == object
 
 
@@ -575,14 +641,15 @@ def test_adjacent_pairs_sums_popcounts_past_255():
 def test_dd_with_table_popcount_matches(monkeypatch, name):
     # the numpy < 2 popcount, run through the whole insertion loop
     rows, dim = _dd_input(_dd_case(name))
-    expected = dd_extreme_rays(rows, dim)
+    rays, complete = dd_extreme_rays(rows, dim)
     monkeypatch.setattr(facets_module, "_popcount", facets_module._table_popcount)
-    assert dd_extreme_rays(rows, dim) == expected
+    again, again_complete = dd_extreme_rays(rows, dim)
+    assert again_complete == complete and again.dtype == rays.dtype and again.tolist() == rays.tolist()
 
 
 def _as_facets(rays):
     """Rays (w, -beta) of the polar cone as facets (w, beta)."""
-    return {(r[:-1], -r[-1]) for r in rays}
+    return {(tuple(r[:-1]), -r[-1]) for r in rays.tolist()}
 
 
 def _subset_facets(rows, dim):
@@ -622,7 +689,7 @@ def test_dd_at_dim_2_keeps_both_ends_of_a_segment(monkeypatch, points, ends):
     assert dim == 2 and (0, 1) in seen
     rays, complete = dd_extreme_rays(rows, dim)
     assert complete and len(rays) == 2
-    assert set(rays) == set(loop_dd_extreme_rays(rows, dim))
+    assert _ray_set(rays) == set(loop_dd_extreme_rays(rows, dim))
     assert _as_facets(rays) == _subset_facets(rows, dim)
     hrep = enumerate_facets(vrep_of(points))
     assert hrep.complete and hrep.reduced_dim == 1
@@ -658,5 +725,5 @@ def test_dd_zero_sets_around_the_word_boundary(monkeypatch, points, count):
     assert (len(rows), dim) == (m, 3)
     assert {words for _, words in seen} == {-(-m // 64)}
     rays, complete = dd_extreme_rays(rows, dim)
-    assert complete and len(set(rays)) == len(rays) == count
+    assert complete and len(_ray_set(rays)) == len(rays) == count
     assert _as_facets(rays) == _subset_facets(rows, dim)

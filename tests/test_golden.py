@@ -6,17 +6,11 @@ import random
 from fractions import Fraction
 
 from bellpoly.correlators import cglmp_corr_inequality, projected_generators
-from bellpoly.facets import (
-    canonicalize,
-    classify_trivial,
-    enumerate_facets,
-    standard_equations,
-    vrep_of,
-)
+from bellpoly.facets import canonicalize, classify_trivial, enumerate_facets, vrep_of
 from bellpoly.jsonio import encode_rational
 from bellpoly.lp import lp_max
-from bellpoly.scenario import inequality_from_json, inequality_to_json
-from bellpoly.symmetry import canonical_class, label_classes
+from bellpoly.scenario import Inequality, inequality_from_json, inequality_to_json
+from bellpoly.symmetry import canonical_class, gauge_rows, label_classes
 
 
 def _golden(name):
@@ -62,8 +56,8 @@ def test_cglmp3_canonical_forms_match_golden():
     blob = _golden("cglmp_corr_d3_canonical.json")
     cg3 = cglmp_corr_inequality(3)
     assert inequality_to_json(canonicalize(cg3)) == blob["canonical"]
-    gauged = canonicalize(cg3, equations=standard_equations("correlator", 3))
-    assert inequality_to_json(gauged) == blob["canonical_gauged"]
+    *coeffs, bound = gauge_rows([cg3])[0].tolist()
+    assert inequality_to_json(Inequality("correlator", 3, tuple(coeffs), bound)) == blob["canonical_gauged"]
     assert inequality_to_json(canonical_class(cg3)) == blob["class_representative"]
 
 

@@ -41,7 +41,7 @@ from bellpoly.scenario import (
     generator,
     uniform_behavior,
 )
-from bellpoly.symmetry import equivalent
+from bellpoly.symmetry import equivalent, gauge_rows
 
 
 def pr_box(flip_block=(2, 1)):
@@ -339,7 +339,7 @@ def test_cached_orbit_keys_name_catalog_facets_as_equivalent_does(path):
     names = set()
     for facet in doc["facets"]:
         ineq = Inequality("correlator", d, tuple(facet["coeffs"]), facet["bound"])
-        name = membership_mod._catalog_label(ineq)
+        name = membership_mod._catalog_label(gauge_rows([ineq])[0], "correlator", d)
         assert name == ("cglmp" if equivalent(reference, ineq) else "uncataloged")
         names.add(name)
     assert names == {"cglmp", "uncataloged"}

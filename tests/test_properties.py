@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from bellpoly.cglmp import cglmp_inequality, evaluate
-from bellpoly.facets import VRep, enumerate_facets
+from bellpoly.facets import enumerate_facets, vrep_of
 from bellpoly.linalg import affine_dim
 from bellpoly.scenario import (
     Behavior,
@@ -46,7 +46,7 @@ def test_dd_matches_subset_oracle_on_random_small_polytopes():
         if len(pts) < dim + 1 or affine_dim(pts) != dim:
             continue
         compared += 1
-        hrep = enumerate_facets(VRep(dim, tuple(pts)))
+        hrep = enumerate_facets(vrep_of(pts))
         assert hrep.complete
         got = {(tuple(int(c) for c in q.coeffs), int(q.bound)) for q in hrep.facets}
         want = square_subset_facets(pts, dim)

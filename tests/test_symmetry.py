@@ -32,7 +32,6 @@ from bellpoly.facets import (
     enumerate_facets,
     saturation_count,
     space_vertices,
-    standard_equations,
     vrep_of,
 )
 from bellpoly.membership import _catalog_label
@@ -56,6 +55,7 @@ from bellpoly.symmetry import (
     group_for,
     has_group,
     label_classes,
+    standard_equations,
 )
 
 
@@ -124,12 +124,12 @@ def test_has_group_is_the_one_group_table_test(space, d):
     if has_group(space, d):
         assert len(group_for(space, d)) > 0
         assert by_class([], space, d, classify_trivial)[1] == []
-        assert _catalog_label(reference) == "cglmp"
+        assert _catalog_label(gauge_rows([reference])[0], space, d) == "cglmp"
     else:
         with pytest.raises(ValueError, match="too large"):
             group_for(space, d)
         assert by_class([], space, d, classify_trivial)[1] is None
-        assert _catalog_label(reference) == "unclassified"
+        assert _catalog_label(gauge_rows([reference])[0], space, d) == "unclassified"
 
 
 def test_group_action_law():
