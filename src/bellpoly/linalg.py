@@ -111,9 +111,9 @@ def _entered(rows, ndim: int = 2) -> tuple[np.ndarray, int]:
     return a.astype(object), OVERFLOW_LIMIT
 
 
-def _int_array(rows, ndim: int = 2) -> np.ndarray:
-    """A fresh integer array: ``_entered``'s, copied when that is the input."""
-    a = _entered(rows, ndim)[0]
+def _int_array(rows) -> np.ndarray:
+    """A fresh integer matrix: ``_entered``'s, copied when that is the input."""
+    a = _entered(rows)[0]
     return a.copy() if a is rows else a
 
 

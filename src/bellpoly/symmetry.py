@@ -39,7 +39,9 @@ ones are the four block sums, and behavior d = 2, 3 has D = 1 too), so
 the gauge of an image is x - x[pivots] E, an integer map whose inverse,
 the gauge of the inverse image, is integer too; it keeps a primitive key
 primitive.  Two inequalities are equivalent when the key of one lies in
-the other's orbit.
+the other's orbit.  A class representative is the orbit row whose slack
+over the vertices is lexicographically least, found by narrowing the
+orbit one vertex's slack column at a time.
 """
 
 from __future__ import annotations
@@ -168,47 +170,27 @@ def _orbit(key: np.ndarray, space: str, d: int) -> np.ndarray:
     return gauge(images, standard_equations(space, d))
 
 
-# slack entries taken at once by canonical_class, rounded down to whole orbit rows (at least one)
-_SLACK_CHUNK = 1 << 20
-
-
 def canonical_class(ineq: Inequality) -> Inequality:
-    """Deterministic orbit representative: the image whose gcd-reduced
-    slack over the vertices is the lexicographic minimum over the group, in
-    the standard gauge of gauge_rows (coefficients reduced modulo the
-    space's equations).
+    """Deterministic orbit representative: the image whose slack over the
+    vertices, in the order of space_vertices, is the lexicographic minimum
+    over the group, the first of equal ones, in the standard gauge of
+    gauge_rows (coefficients reduced modulo the space's equations).
 
-    The slack is taken in chunks of orbit rows of about _SLACK_CHUNK
-    entries; each chunk keeps its least gcd-reduced row, the first of
-    equal ones, and one _least_row over the kept rows picks the first
-    least row of the whole orbit.
+    The orbit rows narrow one vertex at a time to those at the least slack
+    on it, until the rows left are equal.  Every image's slack is a
+    permutation of one vector, so all rows share one gcd and the order of
+    unreduced slack rows is that of gcd-reduced ones; equal slack rows are
+    equal keys.
     """
     space, d = ineq.space, ineq.d
-    orbit = _orbit(gauge_rows([ineq])[0], space, d)
-    vertices = space_vertices(space, d)
-    step = max(1, _SLACK_CHUNK // len(vertices))
-    kept, least = [], []
-    for start in range(0, len(orbit), step):
-        chunk = orbit[start : start + step]
-        slack = linalg.gcd_reduce(linalg.slack_matrix(chunk[:, :-1], chunk[:, -1], vertices))
-        i = _least_row(slack)
-        kept.append(start + i)
-        least.append(slack[i].copy())  # not a view, which would keep the chunk alive
-    *coeffs, bound = orbit[kept[_least_row(np.array(least))]].tolist()
-    return Inequality(space, d, tuple(coeffs), bound)
-
-
-def _least_row(rows: np.ndarray) -> int:
-    """Index of the lexicographically least row of an integer array (int64
-    or Python ints), the first of equal ones: the candidates start as every
-    row and keep, column by column, those at the column's minimum."""
-    candidates = np.arange(len(rows))
-    for column in rows.T:
-        if len(candidates) == 1:
+    rows = _orbit(gauge_rows([ineq])[0], space, d)
+    for vertex in space_vertices(space, d):
+        if (rows == rows[0]).all():
             break
-        values = column[candidates]
-        candidates = candidates[values == values.min()]
-    return int(candidates[0])
+        slack = linalg.slack_matrix(rows[:, :-1], rows[:, -1], vertex[None])[:, 0]
+        rows = rows[slack == slack.min()]
+    *coeffs, bound = rows[0].tolist()
+    return Inequality(space, d, tuple(coeffs), bound)
 
 
 def equivalent(i1: Inequality, i2: Inequality) -> bool:

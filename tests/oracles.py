@@ -11,7 +11,9 @@ from hyperplanes through vertex subsets, symmetry
 classes from Fraction orbits in a fixed gauge over a group built one
 element at a time (the library compares integer gauge rows, under a
 group table broadcast in numpy) and from orbits keyed by tuples of
-Python ints (the library keys them by row bytes), the fixed gauge from a Fraction loop
+Python ints (the library keys them by row bytes), class representatives
+from the whole gcd-reduced slack matrix of an orbit (the library narrows
+the orbit one vertex at a time), the fixed gauge from a Fraction loop
 over fraction_rref equations (the library reduces an integer row in one
 product), LP results from a Fraction tableau (the
 library pivots over integers) and each integer pivot from rows gathered
@@ -261,6 +263,19 @@ def tuple_labels(rows, orbit):
             lookup.update(dict.fromkeys(map(tuple, orbit(row).tolist()), len(set(labels))))
         labels.append(lookup[key])
     return labels
+
+
+def least_slack_row(orbit, vertices) -> list[int]:
+    """The orbit row whose gcd-reduced slack over the vertices is the
+    lexicographic minimum, the first of equal ones: the whole slack matrix
+    in one linalg.slack_matrix, each row gcd-reduced, and Python min over
+    (row tuple, index), the definition that symmetry.canonical_class
+    narrows one vertex at a time."""
+    from bellpoly import linalg
+
+    slack = linalg.gcd_reduce(linalg.slack_matrix(orbit[:, :-1], orbit[:, -1], vertices))
+    _, i = min((tuple(row), i) for i, row in enumerate(slack.tolist()))
+    return orbit[i].tolist()
 
 
 def _fraction_pivot(rows, rhs, basis, costrow, pr: int, pc: int) -> Fraction:

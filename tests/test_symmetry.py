@@ -15,6 +15,7 @@ from oracles import (
     gauge_key,
     gauge_labels,
     gauge_orbit,
+    least_slack_row,
     loop_group,
     tuple_labels,
 )
@@ -44,7 +45,7 @@ from bellpoly.scenario import (
     generator,
     inequality_from_json,
 )
-from bellpoly import linalg, symmetry
+from bellpoly import linalg
 from bellpoly.symmetry import (
     _orbit,
     _row_keys,
@@ -493,6 +494,7 @@ def test_huge_slack_falls_back_to_python_ints():
     big = Inequality(q.space, q.d, tuple(coeffs), q.bound)
     s = gauge_rows([big])[0]
     assert s.dtype == object and max(s) > 2**63
+    assert canonical_class(big) == _oracle_class(big)
     image = apply_row(_loop_correlator_perm(3, False, True, False, (1, 0, 2, 0), False), big)
     assert equivalent(big, image) and not equivalent(big, q)
     items = [big, q, image, scaled]
@@ -560,31 +562,41 @@ def test_equivalent_builds_no_vertex_table():
     assert peak < len(group) * len(verts) * 4 // 2
 
 
+def _oracle_class(q):
+    """canonical_class by its definition: the first orbit row with the least
+    gcd-reduced slack row over the whole vertex list."""
+    row = least_slack_row(_orbit(gauge_rows([q])[0], q.space, q.d), space_vertices(q.space, q.d))
+    return Inequality(q.space, q.d, tuple(row[:-1]), row[-1])
+
+
 @pytest.mark.parametrize(
-    "space,d,rows",
+    "space,d",
     [
-        ("correlator", 2, 5),
-        ("correlator", 3, 37),
-        ("correlator", 4, 37),
-        ("behavior", 2, 37),
-        # three chunks of the 2000-row orbit, the last one shorter
-        pytest.param("correlator", 5, 667, marks=pytest.mark.slow),
+        ("correlator", 2),
+        ("correlator", 3),
+        ("correlator", 4),
+        ("behavior", 2),
+        pytest.param("correlator", 5, marks=pytest.mark.slow),
+        pytest.param("behavior", 3, marks=pytest.mark.slow),
     ],
 )
-def test_canonical_class_in_chunks_matches_one_shot(monkeypatch, space, d, rows):
-    # a chunk of a few orbit rows gives the representative of the whole
-    # orbit at once, the first of equal least slack rows included
+def test_canonical_class_matches_least_slack_oracle(space, d):
+    # narrowing the orbit one vertex column at a time picks the row that
+    # the whole gcd-reduced slack matrix does, the first of equal ones
     _, _, facets = _space(space, d)
-    monkeypatch.setattr(symmetry, "_SLACK_CHUNK", len(space_vertices(space, d)) * len(group_for(space, d)))
-    whole = [canonical_class(q) for q in facets]
-    monkeypatch.setattr(symmetry, "_SLACK_CHUNK", len(space_vertices(space, d)) * rows)
-    assert [canonical_class(q) for q in facets] == whole
+    if space == "behavior" and d == 3:  # 1116 facets, a 10368 x 81 slack each
+        facets = random.Random("least slack behavior 3").sample(facets, 50)
+    for q in facets:
+        assert canonical_class(q) == _oracle_class(q)
 
 
-def test_canonical_class_takes_the_slack_in_chunks():
-    # at correlator d=10 the whole 16000 x 1000 slack is 128 MB of int64
+def test_canonical_class_holds_one_slack_column():
+    # at correlator d=10 the whole 16000 x 1000 slack is 128 MB of int64;
+    # the orbit of keys is 16000 x 41
     d = 10
-    group, verts = group_for("correlator", d), space_vertices("correlator", d)
+    group = group_for("correlator", d)
+    # the cached vertices and equations are built before the trace starts
+    space_vertices("correlator", d)
     standard_equations("correlator", d)
     q = cglmp_corr_inequality(d)
     tracemalloc.start()
@@ -594,7 +606,7 @@ def test_canonical_class_takes_the_slack_in_chunks():
     finally:
         tracemalloc.stop()
     assert equivalent(rep, q)
-    assert peak < len(group) * len(verts) * 8 // 2
+    assert peak < 6 * len(group) * (4 * d + 1) * 8
 
 
 def _as_fractions(q):
