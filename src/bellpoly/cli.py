@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import cglmp as cglmp_mod
 from . import membership as membership_mod
@@ -205,8 +206,9 @@ def cmd_enumerate(args) -> Output:
         "complete": hrep.complete,
         "reduced_dim": hrep.reduced_dim,
         "equations": [
-            {"coeffs": [encode_rational(c) for c in row], "rhs": encode_rational(rhs)}
-            for row, rhs in hrep.equations
+            {"coeffs": [encode_rational(Fraction(x, hrep.equations_den)) for x in w],
+             "rhs": encode_rational(Fraction(c, hrep.equations_den))}
+            for *w, c in hrep.equations
         ],
         "facets": [
             _facet_json(f, label, trivial=t)

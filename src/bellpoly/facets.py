@@ -72,9 +72,12 @@ class VRep:
 
 @dataclass(frozen=True)
 class HRep:
-    """Irredundant facet description plus the affine-hull equations."""
+    """Irredundant facet description plus the affine-hull equations: rows
+    (w..., c) of Python ints with w.v = c on every vertex v, the equations
+    (w / equations_den).v = c / equations_den that enumerate prints."""
 
-    equations: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    equations: tuple[tuple[int, ...], ...]
+    equations_den: int
     facets: tuple[Inequality, ...]
     reduced_dim: int
     complete: bool = True
@@ -88,10 +91,14 @@ def vrep_of(vectors) -> VRep:
     """Coordinate vectors of Fractions or ints, objects with .coords, or an
     integer ndarray as a VRep; the first vector's length is the ambient
     dimension, and every other vector must have it."""
-    try:
-        mat, den = linalg.integer_rows(vectors if isinstance(vectors, np.ndarray) else list(vectors))
-    except ValueError as exc:  # ragged rows
-        raise ValueError("vertex length does not match ambient dimension") from exc
+    if isinstance(vectors, np.ndarray):
+        ragged = vectors.ndim != 2
+    else:
+        vectors = [getattr(v, "coords", v) for v in vectors]
+        ragged = len(set(map(len, vectors))) > 1
+    if ragged:
+        raise ValueError("vertex length does not match ambient dimension")
+    mat, den = linalg.integer_rows(vectors)
     if not len(mat):
         raise ValueError("a vertex representation needs at least one vertex")
     mat.flags.writeable = False
@@ -297,16 +304,14 @@ def enumerate_facets(
     # the nullspace (w, -c) of the rows [den v | den], over one denominator
     dens = np.full(len(mat), den, dtype=mat.dtype if den < linalg.OVERFLOW_LIMIT else object)
     hull, hden = linalg.integer_nullspace(np.column_stack([mat, dens]))
-    equations = tuple(
-        (tuple(Fraction(x, hden) for x in w), Fraction(-c, hden)) for *w, c in hull.tolist()
-    )
+    equations = tuple((*w, -c) for *w, c in hull.tolist())
     pivots = linalg.pivot_columns(hull[:, :-1])
     free = [j for j in range(ambient) if j not in pivots]
     reduced_dim = len(free)
     if len(mat) < reduced_dim + 1:
         raise ValueError("degenerate input: fewer vertices than dimension plus one")
     if reduced_dim == 0:
-        return HRep(equations, (), 0, True)
+        return HRep(equations, hden, (), 0, True)
 
     rows = sorted({(*row, den) for row in mat[:, free].tolist()})
     rays, complete = dd_extreme_rays(rows, reduced_dim + 1, deadline=deadline)
@@ -326,7 +331,7 @@ def enumerate_facets(
     # form, with Python int coefficients and bound
     kept = sorted(zip(map(tuple, coeffs.tolist()), bounds.tolist()))
     facets = tuple(Inequality(space, d, row, bound) for row, bound in kept)
-    return HRep(equations, facets, reduced_dim, complete)
+    return HRep(equations, hden, facets, reduced_dim, complete)
 
 
 def saturation_count(ineq: Inequality, vertices) -> tuple[int, int]:

@@ -50,14 +50,12 @@ certificate are integer vectors over the common den, and every condition
 above is an exact integer product with A, ``_times``, guarded by that
 peak (int64 when no partial sum can reach the guard, Python ints
 otherwise).  Only the returned LPResult is built from Fractions, one
-shared zero for every zero entry; an optimal one also carries its primal
-as those integers over their denominator, for a caller that checks it in
-the integers.
+shared zero for every zero entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import gt, mul
 from typing import NamedTuple, Sequence
@@ -77,8 +75,6 @@ class LPResult:
     primal: tuple[Fraction, ...] | None = None
     dual: tuple[Fraction, ...] | None = None
     certificate: tuple[Fraction, ...] | None = None
-    # the primal as integers over one positive denominator, primal == x / den
-    scaled_primal: tuple[tuple[int, ...], int] | None = field(default=None, compare=False, repr=False)
 
 
 def _pivot(T: np.ndarray, basis, den: int, pr: int, pc: int) -> tuple[np.ndarray, int]:
@@ -223,7 +219,6 @@ def lp_max(
         optimum=Fraction(opt, p.cscale * scale),
         primal=tuple(Fraction(v, scale) if v else zero for v in x),
         dual=tuple(Fraction(v, p.cscale * den) if v else zero for v in y),
-        scaled_primal=(tuple(x), scale),
     )
 
 

@@ -13,12 +13,12 @@ its bound equals its exact maximum over the generators, and strictly cuts
 off the query.
 
 A query enters the integers once, as one integer row over its common
-denominator (``linalg.integer_rows``); the precondition checks, both LPs,
-the reconstruction check and the violation all read that row.  What
-depends only on (space, d) is built once per process, on first use: the
-LP's generator rows, the vertex column sums behind the uniform point,
-the vertex names, and the row keys of the orbit of CGLMP that name a
-certificate's class.
+denominator (``linalg.integer_rows``); the precondition checks, both LPs
+and the violation all read that row, and lp_max's exact check of its
+primal is the check that the weights rebuild it.  What depends only on
+(space, d) is built once per process, on first use: the LP's generator
+rows, the vertex column sums behind the uniform point, the vertex names,
+and the row keys of the orbit of CGLMP that name a certificate's class.
 """
 
 from __future__ import annotations
@@ -101,19 +101,11 @@ def _decompose(q: list[int], qden: int, space: str, d: int) -> MembershipResult:
     right-hand side clears its denominators to."""
     eq_rows, sums = _system(space, d)
     ncoords, nverts = eq_rows.shape[0] - 1, eq_rows.shape[1]
-    eq_rhs = [*q, qden]
-    feas = lp_max([0] * nverts, eq_rows=eq_rows, eq_rhs=eq_rhs)
+    feas = lp_max([0] * nverts, eq_rows=eq_rows, eq_rhs=[*q, qden])
     if feas.status == "optimal":
-        # the weights are w / (wden qden): rows w == wden [*q, qden] says
-        # that they sum to 1 and rebuild the query
-        w, wden = feas.scaled_primal
-        if any(v < 0 for v in w):
-            raise AssertionError("negative weight from the feasibility LP")
-        rebuilt = -slack_matrix(eq_rows, np.zeros(ncoords + 1, dtype=np.int64), [w])[:, 0]  # rows w
-        if rebuilt.tolist() != [wden * v for v in eq_rhs]:
-            raise AssertionError("decomposition does not reconstruct the query exactly")
-        scale = wden * qden
-        weights = {lab: Fraction(x, scale) for lab, x in zip(_labels(space, d), w) if x}
+        # the weights are x / qden: lp_max has checked that x >= 0 and that
+        # rows x == [*q, qden], so they sum to 1 and rebuild the query
+        weights = {lab: x / qden for lab, x in zip(_labels(space, d), feas.primal) if x}
         return MembershipResult(local=True, weights=weights)
     if feas.status != "infeasible":
         raise AssertionError(f"feasibility LP came back {feas.status}")

@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import itertools
 import json
+import operator
 import random
 import time
 from fractions import Fraction
@@ -384,11 +385,15 @@ def test_vrep_inputs_give_one_hrep():
         (np.zeros(2, dtype=np.int64), "vertex length does not match ambient dimension"),
         ((), "a vertex representation needs at least one vertex"),
         (np.zeros((0, 2), dtype=np.int64), "a vertex representation needs at least one vertex"),
+        (([float("nan"), 0], [1, 0]), "cannot convert NaN to integer ratio"),
+        (([float("inf"), 0], [1, 0]), "inf is not a finite number"),
+        ((["a", 0], [1, 0]), "Invalid literal for Fraction: 'a'"),
     ],
 )
 def test_vrep_refuses_ragged_wrong_width_and_empty_vertices(vertices, message):
     # the first vertex fixes the ambient dimension: a later vertex of
-    # another width is refused, as are a 1-D array and no vertex at all
+    # another width is refused, as are a 1-D array and no vertex at all;
+    # a bad entry in rows of one width is refused for what it is
     with pytest.raises(ValueError, match=message):
         vrep_of(vertices)
 
@@ -513,23 +518,52 @@ def test_zero_coefficient_ray_is_refused(monkeypatch):
         enumerate_facets(vrep_of(projected_generators(2)), space="correlator", d=2)
 
 
+_TILTED_SQUARE = tuple(
+    (Fraction(x, 3) + Fraction(1, 2), Fraction(y, 3), Fraction(x, 5) + Fraction(y, 7))
+    for x in (0, 1)
+    for y in (0, 1)
+)
+
+
 def test_rational_square_on_a_tilted_plane():
     # vertices over the common denominator 210 with one affine-hull equation:
-    # the equation and the gauge-fixed facets the Fraction elimination gave
-    square = tuple(
-        (Fraction(x, 3) + Fraction(1, 2), Fraction(y, 3), Fraction(x, 5) + Fraction(y, 7))
-        for x in (0, 1)
-        for y in (0, 1)
-    )
-    hrep = enumerate_facets(vrep_of(square))
+    # the equation -2x - 10/7 y + 10/3 z = -1, as integers over 21, and the
+    # gauge-fixed facets the Fraction elimination gave
+    hrep = enumerate_facets(vrep_of(_TILTED_SQUARE))
     assert hrep.reduced_dim == 2
-    assert hrep.equations == ((_fr(-2, Fraction(-10, 7), Fraction(10, 3)), Fraction(-1)),)
+    assert hrep.equations == ((-42, -30, 70, -21),) and hrep.equations_den == 21
     assert [(q.coeffs, q.bound) for q in hrep.facets] == [
         (_fr(0, -15, 35), Fraction(7)),
         (_fr(0, -1, 0), Fraction(0)),
         (_fr(0, 3, -7), Fraction(0)),
         (_fr(0, 3, 0), Fraction(1)),
     ]
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        _TILTED_SQUARE,
+        tuple(tuple(x / 2**70 for x in v) for v in _TILTED_SQUARE),
+        generator_matrix(2).tolist(),
+        projected_generator_matrix(3).tolist(),
+    ],
+    ids=["square", "square/2^70", "behavior-2", "corr-3"],
+)
+def test_hull_equations_are_integer_rows_over_one_denominator(vertices):
+    # each row (w..., c) over equations_den is a basis vector of the Fraction
+    # nullspace of the rows [v | 1], its last entry negated, and w.v = c on
+    # every vertex; the rows stay tuples of Python ints, so HRep hashes
+    vrep = vrep_of(vertices)
+    hrep = enumerate_facets(vrep)
+    den = hrep.equations_den
+    assert hrep.equations and type(den) is int and den > 0
+    assert all(type(x) is int for row in hrep.equations for x in row)
+    want = [(*w, -c) for *w, c in linalg.nullspace([(*v, 1) for v in vertices])]
+    assert [tuple(Fraction(x, den) for x in row) for row in hrep.equations] == want
+    for *w, c in hrep.equations:
+        assert all(sum(map(operator.mul, w, row)) == c * vrep.den for row in vrep.matrix.tolist())
+    hash(hrep)
 
 
 def _ray_set(rays):

@@ -395,6 +395,36 @@ def test_membership_lps_match_fraction_simplex(monkeypatch, space, d):
     assert statuses.count("optimal") == 4
 
 
+@pytest.mark.parametrize("space,d", [("behavior", 2), ("correlator", 3)])
+def test_lp_check_is_the_reconstruction_check(monkeypatch, space, d):
+    # membership takes a local decomposition as lp_max returns it: the
+    # feasibility LP's _check_optimal has already checked its primal, in the
+    # integers, against the rows [V^T; 1] and the query [*q, qden]
+    checked = []
+    check = lp_mod._check_optimal
+
+    def spy(*args):
+        checked.append(args)
+        check(*args)
+
+    monkeypatch.setattr(lp_mod, "_check_optimal", spy)
+    query = _mixture_query(random.Random(f"check {space} {d}"), space, d)
+    res = _decompose(query)
+    (q,), qden = linalg.integer_rows([query.coords])
+    ((p, x, y, opt, den),) = checked
+    assert np.array_equal(p.A, membership_mod._system(space, d)[0])
+    assert p.b == [*q.tolist(), qden] and p.bscale == 1
+    labels = membership_mod._labels(space, d)
+    assert res.local and res.weights == {lab: Fraction(v, den * qden) for lab, v in zip(labels, x) if v}
+    # one unit moved from a weighted vertex to an unweighted one keeps the
+    # sum and the signs, and breaks a row
+    tampered = list(x)
+    tampered[next(j for j, v in enumerate(x) if v)] -= 1
+    tampered[x.index(0)] += 1
+    with pytest.raises(AssertionError, match="violates a constraint row"):
+        check(p, tampered, y, opt, den)
+
+
 @pytest.mark.parametrize("limit", [None, 2**4])
 @pytest.mark.parametrize("space,d", [("behavior", 2), ("correlator", 3)])
 def test_lp_on_membership_shaped_input(monkeypatch, space, d, limit):
