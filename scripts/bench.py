@@ -8,7 +8,9 @@ Runs ``perfbench/run.py --workload all --seed 1`` for BENCHMARK.json's
 runner prints them (per workload: correct, attempted, failed and every
 metric with its unit), the host facts the runner logs on stderr
 (interpreter, numpy, nproc, platform and the hash of the bellpoly
-package) and the HEAD commit.
+package) and the HEAD commit.  Both runs get fixed glibc malloc
+thresholds (MALLOC_ENV, recorded under "malloc_env"): with glibc's dynamic
+mmap threshold, wall times moved between runs of the same code.
 The working tree must be clean, so that the commit is the code that ran,
 and nothing is written unless both runs exit 0, which the runner does only
 when every answer of every workload checks.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,13 +29,14 @@ ROOT = Path(__file__).resolve().parents[1]
 HOST_PREFIX = "  environment: "
 SEED = 1
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "4194304", "MALLOC_TRIM_THRESHOLD_": "8388608"}
 
 
 def run_all(trace: int) -> tuple[dict, set[str]]:
     """The runner's result for every workload, and the host lines it logged."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, env={**os.environ, **MALLOC_ENV})
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench --trace {trace} exited with {proc.returncode}; nothing written")
@@ -60,6 +64,7 @@ def main() -> int:
         "host": json.loads(hosts.pop()),
         "seed": SEED,
         "seconds": SECONDS,
+        "malloc_env": MALLOC_ENV,
         "end_to_end": end_to_end,
         "per_layer": per_layer,
     }

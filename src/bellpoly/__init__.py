@@ -17,21 +17,16 @@ from .scenario import (
     constraint_matrix,
     generator,
     polytope_affine_dim,
-    uniform_behavior,
 )
 from .cglmp import (
     cglmp_inequality,
-    classify_case,
     constructive_witness,
-    evaluate,
-    rstu,
     tightness_rank,
     verify_condition1,
 )
 from .correlators import (
     CorrVector,
     cglmp_corr_inequality,
-    chsh_inequality,
     corr_affine_dim,
     lift,
     project,

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,28 +48,10 @@ from .correlators import cglmp_corr_inequality, lift
 from .scenario import (
     DeterministicStrategy,
     Inequality,
-    check_strategy,
     coord_index,
     generator_rows,
     generator_supports,
 )
-
-
-class RSTU(NamedTuple):
-    r: int
-    s: int
-    t: int
-    u: int
-
-
-@dataclass(frozen=True)
-class CaseClass:
-    """Sign-pattern case of an RSTU tuple: negatives count plus sum branch."""
-
-    tag: str  # case1, case2a, case2b, case3, case4a, case4b, case5
-    negatives: int
-    total: int
-    value: Fraction
 
 
 class VerificationError(AssertionError):
@@ -88,7 +69,7 @@ def center_mod(x: int, d: int) -> int:
 
 
 def _rstu_arrays(grid: np.ndarray, d: int) -> np.ndarray:
-    """rstu of every strategy in a 4 x n array (a1, a2, b1, b2) as a 4 x n array."""
+    """r, s, t and u of every strategy in a 4 x n array (a1, a2, b1, b2), as a 4 x n array."""
     a1, a2, b1, b2 = grid
     return np.stack([
         center_mod(a1 - b1, d),
@@ -106,12 +87,12 @@ def _pair_tables(d: int) -> np.ndarray:
 
 
 def _f_scaled(v: np.ndarray, d: int) -> np.ndarray:
-    """(d-1) f of every entry of an rstu array."""
+    """(d-1) f of every entry of an (r, s, t, u) array."""
     return np.where(v >= 0, -2 * v + (d - 1), -2 * v - (d + 1))
 
 
 def _f_sums(v: np.ndarray, d: int) -> np.ndarray:
-    """(d-1) times I_d of every column of a 4 x n rstu array, by the f form."""
+    """(d-1) times I_d of every column of a 4 x n (r, s, t, u) array, by the f form."""
     return _f_scaled(v, d).sum(axis=0)
 
 
@@ -124,17 +105,17 @@ def _case_keys(d: int) -> tuple[tuple[int, int], ...]:
 
 
 def _case_key(v: np.ndarray, d: int) -> np.ndarray:
-    """Each entry's part of the case key of an rstu array.  Summed over r,
-    s, t and u it is 4d times the number of negatives plus r+s+t+u - 4 lo,
-    where lo is the bottom of the window: one integer in [0, 20d) for each
-    (negatives, r+s+t+u)."""
+    """Each entry's part of the case key of an (r, s, t, u) array.  Summed
+    over r, s, t and u it is 4d times the number of negatives plus r+s+t+u
+    - 4 lo, where lo is the bottom of the window: one integer in [0, 20d)
+    for each (negatives, r+s+t+u)."""
     lo, _ = window_bounds(d)
     return (v < 0) * (4 * d) + (v - lo)
 
 
 def _key_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The case of every case key, as its position in CASE_TAGS (-1 where
-    no sign/sum case matches, which classify_case would refuse), and its
+    no sign/sum case matches, which verify_condition1 refuses), and its
     (d-1) I_d.  (d-1) f(x) is -2x + d - 1 for x >= 0 and -2x - d - 1 below,
     so the f form of a strategy depends on its key alone."""
     lo, _ = window_bounds(d)
@@ -167,42 +148,10 @@ def _sweep_sums(d: int, tables, a1_stop: int | None = None):
         yield start, [r[a1, None, :, None] + s[a1, None, None, :] + rest for (r, s, _, _), rest in zip(tables, tu)]
 
 
-def rstu(lam: DeterministicStrategy, d: int) -> RSTU:
-    """rstu of one strategy; this and classify_case are one-column calls of
-    the kernels the pair tables are built from."""
-    lam = DeterministicStrategy(*lam)
-    check_strategy(d, lam)
-    return RSTU(*_rstu_arrays(np.array(lam)[:, None], d)[:, 0].tolist())
-
-
-def classify_case(v: RSTU, d: int) -> CaseClass:
-    """The sign/sum case of v and I_d of a strategy with that rstu, by the
-    f form."""
-    lo, hi = window_bounds(d)
-    if not all(lo <= x <= hi for x in v):
-        raise ValueError(f"{v} violates the window for d={d}")
-    col = np.array(v)[:, None]
-    code = int(_key_table(d)[0][_case_key(col, d).sum()])
-    if code < 0:
-        raise ValueError(f"{v} matches no sign/sum case for d={d}")
-    neg, total = _case_keys(d)[code]
-    return CaseClass(CASE_TAGS[code], neg, total, Fraction(int(_f_sums(col, d)[0]), d - 1))
-
-
 def cglmp_inequality(d: int) -> Inequality:
     """I_d over behavior coordinates, bound 2: the lift of the correlator
     table cglmp_corr_inequality(d)."""
     return lift(cglmp_corr_inequality(d))
-
-
-def evaluate(ineq: Inequality, p) -> Fraction:
-    """Exact inner product of an inequality's coefficients with a vector."""
-    coords = p.coords if hasattr(p, "coords") else tuple(p)
-    if hasattr(p, "d") and p.d != ineq.d:
-        raise ValueError(f"cannot evaluate {ineq.space} inequality on {type(p).__name__} with d={p.d}")
-    if len(coords) != len(ineq.coeffs):
-        raise ValueError("coefficient/vector length mismatch")
-    return sum(c * x for c, x in zip(ineq.coeffs, coords) if c)
 
 
 @dataclass(frozen=True)
@@ -261,7 +210,8 @@ def verify_condition1(d: int) -> Condition1Report:
             if not allowed[keys[i]]:
                 raise VerificationError(f"{lam} evaluates to {value}, outside the value set")
             if codes[keys[i]] < 0:
-                raise VerificationError(f"{lam} with {rstu(lam, d)} matches no sign/sum case for d={d}")
+                v = tuple(_rstu_arrays(np.array(lam)[:, None], d)[:, 0].tolist())
+                raise VerificationError(f"{lam} with (r, s, t, u) = {v} matches no sign/sum case for d={d}")
         counts += block
     present = np.flatnonzero(counts)
     best = int(values[present].max())

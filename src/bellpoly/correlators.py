@@ -98,15 +98,6 @@ def corr_affine_dim(d: int) -> int:
     return linalg.affine_dim(projected_generator_matrix(d))
 
 
-def chsh_inequality() -> Inequality:
-    """<A1B1> + <A1B2> + <A2B1> - <A2B2> <= 2, in correlator coordinates."""
-    coeffs = [0] * 8
-    for (a, b), sign in (((1, 1), 1), ((1, 2), 1), ((2, 1), 1), ((2, 2), -1)):
-        coeffs[corr_index(2, a, b, 0)] = sign
-        coeffs[corr_index(2, a, b, 1)] = -sign
-    return Inequality("correlator", 2, tuple(coeffs), 2)
-
-
 def cglmp_corr_inequality(d: int) -> Inequality:
     """The CGLMP functional over the 4d correlator coordinates, bound 2.
 

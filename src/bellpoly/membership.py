@@ -15,10 +15,12 @@ off the query.
 A query enters the integers once, as one integer row over its common
 denominator (``linalg.integer_rows``); the precondition checks, both LPs
 and the violation all read that row, and lp_max's exact check of its
-primal is the check that the weights rebuild it.  What depends only on
-(space, d) is built once per process, on first use: the LP's generator
-rows, the vertex column sums behind the uniform point, the vertex names,
-and the row keys of the orbit of CGLMP that name a certificate's class.
+primal is the check that the weights rebuild it; its check of the
+interior-ray dual proves the certificate's bound, the last dual entry, its
+exact local maximum.  What depends only on (space, d) is built once per
+process, on first use: the LP's generator rows, the vertex column sums
+behind the uniform point, the vertex names, and the row keys of the orbit
+of CGLMP that name a certificate's class.
 """
 
 from __future__ import annotations
@@ -131,11 +133,12 @@ def _decompose(q: list[int], qden: int, space: str, d: int) -> MembershipResult:
     t_star = res.optimum / uden
     if t_star >= 1:
         raise AssertionError("interior ray exits beyond the query on an infeasible instance")
+    # lp_max has checked y A >= c and c.x = y.b with x >= 0, so every vertex v
+    # has -y[:ncoords].v <= y[ncoords], with equality where the weights, which
+    # sum to uden > 0, sit: y[ncoords] is the exact local maximum
     y = res.dual
-    coeffs = tuple(-y[i] for i in range(ncoords))
-    bound = local_max(Inequality(space, d, coeffs, y[ncoords]))
     # the certificate in the standard gauge, whose row is also its class key
-    (key,) = gauge_rows([Inequality(space, d, coeffs, bound)])
+    (key,) = gauge_rows([Inequality(space, d, tuple(-v for v in y[:ncoords]), y[ncoords])])
     cert = Inequality(space, d, tuple(key[:-1].tolist()), int(key[-1]))
     violation = Fraction(sum(c * x for c, x in zip(cert.coeffs, q) if c), qden) - cert.bound
     if violation <= 0:

@@ -137,11 +137,6 @@ def generator_matrix(d: int) -> np.ndarray:
     return generator_rows(d, np.indices((d, d, d, d)).reshape(4, -1))
 
 
-def uniform_behavior(d: int) -> Behavior:
-    q = Fraction(1, d * d)
-    return Behavior(d, tuple([q] * (4 * d * d)))
-
-
 @lru_cache(maxsize=None)
 def _constraint_system(d: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Normalization plus no-signaling as one read-only int8 matrix (its
@@ -242,10 +237,6 @@ def blocks_from_json(table: dict, shape: tuple[int, ...]) -> tuple[int | Fractio
         if block.shape != shape:
             raise ValueError(f"block a{a}b{b} must have shape {shape}, not {block.shape}")
     return tuple(decode_rational(x) for block in blocks for x in block.ravel().tolist())
-
-
-def behavior_to_json(p: Behavior) -> dict:
-    return {"d": p.d, "P": blocks_to_json(p.coords, (p.d, p.d))}
 
 
 def behavior_from_json(data: dict) -> Behavior:

@@ -550,6 +550,35 @@ def strategy_values(coeffs, d: int):
         )
 
 
+# --- fixtures: a behavior, an inequality and a JSON writer no command needs ---
+
+
+def uniform_behavior(d: int):
+    """1/d^2 on every coordinate: the centroid of the d^4 generators."""
+    from bellpoly.scenario import Behavior
+
+    return Behavior(d, (Fraction(1, d * d),) * (4 * d * d))
+
+
+def behavior_to_json(p) -> dict:
+    """A behavior in the JSON form that behavior_from_json reads."""
+    from bellpoly.scenario import blocks_to_json
+
+    return {"d": p.d, "P": blocks_to_json(p.coords, (p.d, p.d))}
+
+
+def chsh_inequality():
+    """<A1B1> + <A1B2> + <A2B1> - <A2B2> <= 2, in correlator coordinates."""
+    from bellpoly.correlators import corr_index
+    from bellpoly.scenario import Inequality
+
+    coeffs = [0] * 8
+    for (a, b), sign in (((1, 1), 1), ((1, 2), 1), ((2, 1), 1), ((2, 2), -1)):
+        coeffs[corr_index(2, a, b, 0)] = sign
+        coeffs[corr_index(2, a, b, 1)] = -sign
+    return Inequality("correlator", 2, tuple(coeffs), 2)
+
+
 def loop_rstu(lam, d: int) -> tuple[int, int, int, int]:
     """r = a1 - b1, s = b2 - a1, t = b1 - a2 - 1 and u = a2 - b2 of a
     strategy, each shifted by a multiple of d into [-floor(d/2), floor((d-1)/2)]."""
@@ -671,8 +700,9 @@ def loop_checked_steps(d: int):
 # every positive/negative pair with Python-int bitmasks.
 
 
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+def dot(a, b):
+    """Exact inner product of two equal-length sequences of ints or Fractions."""
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -689,18 +719,18 @@ def loop_dd_extreme_rays(constraints, dim: int) -> list[tuple[int, ...]]:
     rays: list[list] = []  # [vector, zero set bitmask over inserted constraints]
     for ci, a in enumerate(constraints):
         bit = 1 << ci
-        lin_dots = [_dot(a, l) for l in lin]
+        lin_dots = [dot(a, l) for l in lin]
         hit = next((i for i, v in enumerate(lin_dots) if v), None)
         if hit is not None:
             l0 = lin[hit] if lin_dots[hit] < 0 else [-x for x in lin[hit]]
-            d0 = _dot(a, l0)  # < 0
+            d0 = dot(a, l0)  # < 0
             lin = [
                 _primitive([d0 * x - dl * y for x, y in zip(l, l0)])
                 for i, (l, dl) in enumerate(zip(lin, lin_dots))
                 if i != hit
             ]
             for entry in rays:
-                dr = _dot(a, entry[0])
+                dr = dot(a, entry[0])
                 if dr:
                     entry[0] = _primitive([-d0 * x + dr * y for x, y in zip(entry[0], l0)])
                 entry[1] |= bit
@@ -708,7 +738,7 @@ def loop_dd_extreme_rays(constraints, dim: int) -> list[tuple[int, ...]]:
             continue
         zero, neg, pos = [], [], []
         for entry in rays:
-            v = _dot(a, entry[0])
+            v = dot(a, entry[0])
             if v == 0:
                 entry[1] |= bit
                 zero.append(entry)

@@ -15,13 +15,11 @@ from bellpoly import linalg
 from bellpoly.cglmp import (
     cglmp_inequality,
     constructive_witness,
-    evaluate,
     tightness_rank,
     verify_condition1,
 )
 from bellpoly.correlators import (
     cglmp_corr_inequality,
-    chsh_inequality,
     corr_index,
     lift,
     project,
@@ -43,11 +41,10 @@ from bellpoly.scenario import (
     generator,
     polytope_affine_dim,
     spanning_strategy_grid,
-    uniform_behavior,
 )
 from bellpoly.symmetry import equivalent, group_for, label_classes
 
-from oracles import apply_row, square_subset_facets
+from oracles import apply_row, chsh_inequality, dot, square_subset_facets, uniform_behavior
 from test_membership import pr_box
 
 DRANGE = range(2, 11)
@@ -173,7 +170,7 @@ def test_criterion_08_projection_invariance():
         assert lifted.coeffs == direct.coeffs
         for lam in all_strategies(Scenario(d)) if d <= 4 else all_strategies(Scenario(d))[:500]:
             g = generator(Scenario(d), lam)
-            assert evaluate(lifted, g) == evaluate(direct, g)
+            assert dot(lifted.coeffs, g.coords) == dot(direct.coeffs, g.coords)
     print("PASS criterion 8: lifted correlator form agrees with the behavior form, d=2..6")
 
 
@@ -195,13 +192,13 @@ def test_criterion_09_membership():
 
     # the maximally nonlocal box: certificate CHSH-equivalent, oracle value 4
     box = pr_box()
-    assert evaluate(cglmp_inequality(2), box) == 4  # derived oracle
+    assert dot(cglmp_inequality(2).coeffs, box.coords) == 4  # derived oracle
     res = local_decompose(box)
     assert not res.local
     cert = res.certificate
     for lam in all_strategies(Scenario(2)):
-        assert evaluate(cert, generator(Scenario(2), lam)) <= cert.bound
-    assert evaluate(cert, box) > cert.bound
+        assert dot(cert.coeffs, generator(Scenario(2), lam).coords) <= cert.bound
+    assert dot(cert.coeffs, box.coords) > cert.bound
     assert equivalent(cert, lift(chsh_inequality()))
 
     # every generator decomposes onto itself
@@ -223,7 +220,7 @@ def test_criterion_10_property_suites():
         g, h = rng.choice(grp), rng.choice(grp)
         p = Behavior(3, tuple(Fraction(rng.randint(0, 9), 11) for _ in range(36)))
         assert apply_row(h[g], p) == apply_row(g, apply_row(h, p))
-        assert evaluate(apply_row(g, q3), apply_row(g, p)) == evaluate(q3, p)
+        assert dot(apply_row(g, q3).coeffs, apply_row(g, p).coords) == dot(q3.coeffs, p.coords)
     grpc = group_for("correlator", 3)
     for _ in range(30):
         g, h = rng.choice(grpc), rng.choice(grpc)
@@ -236,7 +233,7 @@ def test_criterion_10_property_suites():
         hrep = enumerate_facets(vrep_of(gens), space="correlator", d=d)
         for q in hrep.facets:
             for g in gens:
-                assert evaluate(q, g) <= q.bound
+                assert dot(q.coeffs, g.coords) <= q.bound
 
     # LP exactness and Farkas verification on random instances
     optimal = infeasible = 0

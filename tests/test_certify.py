@@ -247,7 +247,7 @@ def test_strategy_matching_no_case_is_a_verification_error(monkeypatch):
     got = json.loads(out)
     assert code == 1 and got["ok"] is False
     assert got["error"] == (
-        f"{cglmp.DeterministicStrategy(*lam)} with {cglmp.rstu(lam, 3)} matches no sign/sum case for d=3"
+        f"{cglmp.DeterministicStrategy(*lam)} with (r, s, t, u) = {loop_rstu(lam, 3)} matches no sign/sum case for d=3"
     )
 
 

@@ -1,44 +1,51 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from oracles import loop_case, loop_f_scaled, loop_rstu
+from oracles import dot, loop_case, loop_f_scaled, loop_rstu, uniform_behavior
 
 from bellpoly import cglmp, linalg
 from bellpoly.cglmp import (
-    RSTU,
+    CASE_TAGS,
+    _case_key,
+    _case_keys,
     _f_scaled,
+    _f_sums,
+    _key_table,
+    _rstu_arrays,
     _saturating_strategies,
     SCHEME_EXAMPLE1,
     SCHEME_EXAMPLE2,
     SCHEME_EXAMPLE2_VARIANT,
     cglmp_inequality,
-    classify_case,
     constructive_witness,
-    evaluate,
-    rstu,
     scheme_patterns,
     tightness_rank,
     verify_condition1,
     window_bounds,
     witness_steps,
 )
-from bellpoly.scenario import Scenario, all_strategies, generator, generator_rows, uniform_behavior
+from bellpoly.scenario import Scenario, all_strategies, generator, generator_rows
+
+
+def f_value(lam, d):
+    """I_d of a strategy by the f form, from the oracle's loops."""
+    return Fraction(sum(loop_f_scaled(x, d) for x in loop_rstu(lam, d)), d - 1)
 
 
 def test_rstu_spec_examples():
-    assert tuple(rstu((0, 0, 0, 0), 3)) == (0, 0, -1, 0)
-    assert tuple(rstu((1, 0, 0, 0), 3)) == (1, -1, -1, 0)
-    assert tuple(rstu((0, 1, 1, 1), 2)) == (-1, -1, -1, 0)
+    assert loop_rstu((0, 0, 0, 0), 3) == (0, 0, -1, 0)
+    assert loop_rstu((1, 0, 0, 0), 3) == (1, -1, -1, 0)
+    assert loop_rstu((0, 1, 1, 1), 2) == (-1, -1, -1, 0)
 
 
 def test_rstu_window_and_congruence_exhaustive():
     for d in range(2, 7):
         lo, hi = window_bounds(d)
-        for lam in all_strategies(Scenario(d)):
-            v = rstu(lam, d)
-            assert all(lo <= x <= hi for x in v)
-            assert sum(v) % d == (d - 1) % d
-            assert sum(v) in (d - 1, -1, -d - 1)
+        v = _rstu_arrays(np.indices((d,) * 4).reshape(4, -1), d)
+        assert ((lo <= v) & (v <= hi)).all()
+        assert (v.sum(axis=0) % d == (d - 1) % d).all()
+        assert set(v.sum(axis=0).tolist()) <= {d - 1, -1, -d - 1}
 
 
 def test_f_values():
@@ -53,55 +60,47 @@ def test_f_values():
 
 def test_eval_on_generator_examples():
     # I_d of a generator by the f form is the value of its case
-    def value(lam, d):
-        return classify_case(rstu(lam, d), d).value
-
-    assert value((0, 0, 0, 0), 3) == 2
-    assert value((1, 0, 0, 0), 3) == Fraction(-2, 3 - 1)
-    assert max(value(lam, 3) for lam in all_strategies(Scenario(3))) == 2
+    assert f_value((0, 0, 0, 0), 3) == 2
+    assert f_value((1, 0, 0, 0), 3) == Fraction(-2, 3 - 1)
+    assert max(f_value(lam, 3) for lam in all_strategies(Scenario(3))) == 2
 
 
 def test_scalar_views_match_the_loop_oracle():
-    # rstu, (d-1) f and classify_case are one-column calls of the sweep's
-    # kernels; the oracle writes each out by hand
+    # the sweep's kernels, one column per strategy: rstu, (d-1) f and the
+    # case table read at each strategy's case key; the oracle writes each
+    # out by hand
     for d in range(2, 6):
         lo, hi = window_bounds(d)
         for x in range(lo, hi + 1):
             assert _f_scaled(x, d) == loop_f_scaled(x, d)
-        for lam in all_strategies(Scenario(d)):
-            v = rstu(lam, d)
-            assert tuple(v) == loop_rstu(lam, d)
-            value = Fraction(sum(loop_f_scaled(x, d) for x in v), d - 1)
-            case = classify_case(v, d)
-            assert (case.tag, case.negatives, case.total, case.value) == (
-                loop_case(v, d), sum(x < 0 for x in v), sum(v), value
-            )
+        strategies = all_strategies(Scenario(d))
+        v = _rstu_arrays(np.array(strategies).T, d)
+        codes, values = _key_table(d)
+        keys = _case_key(v, d).sum(axis=0).tolist()
+        for lam, col, by_f, key in zip(strategies, v.T.tolist(), _f_sums(v, d).tolist(), keys):
+            want = loop_rstu(lam, d)
+            assert tuple(col) == want
+            assert by_f == values[key] == sum(loop_f_scaled(x, d) for x in want)
+            assert CASE_TAGS[codes[key]] == loop_case(want, d)
+            assert _case_keys(d)[codes[key]] == (sum(x < 0 for x in want), sum(want))
 
 
 def test_coefficient_form_agrees_with_f_form():
     for d in (2, 3, 4):
         q = cglmp_inequality(d)
         for lam in all_strategies(Scenario(d)):
-            assert evaluate(q, generator(Scenario(d), lam)) == classify_case(rstu(lam, d), d).value
+            assert dot(q.coeffs, generator(Scenario(d), lam).coords) == f_value(lam, d)
 
 
 def test_cglmp_on_uniform_is_zero():
     for d in range(2, 7):
-        assert evaluate(cglmp_inequality(d), uniform_behavior(d)) == 0
+        assert dot(cglmp_inequality(d).coeffs, uniform_behavior(d).coords) == 0
 
 
 def test_cglmp_d2_values():
     q = cglmp_inequality(2)
-    values = {evaluate(q, g) for g in (generator(Scenario(2), lam) for lam in all_strategies(Scenario(2)))}
+    values = {dot(q.coeffs, generator(Scenario(2), lam).coords) for lam in all_strategies(Scenario(2))}
     assert values == {Fraction(2), Fraction(-2)}
-
-
-def test_evaluate_space_mismatch():
-    from bellpoly.correlators import projected_generators
-
-    q = cglmp_inequality(2)
-    with pytest.raises(ValueError):
-        evaluate(q, projected_generators(2)[0])
 
 
 def test_verify_condition1_small():
@@ -132,16 +131,19 @@ def test_value_set_property():
 
 
 def test_classify_case_examples():
-    c = classify_case(RSTU(0, 0, -1, 0), 3)
-    assert (c.tag, c.total, c.value) == ("case2b", -1, Fraction(2))
-    c = classify_case(RSTU(1, -1, -1, 0), 3)
-    assert (c.tag, c.value) == ("case3", Fraction(-1))
-    c = classify_case(RSTU(1, 1, 1, 1), 5)
-    assert (c.tag, c.value) == ("case1", Fraction(2))
-    with pytest.raises(ValueError):
-        classify_case(RSTU(3, 0, 0, 0), 3)  # out of window
-    with pytest.raises(ValueError):
-        classify_case(RSTU(0, 0, 0, 0), 3)  # sum not congruent to -1
+    # the case and (d-1) I_d of an rstu tuple, read off the key table
+    def case(v, d):
+        codes, values = _key_table(d)
+        key = _case_key(np.array(v), d).sum()
+        return int(codes[key]), Fraction(int(values[key]), d - 1)
+
+    code, value = case((0, 0, -1, 0), 3)
+    assert (CASE_TAGS[code], _case_keys(3)[code][1], value) == ("case2b", -1, Fraction(2))
+    code, value = case((1, -1, -1, 0), 3)
+    assert (CASE_TAGS[code], value) == ("case3", Fraction(-1))
+    code, value = case((1, 1, 1, 1), 5)
+    assert (CASE_TAGS[code], value) == ("case1", Fraction(2))
+    assert case((0, 0, 0, 0), 3)[0] == -1  # sum not congruent to -1
 
 
 def test_saturating_generators():
@@ -151,8 +153,8 @@ def test_saturating_generators():
     assert len(sat3) == 30
     q3 = cglmp_inequality(3)
     for lam in sat3:
-        assert evaluate(q3, generator(Scenario(3), lam)) == 2
-        assert classify_case(rstu(lam, 3), 3).tag in ("case1", "case2b")
+        assert dot(q3.coeffs, generator(Scenario(3), lam).coords) == 2
+        assert loop_case(loop_rstu(lam, 3), 3) in ("case1", "case2b")
 
 
 def test_tightness_rank():
@@ -231,7 +233,7 @@ def test_witness_vectors_are_saturating_generators():
         q = cglmp_inequality(d)
         for batch in constructive_witness(d):
             for lam, support in zip(batch.strategies, batch.supports):
-                assert evaluate(q, generator(Scenario(d), lam)) == 2
+                assert dot(q.coeffs, generator(Scenario(d), lam).coords) == 2
                 ones = tuple(int(j in support) for j in range(4 * d * d))
                 assert ones == tuple(int(x) for x in generator(Scenario(d), lam).coords)
 

@@ -16,8 +16,9 @@ from bellpoly.cli import build_parser, main
 from bellpoly.correlators import corr_to_json, project
 from bellpoly.facets import saturation_count, space_vertices
 from bellpoly.jsonio import decode_rational, encode_rational
-from bellpoly.scenario import behavior_to_json, inequality_from_json, uniform_behavior
+from bellpoly.scenario import inequality_from_json
 
+from oracles import behavior_to_json, uniform_behavior
 from test_membership import pr_box
 
 ENUMERATE_STDOUT = json.loads(

@@ -8,14 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import behavior_to_json, chsh_inequality, dot, loop_f_scaled, loop_rstu, uniform_behavior
 
 from bellpoly import linalg
 from bellpoly.cli import main
-from bellpoly.cglmp import classify_case, evaluate, rstu
 from bellpoly.correlators import (
     CorrVector,
     cglmp_corr_inequality,
-    chsh_inequality,
     corr_affine_dim,
     corr_from_json,
     corr_index,
@@ -32,10 +31,8 @@ from bellpoly.scenario import (
     Inequality,
     Scenario,
     all_strategies,
-    behavior_to_json,
     coord_index,
     generator,
-    uniform_behavior,
 )
 
 STDOUT = json.loads(
@@ -104,7 +101,7 @@ def test_chsh_correlators():
     g = generator(Scenario(2), (0, 0, 0, 0))
     assert correlators(g) == (1, 1, 1, 1)
     q = chsh_inequality()
-    assert evaluate(q, project(g)) == 2
+    assert dot(q.coeffs, project(g).coords) == 2
 
 
 def test_chsh_identity_with_difference_probabilities():
@@ -126,13 +123,14 @@ def test_cglmp_corr_matches_behavior_form_on_generators():
         q = cglmp_corr_inequality(d)
         for lam in all_strategies(Scenario(d)):
             g = generator(Scenario(d), lam)
-            assert evaluate(q, project(g)) == classify_case(rstu(lam, d), d).value
+            by_f = Fraction(sum(loop_f_scaled(x, d) for x in loop_rstu(lam, d)), d - 1)
+            assert dot(q.coeffs, project(g).coords) == by_f
 
 
 def test_cglmp_corr_on_uniform():
     for d in range(2, 7):
         u = CorrVector(d, tuple([Fraction(1, d)] * (4 * d)))
-        assert evaluate(cglmp_corr_inequality(d), u) == 0
+        assert dot(cglmp_corr_inequality(d).coeffs, u.coords) == 0
 
 
 def test_lift_pullback_identity():
@@ -149,7 +147,7 @@ def test_lift_pullback_identity():
             for _ in range(5):
                 raw = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4 * d * d))
                 p = Behavior(d, raw)
-                assert evaluate(lifted, p) == evaluate(q, project(p))
+                assert dot(lifted.coeffs, p.coords) == dot(q.coeffs, project(p).coords)
 
 
 def test_difference_index_hits_every_correlator_coordinate_d_times():

@@ -16,7 +16,6 @@ from bellpoly import linalg
 from bellpoly.cglmp import cglmp_inequality
 from bellpoly.correlators import (
     cglmp_corr_inequality,
-    chsh_inequality,
     corr_affine_dim,
     corr_index,
     lift,
@@ -46,6 +45,7 @@ from bellpoly.scenario import (
 from bellpoly.symmetry import gauge, gauge_rows, standard_equations
 
 from oracles import (
+    chsh_inequality,
     fraction_canonicalize,
     fraction_equations,
     fraction_rref,

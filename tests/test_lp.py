@@ -11,9 +11,9 @@ import bellpoly.lp as lp_mod
 from bellpoly import linalg
 from bellpoly.lp import lp_max
 from bellpoly.scenario import Scenario, constraint_matrix
-from bellpoly.correlators import chsh_inequality, lift
+from bellpoly.correlators import lift
 
-from oracles import fraction_lp_max, gather_scatter_pivot, nosignaling_vertices
+from oracles import chsh_inequality, fraction_lp_max, gather_scatter_pivot, nosignaling_vertices
 
 
 def test_segment():

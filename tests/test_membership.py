@@ -8,18 +8,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import fraction_lp_max, gauge_orbit_min
+from oracles import (
+    behavior_to_json,
+    chsh_inequality,
+    dot,
+    fraction_lp_max,
+    fraction_slack,
+    gauge_orbit_min,
+    uniform_behavior,
+)
 
 import bellpoly.lp as lp_mod
 import bellpoly.membership as membership_mod
 from bellpoly import linalg
 from bellpoly.cli import main
 
-from bellpoly.cglmp import cglmp_inequality, evaluate
+from bellpoly.cglmp import cglmp_inequality
 from bellpoly.correlators import (
     CorrVector,
     cglmp_corr_inequality,
-    chsh_inequality,
     corr_index,
     corr_to_json,
     lift,
@@ -35,11 +42,9 @@ from bellpoly.scenario import (
     Scenario,
     all_generators,
     all_strategies,
-    behavior_to_json,
     constraint_matrix,
     coord_index,
     generator,
-    uniform_behavior,
 )
 from bellpoly.symmetry import equivalent, gauge_rows
 
@@ -115,15 +120,15 @@ def test_generators_are_local_d2():
 def test_pr_box_is_nonlocal_with_chsh_certificate():
     box = pr_box()
     # the independent check: the CGLMP form itself reaches 4 on this box
-    assert evaluate(cglmp_inequality(2), box) == 4
+    assert dot(cglmp_inequality(2).coeffs, box.coords) == 4
     res = local_decompose(box)
     assert not res.local
     cert = res.certificate
     assert res.violation > 0
     # certificate soundness, re-verified from scratch
     for lam in all_strategies(Scenario(2)):
-        assert evaluate(cert, generator(Scenario(2), lam)) <= cert.bound
-    assert evaluate(cert, box) == cert.bound + res.violation > cert.bound
+        assert dot(cert.coeffs, generator(Scenario(2), lam).coords) <= cert.bound
+    assert dot(cert.coeffs, box.coords) == cert.bound + res.violation > cert.bound
     assert equivalent(cert, cglmp_inequality(2))
     assert equivalent(cert, lift(chsh_inequality()))
     assert res.certificate_class == "cglmp"
@@ -190,7 +195,7 @@ def test_corr_maximizer_d3_is_nonlocal_with_cglmp_certificate():
     assert verdict.certificate_class == "cglmp"
     assert equivalent(verdict.certificate, cglmp_corr_inequality(3))
     for g in projected_generators(3):
-        assert evaluate(verdict.certificate, g) <= verdict.certificate.bound
+        assert dot(verdict.certificate.coeffs, g.coords) <= verdict.certificate.bound
     value = sum(a * b for a, b in zip(verdict.certificate.coeffs, c.coords))
     assert value - verdict.certificate.bound == verdict.violation > 0
 
@@ -423,6 +428,44 @@ def test_lp_check_is_the_reconstruction_check(monkeypatch, space, d):
     tampered[x.index(0)] += 1
     with pytest.raises(AssertionError, match="violates a constraint row"):
         check(p, tampered, y, opt, den)
+
+
+@pytest.mark.parametrize("space,d", [("correlator", 3), ("behavior", 2), ("correlator", 4)])
+def test_certificate_bound_is_the_checked_ray_dual(monkeypatch, space, d):
+    # the interior-ray LP's _check_optimal proves -y[:n].v <= y[n] on every
+    # vertex and, by strong duality, equality on a weighted one, so the last
+    # dual entry is the certificate's local maximum; local_max runs once, on
+    # the printed certificate
+    results, checked, maxima = [], [], []
+    check, real_max = lp_mod._check_optimal, membership_mod.local_max
+
+    def record(*args, **kwargs):
+        results.append(lp_max(*args, **kwargs))
+        return results[-1]
+
+    def spy(*args):
+        checked.append(args)
+        check(*args)
+
+    def counting(ineq):
+        maxima.append(ineq)
+        return real_max(ineq)
+
+    monkeypatch.setattr(membership_mod, "lp_max", record)
+    monkeypatch.setattr(lp_mod, "_check_optimal", spy)
+    monkeypatch.setattr(membership_mod, "local_max", counting)
+    res = _decompose(_generalized_pr_box(space, d))
+    assert not res.local and maxima == [res.certificate]
+    # the feasibility LP is infeasible, so the one optimum checked is the ray's
+    assert [r.status for r in results] == ["infeasible", "optimal"]
+    ((p, x, y, opt, den),) = checked
+    n = p.A.shape[0] - 1
+    dual = results[-1].dual
+    assert dual[n] == -min(fraction_slack([-v for v in dual[:n]], 0, space_vertices(space, d).tolist()))
+    raised = list(y)
+    raised[n] += p.cscale * den  # dual[n] + 1
+    with pytest.raises(AssertionError, match="dual objective differs"):
+        check(p, x, raised, opt, den)
 
 
 @pytest.mark.parametrize("limit", [None, 2**4])

@@ -13,7 +13,6 @@ from bellpoly.scenario import (
     all_generators,
     all_strategies,
     behavior_from_json,
-    behavior_to_json,
     constraint_matrix,
     constraint_verdicts,
     coord_index,
@@ -22,9 +21,10 @@ from bellpoly.scenario import (
     inequality_to_json,
     polytope_affine_dim,
     spanning_strategy_grid,
-    uniform_behavior,
 )
 from bellpoly.cglmp import cglmp_inequality
+
+from oracles import behavior_to_json, uniform_behavior
 
 
 def test_generator_all_zero_strategy_d2():

@@ -12,6 +12,8 @@ from oracles import (
     _loop_behavior_perm,
     _loop_correlator_perm,
     apply_row,
+    chsh_inequality,
+    dot,
     gauge_key,
     gauge_labels,
     gauge_orbit,
@@ -20,10 +22,9 @@ from oracles import (
     tuple_labels,
 )
 
-from bellpoly.cglmp import cglmp_inequality, evaluate
+from bellpoly.cglmp import cglmp_inequality
 from bellpoly.correlators import (
     cglmp_corr_inequality,
-    chsh_inequality,
     corr_index,
     project,
     projected_generators,
@@ -178,7 +179,7 @@ def test_eval_invariance():
     for _ in range(30):
         op = rng.choice(grp)
         p = Behavior(d, tuple(Fraction(rng.randint(-5, 9), 11) for _ in range(16)))
-        assert evaluate(apply_row(op, q), apply_row(op, p)) == evaluate(q, p)
+        assert dot(apply_row(op, q).coeffs, apply_row(op, p).coords) == dot(q.coeffs, p.coords)
 
 
 def test_inverse():
@@ -331,7 +332,7 @@ def test_equivalent_agrees_with_canonical_class(space, d, pairs):
     verts, group, pool = _space(space, d)
     for _ in range(2):  # generic inequalities, valid but not facets
         coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(len(verts[0].coords)))
-        bound = max(evaluate(Inequality(space, d, coeffs, 0), v) for v in verts)
+        bound = max(dot(coeffs, v.coords) for v in verts)
         pool.append(Inequality(space, d, coeffs, bound))
     seen = set()
     for i in range(pairs):
@@ -365,7 +366,7 @@ def test_label_classes_match_tuple_oracle(space, d):
     verts, group, facets = _space(space, d)
     for _ in range(3):
         coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(len(verts[0].coords)))
-        bound = max(evaluate(Inequality(space, d, coeffs, 0), v) for v in verts) - rng.randrange(2)
+        bound = max(dot(coeffs, v.coords) for v in verts) - rng.randrange(2)
         facets.append(Inequality(space, d, coeffs, bound))
     for _ in range(3):
         items = [_regauged(apply_row(rng.choice(group), q), rng) for q in rng.choices(facets, k=40)]
