@@ -12,7 +12,6 @@ from .scenario import (
     Behavior,
     DeterministicStrategy,
     Inequality,
-    Scenario,
     all_generators,
     constraint_matrix,
     generator,

@@ -27,7 +27,6 @@ from .facets import classify_trivial, enumerate_facets, saturation_count, space_
 from .jsonio import decode_int, encode_rational
 from .scenario import (
     BLOCKS,
-    Scenario,
     _constraint_system,
     behavior_from_json,
     constraint_rank,
@@ -69,10 +68,9 @@ def _load_json(path: str) -> dict:
 
 def cmd_dims(args) -> Output:
     d = _parse_d(args.d)
-    s = Scenario(d)
     nrows = len(_constraint_system(d)[0])
-    got_rank = constraint_rank(s)
-    got_dim = polytope_affine_dim(s)
+    got_rank = constraint_rank(d)
+    got_dim = polytope_affine_dim(d)
     ok = got_rank == 4 * d and got_dim == 4 * d * (d - 1)
     payload = {
         "d": d,

@@ -37,7 +37,7 @@ from .correlators import CorrVector, cglmp_corr_inequality, is_corr_probability
 from .facets import space_vertices
 from .linalg import integer_rows, slack_matrix
 from .lp import lp_max
-from .scenario import Behavior, Inequality, Scenario, all_strategies, constraint_verdicts
+from .scenario import Behavior, Inequality, all_strategies, constraint_verdicts
 from .symmetry import _orbit, _row_keys, gauge_rows, has_group
 
 
@@ -80,7 +80,7 @@ def _labels(space: str, d: int) -> tuple:
     strategy, or for a projected generator its four outcome differences,
     the positions of its unit entries within their blocks."""
     if space == "behavior":
-        return tuple(all_strategies(Scenario(d)))
+        return tuple(all_strategies(d))
     ones = np.nonzero(space_vertices(space, d))[1].reshape(-1, 4)
     return tuple(map(tuple, (ones % d).tolist()))
 

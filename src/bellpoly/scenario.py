@@ -1,5 +1,6 @@
 """The two-party, two-setting, d-outcome measurement scenario.
 
+The scenario is the one integer d; every function here that needs it takes d.
 A behavior is the table of joint outcome probabilities P(A_a=k, B_b=s)
 flattened into a single vector of length 4d^2.  The coordinate order is
 fixed globally:
@@ -31,17 +32,6 @@ from . import linalg
 from .jsonio import decode_int, decode_rational, encode_rational
 
 BLOCKS = ((1, 1), (1, 2), (2, 1), (2, 2))
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Two observables per party, d outcomes per observable."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("scenario needs d >= 2 outcomes")
 
 
 class DeterministicStrategy(NamedTuple):
@@ -94,22 +84,22 @@ def check_strategy(d: int, lam: DeterministicStrategy) -> None:
             raise ValueError(f"strategy {lam} out of range for d={d}")
 
 
-def generator(s: Scenario, lam: DeterministicStrategy) -> Behavior:
+def generator(d: int, lam: DeterministicStrategy) -> Behavior:
     """0/1 behavior of a deterministic strategy, as Python ints; exactly
     four ones."""
     lam = DeterministicStrategy(*lam)
-    check_strategy(s.d, lam)
-    row = generator_rows(s.d, np.array(lam)[:, None])[0]
-    return Behavior(s.d, tuple(row.tolist()))
+    check_strategy(d, lam)
+    row = generator_rows(d, np.array(lam)[:, None])[0]
+    return Behavior(d, tuple(row.tolist()))
 
 
-def all_strategies(s: Scenario) -> list[DeterministicStrategy]:
-    return [DeterministicStrategy(*lam) for lam in itertools.product(range(s.d), repeat=4)]
+def all_strategies(d: int) -> list[DeterministicStrategy]:
+    return [DeterministicStrategy(*lam) for lam in itertools.product(range(d), repeat=4)]
 
 
-def all_generators(s: Scenario) -> list[Behavior]:
+def all_generators(d: int) -> list[Behavior]:
     """The d^4 generators in lexicographic strategy order."""
-    return [generator(s, lam) for lam in all_strategies(s)]
+    return [generator(d, lam) for lam in all_strategies(d)]
 
 
 def generator_supports(d: int, strategies: np.ndarray) -> np.ndarray:
@@ -158,17 +148,17 @@ def _constraint_system(d: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return mat, (1,) * 4 + (0,) * (4 * d)
 
 
-def constraint_matrix(s: Scenario) -> tuple[list[list[int]], list[int]]:
+def constraint_matrix(d: int) -> tuple[list[list[int]], list[int]]:
     """The normalization and no-signaling system of ``_constraint_system``
     as lists of Python ints: (rows, right-hand side)."""
-    mat, rhs = _constraint_system(s.d)
+    mat, rhs = _constraint_system(d)
     return mat.tolist(), list(rhs)
 
 
 @lru_cache(maxsize=None)
-def constraint_rank(s: Scenario) -> int:
+def constraint_rank(d: int) -> int:
     """Rank of the normalization and no-signalling system (4d, computed)."""
-    return linalg.int_rank(_constraint_system(s.d)[0])
+    return linalg.int_rank(_constraint_system(d)[0])
 
 
 def constraint_verdicts(p: Behavior, scaled: tuple[np.ndarray, int] | None = None) -> tuple[bool, bool]:
@@ -183,7 +173,7 @@ def constraint_verdicts(p: Behavior, scaled: tuple[np.ndarray, int] | None = Non
     return not residual[:4].any(), not residual[4:].any()
 
 
-def polytope_affine_dim(s: Scenario) -> int:
+def polytope_affine_dim(d: int) -> int:
     """Affine dimension of the hull of all d^4 generators.
 
     Every generator solves the normalization and no-signalling system, so
@@ -197,8 +187,7 @@ def polytope_affine_dim(s: Scenario) -> int:
     the upper bound it is the answer; otherwise the differences of all d^4
     generators are ranked.
     """
-    d = s.d
-    upper = 4 * d * d - constraint_rank(s)
+    upper = 4 * d * d - constraint_rank(d)
     grid = spanning_strategy_grid(d)[::-1].T
     if linalg.has_fresh_coordinate(generator_supports(d, grid), 4 * d * d).all() and grid.shape[1] - 1 == upper:
         return upper
@@ -256,9 +245,12 @@ def inequality_to_json(ineq: Inequality) -> dict:
 
 
 def inequality_from_json(data: dict) -> Inequality:
+    coeffs = data["coeffs"]
+    if not isinstance(coeffs, list):  # a string would read one character at a time
+        raise TypeError("'coeffs' must be a JSON array")
     return Inequality(
         space=str(data["space"]),
         d=decode_int(data["d"]),
-        coeffs=tuple(decode_rational(c) for c in data["coeffs"]),
+        coeffs=tuple(decode_rational(c) for c in coeffs),
         bound=decode_rational(data["bound"]),
     )

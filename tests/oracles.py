@@ -95,7 +95,7 @@ def nosignaling_vertices(d: int) -> tuple:
     of their hull are exactly the 16 positivity constraints.
     """
     from bellpoly.facets import enumerate_facets, vrep_of
-    from bellpoly.scenario import Scenario, constraint_matrix
+    from bellpoly.scenario import constraint_matrix
 
     if d != 2:
         raise ValueError("the written-out vertex list is for d=2")
@@ -108,7 +108,7 @@ def nosignaling_vertices(d: int) -> tuple:
         )
         for box in itertools.product(range(2), repeat=3)
     ]
-    rows, rhs = constraint_matrix(Scenario(2))
+    rows, rhs = constraint_matrix(2)
     for p in points:
         assert min(p) >= 0
         assert [sum(c * x for c, x in zip(row, p)) for row in rows] == rhs
@@ -181,10 +181,10 @@ def square_subset_facets(vertices_reduced, dim):
 def fraction_equations(space: str, d: int):
     """The affine-hull equations of a standard space as (rows, pivots):
     the fraction_rref rows [w | rhs] with a unit pivot each."""
-    from bellpoly.scenario import Scenario, constraint_matrix
+    from bellpoly.scenario import constraint_matrix
 
     if space == "behavior":
-        rows, rhs = constraint_matrix(Scenario(d))
+        rows, rhs = constraint_matrix(d)
     else:  # the four correlator block sums are 1
         rows, rhs = [[int(j // d == block) for j in range(4 * d)] for block in range(4)], [1] * 4
     red, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)])

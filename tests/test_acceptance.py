@@ -35,7 +35,6 @@ from bellpoly.lp import lp_max
 from bellpoly.membership import local_decompose
 from bellpoly.scenario import (
     Behavior,
-    Scenario,
     all_strategies,
     constraint_matrix,
     generator,
@@ -80,16 +79,16 @@ def test_criterion_02_tightness_rank_and_staged_witness():
 
 def test_criterion_03_constraint_system_rank():
     for d in DRANGE:
-        rows, _ = constraint_matrix(Scenario(d))
+        rows, _ = constraint_matrix(d)
         assert linalg.rank(rows) == 4 * d
     print("PASS criterion 3: normalization + no-signaling rank = 4d for d=2..10")
 
 
 def test_criterion_04_affine_dimension():
     for d in DRANGE:
-        assert polytope_affine_dim(Scenario(d)) == 4 * d * (d - 1)
+        assert polytope_affine_dim(d) == 4 * d * (d - 1)
         fam = spanning_strategy_grid(d)
-        mat = [generator(Scenario(d), lam).coords for lam in fam]
+        mat = [generator(d, lam).coords for lam in fam]
         assert linalg.rank(mat) == (2 * d - 1) ** 2
     print("PASS criterion 4: affine dim = 4d(d-1) and the (2d-1)^2 family is independent, d=2..10")
 
@@ -168,8 +167,8 @@ def test_criterion_08_projection_invariance():
         direct = cglmp_inequality(d)
         assert lifted.bound == direct.bound
         assert lifted.coeffs == direct.coeffs
-        for lam in all_strategies(Scenario(d)) if d <= 4 else all_strategies(Scenario(d))[:500]:
-            g = generator(Scenario(d), lam)
+        for lam in all_strategies(d) if d <= 4 else all_strategies(d)[:500]:
+            g = generator(d, lam)
             assert dot(lifted.coeffs, g.coords) == dot(direct.coeffs, g.coords)
     print("PASS criterion 8: lifted correlator form agrees with the behavior form, d=2..6")
 
@@ -185,7 +184,7 @@ def test_criterion_09_membership():
         for lam, w in res.weights.items():
             assert w > 0
             total += w
-            for i, x in enumerate(generator(Scenario(d), lam).coords):
+            for i, x in enumerate(generator(d, lam).coords):
                 if x:
                     recon[i] += w
         assert total == 1 and tuple(recon) == u.coords
@@ -196,15 +195,15 @@ def test_criterion_09_membership():
     res = local_decompose(box)
     assert not res.local
     cert = res.certificate
-    for lam in all_strategies(Scenario(2)):
-        assert dot(cert.coeffs, generator(Scenario(2), lam).coords) <= cert.bound
+    for lam in all_strategies(2):
+        assert dot(cert.coeffs, generator(2, lam).coords) <= cert.bound
     assert dot(cert.coeffs, box.coords) > cert.bound
     assert equivalent(cert, lift(chsh_inequality()))
 
     # every generator decomposes onto itself
     for d in (2, 3):
-        for lam in all_strategies(Scenario(d)):
-            res = local_decompose(generator(Scenario(d), lam))
+        for lam in all_strategies(d):
+            res = local_decompose(generator(d, lam))
             assert res.local
             assert res.weights == {lam: Fraction(1)}
     print("PASS criterion 9: uniform local, PR box nonlocal at value 4 with CHSH-equivalent certificate, all generators local (d=2,3)")

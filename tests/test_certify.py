@@ -16,7 +16,7 @@ import pytest
 
 from bellpoly import cglmp, linalg, scenario
 from bellpoly.cli import main
-from bellpoly.scenario import Scenario, polytope_affine_dim
+from bellpoly.scenario import polytope_affine_dim
 
 from oracles import (
     full_polytope_affine_dim,
@@ -53,7 +53,7 @@ def test_tightness_rank_matches_full_saturating_rank(d):
 
 @pytest.mark.parametrize("d", ORACLE_DS)
 def test_affine_dim_matches_full_generator_rank(d):
-    assert polytope_affine_dim(Scenario(d)) == full_polytope_affine_dim(d)
+    assert polytope_affine_dim(d) == full_polytope_affine_dim(d)
 
 
 @pytest.mark.parametrize("d", ORACLE_DS)
@@ -172,7 +172,7 @@ def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
 
     pivot_columns = linalg.pivot_columns
     for d in range(2, 13):
-        scenario.constraint_rank(Scenario(d))  # ranked once per d, before the guard
+        scenario.constraint_rank(d)  # ranked once per d, before the guard
     monkeypatch.setattr(cglmp, "_saturating_strategies", refuse)
     monkeypatch.setattr(scenario, "generator_matrix", refuse)
     monkeypatch.setattr(scenario, "generator_rows", refuse)
@@ -182,7 +182,7 @@ def test_witness_and_grid_settle_without_the_full_matrices(monkeypatch):
     for d in range(2, 13):
         stack = (12 * d, 8 * d) if d % 4 == 1 else None
         assert cglmp.tightness_rank(d).tight
-        assert polytope_affine_dim(Scenario(d)) == 4 * d * (d - 1)
+        assert polytope_affine_dim(d) == 4 * d * (d - 1)
     assert eliminated == [(12 * d, 8 * d) for d in (5, 9)]
 
 

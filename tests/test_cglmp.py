@@ -25,7 +25,7 @@ from bellpoly.cglmp import (
     window_bounds,
     witness_steps,
 )
-from bellpoly.scenario import Scenario, all_strategies, generator, generator_rows
+from bellpoly.scenario import all_strategies, generator, generator_rows
 
 
 def f_value(lam, d):
@@ -62,7 +62,7 @@ def test_eval_on_generator_examples():
     # I_d of a generator by the f form is the value of its case
     assert f_value((0, 0, 0, 0), 3) == 2
     assert f_value((1, 0, 0, 0), 3) == Fraction(-2, 3 - 1)
-    assert max(f_value(lam, 3) for lam in all_strategies(Scenario(3))) == 2
+    assert max(f_value(lam, 3) for lam in all_strategies(3)) == 2
 
 
 def test_scalar_views_match_the_loop_oracle():
@@ -73,7 +73,7 @@ def test_scalar_views_match_the_loop_oracle():
         lo, hi = window_bounds(d)
         for x in range(lo, hi + 1):
             assert _f_scaled(x, d) == loop_f_scaled(x, d)
-        strategies = all_strategies(Scenario(d))
+        strategies = all_strategies(d)
         v = _rstu_arrays(np.array(strategies).T, d)
         codes, values = _key_table(d)
         keys = _case_key(v, d).sum(axis=0).tolist()
@@ -88,8 +88,8 @@ def test_scalar_views_match_the_loop_oracle():
 def test_coefficient_form_agrees_with_f_form():
     for d in (2, 3, 4):
         q = cglmp_inequality(d)
-        for lam in all_strategies(Scenario(d)):
-            assert dot(q.coeffs, generator(Scenario(d), lam).coords) == f_value(lam, d)
+        for lam in all_strategies(d):
+            assert dot(q.coeffs, generator(d, lam).coords) == f_value(lam, d)
 
 
 def test_cglmp_on_uniform_is_zero():
@@ -99,7 +99,7 @@ def test_cglmp_on_uniform_is_zero():
 
 def test_cglmp_d2_values():
     q = cglmp_inequality(2)
-    values = {dot(q.coeffs, generator(Scenario(2), lam).coords) for lam in all_strategies(Scenario(2))}
+    values = {dot(q.coeffs, generator(2, lam).coords) for lam in all_strategies(2)}
     assert values == {Fraction(2), Fraction(-2)}
 
 
@@ -153,7 +153,7 @@ def test_saturating_generators():
     assert len(sat3) == 30
     q3 = cglmp_inequality(3)
     for lam in sat3:
-        assert dot(q3.coeffs, generator(Scenario(3), lam).coords) == 2
+        assert dot(q3.coeffs, generator(3, lam).coords) == 2
         assert loop_case(loop_rstu(lam, 3), 3) in ("case1", "case2b")
 
 
@@ -233,9 +233,9 @@ def test_witness_vectors_are_saturating_generators():
         q = cglmp_inequality(d)
         for batch in constructive_witness(d):
             for lam, support in zip(batch.strategies, batch.supports):
-                assert dot(q.coeffs, generator(Scenario(d), lam).coords) == 2
+                assert dot(q.coeffs, generator(d, lam).coords) == 2
                 ones = tuple(int(j in support) for j in range(4 * d * d))
-                assert ones == tuple(int(x) for x in generator(Scenario(d), lam).coords)
+                assert ones == tuple(int(x) for x in generator(d, lam).coords)
 
 
 def test_witness_rank_agrees_with_tightness_rank():
@@ -269,7 +269,7 @@ def test_saturating_matrix_rows_are_the_saturating_generators():
     for d in range(2, 6):
         sat = _saturating_strategies(d)
         mat = generator_rows(d, sat.T)
-        expected = [generator(Scenario(d), lam).coords for lam in sat.tolist()]
+        expected = [generator(d, lam).coords for lam in sat.tolist()]
         assert [tuple(Fraction(int(x)) for x in row) for row in mat] == expected
 
 

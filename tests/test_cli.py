@@ -250,6 +250,13 @@ def test_classify_rejects_a_facet_list_that_is_not_an_array(tmp_path, capsys, fa
     assert "'facets' must be a JSON array" in _classify_error(tmp_path, capsys, doc)
 
 
+def test_classify_rejects_coefficients_that_are_not_an_array(tmp_path, capsys):
+    # iterated, the string would read as the coefficients [1, 0, 0, 0, 0, 0,
+    # 0, 0]: a facet that touches no vertex, and exit 1
+    doc = {"space": "correlator", "d": 2, "facets": [{"coeffs": "10000000", "bound": 5}]}
+    assert _classify_error(tmp_path, capsys, doc) == "error: bad facet list: 'coeffs' must be a JSON array\n"
+
+
 @pytest.mark.parametrize("coeffs,bound", [([1, 1, 0, 0, 0, 0, 0, 0], 1), ([0] * 8, 0)])
 def test_classify_rejects_equations_on_the_hull(tmp_path, capsys, coeffs, bound):
     doc = {"space": "correlator", "d": 2, "facets": [{"coeffs": coeffs, "bound": bound}]}

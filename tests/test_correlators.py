@@ -29,7 +29,6 @@ from bellpoly.scenario import (
     BLOCKS,
     Behavior,
     Inequality,
-    Scenario,
     all_strategies,
     coord_index,
     generator,
@@ -48,7 +47,7 @@ def test_project_uniform():
 
 
 def test_project_generator_d3():
-    c = project(generator(Scenario(3), (0, 0, 0, 0)))
+    c = project(generator(3, (0, 0, 0, 0)))
     for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
         assert c[(a, b, 0)] == 1
         assert c[(a, b, 1)] == 0
@@ -98,7 +97,7 @@ def test_chsh_correlators():
 
     u = uniform_behavior(2)
     assert correlators(u) == (0, 0, 0, 0)
-    g = generator(Scenario(2), (0, 0, 0, 0))
+    g = generator(2, (0, 0, 0, 0))
     assert correlators(g) == (1, 1, 1, 1)
     q = chsh_inequality()
     assert dot(q.coeffs, project(g).coords) == 2
@@ -112,7 +111,7 @@ def test_chsh_identity_with_difference_probabilities():
 
     rng = random.Random(31)
     points = [Behavior(2, tuple(Fraction(rng.randint(0, 6), 7) for _ in range(16))) for _ in range(10)]
-    points += [generator(Scenario(2), lam) for lam in all_strategies(Scenario(2))]
+    points += [generator(2, lam) for lam in all_strategies(2)]
     for p in points:
         c = project(p)
         assert tuple(c[(a, b, 0)] - c[(a, b, 1)] for a, b in BLOCKS) == signed_sums(p)
@@ -121,8 +120,8 @@ def test_chsh_identity_with_difference_probabilities():
 def test_cglmp_corr_matches_behavior_form_on_generators():
     for d in (2, 3):
         q = cglmp_corr_inequality(d)
-        for lam in all_strategies(Scenario(d)):
-            g = generator(Scenario(d), lam)
+        for lam in all_strategies(d):
+            g = generator(d, lam)
             by_f = Fraction(sum(loop_f_scaled(x, d) for x in loop_rstu(lam, d)), d - 1)
             assert dot(q.coeffs, project(g).coords) == by_f
 
@@ -197,8 +196,7 @@ def test_projected_generator_matrix_is_the_sorted_distinct_projections():
 
     for d in range(2, 5):
         mat = projected_generator_matrix(d)
-        s = Scenario(d)
-        expected = sorted({project(generator(s, lam)).coords for lam in all_strategies(s)})
+        expected = sorted({project(generator(d, lam)).coords for lam in all_strategies(d)})
         assert [tuple(Fraction(int(x)) for x in row) for row in mat] == expected
 
 
@@ -225,10 +223,10 @@ def project_query(key):
     if kind == "uniform":
         return uniform_behavior(d)
     if kind == "generator":
-        return generator(Scenario(d), strategy())
+        return generator(d, strategy())
     if kind == "mixture":
         weights = [rng.randint(1, 9) for _ in range(3)]
-        gens = [generator(Scenario(d), strategy()) for _ in weights]
+        gens = [generator(d, strategy()) for _ in weights]
         return Behavior(d, tuple(
             Fraction(sum(w * g.coords[i] for w, g in zip(weights, gens)), sum(weights)) for i in range(4 * d * d)
         ))

@@ -35,7 +35,6 @@ from bellpoly.facets import (
 from bellpoly.lp import lp_max
 from bellpoly.scenario import (
     Inequality,
-    Scenario,
     all_generators,
     constraint_rank,
     generator_matrix,
@@ -239,7 +238,7 @@ def test_saturation_counts():
     count, rk = saturation_count(chsh_inequality(), gens2)
     assert (count, rk) == (4, 4)
 
-    gens3 = all_generators(Scenario(3))
+    gens3 = all_generators(3)
     count, rk = saturation_count(cglmp_inequality(3), gens3)
     assert count == 30
     assert rk == 24
@@ -461,9 +460,9 @@ def test_facet_pipeline_runs_without_fraction_elimination(monkeypatch):
     square = tuple((Fraction(x, 3), Fraction(y, 5), Fraction(x + y, 7)) for x in (0, 1) for y in (0, 1))
     hrep = enumerate_facets(vrep_of(square))
     assert hrep.reduced_dim == 2 and len(hrep.equations) == 1 and len(hrep.facets) == 4
-    assert [constraint_rank.__wrapped__(Scenario(d)) for d in (2, 3, 5)] == [8, 12, 20]
+    assert [constraint_rank.__wrapped__(d) for d in (2, 3, 5)] == [8, 12, 20]
     assert [corr_affine_dim(d) for d in (2, 3, 4)] == [4, 8, 12]
-    assert linalg.affine_dim(generator_matrix(3)) == polytope_affine_dim(Scenario(3)) == 24
+    assert linalg.affine_dim(generator_matrix(3)) == polytope_affine_dim(3) == 24
     assert linalg.affine_dim(square) == 2
 
 
@@ -596,7 +595,7 @@ def _dd_case(name):
     if kind == "corr":
         return projected_generators(int(arg))
     if kind == "behavior":
-        return all_generators(Scenario(int(arg)))
+        return all_generators(int(arg))
     if kind == "random":
         return _random_points(int(arg), -2, 2)
     # the cyclic 3-polytope: n points on the moment curve, 2n - 4 facets

@@ -8,7 +8,7 @@ import pytest
 from bellpoly import linalg
 from bellpoly.facets import dd_extreme_rays
 from bellpoly.linalg import affine_dim, int_rank, nullspace, rank, rref
-from bellpoly.scenario import Scenario, all_generators, constraint_matrix
+from bellpoly.scenario import all_generators, constraint_matrix
 
 from oracles import fraction_rref, support_pivot_columns
 
@@ -28,7 +28,7 @@ def test_rank_empty():
 
 
 def test_rank_scenario_constraints_d3():
-    rows, _ = constraint_matrix(Scenario(3))
+    rows, _ = constraint_matrix(3)
     assert len(rows) == 16
     assert rank(rows) == 12
 
@@ -147,7 +147,7 @@ def test_affine_dim_collinear():
 
 
 def test_affine_dim_generators_d2():
-    pts = [g.coords for g in all_generators(Scenario(2))]
+    pts = [g.coords for g in all_generators(2)]
     assert affine_dim(pts) == 8
 
 

@@ -10,7 +10,7 @@ import pytest
 import bellpoly.lp as lp_mod
 from bellpoly import linalg
 from bellpoly.lp import lp_max
-from bellpoly.scenario import Scenario, constraint_matrix
+from bellpoly.scenario import constraint_matrix
 from bellpoly.correlators import lift
 
 from oracles import chsh_inequality, fraction_lp_max, gather_scatter_pivot, nosignaling_vertices
@@ -60,7 +60,7 @@ def test_chsh_over_nosignaling_polytope_matches_vertex_oracle():
     chsh = lift(chsh_inequality())
     oracle_max = max(sum(c * x for c, x in zip(chsh.coeffs, v)) for v in verts)
     assert oracle_max == 4
-    rows, rhs = constraint_matrix(Scenario(2))
+    rows, rhs = constraint_matrix(2)
     res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs)
     assert res.status == "optimal"
     assert res.optimum == 4
@@ -167,7 +167,7 @@ def test_nosignaling_dual_keeps_redundant_rows():
     from bellpoly.facets import nosignaling_max
 
     chsh = lift(chsh_inequality())
-    rows, rhs = constraint_matrix(Scenario(2))
+    rows, rhs = constraint_matrix(2)
     res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs)
     assert res.status == "optimal"
     assert res.optimum == nosignaling_max(chsh_inequality()) == 4
@@ -189,7 +189,7 @@ def test_optimality_check_rejects_a_wrong_dual():
     from bellpoly.lp import _check_optimal
 
     chsh = lift(chsh_inequality())
-    rows, rhs = constraint_matrix(Scenario(2))
+    rows, rhs = constraint_matrix(2)
     res = lp_max(chsh.coeffs, eq_rows=rows, eq_rhs=rhs)
     p, x, y, opt, den = _integer_optimal(res, chsh.coeffs, rows, rhs)
     args = (p, x, y, opt, den)

@@ -39,7 +39,6 @@ from bellpoly.membership import corr_local_decompose, local_decompose, local_max
 from bellpoly.scenario import (
     Behavior,
     Inequality,
-    Scenario,
     all_generators,
     all_strategies,
     constraint_matrix,
@@ -67,7 +66,7 @@ def _verify_decomposition(res, p):
     for lam, w in res.weights.items():
         assert w > 0
         total += w
-        g = generator(Scenario(p.d), lam)
+        g = generator(p.d, lam)
         for i, x in enumerate(g.coords):
             if x:
                 recon[i] += w
@@ -111,8 +110,8 @@ def test_uniform_is_local():
 
 
 def test_generators_are_local_d2():
-    for lam in all_strategies(Scenario(2)):
-        g = generator(Scenario(2), lam)
+    for lam in all_strategies(2):
+        g = generator(2, lam)
         res = local_decompose(g)
         _verify_decomposition(res, g)
 
@@ -126,8 +125,8 @@ def test_pr_box_is_nonlocal_with_chsh_certificate():
     cert = res.certificate
     assert res.violation > 0
     # certificate soundness, re-verified from scratch
-    for lam in all_strategies(Scenario(2)):
-        assert dot(cert.coeffs, generator(Scenario(2), lam).coords) <= cert.bound
+    for lam in all_strategies(2):
+        assert dot(cert.coeffs, generator(2, lam).coords) <= cert.bound
     assert dot(cert.coeffs, box.coords) == cert.bound + res.violation > cert.bound
     assert equivalent(cert, cglmp_inequality(2))
     assert equivalent(cert, lift(chsh_inequality()))
@@ -175,7 +174,7 @@ def test_corr_membership_local_cases():
 def test_projection_of_local_stays_local():
     box = pr_box()
     mixed = Behavior(
-        2, tuple((x + u) / 2 for x, u in zip(generator(Scenario(2), (0, 1, 1, 0)).coords, uniform_behavior(2).coords))
+        2, tuple((x + u) / 2 for x, u in zip(generator(2, (0, 1, 1, 0)).coords, uniform_behavior(2).coords))
     )
     assert local_decompose(mixed).local
     assert corr_local_decompose(project(mixed)).local
@@ -184,7 +183,7 @@ def test_projection_of_local_stays_local():
 def test_corr_maximizer_d3_is_nonlocal_with_cglmp_certificate():
     # get a no-signaling behavior maximizing the CGLMP form, then project
     q = lift(cglmp_corr_inequality(3))
-    rows, rhs = constraint_matrix(Scenario(3))
+    rows, rhs = constraint_matrix(3)
     res = lp_max(q.coeffs, eq_rows=rows, eq_rhs=rhs)
     assert res.status == "optimal"
     assert res.optimum == 4  # all four difference terms at their best weight
@@ -361,7 +360,7 @@ def test_cached_membership_arrays_are_read_only(space, d):
 def _mixture_query(rng, space, d):
     """A seeded convex mixture of three to six generators, so local."""
     if space == "behavior":
-        gens = [g.coords for g in all_generators(Scenario(d))]
+        gens = [g.coords for g in all_generators(d)]
     else:
         gens = [g.coords for g in projected_generators(d)]
     picks = [rng.choice(gens) for _ in range(rng.randint(3, 6))]

@@ -8,7 +8,6 @@ from bellpoly.facets import enumerate_facets, vrep_of
 from bellpoly.linalg import affine_dim
 from bellpoly.scenario import (
     Behavior,
-    Scenario,
     all_generators,
     constraint_matrix,
 )
@@ -24,8 +23,8 @@ def test_zero_vector_evaluates_to_zero():
 
 def test_normalization_rows_are_one_on_every_generator():
     for d in (2, 3):
-        rows, rhs = constraint_matrix(Scenario(d))
-        for g in all_generators(Scenario(d)):
+        rows, rhs = constraint_matrix(d)
+        for g in all_generators(d):
             for row, b in zip(rows[:4], rhs[:4]):
                 assert sum(r * x for r, x in zip(row, g.coords)) == b == 1
 

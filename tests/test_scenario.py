@@ -9,11 +9,11 @@ from bellpoly.lp import lp_max
 from bellpoly.scenario import (
     Behavior,
     DeterministicStrategy,
-    Scenario,
     all_generators,
     all_strategies,
     behavior_from_json,
     constraint_matrix,
+    constraint_rank,
     constraint_verdicts,
     coord_index,
     generator,
@@ -28,7 +28,7 @@ from oracles import behavior_to_json, uniform_behavior
 
 
 def test_generator_all_zero_strategy_d2():
-    g = generator(Scenario(2), (0, 0, 0, 0))
+    g = generator(2, (0, 0, 0, 0))
     ones = {(1, 1, 0, 0), (1, 2, 0, 0), (2, 1, 0, 0), (2, 2, 0, 0)}
     for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
         for k in range(2):
@@ -38,7 +38,7 @@ def test_generator_all_zero_strategy_d2():
 
 
 def test_generator_spec_example_d3():
-    g = generator(Scenario(3), (1, 0, 2, 0))
+    g = generator(3, (1, 0, 2, 0))
     ones = {(1, 1, 1, 2), (1, 2, 1, 0), (2, 1, 0, 2), (2, 2, 0, 0)}
     total = 0
     for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
@@ -52,28 +52,28 @@ def test_generator_spec_example_d3():
 
 def test_generator_out_of_range():
     with pytest.raises(ValueError):
-        generator(Scenario(2), (0, 0, 0, 2))
+        generator(2, (0, 0, 0, 2))
 
 
 def test_generator_counts_distinct():
     for d, n in ((2, 16), (3, 81)):
-        gens = all_generators(Scenario(d))
+        gens = all_generators(d)
         assert len(gens) == n
         assert len({g.coords for g in gens}) == n
 
 
 def test_generators_satisfy_all_predicates():
     for d in (2, 3):
-        for g in all_generators(Scenario(d)):
+        for g in all_generators(d):
             assert constraint_verdicts(g) == (True, True)
             assert all(x >= 0 for x in g.coords)
 
 
 def test_constraint_matrix_shapes_and_ranks():
-    rows2, rhs2 = constraint_matrix(Scenario(2))
+    rows2, rhs2 = constraint_matrix(2)
     assert (len(rows2), len(rows2[0])) == (12, 16)
     assert linalg.rank(rows2) == 8
-    rows3, rhs3 = constraint_matrix(Scenario(3))
+    rows3, rhs3 = constraint_matrix(3)
     assert (len(rows3), len(rows3[0])) == (16, 36)
     assert linalg.rank(rows3) == 12
     assert rhs2 == [Fraction(1)] * 4 + [Fraction(0)] * 8
@@ -82,7 +82,7 @@ def test_constraint_matrix_shapes_and_ranks():
 def test_uniform_behavior_satisfies_constraints():
     for d in (2, 3, 4):
         u = uniform_behavior(d)
-        rows, rhs = constraint_matrix(Scenario(d))
+        rows, rhs = constraint_matrix(d)
         for row, b in zip(rows, rhs):
             assert sum(r * x for r, x in zip(row, u.coords)) == b
         assert constraint_verdicts(u) == (True, True)
@@ -177,15 +177,15 @@ def test_constraint_verdicts_match_block_and_marginal_sums():
 
 
 def test_polytope_affine_dim():
-    assert polytope_affine_dim(Scenario(2)) == 8
-    assert polytope_affine_dim(Scenario(3)) == 24
-    assert polytope_affine_dim(Scenario(5)) == 80
+    assert polytope_affine_dim(2) == 8
+    assert polytope_affine_dim(3) == 24
+    assert polytope_affine_dim(5) == 80
 
 
 def test_constraint_rows_annihilate_generator_differences():
     for d in (2, 3):
-        rows, rhs = constraint_matrix(Scenario(d))
-        gens = all_generators(Scenario(d))
+        rows, rhs = constraint_matrix(d)
+        gens = all_generators(d)
         g0 = gens[0]
         for g in gens[1:]:
             diff = [a - b for a, b in zip(g.coords, g0.coords)]
@@ -197,14 +197,13 @@ def test_spanning_strategy_grid_is_independent():
     for d in (2, 3, 4, 5):
         fam = spanning_strategy_grid(d)
         assert len(fam) == (2 * d - 1) ** 2
-        mat = [generator(Scenario(d), lam).coords for lam in fam]
+        mat = [generator(d, lam).coords for lam in fam]
         assert linalg.rank(mat) == (2 * d - 1) ** 2
 
 
 def test_generators_are_extreme_d2():
     # no generator is a convex combination of the others
-    s = Scenario(2)
-    gens = all_generators(s)
+    gens = all_generators(2)
     for i, g in enumerate(gens):
         others = [h.coords for j, h in enumerate(gens) if j != i]
         eq_rows = [[col[c] for col in others] for c in range(16)]
@@ -232,15 +231,33 @@ def test_inequality_json_round_trip():
     assert inequality_from_json(json.loads(blob)) == q
 
 
+@pytest.mark.parametrize("coeffs", ["10000000", {"0": 1}], ids=["digit-string", "object"])
+def test_inequality_from_json_refuses_coeffs_that_are_not_an_array(coeffs):
+    # iterated, a string of digits would read one coefficient per character
+    with pytest.raises(TypeError, match="'coeffs' must be a JSON array"):
+        inequality_from_json({"space": "correlator", "d": 2, "coeffs": coeffs, "bound": 5})
+
+
+def test_scenario_functions_take_d():
+    # the scenario is the one integer d; at d = 1 the rank and dimension
+    # still meet 4d and 4d(d-1), so refusing d < 2 here guarded no formula
+    for d in range(1, 5):
+        assert constraint_rank(d) == 4 * d
+        assert polytope_affine_dim(d) == 4 * d * (d - 1)
+        strategies = all_strategies(d)
+        assert len(strategies) == d**4
+        assert [g.coords for g in all_generators(d)] == [generator(d, lam).coords for lam in strategies]
+        rows, rhs = constraint_matrix(d)
+        assert (len(rows), len(rows[0]), rhs) == (4 + 4 * d, 4 * d * d, [1] * 4 + [0] * (4 * d))
+
+
 def test_behavior_validation():
     with pytest.raises(ValueError):
         Behavior(2, (Fraction(1),) * 15)
-    with pytest.raises(ValueError):
-        Scenario(1)
 
 
 def test_strategy_order_lexicographic():
-    strategies = all_strategies(Scenario(2))
+    strategies = all_strategies(2)
     assert strategies[:3] == [
         DeterministicStrategy(0, 0, 0, 0),
         DeterministicStrategy(0, 0, 0, 1),
@@ -254,7 +271,7 @@ def test_generator_matrix_rows_are_the_fraction_generators():
 
     for d in range(2, 5):
         mat = generator_matrix(d)
-        gens = all_generators(Scenario(d))
+        gens = all_generators(d)
         assert mat.shape == (d**4, 4 * d * d)
         assert [tuple(Fraction(int(x)) for x in row) for row in mat] == [g.coords for g in gens]
 
@@ -265,5 +282,5 @@ def test_strategy_values_match_generator_inner_products():
     rng = random.Random(41)
     for d in range(2, 5):
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4 * d * d)]
-        direct = [sum(c * x for c, x in zip(coeffs, g.coords)) for g in all_generators(Scenario(d))]
+        direct = [sum(c * x for c, x in zip(coeffs, g.coords)) for g in all_generators(d)]
         assert list(strategy_values(coeffs, d)) == direct

@@ -12,7 +12,7 @@ from bellpoly.correlators import projected_generators
 from bellpoly.facets import saturation_count
 from bellpoly.linalg import integer_rows, slack_matrix
 from bellpoly.membership import local_max
-from bellpoly.scenario import Inequality, Scenario, all_generators
+from bellpoly.scenario import Inequality, all_generators
 
 from oracles import fraction_rref, fraction_slack
 
@@ -24,7 +24,7 @@ def _vertices(name):
         pts = [(Fraction(x, 3) + Fraction(1, 2), Fraction(y, 3)) for x in (0, 1) for y in (0, 1)]
         return "vector", 2, pts
     if name == "behavior-2":
-        return "behavior", 2, [g.coords for g in all_generators(Scenario(2))]
+        return "behavior", 2, [g.coords for g in all_generators(2)]
     return "correlator", 3, [g.coords for g in projected_generators(3)]
 
 

@@ -40,7 +40,6 @@ from bellpoly.membership import _catalog_label
 from bellpoly.scenario import (
     Behavior,
     Inequality,
-    Scenario,
     all_generators,
     all_strategies,
     generator,
@@ -68,7 +67,7 @@ def _party_swap(d):
 def test_identity():
     # the identity is the lexicographically first row of every table
     d = 3
-    p = generator(Scenario(d), (1, 2, 0, 1))
+    p = generator(d, (1, 2, 0, 1))
     assert group_for("behavior", d)[0].tolist() == list(range(4 * d * d))
     assert group_for("correlator", d)[0].tolist() == list(range(4 * d))
     assert apply_row(group_for("behavior", d)[0], p) == p
@@ -85,8 +84,8 @@ def test_party_swap_on_generators():
     op = _party_swap(d)
     for lam in ((0, 1, 2, 0), (1, 1, 0, 2), (2, 0, 1, 1)):
         a1, a2, b1, b2 = lam
-        got = apply_row(op, generator(Scenario(d), lam))
-        want = generator(Scenario(d), (b1, b2, a1, a2))
+        got = apply_row(op, generator(d, lam))
+        want = generator(d, (b1, b2, a1, a2))
         assert got == want
 
 
@@ -94,11 +93,9 @@ def test_relabeling_maps_generators_to_generators():
     d = 3
     sigma = (1, 2, 0)
     op = _loop_behavior_perm(d, False, False, False, (sigma, (0, 1, 2), (2, 1, 0), (0, 2, 1)))
-    for lam in all_strategies(Scenario(d))[:10]:
-        got = apply_row(op, generator(Scenario(d), lam))
-        want = generator(
-            Scenario(d), (sigma[lam.a1], lam.a2, (2, 1, 0)[lam.b1], (0, 2, 1)[lam.b2])
-        )
+    for lam in all_strategies(d)[:10]:
+        got = apply_row(op, generator(d, lam))
+        want = generator(d, (sigma[lam.a1], lam.a2, (2, 1, 0)[lam.b1], (0, 2, 1)[lam.b2]))
         assert got == want
 
 
@@ -158,7 +155,7 @@ def test_group_action_law():
 
 def test_group_preserves_generator_sets():
     d = 2
-    gens = {g.coords for g in all_generators(Scenario(d))}
+    gens = {g.coords for g in all_generators(d)}
     for op in group_for("behavior", d):
         assert {apply_row(op, Behavior(d, c)).coords for c in gens} == gens
     pgens = {g.coords for g in projected_generators(3)}
@@ -303,7 +300,7 @@ def _regauged(q, rng):
 
 def _space(space, d):
     """(vertices, group table, facets) of a standard space."""
-    verts = projected_generators(d) if space == "correlator" else all_generators(Scenario(d))
+    verts = projected_generators(d) if space == "correlator" else all_generators(d)
     facets = enumerate_facets(vrep_of(verts), space=space, d=d).facets
     return verts, group_for(space, d), list(facets)
 
